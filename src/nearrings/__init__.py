@@ -9,6 +9,7 @@ from .core import (
     AxiomViolation,
     CapExceeded,
     FiniteGroup,
+    InvariantError,
     NearRing,
     NearRingFlags,
     TableFormatError,
@@ -58,7 +59,8 @@ from .theorems import (
 )
 
 __all__ = [
-    "AxiomViolation", "CapExceeded", "FiniteGroup", "NearRing", "NearRingFlags",
+    "AxiomViolation", "CapExceeded", "FiniteGroup", "InvariantError", "NearRing",
+    "NearRingFlags",
     "TableFormatError", "build_extension", "build_M0", "build_product",
     "emit_table", "from_document", "load_nearring", "parse_table", "to_document",
     "validate_group", "validate_nearring",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .core import NearRing
+from .core import InvariantError, NearRing
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
@@ -95,8 +95,8 @@ def is_left_morphic(ring: NearRing, a: int, cross_check: bool = False) -> Morphi
                 result = MorphicVerdict("morphic", witness=b, cross_checked=do_cross)
                 break
     if do_cross:
-        assert _algorithm_I(ring, a) == bool(result), \
-            f"morphic cross-check disagrees at element {a}"
+        if _algorithm_I(ring, a) != bool(result):
+            raise InvariantError(f"morphic cross-check disagrees at element {a}")
     return result
 
 

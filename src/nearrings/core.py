@@ -2,13 +2,29 @@
 
 Everything is an index table: a group of order n is an n-by-n addition table
 over element indices 0..n-1, and a near-ring adds an n-by-n multiplication
-table on top.  All laws are checked exhaustively; every reported failure
-carries a witness tuple that re-evaluates to a violation on the raw tables.
+table on top.  Every verdict is exact, but the O(n^3) laws are decided in
+O(n^2 |S|) over a generating set S of (N,+):
+
+- additive associativity by Light's test, (x+s)+y = x+(s+y);
+- right distributivity as "every x -> x*z is an endomorphism of (N,+)",
+  (x+s)*z = x*z + s*z, which suffices once addition is associative;
+- multiplicative associativity, given right distributivity, as
+  (s*y)*z = s*(y*z), since both sides are endomorphisms in the first slot;
+- the left-distributive flag as "x -> x*y is an endomorphism", tested for
+  all rows x at once over S.
+
+A set T of elements on which such an identity holds is closed under +, so
+it holds everywhere as soon as it holds on S.  When a reduced check fails,
+the exhaustive scan for that law alone runs to report the first witness in
+ascending scan order; every reported failure carries a witness tuple that
+re-evaluates to a violation on the raw tables.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -17,9 +33,6 @@ import numpy as np
 
 # Construction refuses anything larger than this.
 DEFAULT_ORDER_CAP = 4096
-# Above this order, tables built componentwise from validated factors are
-# trusted instead of re-running the O(n^3) law scans.
-FULL_VALIDATION_CAP = 1024
 
 TABLE_FORMAT = "nearring-table/1"
 
@@ -30,6 +43,11 @@ class TableFormatError(ValueError):
 
 class CapExceeded(ValueError):
     """Requested construction or scan exceeds the configured order cap."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a defect in this package, not in
+    the input.  Raised explicitly so the check survives ``python -O``."""
 
 
 class AxiomViolation(Exception):
@@ -119,6 +137,13 @@ def _np(table: tuple) -> np.ndarray:
 
 
 def _check_table(table, n: int, field: str) -> tuple[tuple[int, ...], ...]:
+    # Fast accept: n rows of n entries, every entry exactly an int (not a
+    # bool), all within [0, n).  Anything else takes the loop below, which
+    # names the first offending row or entry.
+    if (len(table) == n and all(len(row) == n for row in table)
+            and set(map(type, itertools.chain.from_iterable(table))) <= {int}
+            and min(map(min, table)) >= 0 and max(map(max, table)) < n):
+        return tuple(map(tuple, table))
     if len(table) != n:
         raise TableFormatError(f"{field}: expected {n} rows, got {len(table)}")
     rows = []
@@ -130,6 +155,66 @@ def _check_table(table, n: int, field: str) -> tuple[tuple[int, ...], ...]:
                 raise TableFormatError(f"{field}: entry {v!r} in row {i} out of range [0,{n})")
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _generators(add: np.ndarray) -> list[int]:
+    """Greedy generating set of the magma (N,+), ascending.
+
+    Repeatedly takes the least index not yet reached and extends the closure
+    semi-naively: only sums with a newly reached element can be new.  The
+    closure is seeded with 0, which callers have checked to be a two-sided
+    identity.
+    """
+    n = len(add)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens = []
+    while not reached.all():
+        s = int(reached.argmin())
+        gens.append(s)
+        reached[s] = True
+        frontier = np.array([s])
+        while len(frontier):
+            members = np.flatnonzero(reached)
+            new = np.zeros(n, dtype=bool)
+            new[add[np.ix_(frontier, members)].ravel()] = True
+            new[add[np.ix_(members, frontier)].ravel()] = True
+            new &= ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+    return gens
+
+
+def _add_assoc_holds(add: np.ndarray, gens) -> bool:
+    """Light's test: (x+s)+y == x+(s+y) for all x, y and every generator s."""
+    return all(np.array_equal(add[add[:, s], :], add[:, add[s, :]]) for s in gens)
+
+
+def _right_dist_holds(add: np.ndarray, mul: np.ndarray, gens) -> bool:
+    """(x+s)*z == x*z + s*z for all x, z and every generator s.
+
+    Exact once (N,+) is a group: every x -> x*z is then an endomorphism.
+    """
+    return all(np.array_equal(mul[add[:, s], :], add[mul, mul[s][None, :]])
+               for s in gens)
+
+
+def _mul_assoc_holds(mul: np.ndarray, gens) -> bool:
+    """(s*y)*z == s*(y*z) for all y, z and every generator s.
+
+    Exact once right distributivity holds: both sides are then additive in
+    the first argument.
+    """
+    return all(np.array_equal(mul[mul[s], :], mul[s, mul]) for s in gens)
+
+
+def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
+    """Rows x where y -> x*y is not an endomorphism of the group (N,+):
+    x*(y+s) != x*y + x*s for some y and generator s."""
+    bad = np.zeros(len(add), dtype=bool)
+    for s in gens:
+        bad |= (mul[:, add[:, s]] != add[mul, mul[:, s][:, None]]).any(axis=1)
+    return bad
 
 
 def _assoc_witness(t: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -158,10 +243,11 @@ def _right_dist_witness(add: np.ndarray, mul: np.ndarray) -> Optional[tuple[int,
     return None
 
 
-def _left_dist_witness(add: np.ndarray, mul: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """First (i,j,k) with i*(j+k) != i*j + i*k."""
+def _left_dist_witness(add: np.ndarray, mul: np.ndarray,
+                       start: int = 0) -> Optional[tuple[int, int, int]]:
+    """First (i,j,k) with i*(j+k) != i*j + i*k, scanning rows from ``start``."""
     n = len(add)
-    for i in range(n):
+    for i in range(start, n):
         lhs = mul[i, add]                        # (j,k) -> i*(j+k)
         rhs = add[mul[i][:, None], mul[i][None, :]]
         bad = np.argwhere(lhs != rhs)
@@ -180,17 +266,15 @@ def validate_group(add, labels=None) -> FiniteGroup:
     for j in range(n):
         if table[0][j] != j or table[j][0] != j:
             raise AxiomViolation("add_identity", (j,))
-    w = _assoc_witness(_np(table))
-    if w is not None:
-        raise AxiomViolation("add_assoc", w)
-    neg = []
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0 and table[j][i] == 0:
-                neg.append(j)
-                break
-        else:
-            raise AxiomViolation("add_inverse", (i,))
+    add_np = _np(table)
+    if not _add_assoc_holds(add_np, _generators(add_np)):
+        raise AxiomViolation("add_assoc", _assoc_witness(add_np))
+    # neg[i] is the least j with i+j = j+i = 0
+    inverse = (add_np == 0) & (add_np.T == 0)
+    has_inverse = inverse.any(axis=1)
+    if not has_inverse.all():
+        raise AxiomViolation("add_inverse", (int(has_inverse.argmin()),))
+    neg = inverse.argmax(axis=1).tolist()
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
@@ -198,17 +282,20 @@ def validate_group(add, labels=None) -> FiniteGroup:
     return FiniteGroup(order=n, add=table, neg=tuple(neg), labels=labels)
 
 
-def _compute_flags(group: FiniteGroup, mul, one):
-    """Exhaustive flag scans; returns (one, flags, witnesses)."""
+def _compute_flags(group: FiniteGroup, mul, one, gens):
+    """Exact flag scans; returns (one, flags, witnesses)."""
     n = group.order
     add_np = _np(group.add)
     mul_np = _np(mul)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
-    w = _left_dist_witness(add_np, mul_np)
-    left_dist = w is None
-    if w:
-        witnesses.append(("left_distributive", w))
+    # Rows before the first bad one are endomorphisms, so the exhaustive
+    # scan's first witness lies in that row.
+    bad_rows = _left_dist_bad_rows(add_np, mul_np, gens)
+    left_dist = not bad_rows.any()
+    if not left_dist:
+        witnesses.append(("left_distributive",
+                          _left_dist_witness(add_np, mul_np, start=int(bad_rows.argmax()))))
 
     bad = np.argwhere(add_np != add_np.T)
     abelian = len(bad) == 0
@@ -248,23 +335,30 @@ def _compute_flags(group: FiniteGroup, mul, one):
 
 def validate_nearring(add, mul, one=None, labels=None, name=None,
                       group: FiniteGroup | None = None, **provenance) -> NearRing:
-    """Validate tables as a right near-ring; flags are computed exhaustively."""
+    """Validate tables as a right near-ring and compute its flags exactly."""
     if group is None:
         group = validate_group(add, labels=labels)
     n = group.order
     mul = _check_table(mul, n, "mul")
     if one is not None and not 0 <= one < n:
         raise TableFormatError(f"one: index {one} out of range [0,{n})")
-    w = _assoc_witness(_np(mul))
-    if w is not None:
-        raise AxiomViolation("mul_assoc", w)
-    w = _right_dist_witness(_np(group.add), _np(mul))
-    if w is not None:
-        raise AxiomViolation("right_dist", w)
+    add_np, mul_np = _np(group.add), _np(mul)
+    gens = _generators(add_np)
+    # Laws are reported in the order mul_assoc, right_dist, but the reduced
+    # associativity check needs right distributivity, so that runs first.
+    if _right_dist_holds(add_np, mul_np, gens):
+        if not _mul_assoc_holds(mul_np, gens):
+            raise AxiomViolation("mul_assoc", _assoc_witness(mul_np))
+    else:
+        w = _assoc_witness(mul_np)
+        if w is not None:
+            raise AxiomViolation("mul_assoc", w)
+        raise AxiomViolation("right_dist", _right_dist_witness(add_np, mul_np))
     # 0*x = 0 is forced by right distributivity; a failure here means the
     # checks above are broken, not the input.
-    assert all(mul[0][x] == 0 for x in range(n))
-    one, flags, witnesses = _compute_flags(group, mul, one)
+    if mul_np[0].any():
+        raise InvariantError("0*x != 0 in a table that passed right distributivity")
+    one, flags, witnesses = _compute_flags(group, mul, one, gens)
     return NearRing(group=group, mul=mul, one=one, flags=flags,
                     flag_witnesses=witnesses, name=name, **provenance)
 
@@ -299,74 +393,37 @@ def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> NearRing:
     return validate_nearring(add, mul, labels=labels, name=f"m0_order{order}")
 
 
-def _mixed_radix(orders: list[int]):
-    """Row-major encode/decode between component tuples and flat indices."""
-    def encode(parts):
-        idx = 0
-        for p, o in zip(parts, orders):
-            idx = idx * o + p
-        return idx
-
-    def decode(idx):
-        parts = []
-        for o in reversed(orders):
-            parts.append(idx % o)
-            idx //= o
-        return tuple(reversed(parts))
-
-    return encode, decode
-
-
 def build_product(factors, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
     """Componentwise direct product; element index is row-major over factors."""
     factors = tuple(factors)
     if not factors:
         raise ValueError("need at least one factor")
     orders = [f.order for f in factors]
-    total = 1
-    for o in orders:
-        total *= o
+    total = math.prod(orders)
     if total > cap:
         raise CapExceeded(f"product order {total} exceeds cap {cap}")
-    encode, decode = _mixed_radix(orders)
-    elems = [decode(i) for i in range(total)]
-    add = [
-        [encode([f.add[a][b] for f, a, b in zip(factors, x, y)]) for y in elems]
-        for x in elems
-    ]
-    mul = [
-        [encode([f.mul[a][b] for f, a, b in zip(factors, x, y)]) for y in elems]
-        for x in elems
-    ]
+    strides = [math.prod(orders[k + 1:]) for k in range(len(orders))]
+    # parts[k][x] is the k-th component of element x
+    parts = [np.arange(total) // st % o for st, o in zip(strides, orders)]
+    add = np.zeros((total, total), dtype=np.int64)
+    mul = np.zeros((total, total), dtype=np.int64)
+    for f, st, p in zip(factors, strides, parts):
+        grid = np.ix_(p, p)
+        add += _np(f.add)[grid] * st
+        mul += _np(f.mul)[grid] * st
     labels = None
     if all(f.group.labels for f in factors):
         labels = tuple(
-            "(" + ",".join(f.label(p) for f, p in zip(factors, x)) + ")" for x in elems
+            "(" + ",".join(f.label(c) for f, c in zip(factors, x)) + ")"
+            for x in zip(*(p.tolist() for p in parts))
         )
     one = None
     if all(f.one is not None for f in factors):
-        one = encode([f.one for f in factors])
-    if total <= FULL_VALIDATION_CAP:
-        return validate_nearring(add, mul, one=one, labels=labels, name=name,
-                                 factors=factors)
-    # Correct by construction from validated factors; each law holds in the
-    # product iff it holds in every factor.
-    group = FiniteGroup(
-        order=total,
-        add=tuple(tuple(r) for r in add),
-        neg=tuple(encode([f.neg[p] for f, p in zip(factors, x)]) for x in elems),
-        labels=labels,
-    )
-    flags = NearRingFlags(
-        right_distributive=True,
-        left_distributive=all(f.flags.left_distributive for f in factors),
-        abelian_add=all(f.flags.abelian_add for f in factors),
-        zero_symmetric=all(f.flags.zero_symmetric for f in factors),
-        unital=one is not None,
-        commutative_mul=all(f.flags.commutative_mul for f in factors),
-    )
-    return NearRing(group=group, mul=tuple(tuple(r) for r in mul), one=one,
-                    flags=flags, name=name, factors=factors)
+        one = sum(f.one * st for f, st in zip(factors, strides))
+    # Entries become references to one shared int per value, not n^2 ints.
+    values = np.arange(total).astype(object)
+    return validate_nearring(values[add].tolist(), values[mul].tolist(), one=one,
+                             labels=labels, name=name, factors=factors)
 
 
 def build_extension(ring: NearRing, module, cap: int = DEFAULT_ORDER_CAP,
@@ -471,11 +528,14 @@ def from_document(raw: RawTables) -> NearRing:
     add, mul, labels, one = raw.add, raw.mul, raw.labels, raw.one
     if ident is not None and ident != 0:
         old = [ident] + [i for i in range(n) if i != ident]
-        pi = {o: i for i, o in enumerate(old)}
-        add = tuple(tuple(pi[raw.add[a][b]] for b in old) for a in old)
-        mul = tuple(tuple(pi[raw.mul[a][b]] for b in old) for a in old)
+        pi = [0] * n
+        for i, o in enumerate(old):
+            pi[o] = i
+        pick, relabel = operator.itemgetter(*old), pi.__getitem__
+        add = tuple(tuple(map(relabel, pick(raw.add[a]))) for a in old)
+        mul = tuple(tuple(map(relabel, pick(raw.mul[a]))) for a in old)
         if labels:
-            labels = tuple(labels[o] for o in old)
+            labels = pick(labels)
         if one is not None:
             one = pi[one]
     return validate_nearring(add, mul, one=one, labels=labels, name=raw.name)

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import FiniteGroup, NearRing, _np, validate_group
+from .core import FiniteGroup, InvariantError, NearRing, _np, validate_group
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -242,8 +242,9 @@ def quotient_module(module: NModule, subset) -> Quotient:
     # Well-definedness: the action must not depend on the representative.
     for r in range(module.ring.order):
         for x in range(m_n):
-            assert proj[module.action[r][x]] == qact[r][proj[x]], \
-                "quotient action depends on coset representative"
+            if proj[module.action[r][x]] != qact[r][proj[x]]:
+                raise InvariantError("quotient action depends on coset representative "
+                                     f"at (r, m) = ({r}, {x})")
     return Quotient(
         module=NModule(ring=module.ring, carrier=carrier,
                        action=tuple(tuple(row) for row in qact)),
@@ -369,7 +370,8 @@ def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomRes
                 else:
                     image[x3] = y3
                     changed = True
-    assert len(image) == m_n
+    if len(image) != m_n:
+        raise InvariantError(f"closure from generator {g} reached {len(image)} of {m_n} elements")
     return HomResult(hom=tuple(image[x] for x in range(m_n)))
 
 

@@ -1,5 +1,10 @@
 """Validation, construction, and serialization of near-ring tables."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +70,18 @@ class TestValidateGroup:
     def test_duplicate_labels(self):
         with pytest.raises(TableFormatError):
             validate_group([[0, 1], [1, 0]], labels=("x", "x"))
+
+    @pytest.mark.parametrize("add, message", [
+        ([[0, 1], [1, True]], "add: entry True in row 1 out of range [0,2)"),
+        ([[0, 1], [1, 0.0]], "add: entry 0.0 in row 1 out of range [0,2)"),
+        ([[0, -1], [1, 0]], "add: entry -1 in row 0 out of range [0,2)"),
+        ([[0, 1], [1, 2 ** 70]], f"add: entry {2 ** 70} in row 1 out of range [0,2)"),
+        ([[0, 1], [1]], "add: row 1 has 1 entries, expected 2"),
+    ])
+    def test_entry_errors_name_the_first_offender(self, add, message):
+        with pytest.raises(TableFormatError) as exc:
+            validate_group(add)
+        assert str(exc.value) == message
 
 
 class TestValidateNearring:
@@ -186,6 +203,26 @@ class TestBuildProduct:
         with pytest.raises(CapExceeded):
             build_product([builtin("zn_ring(64)")] * 3)
 
+    def test_large_product_flags_carry_witnesses(self):
+        # Order 1088: products of every order take the one validation path,
+        # so each false flag comes with a witness that re-evaluates.
+        ring = build_product([builtin("ext_f2_f2"), builtin("zn_ring(16)"),
+                              builtin("zn_ring(17)")])
+        add, mul = ring.add, ring.mul
+        f, wd = ring.flags, dict(ring.flag_witnesses)
+        assert ring.order == 1088 and f.unital and f.abelian_add
+        assert not f.left_distributive and not f.zero_symmetric
+        assert not f.commutative_mul
+        for name in ("left_distributive", "abelian_add", "zero_symmetric",
+                     "commutative_mul"):
+            assert (name in wd) == (not getattr(f, name))
+        i, j, k = wd["left_distributive"]
+        assert mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]
+        (x,) = wd["zero_symmetric"]
+        assert mul[x][0] != 0
+        i, j = wd["commutative_mul"]
+        assert mul[i][j] != mul[j][i]
+
 
 class TestBuildExtension:
     def test_multiplication_rule(self):
@@ -273,3 +310,33 @@ class TestSerialization:
         doc["one"] = 99
         with pytest.raises(TableFormatError):
             parse_table(json.dumps(doc))
+
+
+# Each snippet breaks one internal invariant on purpose.  Under -O the check
+# must still raise InvariantError instead of vanishing like an assert.
+INVARIANT_BREAKS = {
+    "zero_annihilates": (
+        "import nearrings.core as core\n"
+        "core._right_dist_holds = lambda *args: True\n"
+        "core.validate_nearring([[0, 1], [1, 0]], [[0, 1], [0, 1]])\n"),
+    "morphic_cross_check": (
+        "import nearrings.classify as classify\n"
+        "real = classify._algorithm_I\n"
+        "classify._algorithm_I = lambda ring, a: not real(ring, a)\n"
+        "classify.is_left_morphic(nearrings.builtin('klein4_ring'), 1, cross_check=True)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_BREAKS))
+def test_invariants_survive_optimize(name):
+    prog = ("import nearrings\n"
+            "assert False, 'assert statements are live'\n"
+            "try:\n" + textwrap.indent(INVARIANT_BREAKS[name], "    ")
+            + "except nearrings.InvariantError as exc:\n    print('raised', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", prog], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised ")

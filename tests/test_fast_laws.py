@@ -1,0 +1,242 @@
+"""The generator-reduced law checks against the exhaustive scans.
+
+The exhaustive scans (``_assoc_witness``, ``_right_dist_witness``,
+``_left_dist_witness``) are the oracle: validation must return the same
+verdict and the same first witness as running them in validation order.
+"""
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nearrings import AxiomViolation, builtin, emit_table, validate_nearring
+from nearrings.core import (
+    _add_assoc_holds,
+    _assoc_witness,
+    _generators,
+    _left_dist_bad_rows,
+    _left_dist_witness,
+    _mul_assoc_holds,
+    _right_dist_holds,
+    _right_dist_witness,
+)
+
+BUILTINS = ("klein4_ring", "zn_ring(6)", "zn_ring(9)", "m0_z3", "mat2_f2",
+            "klein4_x_f2", "ext_f2_f2")
+
+
+def reference_outcome(add, mul):
+    """Seed-order exhaustive validation: the first failing law and its
+    witness, or ("ok", first left-distributivity witness or None)."""
+    a, m = np.array(add), np.array(mul)
+    n = len(a)
+    for j in range(n):
+        if a[0][j] != j or a[j][0] != j:
+            return ("add_identity", (j,))
+    w = _assoc_witness(a)
+    if w is not None:
+        return ("add_assoc", w)
+    for i in range(n):
+        if not any(a[i][j] == 0 and a[j][i] == 0 for j in range(n)):
+            return ("add_inverse", (i,))
+    w = _assoc_witness(m)
+    if w is not None:
+        return ("mul_assoc", w)
+    w = _right_dist_witness(a, m)
+    if w is not None:
+        return ("right_dist", w)
+    return ("ok", _left_dist_witness(a, m))
+
+
+def fast_outcome(add, mul):
+    try:
+        ring = validate_nearring(add, mul)
+    except AxiomViolation as exc:
+        return (exc.law, exc.witness)
+    return ("ok", dict(ring.flag_witnesses).get("left_distributive"))
+
+
+def cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def product(a, b):
+    """Row-major direct product of two addition tables."""
+    na, nb = len(a), len(b)
+    return [[a[x // nb][y // nb] * nb + b[x % nb][y % nb]
+             for y in range(na * nb)] for x in range(na * nb)]
+
+
+def dihedral(k):
+    """D_k of order 2k; index i + k*j stands for r^i s^j."""
+    def op(x, y):
+        (i1, j1), (i2, j2) = divmod(x, k)[::-1], divmod(y, k)[::-1]
+        return (i1 + (i2 if j1 == 0 else -i2)) % k + k * (j1 ^ j2)
+    return [[op(x, y) for y in range(2 * k)] for x in range(2 * k)]
+
+
+groups = st.one_of(
+    st.integers(1, 16).map(cyclic),
+    st.tuples(st.integers(2, 4), st.integers(2, 6)).map(
+        lambda ab: product(cyclic(ab[0]), cyclic(ab[1]))),
+    st.integers(3, 8).map(dihedral),
+)
+
+
+def projection(add):
+    """x*y = x for y != 0, x*0 = 0: a zero-symmetric near-ring on any group."""
+    n = len(add)
+    return [[x if y else 0 for y in range(n)] for x in range(n)]
+
+
+def right_projection(add):
+    """x*y = y: associative, right distributive only on the trivial group."""
+    n = len(add)
+    return [list(range(n)) for _ in range(n)]
+
+
+@st.composite
+def corrupt(draw, table, max_hits=3):
+    """Overwrite a few entries off row 0 and column 0."""
+    n = len(table)
+    table = [row[:] for row in table]
+    if n < 2:
+        return table
+    for _ in range(draw(st.integers(1, max_hits))):
+        i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        table[i][j] = draw(st.integers(0, n - 1))
+    return table
+
+
+def assert_agrees(add, mul):
+    assert fast_outcome(add, mul) == reference_outcome(add, mul)
+
+
+@given(name=st.sampled_from(BUILTINS), which=st.sampled_from(("add", "mul")),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_corrupted_builtins(name, which, data):
+    doc = json.loads(emit_table(builtin(name)))
+    doc[which] = data.draw(corrupt(doc[which]))
+    assert_agrees(doc["add"], doc["mul"])
+
+
+@given(k=st.integers(3, 8), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_dihedral_projection(k, data):
+    add = dihedral(k)
+    mul = projection(add)
+    assert fast_outcome(add, mul)[0] == "ok"
+    if data.draw(st.booleans()):
+        mul = data.draw(corrupt(mul))
+    assert_agrees(add, mul)
+
+
+@given(add=groups)
+@settings(max_examples=100, deadline=None)
+def test_right_projection_fails_only_right_distributivity(add):
+    mul = right_projection(add)
+    outcome = fast_outcome(add, mul)
+    assert outcome == reference_outcome(add, mul)
+    assert outcome[0] == ("ok" if len(add) == 1 else "right_dist")
+
+
+@given(add=groups, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_non_associative_addition(add, data):
+    add = data.draw(corrupt(add))
+    assert_agrees(add, projection(add))
+    w = _assoc_witness(np.array(add))
+    assert _add_assoc_holds(np.array(add), _generators(np.array(add))) == (w is None)
+
+
+@given(n=st.integers(2, 16), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_column_endomorphisms_on_cyclic_groups(n, data):
+    # x*z = c_z x is right distributive for any c, associative only for some
+    c = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    add, mul = cyclic(n), column_endomorphisms(n, c)
+    a, m = np.array(add), np.array(mul)
+    gens = _generators(a)
+    assert _right_dist_holds(a, m, gens)
+    assert _mul_assoc_holds(m, gens) == (_assoc_witness(m) is None)
+    assert_agrees(add, mul)
+
+
+@given(add=groups, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduced_predicates_on_arbitrary_products(add, data):
+    n = len(add)
+    mul = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    a, m = np.array(add), np.array(mul)
+    gens = _generators(a)
+    assert _right_dist_holds(a, m, gens) == (_right_dist_witness(a, m) is None)
+    bad = _left_dist_bad_rows(a, m, gens)
+    for x in range(n):
+        row_ok = np.array_equal(m[x][a], a[m[x][:, None], m[x][None, :]])
+        assert bool(bad[x]) != row_ok
+    assert_agrees(add, mul)
+
+
+def ring_mul(n):
+    return [[i * j % n for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def zero_bordered(draw, n):
+    """A random n x n table whose row 0 and column 0 are 0."""
+    return [[draw(st.integers(0, n - 1)) if i and j else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def column_endomorphisms(n, c):
+    """x*z = c_z x on Z_n: right distributive for any c."""
+    return [[c[z] * x % n for z in range(n)] for x in range(n)]
+
+
+@given(a=st.integers(2, 5), b=st.integers(2, 4), broken_add=st.booleans(),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_failures_only_later_generators_see(a, b, broken_add, data):
+    # On A x Z_b the first greedy generator is (0, 1), and every reduced
+    # check passes on it; whatever fails lies in the A factor, which only
+    # the later generators reach.
+    add_a = data.draw(corrupt(cyclic(a))) if broken_add else cyclic(a)
+    mul_a = data.draw(st.one_of(
+        zero_bordered(a),
+        st.lists(st.integers(0, a - 1), min_size=a, max_size=a).map(
+            lambda c: column_endomorphisms(a, c))))
+    add, mul = product(add_a, cyclic(b)), product(mul_a, ring_mul(b))
+    ad, m = np.array(add), np.array(mul)
+    gens = _generators(ad)
+    assert gens[0] == 1 and len(gens) > 1
+    assert _add_assoc_holds(ad, gens) == (_assoc_witness(ad) is None)
+    if not broken_add:
+        rd = _right_dist_holds(ad, m, gens)
+        assert rd == (_right_dist_witness(ad, m) is None)
+        if rd:
+            assert _mul_assoc_holds(m, gens) == (_assoc_witness(m) is None)
+        bad = _left_dist_bad_rows(ad, m, gens)
+        for x in range(len(add)):
+            assert bool(bad[x]) != np.array_equal(m[x][ad], ad[m[x][:, None], m[x][None, :]])
+    assert_agrees(add, mul)
+
+
+def closure(add, seeds):
+    reached = {0} | set(seeds)
+    while True:
+        new = {add[x][y] for x in reached for y in reached} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+@given(add=st.one_of(groups, groups.flatmap(corrupt)))
+@settings(max_examples=200, deadline=None)
+def test_greedy_generators_generate(add):
+    gens = _generators(np.array(add))
+    assert gens == sorted(gens)
+    assert closure(add, gens) == set(range(len(add)))
+    for k, s in enumerate(gens):
+        assert s not in closure(add, gens[:k])
