@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .core import FiniteGroup, NearRing, build_extension, build_product, validate_group, validate_nearring
+from .core import (FiniteGroup, NearRing, build_extension, build_M0, build_product,
+                   validate_group, validate_nearring)
 from .nmodules import NModule, validate_module
 
 ZN_MIN, ZN_MAX = 2, 64
@@ -61,11 +62,7 @@ def _zn_group(n: int) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def _m0_z3() -> NearRing:
-    from .core import build_M0
-    ring = build_M0(_zn_group(3))
-    return NearRing(group=ring.group, mul=ring.mul, one=ring.one,
-                    flags=ring.flags, flag_witnesses=ring.flag_witnesses,
-                    name="m0_z3")
+    return build_M0(_zn_group(3), name="m0_z3")
 
 
 def _mat_bits(i: int) -> tuple[int, int, int, int]:

@@ -8,14 +8,14 @@ instances, a brute-force isomorphism search between N/Na and (0:a).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
-from .core import InvariantError, NearRing
+from .core import CapExceeded, InvariantError, NearRing, memoized
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
     IdealVerdict,
+    annihilator,
     enumerate_left_ideals,
     is_ideal,
     is_N_ideal,
@@ -34,7 +34,7 @@ class NonUnitalError(ValueError):
     """Operation needs a unity and the near-ring has none."""
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def units(ring: NearRing) -> tuple[frozenset[int], tuple[Optional[int], ...]]:
     """All two-sided invertible elements, plus the inverse table."""
     if ring.one is None:
@@ -74,7 +74,7 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
     return bool(modules_isomorphic(quot.module, ann, mode="bruteforce"))
 
 
-@lru_cache(maxsize=65536)
+@memoized
 def is_left_morphic(ring: NearRing, a: int, cross_check: bool = False) -> MorphicVerdict:
     """Witness scan: Na must be an N-ideal and some b must satisfy
     Na = (0:b) and Nb = (0:a); first such b wins."""
@@ -128,14 +128,13 @@ def element_profile(ring: NearRing, a: int) -> ElementProfile:
     return all_element_profiles(ring)[a]
 
 
-@lru_cache(maxsize=1024)
+@memoized
 def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
     if ring.order > CLASSIFY_ORDER_CAP:
-        raise ValueError(f"classification limited to order {CLASSIFY_ORDER_CAP}")
+        raise CapExceeded(f"classification limited to order {CLASSIFY_ORDER_CAP}")
     n, mul = ring.order, ring.mul
     unital = ring.one is not None
-    if unital:
-        unit_set, inv = units(ring)
+    unit_set, inv = units(ring) if unital else (frozenset(), (None,) * n)
     profiles = []
     for a in range(n):
         aa = mul[a][a]
@@ -149,47 +148,25 @@ def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
         reg = next((x for x in range(n) if mul[mul[a][x]][a] == a), None)
         lsr = next((x for x in range(n) if mul[x][aa] == a), None)
         rsr = next((x for x in range(n) if mul[aa][x] == a), None)
-        if unital:
-            ureg = next((u for u in range(n)
-                         if inv[u] is not None and mul[mul[a][u]][a] == a), None)
-            profiles.append(ElementProfile(
-                index=a, label=ring.label(a),
-                is_unit=a in unit_set, inverse=inv[a],
-                is_idempotent=aa == a,
-                is_central=all(mul[a][x] == mul[x][a] for x in range(n)),
-                nilpotency_index=nilp,
-                is_regular=reg is not None, regular_witness=reg,
-                is_unit_regular=ureg is not None, unit_witness=ureg,
-                is_left_strongly_regular=lsr is not None, lsr_witness=lsr,
-                is_right_strongly_regular=rsr is not None, rsr_witness=rsr,
-                morphic=is_left_morphic(ring, a),
-                orbit_left_size=len(left_orbits(ring)[a]),
-                orbit_right_size=len(orbit(ring, "right", a)),
-                ann_left_size=len(left_annihilators(ring)[a]),
-                ann_right_size=len(annihilator_right(ring, a)),
-            ))
-        else:
-            profiles.append(ElementProfile(
-                index=a, label=ring.label(a),
-                is_unit=None, inverse=None,
-                is_idempotent=aa == a,
-                is_central=all(mul[a][x] == mul[x][a] for x in range(n)),
-                nilpotency_index=nilp,
-                is_regular=reg is not None, regular_witness=reg,
-                is_unit_regular=None, unit_witness=None,
-                is_left_strongly_regular=lsr is not None, lsr_witness=lsr,
-                is_right_strongly_regular=rsr is not None, rsr_witness=rsr,
-                morphic=None,
-                orbit_left_size=len(left_orbits(ring)[a]),
-                orbit_right_size=len(orbit(ring, "right", a)),
-                ann_left_size=len(left_annihilators(ring)[a]),
-                ann_right_size=len(annihilator_right(ring, a)),
-            ))
+        ureg = next((u for u in range(n)
+                     if inv[u] is not None and mul[mul[a][u]][a] == a), None)
+        profiles.append(ElementProfile(
+            index=a, label=ring.label(a),
+            is_unit=a in unit_set if unital else None, inverse=inv[a],
+            is_idempotent=aa == a,
+            is_central=all(mul[a][x] == mul[x][a] for x in range(n)),
+            nilpotency_index=nilp,
+            is_regular=reg is not None, regular_witness=reg,
+            is_unit_regular=ureg is not None if unital else None, unit_witness=ureg,
+            is_left_strongly_regular=lsr is not None, lsr_witness=lsr,
+            is_right_strongly_regular=rsr is not None, rsr_witness=rsr,
+            morphic=is_left_morphic(ring, a) if unital else None,
+            orbit_left_size=len(left_orbits(ring)[a]),
+            orbit_right_size=len(orbit(ring, "right", a)),
+            ann_left_size=len(left_annihilators(ring)[a]),
+            ann_right_size=len(annihilator(ring, "right", {a})),
+        ))
     return tuple(profiles)
-
-
-def annihilator_right(ring: NearRing, a: int) -> frozenset[int]:
-    return frozenset(x for x in range(ring.order) if ring.mul[a][x] == 0)
 
 
 @dataclass(frozen=True)
@@ -226,7 +203,7 @@ class StructureProfile:
         return "not regular"
 
 
-@lru_cache(maxsize=1024)
+@memoized
 def structure_profile(ring: NearRing) -> StructureProfile:
     n, mul = ring.order, ring.mul
     profiles = all_element_profiles(ring)

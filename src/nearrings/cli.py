@@ -1,13 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 clean, 1 axiom/validation failure, 2 theorem counterexample,
-3 I/O or format error.  Output is deterministic: identical inputs and flags
-produce byte-identical reports.
+3 I/O, format, usage or over-cap error.  Output is deterministic: identical
+inputs and flags produce byte-identical reports.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -15,13 +16,14 @@ from pathlib import Path
 
 from .core import (
     AxiomViolation,
+    CapExceeded,
     NearRing,
     TableFormatError,
     emit_table,
     load_nearring,
 )
 from .catalog import builtin, catalog_names, default_corpus
-from .classify import all_element_profiles, structure_profile, units
+from .classify import all_element_profiles, structure_profile
 from .theorems import run_suite, theorem_catalog
 
 EXIT_OK = 0
@@ -91,40 +93,26 @@ def _profile_row(ring: NearRing, p) -> list[str]:
 
 def _classify_json(ring: NearRing, profiles) -> dict:
     sp = structure_profile(ring)
-    doc = {
+    return {
         "name": ring.name,
         "order": ring.order,
         "flags": _flag_tokens(ring),
-        "structure": {
-            "zero_symmetric": sp.zero_symmetric,
-            "abelian_add": sp.abelian_add,
-            "is_ring": sp.is_ring,
-            "is_near_field": sp.is_near_field,
-            "reduced": sp.reduced,
-            "has_ifp": sp.has_ifp,
-            "subcommutative": sp.subcommutative,
-            "boolean": sp.boolean,
-            "weakly_divisible": sp.weakly_divisible,
-            "left_duo": sp.left_duo,
-            "idempotents_central": sp.idempotents_central,
-            "regular": sp.regular,
-            "unit_regular": sp.unit_regular,
-            "left_strongly_regular": sp.left_strongly_regular,
-            "right_strongly_regular": sp.right_strongly_regular,
-            "left_morphic": sp.left_morphic,
-            "generalised_near_field": sp.generalised_near_field,
-        },
+        "structure": {f.name: getattr(sp, f.name) for f in dataclasses.fields(sp)
+                      if f.name != "witnesses"},
         "verdict": sp.verdict(),
         "elements": [dict(zip(CSV_COLUMNS, _profile_row(ring, p))) for p in profiles],
     }
-    return doc
 
 
 def cmd_classify(args, out) -> int:
     ring, code = _load(args.file, out)
     if ring is None:
         return code
-    profiles = all_element_profiles(ring)
+    try:
+        profiles = all_element_profiles(ring)
+    except CapExceeded as exc:
+        print(f"{args.file}: over cap: {exc}", file=out)
+        return EXIT_IO
     if args.element is not None:
         sel = None
         if args.element.isdigit() and int(args.element) < ring.order:
@@ -243,7 +231,13 @@ def cmd_corpus(args, out) -> int:
             worst = max(worst, code)
             rows.append({"file": f.name, "error": True})
             continue
-        profiles = all_element_profiles(ring)
+        try:
+            profiles = all_element_profiles(ring)
+        except CapExceeded as exc:
+            print(f"{f}: over cap: {exc}", file=out)
+            worst = max(worst, EXIT_IO)
+            rows.append({"file": f.name, "error": True})
+            continue
         sp = structure_profile(ring)
         rows.append({
             "file": f.name,
@@ -270,8 +264,16 @@ def cmd_corpus(args, out) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, not argparse's 2 (which means a counterexample)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nearrings",
         description="Finite near-ring validation, classification, and theorem checking.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--element", default=None, help="element index or label")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--allow-nonunital", action="store_true",
-                   help="report n/a for unit-dependent columns instead of failing")
 
     p = sub.add_parser("verify", help="run the theorem suite")
     p.add_argument("paths", nargs="*", help="table files or directories; "

@@ -21,12 +21,12 @@ re-evaluates to a violation on the raw tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -71,6 +71,7 @@ class FiniteGroup:
     add: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sub(self, i: int, j: int) -> int:
         return self.add[i][self.neg[j]]
@@ -106,6 +107,7 @@ class NearRing:
     name: Optional[str] = None
     factors: Optional[tuple["NearRing", ...]] = None
     extension: Optional[tuple] = None
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -129,11 +131,37 @@ class NearRing:
         return self.flags.abelian_add and self.flags.left_distributive
 
 
-@lru_cache(maxsize=512)
-def _np(table: tuple) -> np.ndarray:
+def memoized(fn):
+    """Cache ``fn(obj, *args, **kwargs)`` in ``obj.derived``, keyed by the
+    function name and the arguments.  ``derived`` is per instance, outside
+    equality and never copied, so a lookup hashes no table and the entries
+    die with the instance."""
+    @functools.wraps(fn)
+    def cached(obj, *args, **kwargs):
+        key = (fn.__name__, *args, *sorted(kwargs.items()))
+        if key not in obj.derived:
+            obj.derived[key] = fn(obj, *args, **kwargs)
+        return obj.derived[key]
+
+    return cached
+
+
+def _readonly(table) -> np.ndarray:
     arr = np.array(table, dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+@memoized
+def table_array(obj, name: str) -> np.ndarray:
+    """Read-only int64 array of the table ``obj.<name>``: ``add`` or ``neg``
+    of a FiniteGroup, ``mul`` of a NearRing, ``action`` of an NModule."""
+    return _readonly(getattr(obj, name))
+
+
+def keep_table_array(obj, name: str, arr: np.ndarray) -> None:
+    """Make an array already built for ``obj.<name>`` its ``table_array``."""
+    obj.derived["table_array", name] = arr
 
 
 def _check_table(table, n: int, field: str) -> tuple[tuple[int, ...], ...]:
@@ -266,7 +294,7 @@ def validate_group(add, labels=None) -> FiniteGroup:
     for j in range(n):
         if table[0][j] != j or table[j][0] != j:
             raise AxiomViolation("add_identity", (j,))
-    add_np = _np(table)
+    add_np = _readonly(table)
     if not _add_assoc_holds(add_np, _generators(add_np)):
         raise AxiomViolation("add_assoc", _assoc_witness(add_np))
     # neg[i] is the least j with i+j = j+i = 0
@@ -279,14 +307,14 @@ def validate_group(add, labels=None) -> FiniteGroup:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise TableFormatError("labels: need n distinct strings")
-    return FiniteGroup(order=n, add=table, neg=tuple(neg), labels=labels)
+    group = FiniteGroup(order=n, add=table, neg=tuple(neg), labels=labels)
+    keep_table_array(group, "add", add_np)
+    return group
 
 
-def _compute_flags(group: FiniteGroup, mul, one, gens):
+def _compute_flags(add_np: np.ndarray, mul_np: np.ndarray, mul, one, gens):
     """Exact flag scans; returns (one, flags, witnesses)."""
-    n = group.order
-    add_np = _np(group.add)
-    mul_np = _np(mul)
+    n = len(mul)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
     # Rows before the first bad one are endomorphisms, so the exhaustive
@@ -334,15 +362,14 @@ def _compute_flags(group: FiniteGroup, mul, one, gens):
 
 
 def validate_nearring(add, mul, one=None, labels=None, name=None,
-                      group: FiniteGroup | None = None, **provenance) -> NearRing:
+                      **provenance) -> NearRing:
     """Validate tables as a right near-ring and compute its flags exactly."""
-    if group is None:
-        group = validate_group(add, labels=labels)
+    group = validate_group(add, labels=labels)
     n = group.order
     mul = _check_table(mul, n, "mul")
     if one is not None and not 0 <= one < n:
         raise TableFormatError(f"one: index {one} out of range [0,{n})")
-    add_np, mul_np = _np(group.add), _np(mul)
+    add_np, mul_np = table_array(group, "add"), _readonly(mul)
     gens = _generators(add_np)
     # Laws are reported in the order mul_assoc, right_dist, but the reduced
     # associativity check needs right distributivity, so that runs first.
@@ -358,16 +385,18 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
     # checks above are broken, not the input.
     if mul_np[0].any():
         raise InvariantError("0*x != 0 in a table that passed right distributivity")
-    one, flags, witnesses = _compute_flags(group, mul, one, gens)
-    return NearRing(group=group, mul=mul, one=one, flags=flags,
+    one, flags, witnesses = _compute_flags(add_np, mul_np, mul, one, gens)
+    ring = NearRing(group=group, mul=mul, one=one, flags=flags,
                     flag_witnesses=witnesses, name=name, **provenance)
+    keep_table_array(ring, "mul", mul_np)
+    return ring
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> NearRing:
+def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
     """All maps g -> g fixing 0, pointwise addition, composition as product.
 
     Element order is lexicographic on the value vector (f(1),...,f(n-1)),
@@ -390,7 +419,8 @@ def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> NearRing:
         for f in vecs
     ]
     labels = tuple(f"f{i + 1}" for i in range(order))
-    return validate_nearring(add, mul, labels=labels, name=f"m0_order{order}")
+    return validate_nearring(add, mul, labels=labels,
+                             name=f"m0_order{order}" if name is None else name)
 
 
 def build_product(factors, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
@@ -409,8 +439,8 @@ def build_product(factors, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
     mul = np.zeros((total, total), dtype=np.int64)
     for f, st, p in zip(factors, strides, parts):
         grid = np.ix_(p, p)
-        add += _np(f.add)[grid] * st
-        mul += _np(f.mul)[grid] * st
+        add += table_array(f.group, "add")[grid] * st
+        mul += table_array(f, "mul")[grid] * st
     labels = None
     if all(f.group.labels for f in factors):
         labels = tuple(

@@ -7,13 +7,13 @@ r, l, m; these are exactly the kernels that admit quotient modules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import FiniteGroup, InvariantError, NearRing, _np, validate_group
+from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, keep_table_array,
+                   memoized, table_array, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -26,6 +26,7 @@ class NModule:
     ring: NearRing
     carrier: FiniteGroup
     action: tuple[tuple[int, ...], ...]
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,11 @@ def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
     action = tuple(tuple(row) for row in action)
     if len(action) != n or any(len(row) != m for row in action):
         raise ValueError(f"action table must be {n}x{m}")
-    act = np.array(action, dtype=np.int64)
-    radd = _np(ring.add)
-    madd = _np(carrier.add)
-    rmul = _np(ring.mul)
+    module = NModule(ring=ring, carrier=carrier, action=action)
+    act = table_array(module, "action")
+    radd = table_array(ring.group, "add")
+    madd = table_array(carrier, "add")
+    rmul = table_array(ring, "mul")
     for r1 in range(n):
         # (r1+r2)m == r1 m + r2 m
         lhs = act[radd[r1], :]
@@ -66,13 +68,15 @@ def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
         for x in range(m):
             if action[ring.one][x] != x:
                 raise ValueError(f"module is not unitary at m={x}")
-    return NModule(ring=ring, carrier=carrier, action=action)
+    return module
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def regular_representation(ring: NearRing) -> NModule:
     """N acting on itself by left multiplication; action table is mul."""
-    return NModule(ring=ring, carrier=ring.group, action=ring.mul)
+    rep = NModule(ring=ring, carrier=ring.group, action=ring.mul)
+    keep_table_array(rep, "action", table_array(ring, "mul"))
+    return rep
 
 
 def annihilator(ring: NearRing, side: str, subset) -> frozenset[int]:
@@ -100,12 +104,12 @@ def orbit(ring: NearRing, side: str, a: int) -> frozenset[int]:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def left_annihilators(ring: NearRing) -> tuple[frozenset[int], ...]:
     return tuple(annihilator(ring, "left", {a}) for a in range(ring.order))
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def left_orbits(ring: NearRing) -> tuple[frozenset[int], ...]:
     return tuple(orbit(ring, "left", a) for a in range(ring.order))
 
@@ -134,9 +138,9 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
             if not in_l[madd[madd[x][l]][mneg[x]]]:
                 return IdealVerdict("not_normal", (x, l))
     # r(l+m) - rm in L for all r, l, m (vectorized per r)
-    act = np.array(module.action, dtype=np.int64)
-    madd_np = _np(module.carrier.add)
-    mneg_np = np.array(mneg, dtype=np.int64)
+    act = table_array(module, "action")
+    madd_np = table_array(module.carrier, "add")
+    mneg_np = table_array(module.carrier, "neg")
     mem_np = np.array(members, dtype=np.int64)
     in_l_np = np.array(in_l, dtype=bool)
     for r in range(module.ring.order):
@@ -165,10 +169,9 @@ def is_ideal(ring: NearRing, subset) -> str:
 
 def _ideal_closure(ring: NearRing, seed) -> frozenset[int]:
     """Smallest N-ideal of the regular representation containing seed."""
-    n = ring.order
-    add_np = _np(ring.add)
-    mul_np = _np(ring.mul)
-    neg_np = np.array(ring.neg, dtype=np.int64)
+    add_np = table_array(ring.group, "add")
+    mul_np = table_array(ring, "mul")
+    neg_np = table_array(ring.group, "neg")
     members = set(seed) | {0}
     while True:
         mem = np.array(sorted(members), dtype=np.int64)
@@ -190,12 +193,12 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
     """All N-ideals of the regular representation, by closure from singleton
     seeds plus join saturation; ascending by size then lexicographic."""
     if ring.order > IDEAL_ENUM_ORDER_CAP:
-        raise ValueError(f"ideal enumeration limited to order {IDEAL_ENUM_ORDER_CAP}")
+        raise CapExceeded(f"ideal enumeration limited to order {IDEAL_ENUM_ORDER_CAP}")
     found = {frozenset({0})}
     for a in range(ring.order):
         found.add(_ideal_closure(ring, {a}))
         if cap is not None and len(found) > cap:
-            raise ValueError(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
+            raise CapExceeded(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
     while True:
         joins = set()
         pairs = list(found)
@@ -207,7 +210,7 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
             break
         found |= joins
         if cap is not None and len(found) > cap:
-            raise ValueError(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
+            raise CapExceeded(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -408,7 +411,7 @@ def _iso_bruteforce(module: NModule, tv: _Target) -> IsoResult:
     if m_n != len(tv.elements):
         return IsoResult(False)
     if m_n > BRUTEFORCE_ISO_CAP:
-        raise ValueError(f"bruteforce isomorphism limited to |M| <= {BRUTEFORCE_ISO_CAP}")
+        raise CapExceeded(f"bruteforce isomorphism limited to |M| <= {BRUTEFORCE_ISO_CAP}")
     others = [e for e in tv.elements if e != tv.zero]
     madd = module.carrier.add
     for perm in itertools.permutations(others):
@@ -453,5 +456,5 @@ def modules_isomorphic(module: NModule, target, mode: str = "auto") -> IsoResult
                 return _iso_generator(module, tv)
         if module.carrier.order <= BRUTEFORCE_ISO_CAP:
             return _iso_bruteforce(module, tv)
-        raise ValueError("module is not cyclic and exceeds the bruteforce cap")
+        raise CapExceeded("module is not cyclic and exceeds the bruteforce cap")
     raise ValueError(f"unknown mode {mode!r}")

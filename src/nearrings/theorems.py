@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import NearRing
+from .core import CapExceeded, NearRing
 from .catalog import builtin
 from .classify import (
     all_element_profiles,
@@ -556,9 +556,13 @@ def theorem_description(theorem_id: str) -> str:
 
 
 def check(ring: NearRing, theorem_id: str) -> TheoremReport:
+    """Evaluate one entry; a size limit on the way is not_applicable."""
     if theorem_id not in _CATALOG:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    return _CATALOG[theorem_id][1](ring)
+    try:
+        return _CATALOG[theorem_id][1](ring)
+    except CapExceeded as exc:
+        return _na(theorem_id, str(exc))
 
 
 @dataclass(frozen=True)
@@ -614,7 +618,7 @@ def run_suite(corpus, ids=None) -> SuiteReport:
     for name, ring in corpus:
         try:
             sp = structure_profile(ring)
-        except ValueError:
+        except CapExceeded:
             continue
         if sp.left_strongly_regular:
             lsr.append(name)

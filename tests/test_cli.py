@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nearrings import builtin, emit_table
+from nearrings import build_product, builtin, emit_table
 from nearrings.cli import main
 
 
@@ -19,6 +19,21 @@ def klein4_file(tmp_path):
     path = tmp_path / "klein4.json"
     path.write_text(emit_table(builtin("klein4_ring")))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def z272_dir(tmp_path_factory):
+    """A directory holding one unital ring of order 272, above the
+    classification cap of 256."""
+    path = tmp_path_factory.mktemp("z272")
+    ring = build_product((builtin("zn_ring(16)"), builtin("zn_ring(17)")), name="z16xz17")
+    (path / "z272.json").write_text(emit_table(ring))
+    return path
+
+
+# The entries that reach the classification cap on an order-272 ring.
+CAPPED_THEOREMS = ("ccc_decomposition,wsw_morphic,lemma213,lemma_hdt,lemma13,lemma_ffff,"
+                   "prop_ff_square,prop_ff_morphic,prop_cccxi,thm62,prop_tttt,ehrlich_T")
 
 
 @pytest.fixture()
@@ -92,6 +107,19 @@ class TestClassify:
         _, b = run(["classify", klein4_file, "--format", "json"])
         assert a == b
 
+    def test_over_cap_exits_3_with_one_line(self, z272_dir):
+        path = str(z272_dir / "z272.json")
+        code, text = run(["classify", path, "--format", "json"])
+        assert code == 3
+        assert text == f"{path}: over cap: classification limited to order 256\n"
+
+    @pytest.mark.parametrize("argv", [["--bogus"], ["--allow-nonunital"]])
+    def test_usage_error_exits_3(self, klein4_file, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", klein4_file] + argv, out=io.StringIO())
+        assert exc.value.code == 3
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_default_corpus_passes(self):
@@ -126,6 +154,15 @@ class TestVerify:
         code, text = run(["verify", str(bad)])
         assert code == 1
         assert "aggregate" not in text
+
+    def test_cap_is_not_applicable_not_error(self, z272_dir):
+        code, text = run(["verify", str(z272_dir), "--theorems", CAPPED_THEOREMS,
+                          "--format", "json"])
+        assert code == 0
+        doc = json.loads(text)
+        assert [c["status"] for c in doc["cells"]] == ["not_applicable"] * 12
+        assert doc["aggregate"] == "pass"
+        assert doc["inclusion_chain"]["unit_regular"] == []
 
     def test_json_byte_identical_runs(self):
         _, a = run(["verify", "--format", "json"])
@@ -182,6 +219,16 @@ class TestCorpus:
         assert code == 3
         assert "ERROR" in text
         assert "klein4_ring" in text
+
+    def test_over_cap_flagged_others_classified(self, z272_dir, tmp_path):
+        (tmp_path / "z272.json").write_text((z272_dir / "z272.json").read_text())
+        (tmp_path / "klein4.json").write_text(emit_table(builtin("klein4_ring")))
+        code, text = run(["corpus", str(tmp_path)])
+        assert code == 3
+        over, good, bad = text.splitlines()
+        assert over == f"{tmp_path / 'z272.json'}: over cap: classification limited to order 256"
+        assert good.startswith("klein4.json ") and "klein4_ring" in good
+        assert bad == "z272.json: ERROR"
 
     def test_not_a_directory_exits_3(self):
         code, _ = run(["corpus", "/no/such/dir"])

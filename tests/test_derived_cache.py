@@ -1,0 +1,63 @@
+"""The per-instance derived-data cache: lifetime, keys and shared arrays."""
+import dataclasses
+import gc
+import weakref
+
+from nearrings import (
+    is_left_morphic,
+    regular_representation,
+    run_suite,
+    structure_profile,
+    validate_nearring,
+)
+from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL
+from nearrings.core import table_array
+
+
+def fresh_klein4():
+    return validate_nearring(_KLEIN4_ADD, _KLEIN4_MUL, labels=("0", "a", "b", "c"),
+                             name="fresh")
+
+
+def test_fresh_ring_is_collected_after_classification():
+    ring = fresh_klein4()
+    structure_profile(ring)
+    report = run_suite([("fresh", ring)])
+    assert report.aggregate == "pass"
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
+
+
+def test_cross_check_is_its_own_entry():
+    ring = fresh_klein4()
+    plain = is_left_morphic(ring, 1)
+    assert not plain.cross_checked
+    checked = is_left_morphic(ring, 1, cross_check=True)
+    assert checked.cross_checked
+    assert checked.status == plain.status and checked.witness == plain.witness
+    assert is_left_morphic(ring, 1) is plain
+
+
+def test_validation_arrays_are_the_cached_views():
+    ring = fresh_klein4()
+    add = ring.group.derived["table_array", "add"]
+    assert table_array(ring.group, "add") is add
+    neg = table_array(ring.group, "neg")
+    assert table_array(ring.group, "neg") is neg
+    mul = table_array(ring, "mul")
+    assert mul is ring.derived["table_array", "mul"]
+    assert table_array(regular_representation(ring), "action") is mul
+    assert add.tolist() == [list(r) for r in ring.add]
+    assert neg.tolist() == list(ring.neg)
+    assert mul.tolist() == [list(r) for r in ring.mul]
+    assert not mul.flags.writeable
+
+
+def test_cache_is_not_part_of_equality_or_copies():
+    ring, other = fresh_klein4(), fresh_klein4()
+    structure_profile(ring)
+    assert ring == other and len(ring.derived) > len(other.derived)
+    renamed = dataclasses.replace(ring, name="renamed")
+    assert renamed.derived == {} and renamed.derived is not ring.derived

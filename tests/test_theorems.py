@@ -2,6 +2,7 @@
 import pytest
 
 from nearrings import (
+    build_product,
     builtin,
     check,
     default_corpus,
@@ -23,6 +24,13 @@ def test_catalog_is_complete():
 def test_unknown_id():
     with pytest.raises(ValueError):
         check(builtin("klein4_ring"), "no_such_result")
+
+
+def test_cap_reports_not_applicable_with_the_limit():
+    ring = build_product((builtin("zn_ring(16)"), builtin("zn_ring(17)")))
+    report = check(ring, "thm62")
+    assert report.status == "not_applicable"
+    assert report.hypothesis_note == "classification limited to order 256"
 
 
 def test_master_regression_all_builtins():
