@@ -180,13 +180,15 @@ def cmd_verify(args, out) -> int:
         return load_code
     report = run_suite(corpus, ids)
     if args.format == "json":
-        print(json.dumps(report.to_json(), sort_keys=False), file=out)
+        print(json.dumps(report.to_json(args.notes), sort_keys=False), file=out)
     else:
         for name, cell in report.cells:
             line = f"{name:24} {cell.theorem_id:22} {cell.status:14} ({cell.instantiations})"
             if cell.counterexample:
                 elements, clause = cell.counterexample
                 line += f"  at {elements}: {clause}"
+            if args.notes and cell.hypothesis_note is not None:
+                line += f"  note: {cell.hypothesis_note}"
             print(line, file=out)
         if len(corpus) > 1:
             print("inclusion chain:", file=out)
@@ -291,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "defaults to the builtin corpus")
     p.add_argument("--theorems", default="all", help="all or comma-separated ids")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--notes", action="store_true",
+                   help="show why each not_applicable cell does not apply")
 
     p = sub.add_parser("builtin", help="export a builtin near-ring")
     p.add_argument("name", nargs="?", default=None)

@@ -14,10 +14,11 @@ O(n^2 |S|) over a generating set S of (N,+):
   all rows x at once over S.
 
 A set T of elements on which such an identity holds is closed under +, so
-it holds everywhere as soon as it holds on S.  When a reduced check fails,
-the exhaustive scan for that law alone runs to report the first witness in
-ascending scan order; every reported failure carries a witness tuple that
-re-evaluates to a violation on the raw tables.
+it holds everywhere as soon as it holds on S.  Validation keeps S as the
+group's ``group_generators``, which the N-ideal test reuses.  When a
+reduced check fails, the exhaustive scan for that law alone runs to report
+the first witness in ascending scan order; every reported failure carries a
+witness tuple that re-evaluates to a violation on the raw tables.
 """
 from __future__ import annotations
 
@@ -143,6 +144,11 @@ def memoized(fn):
             obj.derived[key] = fn(obj, *args, **kwargs)
         return obj.derived[key]
 
+    def keep(obj, value, *args):
+        """Store a value already computed elsewhere as ``fn(obj, *args)``."""
+        obj.derived[(fn.__name__, *args)] = value
+
+    cached.keep = keep
     return cached
 
 
@@ -157,11 +163,6 @@ def table_array(obj, name: str) -> np.ndarray:
     """Read-only int64 array of the table ``obj.<name>``: ``add`` or ``neg``
     of a FiniteGroup, ``mul`` of a NearRing, ``action`` of an NModule."""
     return _readonly(getattr(obj, name))
-
-
-def keep_table_array(obj, name: str, arr: np.ndarray) -> None:
-    """Make an array already built for ``obj.<name>`` its ``table_array``."""
-    obj.derived["table_array", name] = arr
 
 
 def _check_table(table, n: int, field: str) -> tuple[tuple[int, ...], ...]:
@@ -185,32 +186,43 @@ def _check_table(table, n: int, field: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _extend_closure(add: np.ndarray, reached: np.ndarray, s: int) -> None:
+    """Add ``s`` to the +-closed bool mask ``reached`` and close it again,
+    in place.  Semi-naive: only sums with a newly reached element can be new.
+    """
+    reached[s] = True
+    frontier = np.array([s])
+    while len(frontier):
+        members = np.flatnonzero(reached)
+        new = np.zeros(len(add), dtype=bool)
+        new[add[np.ix_(frontier, members)].ravel()] = True
+        new[add[np.ix_(members, frontier)].ravel()] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+
+
 def _generators(add: np.ndarray) -> list[int]:
     """Greedy generating set of the magma (N,+), ascending.
 
-    Repeatedly takes the least index not yet reached and extends the closure
-    semi-naively: only sums with a newly reached element can be new.  The
-    closure is seeded with 0, which callers have checked to be a two-sided
-    identity.
+    Repeatedly takes the least index not yet reached and extends the
+    closure.  The closure is seeded with 0, which callers have checked to be
+    a two-sided identity.
     """
-    n = len(add)
-    reached = np.zeros(n, dtype=bool)
+    reached = np.zeros(len(add), dtype=bool)
     reached[0] = True
     gens = []
     while not reached.all():
         s = int(reached.argmin())
         gens.append(s)
-        reached[s] = True
-        frontier = np.array([s])
-        while len(frontier):
-            members = np.flatnonzero(reached)
-            new = np.zeros(n, dtype=bool)
-            new[add[np.ix_(frontier, members)].ravel()] = True
-            new[add[np.ix_(members, frontier)].ravel()] = True
-            new &= ~reached
-            reached |= new
-            frontier = np.flatnonzero(new)
+        _extend_closure(add, reached, s)
     return gens
+
+
+@memoized
+def group_generators(group: FiniteGroup) -> list[int]:
+    """Greedy generating set of the group (see ``_generators``)."""
+    return _generators(table_array(group, "add"))
 
 
 def _add_assoc_holds(add: np.ndarray, gens) -> bool:
@@ -295,7 +307,8 @@ def validate_group(add, labels=None) -> FiniteGroup:
         if table[0][j] != j or table[j][0] != j:
             raise AxiomViolation("add_identity", (j,))
     add_np = _readonly(table)
-    if not _add_assoc_holds(add_np, _generators(add_np)):
+    gens = _generators(add_np)
+    if not _add_assoc_holds(add_np, gens):
         raise AxiomViolation("add_assoc", _assoc_witness(add_np))
     # neg[i] is the least j with i+j = j+i = 0
     inverse = (add_np == 0) & (add_np.T == 0)
@@ -308,7 +321,8 @@ def validate_group(add, labels=None) -> FiniteGroup:
         if len(labels) != n or len(set(labels)) != n:
             raise TableFormatError("labels: need n distinct strings")
     group = FiniteGroup(order=n, add=table, neg=tuple(neg), labels=labels)
-    keep_table_array(group, "add", add_np)
+    table_array.keep(group, add_np, "add")
+    group_generators.keep(group, gens)
     return group
 
 
@@ -370,7 +384,7 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
     if one is not None and not 0 <= one < n:
         raise TableFormatError(f"one: index {one} out of range [0,{n})")
     add_np, mul_np = table_array(group, "add"), _readonly(mul)
-    gens = _generators(add_np)
+    gens = group_generators(group)
     # Laws are reported in the order mul_assoc, right_dist, but the reduced
     # associativity check needs right distributivity, so that runs first.
     if _right_dist_holds(add_np, mul_np, gens):
@@ -388,7 +402,7 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
     one, flags, witnesses = _compute_flags(add_np, mul_np, mul, one, gens)
     ring = NearRing(group=group, mul=mul, one=one, flags=flags,
                     flag_witnesses=witnesses, name=name, **provenance)
-    keep_table_array(ring, "mul", mul_np)
+    table_array.keep(ring, mul_np, "mul")
     return ring
 
 

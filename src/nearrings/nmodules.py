@@ -3,6 +3,25 @@
 Subsets of a carrier are plain frozensets of element indices.  An N-ideal L
 of a module M is a normal subgroup of (M,+) with r(l+m) - rm in L for all
 r, l, m; these are exactly the kernels that admit quotient modules.
+
+The N-ideal layer works over generating sets, with exact reductions:
+
+- ``is_N_ideal`` checks L + L in L on all pairs, then normality and the
+  N-ideal condition over a greedy generating set S_L of the subgroup L.
+  Normality needs only x in gens(M) and l in S_L: conjugation by x is an
+  endomorphism, so it maps L = <S_L> into L once it maps S_L there, and the
+  x that normalise L form a subgroup.  The N-ideal condition needs only
+  l in S_L, since the l that satisfy it are closed under +:
+  r((l1+l2)+m) - rm = [r(l1+(l2+m)) - r(l2+m)] + [r(l2+m) - rm].
+  When a reduced check fails, that stage's exhaustive scan runs for the
+  first witness in ascending scan order.
+- ``_ideal_closure`` keeps its set closed under + semi-naively and sends
+  only the generators it adds through the conjugate and r(l+m) - rm rules,
+  which the same two arguments make enough.
+- ``enumerate_left_ideals`` closes each singleton once, then saturates
+  "ideal + principal ideal".  By the identity above the sum L1 + L2 of two
+  N-ideals is an N-ideal, hence their join, and every N-ideal is the sum of
+  the principal ideals of its elements.
 """
 from __future__ import annotations
 
@@ -12,8 +31,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, keep_table_array,
-                   memoized, table_array, validate_group)
+from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _extend_closure,
+                   _generators, group_generators, memoized, table_array, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -75,7 +94,7 @@ def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
 def regular_representation(ring: NearRing) -> NModule:
     """N acting on itself by left multiplication; action table is mul."""
     rep = NModule(ring=ring, carrier=ring.group, action=ring.mul)
-    keep_table_array(rep, "action", table_array(ring, "mul"))
+    table_array.keep(rep, table_array(ring, "mul"), "action")
     return rep
 
 
@@ -114,43 +133,53 @@ def left_orbits(ring: NearRing) -> tuple[frozenset[int], ...]:
     return tuple(orbit(ring, "left", a) for a in range(ring.order))
 
 
+def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Greedy generating set of the subgroup ``members`` (ascending, 0 first)
+    of a group with addition table ``add``, from its relabelled sub-table."""
+    pos = np.zeros(len(add), dtype=np.int64)
+    pos[members] = np.arange(len(members))
+    return members[_generators(pos[add[np.ix_(members, members)]])]
+
+
 def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     """Decide the three conditions in order: subgroup, normal, N-ideal.
 
-    Scan order is ascending indices throughout, so the stored witness is
-    the first failure.
+    The witness is the first failure in ascending scan order.  Normality and
+    the N-ideal condition are checked over generators (module docstring);
+    when a reduced check fails, that stage's full scan finds the witness.
     """
     members = sorted(subset)
-    m_n = module.carrier.order
-    madd = module.carrier.add
-    mneg = module.carrier.neg
-    in_l = [False] * m_n
-    for x in members:
-        in_l[x] = True
+    in_l = np.zeros(module.carrier.order, dtype=bool)
+    in_l[members] = True
     if not members or not in_l[0]:
         return IdealVerdict("not_subgroup", (0,))
-    for l1 in members:
-        for l2 in members:
-            if not in_l[madd[l1][l2]]:
-                return IdealVerdict("not_subgroup", (l1, l2))
-    for x in range(m_n):
-        for l in members:
-            if not in_l[madd[madd[x][l]][mneg[x]]]:
-                return IdealVerdict("not_normal", (x, l))
-    # r(l+m) - rm in L for all r, l, m (vectorized per r)
+    madd = table_array(module.carrier, "add")
+    mneg = table_array(module.carrier, "neg")
+    mem = np.array(members, dtype=np.int64)
+    bad = np.argwhere(~in_l[madd[np.ix_(mem, mem)]])
+    if len(bad):
+        i, j = bad[0]
+        return IdealVerdict("not_subgroup", (members[i], members[j]))
+    gens_l = _subgroup_generators(madd, mem)
+    gens_m = group_generators(module.carrier)
+    if not in_l[madd[madd[np.ix_(gens_m, gens_l)], mneg[gens_m][:, None]]].all():
+        bad = np.argwhere(~in_l[madd[madd[:, mem], mneg[:, None]]])  # x + l - x
+        if not len(bad):
+            raise InvariantError("normality fails on generators but on no pair (x, l)")
+        x, i = bad[0]
+        return IdealVerdict("not_normal", (int(x), members[i]))
     act = table_array(module, "action")
-    madd_np = table_array(module.carrier, "add")
-    mneg_np = table_array(module.carrier, "neg")
-    mem_np = np.array(members, dtype=np.int64)
-    in_l_np = np.array(in_l, dtype=bool)
+    minus_rm = mneg[act]                                        # (n, m): -rm
+    shifted = act[:, madd[gens_l, :]]                           # (n, |S_L|, m): r(l+m)
+    if in_l[madd[shifted, minus_rm[:, None, :]]].all():
+        return IdealVerdict("N_ideal")
     for r in range(module.ring.order):
-        shifted = act[r, madd_np[mem_np, :]]            # (|L|, m): r(l+m)
-        val = madd_np[shifted, mneg_np[act[r]][None, :]]  # r(l+m) - rm
-        bad = np.argwhere(~in_l_np[val])
+        shifted = act[r, madd[mem, :]]                          # (|L|, m): r(l+m)
+        bad = np.argwhere(~in_l[madd[shifted, minus_rm[r][None, :]]])
         if len(bad):
             li, x = bad[0]
             return IdealVerdict("not_N_ideal", (r, int(members[li]), int(x)))
-    return IdealVerdict("N_ideal")
+    raise InvariantError("N-ideal condition fails on generators but on no (r, l, m)")
 
 
 def is_ideal(ring: NearRing, subset) -> str:
@@ -167,51 +196,73 @@ def is_ideal(ring: NearRing, subset) -> str:
     return "two_sided_ideal"
 
 
-def _ideal_closure(ring: NearRing, seed) -> frozenset[int]:
-    """Smallest N-ideal of the regular representation containing seed."""
-    add_np = table_array(ring.group, "add")
-    mul_np = table_array(ring, "mul")
-    neg_np = table_array(ring.group, "neg")
-    members = set(seed) | {0}
-    while True:
-        mem = np.array(sorted(members), dtype=np.int64)
-        new = set()
-        sums = add_np[np.ix_(mem, mem)]
-        new.update(int(v) for v in np.unique(sums))
-        conj = add_np[add_np[:, mem], neg_np[:, None]]
-        new.update(int(v) for v in np.unique(conj))
-        shifted = mul_np[:, add_np[mem, :]]                   # (n, |L|, n): r(l+m)
-        val = add_np[shifted, neg_np[mul_np][:, None, :]]     # r(l+m) - rm
-        new.update(int(v) for v in np.unique(val))
-        new.update(int(ring.neg[x]) for x in members)
-        if new <= members:
-            return frozenset(members)
-        members |= new
+def _ideal_closure(ring: NearRing, a: int) -> np.ndarray:
+    """Bool mask of the smallest N-ideal of the regular representation
+    containing ``a``.
+
+    The set is kept closed under + (``core._extend_closure``), so it is a
+    subgroup, and only the elements added as its generators go through the
+    conjugate and r(l+m) - rm rules: the reductions of ``is_N_ideal`` make
+    that enough.
+    """
+    add = table_array(ring.group, "add")
+    neg = table_array(ring.group, "neg")
+    mul = table_array(ring, "mul")
+    minus_rm = neg[mul]
+    reached = np.zeros(ring.order, dtype=bool)
+    reached[0] = True
+    wanted = reached.copy()
+    wanted[a] = True
+    while not (wanted <= reached).all():
+        g = int((wanted & ~reached).argmax())
+        _extend_closure(add, reached, g)
+        wanted[add[add[:, g], neg]] = True                  # x + g - x
+        wanted[add[mul[:, add[g, :]], minus_rm]] = True     # r(g+m) - rm
+    return reached
 
 
 def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[frozenset[int]]:
-    """All N-ideals of the regular representation, by closure from singleton
-    seeds plus join saturation; ascending by size then lexicographic."""
+    """All N-ideals of the regular representation; ascending by size then
+    lexicographic.
+
+    Every N-ideal is the sum of the principal ideals of its elements, and a
+    sum of N-ideals is one (module docstring), so the ideals are the
+    principal ones closed under "+ principal ideal", saturated from a frontier.
+    """
     if ring.order > IDEAL_ENUM_ORDER_CAP:
         raise CapExceeded(f"ideal enumeration limited to order {IDEAL_ENUM_ORDER_CAP}")
-    found = {frozenset({0})}
+    add = table_array(ring.group, "add")
+    found: dict[bytes, np.ndarray] = {}
+
+    def insert(mask: np.ndarray) -> bool:
+        key = mask.tobytes()
+        if key in found:
+            return False
+        found[key] = mask
+        if cap is not None and len(found) > cap:
+            raise CapExceeded(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
+        return True
+
+    principal = []  # (a, members of the ideal a generates), one per distinct ideal
     for a in range(ring.order):
-        found.add(_ideal_closure(ring, {a}))
-        if cap is not None and len(found) > cap:
-            raise CapExceeded(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
-    while True:
-        joins = set()
-        pairs = list(found)
-        for i, l1 in enumerate(pairs):
-            for l2 in pairs[i + 1:]:
-                if not (l1 <= l2 or l2 <= l1):
-                    joins.add(_ideal_closure(ring, l1 | l2))
-        if joins <= found:
-            break
-        found |= joins
-        if cap is not None and len(found) > cap:
-            raise CapExceeded(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+        mask = _ideal_closure(ring, a)
+        if insert(mask):
+            principal.append((a, np.flatnonzero(mask)))
+    frontier = list(found.values())
+    while frontier:
+        grown = []
+        for ideal in frontier:
+            members = np.flatnonzero(ideal)
+            for a, gen in principal:
+                if ideal[a]:  # the principal ideal of a lies inside
+                    continue
+                mask = np.zeros(ring.order, dtype=bool)
+                mask[add[np.ix_(members, gen)]] = True
+                if insert(mask):
+                    grown.append(mask)
+        frontier = grown
+    ideals = [frozenset(np.flatnonzero(mask).tolist()) for mask in found.values()]
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -391,14 +442,13 @@ def _is_bijection_onto(hom: tuple[int, ...], tv: _Target) -> bool:
     return len(set(hom)) == len(hom) == len(tv.elements)
 
 
-def _iso_generator(module: NModule, tv: _Target) -> IsoResult:
-    gen = None
-    for g in range(module.carrier.order):
-        if len(generated_submodule(module, g)) == module.carrier.order:
-            gen = g
-            break
-    if gen is None:
-        raise ValueError("module is not cyclic; generator mode does not apply")
+def _cyclic_generator(module: NModule) -> Optional[int]:
+    """The least element that generates the module, or None if it is not cyclic."""
+    m_n = module.carrier.order
+    return next((g for g in range(m_n) if len(generated_submodule(module, g)) == m_n), None)
+
+
+def _iso_generator(module: NModule, tv: _Target, gen: int) -> IsoResult:
     for b in tv.elements:
         res = hom_from_cyclic_generator(module, gen, tv, b)
         if res and _is_bijection_onto(res.hom, tv):
@@ -446,15 +496,15 @@ def modules_isomorphic(module: NModule, target, mode: str = "auto") -> IsoResult
     auto: generator when the module is cyclic, else bruteforce.
     """
     tv = _Target(module.ring, target)
-    if mode == "generator":
-        return _iso_generator(module, tv)
     if mode == "bruteforce":
         return _iso_bruteforce(module, tv)
-    if mode == "auto":
-        for g in range(module.carrier.order):
-            if len(generated_submodule(module, g)) == module.carrier.order:
-                return _iso_generator(module, tv)
-        if module.carrier.order <= BRUTEFORCE_ISO_CAP:
-            return _iso_bruteforce(module, tv)
-        raise CapExceeded("module is not cyclic and exceeds the bruteforce cap")
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("generator", "auto"):
+        raise ValueError(f"unknown mode {mode!r}")
+    gen = _cyclic_generator(module)
+    if gen is not None:
+        return _iso_generator(module, tv, gen)
+    if mode == "generator":
+        raise ValueError("module is not cyclic; generator mode does not apply")
+    if module.carrier.order <= BRUTEFORCE_ISO_CAP:
+        return _iso_bruteforce(module, tv)
+    raise CapExceeded("module is not cyclic and exceeds the bruteforce cap")

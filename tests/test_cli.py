@@ -164,6 +164,32 @@ class TestVerify:
         assert doc["aggregate"] == "pass"
         assert doc["inclusion_chain"]["unit_regular"] == []
 
+    def test_notes_show_the_cap(self, z272_dir):
+        note = "classification limited to order 256"
+        code, text = run(["verify", str(z272_dir), "--theorems", "thm62", "--notes"])
+        assert code == 0
+        assert text.splitlines()[0].endswith(f"not_applicable (0)  note: {note}")
+        code, text = run(["verify", str(z272_dir), "--theorems", "thm62", "--notes",
+                          "--format", "json"])
+        assert code == 0
+        assert json.loads(text)["cells"][0]["hypothesis_note"] == note
+
+    def test_notes_are_opt_in(self):
+        argv = ["verify", "--theorems", "product_morphic,lemma10"]
+        _, plain = run(argv)
+        _, noted = run(argv + ["--notes"])
+        assert "note:" not in plain
+        for p, n in zip(plain.splitlines(), noted.splitlines()):
+            assert n == p or n == p + "  note: not built as a direct product"
+        assert noted.count("note:") == 8  # every member but the product
+        _, plain = run(argv + ["--format", "json"])
+        _, noted = run(argv + ["--format", "json", "--notes"])
+        assert "hypothesis_note" not in plain
+        cells = json.loads(noted)["cells"]
+        assert [c.get("hypothesis_note") for c in cells if c["status"] == "not_applicable"] \
+            == ["not built as a direct product"] * 8
+        assert all("hypothesis_note" not in c for c in cells if c["status"] == "pass")
+
     def test_json_byte_identical_runs(self):
         _, a = run(["verify", "--format", "json"])
         _, b = run(["verify", "--format", "json"])

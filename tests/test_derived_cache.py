@@ -11,7 +11,7 @@ from nearrings import (
     validate_nearring,
 )
 from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL
-from nearrings.core import table_array
+from nearrings.core import _generators, group_generators, table_array
 
 
 def fresh_klein4():
@@ -61,3 +61,10 @@ def test_cache_is_not_part_of_equality_or_copies():
     assert ring == other and len(ring.derived) > len(other.derived)
     renamed = dataclasses.replace(ring, name="renamed")
     assert renamed.derived == {} and renamed.derived is not ring.derived
+
+
+def test_validation_stores_the_generators():
+    ring = fresh_klein4()
+    gens = ring.group.derived["group_generators",]
+    assert gens == _generators(table_array(ring.group, "add")) == [1, 2]
+    assert group_generators(ring.group) is gens

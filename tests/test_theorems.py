@@ -1,5 +1,8 @@
 """Theorem catalog entries, suite runs, and report schemas."""
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearrings import (
     build_product,
@@ -161,3 +164,69 @@ def test_json_schema():
     for cell in doc["cells"]:
         assert set(cell) >= {"nearring", "theorem", "status", "instantiations"}
         assert cell["status"] in ("pass", "fail", "not_applicable", "error")
+
+
+def reference_lemma10(ring):
+    """The exhaustive lemma10 scan: Python loops over (0:a) for every (a, u)."""
+    from nearrings import units
+    from nearrings.nmodules import left_annihilators, left_orbits
+    unit_set, inv = units(ring)
+    n, mul, add = ring.order, ring.mul, ring.add
+    orbits, anns = left_orbits(ring), left_annihilators(ring)
+    count = 0
+    for a in range(n):
+        for u in sorted(unit_set):
+            count += 1
+            ui = inv[u]
+            if orbits[u] != frozenset(range(n)):
+                return ("fail", count, ((a, u), "Nu != N"))
+            if anns[a] != anns[mul[a][ui]]:
+                return ("fail", count, ((a, u), "(0:a) != (0:a*u^-1)"))
+            if frozenset(mul[x][ui] for x in anns[a]) != anns[mul[u][a]]:
+                return ("fail", count, ((a, u), "(0:a)u^-1 != (0:ua)"))
+            image = [mul[x][u] for x in sorted(anns[a])]
+            if len(set(image)) != len(image):
+                return ("fail", count, ((a, u), "x -> xu not injective"))
+            for x in sorted(anns[a]):
+                for y in sorted(anns[a]):
+                    if mul[add[x][y]][u] != add[mul[x][u]][mul[y][u]]:
+                        return ("fail", count, ((a, u, x), "x -> xu not additive"))
+                for r in range(n):
+                    if mul[mul[r][x]][u] != mul[r][mul[x][u]]:
+                        return ("fail", count, ((a, u, x), "x -> xu not N-linear"))
+    return ("pass", count, None)
+
+
+def swap_in_column(ring, u, x1, x2):
+    """A copy of ``ring`` (no validation, empty derived cache) with the
+    entries x1*u and x2*u exchanged: column u stays a permutation."""
+    mul = [list(row) for row in ring.mul]
+    mul[x1][u], mul[x2][u] = mul[x2][u], mul[x1][u]
+    return dataclasses.replace(ring, mul=tuple(map(tuple, mul)))
+
+
+def test_lemma10_map_failure_keeps_witness_and_count():
+    # On Z5 with 1*2 and 4*2 exchanged, 2 is still a unit (inverse 3) and
+    # x -> 2x is a bijection, but 1*2 + 1*2 != 2*2.
+    ring = swap_in_column(builtin("zn_ring(5)"), 2, 1, 4)
+    report = check(ring, "lemma10")
+    assert (report.status, report.instantiations, report.counterexample) == \
+        ("fail", 2, ((0, 2, 1), "x -> xu not additive"))
+    assert reference_lemma10(ring) == ("fail", 2, ((0, 2, 1), "x -> xu not additive"))
+
+
+@given(name=st.sampled_from(("zn_ring(5)", "zn_ring(7)", "zn_ring(9)", "klein4_ring",
+                             "mat2_f2", "ext_f2_f2", "klein4_x_f2")),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_lemma10_agrees_with_exhaustive_scan(name, data):
+    ring = builtin(name)
+    n = ring.order
+    for _ in range(data.draw(st.integers(0, 2))):
+        ring = swap_in_column(ring, data.draw(st.integers(1, n - 1)),
+                              data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1)))
+    report = check(ring, "lemma10")
+    if report.status == "not_applicable":
+        return
+    assert (report.status, report.instantiations, report.counterexample) == \
+        reference_lemma10(ring)
