@@ -4,25 +4,37 @@ Witness tie-breaking is always the least element index, so every report is
 reproducible.  The left-morphic decision has two routes: the witness scan
 (find b with Na = (0:b) and Nb = (0:a)) and, as a cross-check on small
 instances, a brute-force isomorphism search between N/Na and (0:a).
+
+The scans run over whole-ring n x n bool tables from ``nmodules``: rows of
+Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
+(``orbit_is_N_ideal``, whose reduction of r to generators of (N,+) needs
+right distributivity; it checks that law first and tests each orbit on its
+own when the table breaks it).  The
+morphic witness scan, subcommutativity (Na = aN), weak divisibility (b in
+Na or a in Nb) and IFP (ab = 0 implies aN in (0:b)) compare rows of these
+tables; each still reports the first witness in ascending scan order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import CapExceeded, InvariantError, NearRing, memoized
+import numpy as np
+
+from .core import CapExceeded, InvariantError, NearRing, memoized, table_array
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
     IdealVerdict,
-    annihilator,
+    annihilator_masks,
     enumerate_left_ideals,
     is_ideal,
     is_N_ideal,
     left_annihilators,
     left_orbits,
     modules_isomorphic,
-    orbit,
+    orbit_is_N_ideal,
+    orbit_masks,
     quotient_module,
     regular_representation,
 )
@@ -39,14 +51,11 @@ def units(ring: NearRing) -> tuple[frozenset[int], tuple[Optional[int], ...]]:
     """All two-sided invertible elements, plus the inverse table."""
     if ring.one is None:
         raise NonUnitalError("units are defined only for unital near-rings")
-    n, mul, one = ring.order, ring.mul, ring.one
-    inv: list[Optional[int]] = [None] * n
-    for a in range(n):
-        for v in range(n):
-            if mul[a][v] == one and mul[v][a] == one:
-                inv[a] = v
-                break
-    return frozenset(a for a in range(n) if inv[a] is not None), tuple(inv)
+    is_one = table_array(ring, "mul") == ring.one
+    both = is_one & is_one.T                    # [a, v]: a*v = v*a = 1
+    found = both.any(axis=1).tolist()
+    inv = tuple(v if ok else None for v, ok in zip(both.argmax(axis=1).tolist(), found))
+    return frozenset(a for a, ok in enumerate(found) if ok), inv
 
 
 @dataclass(frozen=True)
@@ -75,25 +84,43 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
 
 
 @memoized
+def _morphic_witnesses(ring: NearRing) -> list[Optional[int]]:
+    """For every a, the least b with Na = (0:b) and Nb = (0:a), or None.
+
+    Rows of the orbit and annihilator tables get equal labels exactly when
+    they are equal sets, so both equalities become an n x n comparison of
+    labels."""
+    n = ring.order
+    rows = np.concatenate([orbit_masks(ring, "left"), annihilator_masks(ring, "left")])
+    first_seen: dict[bytes, int] = {}
+    labels = np.array([first_seen.setdefault(row.tobytes(), len(first_seen)) for row in rows])
+    na, ann = labels[:n], labels[n:]
+    match = (na[:, None] == ann[None, :]) & (ann[:, None] == na[None, :])
+    return [b if ok else None
+            for b, ok in zip(match.argmax(axis=1).tolist(), match.any(axis=1).tolist())]
+
+
+@memoized
 def is_left_morphic(ring: NearRing, a: int, cross_check: bool = False) -> MorphicVerdict:
     """Witness scan: Na must be an N-ideal and some b must satisfy
-    Na = (0:b) and Nb = (0:a); first such b wins."""
+    Na = (0:b) and Nb = (0:a); first such b wins.
+
+    Both are read off whole-ring tables (``orbit_is_N_ideal``,
+    ``_morphic_witnesses``); only an Na that is not an N-ideal goes through
+    ``is_N_ideal``, for its first witness."""
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
-    orbits = left_orbits(ring)
-    anns = left_annihilators(ring)
-    na = orbits[a]
-    verdict = is_N_ideal(regular_representation(ring), na)
     do_cross = cross_check and ring.order <= BRUTEFORCE_ISO_CAP
-    if not verdict:
+    if not orbit_is_N_ideal(ring)[a]:
+        verdict = is_N_ideal(regular_representation(ring), left_orbits(ring)[a])
+        if verdict:
+            raise InvariantError(f"batch N-ideal test disagrees at element {a}")
         result = MorphicVerdict("na_not_ideal", ideal_verdict=verdict,
                                 cross_checked=do_cross)
     else:
-        result = MorphicVerdict("no_witness", cross_checked=do_cross)
-        for b in range(ring.order):
-            if na == anns[b] and orbits[b] == anns[a]:
-                result = MorphicVerdict("morphic", witness=b, cross_checked=do_cross)
-                break
+        b = _morphic_witnesses(ring)[a]
+        result = MorphicVerdict("no_witness" if b is None else "morphic", witness=b,
+                                cross_checked=do_cross)
     if do_cross:
         if _algorithm_I(ring, a) != bool(result):
             raise InvariantError(f"morphic cross-check disagrees at element {a}")
@@ -135,6 +162,10 @@ def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
     n, mul = ring.order, ring.mul
     unital = ring.one is not None
     unit_set, inv = units(ring) if unital else (frozenset(), (None,) * n)
+    orbit_left, orbit_right, ann_left, ann_right = (
+        table.sum(axis=1).tolist()
+        for table in (orbit_masks(ring, "left"), orbit_masks(ring, "right"),
+                      annihilator_masks(ring, "left"), annihilator_masks(ring, "right")))
     profiles = []
     for a in range(n):
         aa = mul[a][a]
@@ -161,10 +192,10 @@ def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
             is_left_strongly_regular=lsr is not None, lsr_witness=lsr,
             is_right_strongly_regular=rsr is not None, rsr_witness=rsr,
             morphic=is_left_morphic(ring, a) if unital else None,
-            orbit_left_size=len(left_orbits(ring)[a]),
-            orbit_right_size=len(orbit(ring, "right", a)),
-            ann_left_size=len(left_annihilators(ring)[a]),
-            ann_right_size=len(annihilator(ring, "right", {a})),
+            orbit_left_size=orbit_left[a],
+            orbit_right_size=orbit_right[a],
+            ann_left_size=ann_left[a],
+            ann_right_size=ann_right[a],
         ))
     return tuple(profiles)
 
@@ -232,38 +263,32 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     if bad is not None:
         witnesses["reduced"] = (bad,)
 
-    ifp = True
-    for a in range(n):
-        for b in range(n):
-            if mul[a][b] == 0:
-                x = next((x for x in range(n) if mul[mul[a][x]][b] != 0), None)
-                if x is not None:
-                    ifp = False
-                    witnesses["has_ifp"] = (a, x, b)
-                    break
-        if not ifp:
-            break
+    left, right = orbit_masks(ring, "left"), orbit_masks(ring, "right")
+    # IFP: ab = 0 implies aNb = 0, i.e. aN lies in (0:b).  The first (a, b)
+    # in row-major order that breaks it, then the least x with (ax)b != 0.
+    outside = right.astype(np.int32) @ (~annihilator_masks(ring, "left")).T.astype(np.int32)
+    bad = np.argwhere((table_array(ring, "mul") == 0) & (outside > 0))
+    ifp = not len(bad)
+    if not ifp:
+        a, b = bad[0].tolist()
+        x = next(x for x in range(n) if mul[mul[a][x]][b] != 0)
+        witnesses["has_ifp"] = (a, x, b)
 
-    bad = next((a for a in range(n)
-                if left_orbits(ring)[a] != orbit(ring, "right", a)), None)
-    subcommutative = bad is None
-    if bad is not None:
-        witnesses["subcommutative"] = (bad,)
+    bad = np.flatnonzero((left != right).any(axis=1))
+    subcommutative = not len(bad)
+    if not subcommutative:
+        witnesses["subcommutative"] = (int(bad[0]),)
 
     bad = first(lambda p: p.is_idempotent)
     boolean = bad is None
     if bad is not None:
         witnesses["boolean"] = (bad,)
 
-    weakly_divisible = True
-    for a in range(n):
-        for b in range(n):
-            if not any(mul[x][a] == b or mul[x][b] == a for x in range(n)):
-                weakly_divisible = False
-                witnesses["weakly_divisible"] = (a, b)
-                break
-        if not weakly_divisible:
-            break
+    # Weakly divisible: b in Na or a in Nb for every pair (a, b).
+    bad = np.argwhere(~(left | left.T))
+    weakly_divisible = not len(bad)
+    if not weakly_divisible:
+        witnesses["weakly_divisible"] = tuple(bad[0].tolist())
 
     left_duo: Optional[bool] = None
     if n <= IDEAL_ENUM_ORDER_CAP:

@@ -195,8 +195,8 @@ def _extend_closure(add: np.ndarray, reached: np.ndarray, s: int) -> None:
     while len(frontier):
         members = np.flatnonzero(reached)
         new = np.zeros(len(add), dtype=bool)
-        new[add[np.ix_(frontier, members)].ravel()] = True
-        new[add[np.ix_(members, frontier)].ravel()] = True
+        new[add[frontier[:, None], members].ravel()] = True
+        new[add[members[:, None], frontier].ravel()] = True
         new &= ~reached
         reached |= new
         frontier = np.flatnonzero(new)

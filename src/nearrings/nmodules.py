@@ -22,6 +22,24 @@ The N-ideal layer works over generating sets, with exact reductions:
   "ideal + principal ideal".  By the identity above the sum L1 + L2 of two
   N-ideals is an N-ideal, hence their join, and every N-ideal is the sum of
   the principal ideals of its elements.
+
+Orbits and annihilators of a near-ring are read off memoised n x n bool
+tables (``orbit_masks``, ``annihilator_masks``); a subset's annihilator is
+the AND of its members' rows.  ``orbit_is_N_ideal`` decides "Na is an
+N-ideal" for every a at once, in O(|S|^2 n^2) over a generating set S of
+(N,+), by two more reductions that hold only when the action is right
+distributive, i.e. for the regular representation of a validated near-ring:
+
+- Na = {n*a} is the subgroup generated by {s*a : s in S}, since
+  n -> n*a is an endomorphism of (N,+);
+- for a normal L, the r with r(l+m) - rm in L for all l, m are closed
+  under +: (r1+r2)(l+m) - (r1+r2)m = [r1(l+m) - r1m] + [r1m + t - r1m]
+  with t = r2(l+m) - r2m, so r needs to range over S only.
+
+A near-ring built without validation need not be right distributive, so
+``orbit_is_N_ideal`` first checks that law over S, in O(|S| n^2), and falls
+back to ``is_N_ideal`` on every orbit when it fails.  ``is_N_ideal`` takes
+arbitrary actions, so it keeps r over all of N.
 """
 from __future__ import annotations
 
@@ -32,7 +50,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _extend_closure,
-                   _generators, group_generators, memoized, table_array, validate_group)
+                   _generators, _right_dist_holds, group_generators, memoized, table_array,
+                   validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -98,39 +117,96 @@ def regular_representation(ring: NearRing) -> NModule:
     return rep
 
 
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+@memoized
+def orbit_masks(ring: NearRing, side: str) -> np.ndarray:
+    """Read-only n x n bool table whose row a is Na (left) or aN (right)."""
+    _check_side(side)
+    mul = table_array(ring, "mul")
+    idx = np.arange(ring.order)
+    masks = np.zeros((ring.order, ring.order), dtype=bool)
+    if side == "left":
+        masks[idx[None, :], mul] = True     # row a gets n*a for every n
+    else:
+        masks[idx[:, None], mul] = True     # row a gets a*n for every n
+    masks.setflags(write=False)
+    return masks
+
+
+@memoized
+def annihilator_masks(ring: NearRing, side: str) -> np.ndarray:
+    """Read-only n x n bool table whose row a is (0:a) = {x : x*a = 0} (left)
+    or {x : a*x = 0} (right)."""
+    _check_side(side)
+    zero = table_array(ring, "mul") == 0
+    masks = np.ascontiguousarray(zero.T) if side == "left" else zero
+    masks.setflags(write=False)
+    return masks
+
+
+def _members(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def annihilator(ring: NearRing, side: str, subset) -> frozenset[int]:
     """Left: {x : x*s = 0 for all s}; right: {x : s*x = 0 for all s}."""
     members = sorted(subset)
     if not members:
         raise ValueError("annihilator of the empty set is not defined")
-    mul = ring.mul
-    if side == "left":
-        return frozenset(x for x in range(ring.order)
-                         if all(mul[x][s] == 0 for s in members))
-    if side == "right":
-        return frozenset(x for x in range(ring.order)
-                         if all(mul[s][x] == 0 for s in members))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _members(annihilator_masks(ring, side)[members].all(axis=0))
 
 
 def orbit(ring: NearRing, side: str, a: int) -> frozenset[int]:
     """Left: Na = {n*a}; right: aN = {a*n}."""
-    mul = ring.mul
-    if side == "left":
-        return frozenset(mul[n][a] for n in range(ring.order))
-    if side == "right":
-        return frozenset(mul[a][n] for n in range(ring.order))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _members(orbit_masks(ring, side)[a])
 
 
 @memoized
 def left_annihilators(ring: NearRing) -> tuple[frozenset[int], ...]:
-    return tuple(annihilator(ring, "left", {a}) for a in range(ring.order))
+    return tuple(map(_members, annihilator_masks(ring, "left")))
 
 
 @memoized
 def left_orbits(ring: NearRing) -> tuple[frozenset[int], ...]:
-    return tuple(orbit(ring, "left", a) for a in range(ring.order))
+    return tuple(map(_members, orbit_masks(ring, "left")))
+
+
+@memoized
+def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
+    """Bool vector whose entry a says whether Na is an N-ideal of the regular
+    representation, decided for every a in one pass.
+
+    Both reductions (module docstring) need the action to be right
+    distributive.  A ``NearRing`` built without validation may not be, so
+    that is checked first over S, in O(|S| n^2); when it fails, every orbit
+    goes through ``is_N_ideal`` instead.
+    """
+    add = table_array(ring.group, "add")
+    neg = table_array(ring.group, "neg")
+    mul = table_array(ring, "mul")
+    gens = np.array(group_generators(ring.group), dtype=np.int64)
+    if not _right_dist_holds(add, mul, gens):
+        rep = regular_representation(ring)
+        ok = np.array([bool(is_N_ideal(rep, na)) for na in left_orbits(ring)], dtype=bool)
+        ok.setflags(write=False)
+        return ok
+    orbits = orbit_masks(ring, "left")
+    cols = np.arange(ring.order)
+    gens_l = mul[gens, :]  # row s holds s*a for every a: generators of each Na
+    conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
+    ok = orbits[cols, conj].all(axis=(0, 1))
+    # One (l, r) pair of generators at a time, so temporaries stay n x n.
+    for row in gens_l:
+        shifted = add[row[:, None], cols]                       # [a, m]: s*a + m
+        for r in gens:
+            diff = add[mul[r][shifted], neg[mul[r]]]            # r(l+m) - rm
+            ok &= orbits[cols[:, None], diff].all(axis=1)
+    ok.setflags(write=False)
+    return ok
 
 
 def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -138,7 +214,7 @@ def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:
     of a group with addition table ``add``, from its relabelled sub-table."""
     pos = np.zeros(len(add), dtype=np.int64)
     pos[members] = np.arange(len(members))
-    return members[_generators(pos[add[np.ix_(members, members)]])]
+    return members[_generators(pos[add[members[:, None], members]])]
 
 
 def is_N_ideal(module: NModule, subset) -> IdealVerdict:
@@ -156,13 +232,13 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     madd = table_array(module.carrier, "add")
     mneg = table_array(module.carrier, "neg")
     mem = np.array(members, dtype=np.int64)
-    bad = np.argwhere(~in_l[madd[np.ix_(mem, mem)]])
+    bad = np.argwhere(~in_l[madd[mem[:, None], mem]])
     if len(bad):
         i, j = bad[0]
         return IdealVerdict("not_subgroup", (members[i], members[j]))
     gens_l = _subgroup_generators(madd, mem)
-    gens_m = group_generators(module.carrier)
-    if not in_l[madd[madd[np.ix_(gens_m, gens_l)], mneg[gens_m][:, None]]].all():
+    gens_m = np.array(group_generators(module.carrier), dtype=np.int64)
+    if not in_l[madd[madd[gens_m[:, None], gens_l], mneg[gens_m][:, None]]].all():
         bad = np.argwhere(~in_l[madd[madd[:, mem], mneg[:, None]]])  # x + l - x
         if not len(bad):
             raise InvariantError("normality fails on generators but on no pair (x, l)")
@@ -257,7 +333,7 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
                 if ideal[a]:  # the principal ideal of a lies inside
                     continue
                 mask = np.zeros(ring.order, dtype=bool)
-                mask[add[np.ix_(members, gen)]] = True
+                mask[add[members[:, None], gen]] = True
                 if insert(mask):
                     grown.append(mask)
         frontier = grown

@@ -28,10 +28,9 @@ from .classify import (
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
-    is_N_ideal,
     left_annihilators,
     left_orbits,
-    regular_representation,
+    orbit_is_N_ideal,
 )
 
 
@@ -224,11 +223,11 @@ def _check_ccc_decomposition(ring: NearRing) -> TheoremReport:
     orbits = left_orbits(ring)
     add = ring.add
     full = frozenset(range(ring.order))
-    rep = regular_representation(ring)
+    principal = orbit_is_N_ideal(ring)
     count = 0
     for a in range(ring.order):
         count += 1
-        if not is_N_ideal(rep, orbits[a]):
+        if not principal[a]:
             return TheoremReport(tid, "fail", count, ((a,), "Na is not an N-ideal"))
         if anns[a] & orbits[a] != frozenset({0}):
             return TheoremReport(tid, "fail", count, ((a,), "(0:a) meets Na nontrivially"))

@@ -1,13 +1,19 @@
-"""Golden outputs: SHA-256 digests of the JSON reports on the default corpus.
+"""Golden outputs: SHA-256 digests of the JSON reports on the default corpus,
+on the orders 64-96 tables of the benchmark's ``classify_mid`` workload and
+on the one-element ring.
 
 A refactor must keep these bytes unchanged.  A change that means to alter
 the output records new digests and says why in CHANGES.md.
 """
 import hashlib
+import importlib.util
 import io
+import sys
+from pathlib import Path
 
 import pytest
 
+from nearrings import emit_table, validate_nearring
 from nearrings.catalog import DEFAULT_CORPUS_NAMES
 from nearrings.cli import main
 
@@ -23,6 +29,42 @@ CLASSIFY_JSON = {
     "klein4_x_f2": "e88187619d880d4c98be38e3558497e3660200e3728df132aadb92d02cae5fd8",
     "ext_f2_f2": "89009dc9ed85f642879a496fe316f0e14d2e3abb71e96d6ecd36e6a856915081",
     "ext_mat2f2_f2sq": "1f2ce8d9c4ae09354660309c1d58b75128501093e5bce3e53fad2fcc99ee3723",
+}
+
+# ``classify --format json`` on tables built by ``perfbench/gen.py`` (in its
+# element order, without the benchmark's seeded relabelling).
+MID_ORDER_CLASSIFY_JSON = {
+    "gf3_4": "c24f8b5403bd3d6399955fb3ad8ff4530d55be86d21852b8820b1ce2432e5775",
+    "z4xz24": "d1a276e5f1967362d149c68b500708d111be35e9ab2466ed92cf1c568584a8d6",
+    "m0_z4": "9fcdd0b7277c3779d1e63d17f891e3083d7902d874917a38b41df810b9692e09",
+    "z2xz48": "6b9553e4a2dcaa89c777e93acede56275cfcf9b6efb36f0d716416858c751f47",
+    "d48_proj": "c8d2374cdcdfbf87a0915a55c43b5d2ea6d0fb6ef8442f1d1109ec0c85076c7f",
+}
+
+
+# The one-element ring {0}, whose group has no generators.
+TRIVIAL_RING_JSON = {
+    "classify": "52a4e1f1866d3fc6724b28e823e4577fa1e9ca43fcd21b855b233a6074de0073",
+    "verify": "6f8faf0c29665e29dae32a2eabeb18cc772303212526e1aaa525eb1d67ac0121",
+}
+
+
+def perfbench_gen():
+    """``perfbench/gen.py``, loaded by path: it builds tables with numpy alone."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up by name
+    spec.loader.exec_module(gen)
+    return gen
+
+
+MID_ORDER_TABLES = {
+    "gf3_4": lambda gen: gen.gf(3, 4, (2, 1, 0, 0)),
+    "z4xz24": lambda gen: gen.product(gen.zn(4), gen.zn(24), "z4xz24"),
+    "m0_z4": lambda gen: gen.m0(4),
+    "z2xz48": lambda gen: gen.product(gen.zn(2), gen.zn(48), "z2xz48"),
+    "d48_proj": lambda gen: gen.dihedral_projection(48),
 }
 
 
@@ -45,3 +87,20 @@ def test_classify_json_digest(name, tmp_path):
     path = tmp_path / "ring.json"
     assert main(["builtin", name, "--out", str(path)], out=io.StringIO()) == 0
     assert run_digest(["classify", str(path), "--format", "json"]) == (0, CLASSIFY_JSON[name])
+
+
+@pytest.mark.parametrize("name", sorted(MID_ORDER_CLASSIFY_JSON))
+def test_mid_order_classify_json_digest(name, tmp_path):
+    gen = perfbench_gen()
+    path = tmp_path / f"{name}.json"
+    path.write_text(gen.document(MID_ORDER_TABLES[name](gen)))
+    assert run_digest(["classify", str(path), "--format", "json"]) == \
+        (0, MID_ORDER_CLASSIFY_JSON[name])
+
+
+@pytest.mark.parametrize("command", sorted(TRIVIAL_RING_JSON))
+def test_trivial_ring_json_digest(command, tmp_path):
+    path = tmp_path / "trivial.json"
+    path.write_text(emit_table(validate_nearring([[0]], [[0]])))
+    assert run_digest([command, str(path), "--format", "json"]) == \
+        (0, TRIVIAL_RING_JSON[command])

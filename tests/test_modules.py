@@ -74,6 +74,8 @@ class TestAnnihilatorsAndOrbits:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             orbit(klein4(), "middle", 0)
+        with pytest.raises(ValueError, match="side must be"):
+            annihilator(klein4(), "middle", {1})
 
 
 class TestNIdeals:
