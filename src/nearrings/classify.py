@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CapExceeded, InvariantError, NearRing, memoized, table_array
+from .core import CapExceeded, InvariantError, NearRing, memoized
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
@@ -37,6 +37,7 @@ from .nmodules import (
     orbit_masks,
     quotient_module,
     regular_representation,
+    right_escape,
 )
 
 CLASSIFY_ORDER_CAP = 256
@@ -46,16 +47,25 @@ class NonUnitalError(ValueError):
     """Operation needs a unity and the near-ring has none."""
 
 
+def first_true(hits: np.ndarray) -> list[Optional[int]]:
+    """Per row of a 2-d bool array, the least column that is True, or None."""
+    return [j if ok else None
+            for j, ok in zip(hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist())]
+
+
+def inner_products(ring: NearRing) -> np.ndarray:
+    """n x n table whose entry [a, x] is (a*x)*a."""
+    return ring.mul[ring.mul, np.arange(ring.order)[:, None]]
+
+
 @memoized
 def units(ring: NearRing) -> tuple[frozenset[int], tuple[Optional[int], ...]]:
     """All two-sided invertible elements, plus the inverse table."""
     if ring.one is None:
         raise NonUnitalError("units are defined only for unital near-rings")
-    is_one = table_array(ring, "mul") == ring.one
-    both = is_one & is_one.T                    # [a, v]: a*v = v*a = 1
-    found = both.any(axis=1).tolist()
-    inv = tuple(v if ok else None for v, ok in zip(both.argmax(axis=1).tolist(), found))
-    return frozenset(a for a, ok in enumerate(found) if ok), inv
+    is_one = ring.mul == ring.one
+    inv = tuple(first_true(is_one & is_one.T))  # [a, v]: a*v = v*a = 1
+    return frozenset(a for a, v in enumerate(inv) if v is not None), inv
 
 
 @dataclass(frozen=True)
@@ -95,9 +105,7 @@ def _morphic_witnesses(ring: NearRing) -> list[Optional[int]]:
     first_seen: dict[bytes, int] = {}
     labels = np.array([first_seen.setdefault(row.tobytes(), len(first_seen)) for row in rows])
     na, ann = labels[:n], labels[n:]
-    match = (na[:, None] == ann[None, :]) & (ann[:, None] == na[None, :])
-    return [b if ok else None
-            for b, ok in zip(match.argmax(axis=1).tolist(), match.any(axis=1).tolist())]
+    return first_true((na[:, None] == ann[None, :]) & (ann[:, None] == na[None, :]))
 
 
 @memoized
@@ -160,44 +168,44 @@ def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
     if ring.order > CLASSIFY_ORDER_CAP:
         raise CapExceeded(f"classification limited to order {CLASSIFY_ORDER_CAP}")
     n, mul = ring.order, ring.mul
+    idx = np.arange(n)
     unital = ring.one is not None
     unit_set, inv = units(ring) if unital else (frozenset(), (None,) * n)
+    is_unit = np.array([v is not None for v in inv], dtype=bool)
     orbit_left, orbit_right, ann_left, ann_right = (
         table.sum(axis=1).tolist()
         for table in (orbit_masks(ring, "left"), orbit_masks(ring, "right"),
                       annihilator_masks(ring, "left"), annihilator_masks(ring, "right")))
-    profiles = []
-    for a in range(n):
-        aa = mul[a][a]
-        nilp = 0
-        power = a
-        for k in range(1, n + 1):
-            if power == 0:
-                nilp = k
-                break
-            power = mul[power][a]
-        reg = next((x for x in range(n) if mul[mul[a][x]][a] == a), None)
-        lsr = next((x for x in range(n) if mul[x][aa] == a), None)
-        rsr = next((x for x in range(n) if mul[aa][x] == a), None)
-        ureg = next((u for u in range(n)
-                     if inv[u] is not None and mul[mul[a][u]][a] == a), None)
-        profiles.append(ElementProfile(
+    aa = mul[idx, idx]
+    nilpotency = np.zeros(n, dtype=np.int64)  # least k <= n with a^k = 0, else 0
+    power = idx
+    for k in range(1, n + 1):
+        nilpotency[(power == 0) & (nilpotency == 0)] = k
+        power = mul[power, idx]
+    # [a, x] tables; each witness is the least x that satisfies the row
+    regular = inner_products(ring) == idx[:, None]      # (a*x)*a == a
+    reg = first_true(regular)
+    ureg = first_true(regular & is_unit)
+    lsr = first_true(mul[:, aa].T == idx[:, None])      # x*(a*a) == a
+    rsr = first_true(mul[aa] == idx[:, None])           # (a*a)*x == a
+    idempotent, central = (aa == idx).tolist(), (mul == mul.T).all(axis=1).tolist()
+    nilpotency = nilpotency.tolist()
+    return tuple(
+        ElementProfile(
             index=a, label=ring.label(a),
             is_unit=a in unit_set if unital else None, inverse=inv[a],
-            is_idempotent=aa == a,
-            is_central=all(mul[a][x] == mul[x][a] for x in range(n)),
-            nilpotency_index=nilp,
-            is_regular=reg is not None, regular_witness=reg,
-            is_unit_regular=ureg is not None if unital else None, unit_witness=ureg,
-            is_left_strongly_regular=lsr is not None, lsr_witness=lsr,
-            is_right_strongly_regular=rsr is not None, rsr_witness=rsr,
+            is_idempotent=idempotent[a], is_central=central[a],
+            nilpotency_index=nilpotency[a],
+            is_regular=reg[a] is not None, regular_witness=reg[a],
+            is_unit_regular=ureg[a] is not None if unital else None, unit_witness=ureg[a],
+            is_left_strongly_regular=lsr[a] is not None, lsr_witness=lsr[a],
+            is_right_strongly_regular=rsr[a] is not None, rsr_witness=rsr[a],
             morphic=is_left_morphic(ring, a) if unital else None,
             orbit_left_size=orbit_left[a],
             orbit_right_size=orbit_right[a],
             ann_left_size=ann_left[a],
             ann_right_size=ann_right[a],
-        ))
-    return tuple(profiles)
+        ) for a in range(n))
 
 
 @dataclass(frozen=True)
@@ -267,11 +275,11 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     # IFP: ab = 0 implies aNb = 0, i.e. aN lies in (0:b).  The first (a, b)
     # in row-major order that breaks it, then the least x with (ax)b != 0.
     outside = right.astype(np.int32) @ (~annihilator_masks(ring, "left")).T.astype(np.int32)
-    bad = np.argwhere((table_array(ring, "mul") == 0) & (outside > 0))
+    bad = np.argwhere((mul == 0) & (outside > 0))
     ifp = not len(bad)
     if not ifp:
         a, b = bad[0].tolist()
-        x = next(x for x in range(n) if mul[mul[a][x]][b] != 0)
+        x = int(np.flatnonzero(mul[mul[a], b])[0])
         witnesses["has_ifp"] = (a, x, b)
 
     bad = np.flatnonzero((left != right).any(axis=1))
@@ -296,19 +304,15 @@ def structure_profile(ring: NearRing) -> StructureProfile:
         for ideal in enumerate_left_ideals(ring):
             if is_ideal(ring, ideal) != "two_sided_ideal":
                 left_duo = False
-                bad_pair = next((l, x) for l in sorted(ideal) for x in range(n)
-                                if mul[l][x] not in ideal)
-                witnesses["left_duo"] = bad_pair
+                witnesses["left_duo"] = right_escape(ring, ideal)
                 witnesses["left_duo_ideal"] = tuple(sorted(ideal))
                 break
 
-    idem_central = True
-    for a in range(n):
-        if profiles[a].is_idempotent and not profiles[a].is_central:
-            idem_central = False
-            x = next(x for x in range(n) if mul[a][x] != mul[x][a])
-            witnesses["idempotents_central"] = (a, x)
-            break
+    bad = first(lambda p: not p.is_idempotent or p.is_central)
+    idem_central = bad is None
+    if not idem_central:
+        x = int(np.flatnonzero(mul[bad] != mul[:, bad])[0])
+        witnesses["idempotents_central"] = (bad, x)
 
     for flag_name, pred in (
         ("regular", lambda p: p.is_regular),

@@ -60,6 +60,9 @@ def _load(path: str, out) -> tuple[NearRing | None, int]:
     except AxiomViolation as exc:
         print(f"{path}: axiom violation: {exc.law} witness {exc.witness}", file=out)
         return None, EXIT_AXIOM
+    except CapExceeded as exc:
+        print(f"{path}: over cap: {exc}", file=out)
+        return None, EXIT_IO
 
 
 def cmd_validate(args, out) -> int:

@@ -19,6 +19,11 @@ group's ``group_generators``, which the N-ideal test reuses.  When a
 reduced check fails, the exhaustive scan for that law alone runs to report
 the first witness in ascending scan order; every reported failure carries a
 witness tuple that re-evaluates to a violation on the raw tables.
+
+Every table (``FiniteGroup.add``/``neg``, ``NearRing.mul``, ``NModule.action``)
+is stored once, as a read-only int64 array, converted on construction (also
+by ``dataclasses.replace``); ``.tolist()`` gives nested lists.  Equality of
+these dataclasses is identity; compare tables with ``np.array_equal``.
 """
 from __future__ import annotations
 
@@ -26,7 +31,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,18 +68,46 @@ class AxiomViolation(Exception):
         super().__init__(message or f"{law} fails at witness {self.witness}")
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+def _seal(arr: np.ndarray) -> np.ndarray:
+    """Make an array that this package has just built read-only, in place."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_table(table) -> np.ndarray:
+    """``table`` as a read-only int64 array.  One that already is that is
+    kept; anything else, a caller's writable array included, is copied."""
+    if isinstance(table, np.ndarray) and table.dtype == np.int64 and not table.flags.writeable:
+        return table
+    return _seal(np.array(table, dtype=np.int64))
+
+
+class _Tables:
+    """Base of the dataclasses that hold tables: on construction, including
+    ``dataclasses.replace``, each field named in ``_TABLES`` becomes a
+    read-only int64 array."""
+
+    _TABLES: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in self._TABLES:
+            object.__setattr__(self, name, _as_table(getattr(self, name)))
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteGroup(_Tables):
     """Additive group as a Cayley table; index 0 is the identity."""
 
+    _TABLES = ("add", "neg")
+
     order: int
-    add: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
+    add: np.ndarray
+    neg: np.ndarray
     labels: Optional[tuple[str, ...]] = None
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def sub(self, i: int, j: int) -> int:
-        return self.add[i][self.neg[j]]
+        return int(self.add[i, self.neg[j]])
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
@@ -91,8 +123,8 @@ class NearRingFlags:
     commutative_mul: bool
 
 
-@dataclass(frozen=True)
-class NearRing:
+@dataclass(frozen=True, eq=False)
+class NearRing(_Tables):
     """Finite right near-ring: additive group plus multiplication table.
 
     ``factors`` / ``extension`` record construction provenance (direct
@@ -100,26 +132,28 @@ class NearRing:
     recognise how an instance was built.
     """
 
+    _TABLES = ("mul",)
+
     group: FiniteGroup
-    mul: tuple[tuple[int, ...], ...]
+    mul: np.ndarray
     one: Optional[int]
     flags: NearRingFlags
     flag_witnesses: tuple[tuple[str, tuple[int, ...]], ...] = ()
     name: Optional[str] = None
     factors: Optional[tuple["NearRing", ...]] = None
     extension: Optional[tuple] = None
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def order(self) -> int:
         return self.group.order
 
     @property
-    def add(self) -> tuple[tuple[int, ...], ...]:
+    def add(self) -> np.ndarray:
         return self.group.add
 
     @property
-    def neg(self) -> tuple[int, ...]:
+    def neg(self) -> np.ndarray:
         return self.group.neg
 
     def label(self, i: int) -> str:
@@ -132,11 +166,16 @@ class NearRing:
         return self.flags.abelian_add and self.flags.left_distributive
 
 
+def same_tables(ring: NearRing, other: NearRing) -> bool:
+    """Equal addition and multiplication tables, whatever the names."""
+    return np.array_equal(ring.add, other.add) and np.array_equal(ring.mul, other.mul)
+
+
 def memoized(fn):
     """Cache ``fn(obj, *args, **kwargs)`` in ``obj.derived``, keyed by the
-    function name and the arguments.  ``derived`` is per instance, outside
-    equality and never copied, so a lookup hashes no table and the entries
-    die with the instance."""
+    function name and the arguments.  ``derived`` is per instance and never
+    copied, so a lookup hashes no table and the entries die with the
+    instance."""
     @functools.wraps(fn)
     def cached(obj, *args, **kwargs):
         key = (fn.__name__, *args, *sorted(kwargs.items()))
@@ -152,38 +191,48 @@ def memoized(fn):
     return cached
 
 
-def _readonly(table) -> np.ndarray:
-    arr = np.array(table, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
-@memoized
-def table_array(obj, name: str) -> np.ndarray:
-    """Read-only int64 array of the table ``obj.<name>``: ``add`` or ``neg``
-    of a FiniteGroup, ``mul`` of a NearRing, ``action`` of an NModule."""
-    return _readonly(getattr(obj, name))
-
-
-def _check_table(table, n: int, field: str) -> tuple[tuple[int, ...], ...]:
-    # Fast accept: n rows of n entries, every entry exactly an int (not a
-    # bool), all within [0, n).  Anything else takes the loop below, which
-    # names the first offending row or entry.
-    if (len(table) == n and all(len(row) == n for row in table)
-            and set(map(type, itertools.chain.from_iterable(table))) <= {int}
-            and min(map(min, table)) >= 0 and max(map(max, table)) < n):
-        return tuple(map(tuple, table))
-    if len(table) != n:
-        raise TableFormatError(f"{field}: expected {n} rows, got {len(table)}")
-    rows = []
+def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
+    """``table`` as a read-only int64 ``rows`` x ``cols`` array of indices
+    in [0, cols).  Fast accept: an integer array, or nested lists of exactly
+    ``int`` (not ``bool``), of the right shape and range.  Anything else
+    takes the loop below, which names the first offending row or entry."""
+    arr = None
+    if isinstance(table, np.ndarray):
+        if np.issubdtype(table.dtype, np.integer) and table.shape == (rows, cols):
+            arr = table
+    elif (len(table) == rows and all(len(row) == cols for row in table)
+          and set(map(type, itertools.chain.from_iterable(table))) <= {int}):
+        try:
+            arr = _seal(np.array(table, dtype=np.int64))
+        except OverflowError:  # an entry beyond int64; the loop reports it
+            pass
+    if arr is not None and arr.min() >= 0 and arr.max() < cols:
+        return _as_table(arr)
+    if isinstance(table, np.ndarray):
+        table = table.tolist()
+    if len(table) != rows:
+        raise TableFormatError(f"{field}: expected {rows} rows, got {len(table)}")
     for i, row in enumerate(table):
-        if len(row) != n:
-            raise TableFormatError(f"{field}: row {i} has {len(row)} entries, expected {n}")
+        if len(row) != cols:
+            raise TableFormatError(f"{field}: row {i} has {len(row)} entries, expected {cols}")
         for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise TableFormatError(f"{field}: entry {v!r} in row {i} out of range [0,{n})")
-        rows.append(tuple(row))
-    return tuple(rows)
+            if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+                    or not 0 <= v < cols):
+                raise TableFormatError(f"{field}: entry {v!r} in row {i} out of range [0,{cols})")
+    return _as_table(table)
+
+
+def _identities(t: np.ndarray) -> np.ndarray:
+    """Bool vector: entry e says whether e is a two-sided identity of ``t``."""
+    idx = np.arange(len(t))
+    return (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
+
+
+def _first_non_identity(t: np.ndarray, e: int) -> Optional[int]:
+    """The least x with t[e][x] != x or t[x][e] != x, or None."""
+    idx = np.arange(len(t))
+    bad = np.flatnonzero((t[e] != idx) | (t[:, e] != idx))
+    return int(bad[0]) if len(bad) else None
 
 
 def _extend_closure(add: np.ndarray, reached: np.ndarray, s: int) -> None:
@@ -222,7 +271,7 @@ def _generators(add: np.ndarray) -> list[int]:
 @memoized
 def group_generators(group: FiniteGroup) -> list[int]:
     """Greedy generating set of the group (see ``_generators``)."""
-    return _generators(table_array(group, "add"))
+    return _generators(group.add)
 
 
 def _add_assoc_holds(add: np.ndarray, gens) -> bool:
@@ -302,67 +351,61 @@ def validate_group(add, labels=None) -> FiniteGroup:
     n = len(add)
     if n < 1:
         raise TableFormatError("empty addition table")
-    table = _check_table(add, n, "add")
-    for j in range(n):
-        if table[0][j] != j or table[j][0] != j:
-            raise AxiomViolation("add_identity", (j,))
-    add_np = _readonly(table)
-    gens = _generators(add_np)
-    if not _add_assoc_holds(add_np, gens):
-        raise AxiomViolation("add_assoc", _assoc_witness(add_np))
+    add = _check_table(add, n, n, "add")
+    j = _first_non_identity(add, 0)
+    if j is not None:
+        raise AxiomViolation("add_identity", (j,))
+    gens = _generators(add)
+    if not _add_assoc_holds(add, gens):
+        raise AxiomViolation("add_assoc", _assoc_witness(add))
     # neg[i] is the least j with i+j = j+i = 0
-    inverse = (add_np == 0) & (add_np.T == 0)
+    inverse = (add == 0) & (add.T == 0)
     has_inverse = inverse.any(axis=1)
     if not has_inverse.all():
         raise AxiomViolation("add_inverse", (int(has_inverse.argmin()),))
-    neg = inverse.argmax(axis=1).tolist()
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise TableFormatError("labels: need n distinct strings")
-    group = FiniteGroup(order=n, add=table, neg=tuple(neg), labels=labels)
-    table_array.keep(group, add_np, "add")
+    group = FiniteGroup(order=n, add=add, neg=inverse.argmax(axis=1), labels=labels)
     group_generators.keep(group, gens)
     return group
 
 
-def _compute_flags(add_np: np.ndarray, mul_np: np.ndarray, mul, one, gens):
+def _compute_flags(add: np.ndarray, mul: np.ndarray, one, gens):
     """Exact flag scans; returns (one, flags, witnesses)."""
-    n = len(mul)
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
     # Rows before the first bad one are endomorphisms, so the exhaustive
     # scan's first witness lies in that row.
-    bad_rows = _left_dist_bad_rows(add_np, mul_np, gens)
+    bad_rows = _left_dist_bad_rows(add, mul, gens)
     left_dist = not bad_rows.any()
     if not left_dist:
         witnesses.append(("left_distributive",
-                          _left_dist_witness(add_np, mul_np, start=int(bad_rows.argmax()))))
+                          _left_dist_witness(add, mul, start=int(bad_rows.argmax()))))
 
-    bad = np.argwhere(add_np != add_np.T)
+    bad = np.argwhere(add != add.T)
     abelian = len(bad) == 0
     if not abelian:
         witnesses.append(("abelian_add", (int(bad[0][0]), int(bad[0][1]))))
 
-    zs_bad = [x for x in range(n) if mul[x][0] != 0]
-    zero_symmetric = not zs_bad
-    if zs_bad:
-        witnesses.append(("zero_symmetric", (zs_bad[0],)))
+    bad = np.flatnonzero(mul[:, 0])
+    zero_symmetric = not len(bad)
+    if not zero_symmetric:
+        witnesses.append(("zero_symmetric", (int(bad[0]),)))
 
-    bad = np.argwhere(mul_np != mul_np.T)
+    bad = np.argwhere(mul != mul.T)
     comm = len(bad) == 0
     if not comm:
         witnesses.append(("commutative_mul", (int(bad[0][0]), int(bad[0][1]))))
 
     if one is not None:
-        for x in range(n):
-            if mul[one][x] != x or mul[x][one] != x:
-                raise AxiomViolation("unity", (one, x), f"declared one={one} fails at {x}")
+        x = _first_non_identity(mul, one)
+        if x is not None:
+            raise AxiomViolation("unity", (one, x), f"declared one={one} fails at {x}")
     else:
-        for e in range(n):
-            if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
-                one = e
-                break
+        found = np.flatnonzero(_identities(mul))
+        one = int(found[0]) if len(found) else None
     unital = one is not None
     flags = NearRingFlags(
         right_distributive=True,
@@ -372,38 +415,35 @@ def _compute_flags(add_np: np.ndarray, mul_np: np.ndarray, mul, one, gens):
         unital=unital,
         commutative_mul=comm,
     )
-    return one, flags, tuple(witnesses)
+    return None if one is None else int(one), flags, tuple(witnesses)
 
 
 def validate_nearring(add, mul, one=None, labels=None, name=None,
                       **provenance) -> NearRing:
     """Validate tables as a right near-ring and compute its flags exactly."""
     group = validate_group(add, labels=labels)
-    n = group.order
-    mul = _check_table(mul, n, "mul")
+    n, add = group.order, group.add
+    mul = _check_table(mul, n, n, "mul")
     if one is not None and not 0 <= one < n:
         raise TableFormatError(f"one: index {one} out of range [0,{n})")
-    add_np, mul_np = table_array(group, "add"), _readonly(mul)
     gens = group_generators(group)
     # Laws are reported in the order mul_assoc, right_dist, but the reduced
     # associativity check needs right distributivity, so that runs first.
-    if _right_dist_holds(add_np, mul_np, gens):
-        if not _mul_assoc_holds(mul_np, gens):
-            raise AxiomViolation("mul_assoc", _assoc_witness(mul_np))
+    if _right_dist_holds(add, mul, gens):
+        if not _mul_assoc_holds(mul, gens):
+            raise AxiomViolation("mul_assoc", _assoc_witness(mul))
     else:
-        w = _assoc_witness(mul_np)
+        w = _assoc_witness(mul)
         if w is not None:
             raise AxiomViolation("mul_assoc", w)
-        raise AxiomViolation("right_dist", _right_dist_witness(add_np, mul_np))
+        raise AxiomViolation("right_dist", _right_dist_witness(add, mul))
     # 0*x = 0 is forced by right distributivity; a failure here means the
     # checks above are broken, not the input.
-    if mul_np[0].any():
+    if mul[0].any():
         raise InvariantError("0*x != 0 in a table that passed right distributivity")
-    one, flags, witnesses = _compute_flags(add_np, mul_np, mul, one, gens)
-    ring = NearRing(group=group, mul=mul, one=one, flags=flags,
+    one, flags, witnesses = _compute_flags(add, mul, one, gens)
+    return NearRing(group=group, mul=mul, one=one, flags=flags,
                     flag_witnesses=witnesses, name=name, **provenance)
-    table_array.keep(ring, mul_np, "mul")
-    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +462,15 @@ def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRin
     order = n ** (n - 1)
     if order > cap:
         raise CapExceeded(f"|M0(G)| = {order} exceeds cap {cap}")
-    vecs = [(0,) + tail for tail in itertools.product(range(n), repeat=n - 1)]
-    index = {v: i for i, v in enumerate(vecs)}
-    add = [
-        [index[tuple(g.add[f[x]][h[x]] for x in range(n))] for h in vecs]
-        for f in vecs
-    ]
-    mul = [
-        [index[tuple(f[h[x]] for x in range(n))] for h in vecs]
-        for f in vecs
-    ]
+    # vals[f, x] = f(x): f(0) = 0, then the base-n digits of the index f
+    weights = n ** np.arange(n - 2, -1, -1)
+    vals = np.zeros((order, n), dtype=np.int64)
+    vals[:, 1:] = np.arange(order)[:, None] // weights % n
+    digits = list(zip(range(1, n), weights))
+    add = sum(g.add[vals[:, x, None], vals[:, x]] * w for x, w in digits)  # f(x) + h(x)
+    mul = sum(vals[:, vals[:, x]] * w for x, w in digits)                   # f(h(x))
     labels = tuple(f"f{i + 1}" for i in range(order))
-    return validate_nearring(add, mul, labels=labels,
+    return validate_nearring(_seal(add), _seal(mul), labels=labels,
                              name=f"m0_order{order}" if name is None else name)
 
 
@@ -449,12 +486,8 @@ def build_product(factors, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
     strides = [math.prod(orders[k + 1:]) for k in range(len(orders))]
     # parts[k][x] is the k-th component of element x
     parts = [np.arange(total) // st % o for st, o in zip(strides, orders)]
-    add = np.zeros((total, total), dtype=np.int64)
-    mul = np.zeros((total, total), dtype=np.int64)
-    for f, st, p in zip(factors, strides, parts):
-        grid = np.ix_(p, p)
-        add += table_array(f.group, "add")[grid] * st
-        mul += table_array(f, "mul")[grid] * st
+    add = sum(f.add[p[:, None], p] * st for f, st, p in zip(factors, strides, parts))
+    mul = sum(f.mul[p[:, None], p] * st for f, st, p in zip(factors, strides, parts))
     labels = None
     if all(f.group.labels for f in factors):
         labels = tuple(
@@ -464,10 +497,8 @@ def build_product(factors, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
     one = None
     if all(f.one is not None for f in factors):
         one = sum(f.one * st for f, st in zip(factors, strides))
-    # Entries become references to one shared int per value, not n^2 ints.
-    values = np.arange(total).astype(object)
-    return validate_nearring(values[add].tolist(), values[mul].tolist(), one=one,
-                             labels=labels, name=name, factors=factors)
+    return validate_nearring(_seal(add), _seal(mul), one=one, labels=labels, name=name,
+                             factors=factors)
 
 
 def build_extension(ring: NearRing, module, cap: int = DEFAULT_ORDER_CAP,
@@ -477,7 +508,7 @@ def build_extension(ring: NearRing, module, cap: int = DEFAULT_ORDER_CAP,
     Unital with one = <1,0>; not zero-symmetric unless M is trivial.
     ``module`` is an NModule over ``ring`` (see nearrings.nmodules).
     """
-    if module.ring != ring:
+    if module.ring is not ring and not same_tables(module.ring, ring):
         raise ValueError("module is not over the given ring")
     if not (ring.flags.abelian_add and ring.flags.left_distributive and ring.flags.unital):
         raise ValueError("extension base must be a unital ring")
@@ -485,26 +516,19 @@ def build_extension(ring: NearRing, module, cap: int = DEFAULT_ORDER_CAP,
     total = r_n * m_n
     if total > cap:
         raise CapExceeded(f"extension order {total} exceeds cap {cap}")
-    radd, madd = ring.add, module.carrier.add
-    act = module.action
-    idx = lambda a, m: a * m_n + m
-    add = [[0] * total for _ in range(total)]
-    mul = [[0] * total for _ in range(total)]
-    for a1 in range(r_n):
-        for m1 in range(m_n):
-            i = idx(a1, m1)
-            for a2 in range(r_n):
-                for m2 in range(m_n):
-                    j = idx(a2, m2)
-                    add[i][j] = idx(radd[a1][a2], madd[m1][m2])
-                    mul[i][j] = idx(ring.mul[a1][a2], madd[act[a1][m2]][m1])
+    # element <a, m> has index a * m_n + m
+    a, m = np.divmod(np.arange(total), m_n)
+    a1, a2, m1, m2 = a[:, None], a[None, :], m[:, None], m[None, :]
+    madd = module.carrier.add
+    add = ring.add[a1, a2] * m_n + madd[m1, m2]
+    mul = ring.mul[a1, a2] * m_n + madd[module.action[a1, m2], m1]
     labels = None
     if ring.group.labels and module.carrier.labels:
         labels = tuple(
             f"({ring.label(a)}|{module.carrier.label(m)})"
             for a in range(r_n) for m in range(m_n)
         )
-    return validate_nearring(add, mul, one=idx(ring.one, 0), labels=labels,
+    return validate_nearring(_seal(add), _seal(mul), one=ring.one * m_n, labels=labels,
                              name=name, extension=(ring, module))
 
 
@@ -512,13 +536,13 @@ def build_extension(ring: NearRing, module, cap: int = DEFAULT_ORDER_CAP,
 # NearRing Table Format v1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawTables:
     name: str
     order: int
     labels: Optional[tuple[str, ...]]
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    add: np.ndarray
+    mul: np.ndarray
     one: Optional[int]
 
 
@@ -543,8 +567,10 @@ def parse_table(data) -> RawTables:
     n = doc["order"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise TableFormatError('"order" must be a positive integer')
-    add = _check_table(doc["add"], n, "add")
-    mul = _check_table(doc["mul"], n, "mul")
+    if n > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
+    add = _check_table(doc["add"], n, n, "add")
+    mul = _check_table(doc["mul"], n, n, "mul")
     labels = None
     if doc.get("labels") is not None:
         labels = doc["labels"]
@@ -563,26 +589,20 @@ def parse_table(data) -> RawTables:
 
 def from_document(raw: RawTables) -> NearRing:
     """Validate parsed tables; re-indexes so the additive identity sits at 0."""
-    n = raw.order
-    ident = None
-    for e in range(n):
-        if all(raw.add[e][j] == j and raw.add[j][e] == j for j in range(n)):
-            ident = e
-            break
     add, mul, labels, one = raw.add, raw.mul, raw.labels, raw.one
-    if ident is not None and ident != 0:
-        old = [ident] + [i for i in range(n) if i != ident]
-        pi = [0] * n
-        for i, o in enumerate(old):
-            pi[o] = i
-        pick, relabel = operator.itemgetter(*old), pi.__getitem__
-        add = tuple(tuple(map(relabel, pick(raw.add[a]))) for a in old)
-        mul = tuple(tuple(map(relabel, pick(raw.mul[a]))) for a in old)
+    ident = np.flatnonzero(_identities(add))
+    if len(ident) and ident[0] != 0:
+        e = ident[0]
+        old = np.concatenate(([e], np.delete(np.arange(raw.order), e)))  # new -> old
+        new = np.empty_like(old)                                          # old -> new
+        new[old] = np.arange(raw.order)
+        add = new[add[old[:, None], old]]
+        mul = new[mul[old[:, None], old]]
         if labels:
-            labels = pick(labels)
+            labels = tuple(labels[i] for i in old.tolist())
         if one is not None:
-            one = pi[one]
-    return validate_nearring(add, mul, one=one, labels=labels, name=raw.name)
+            one = int(new[one])
+    return validate_nearring(_seal(add), _seal(mul), one=one, labels=labels, name=raw.name)
 
 
 def load_nearring(path) -> NearRing:
@@ -594,8 +614,8 @@ def to_document(ring: NearRing) -> dict:
     doc = {"format": TABLE_FORMAT, "name": ring.name or "nearring", "order": ring.order}
     if ring.group.labels:
         doc["labels"] = list(ring.group.labels)
-    doc["add"] = [list(r) for r in ring.add]
-    doc["mul"] = [list(r) for r in ring.mul]
+    doc["add"] = ring.add.tolist()
+    doc["mul"] = ring.mul.tolist()
     if ring.one is not None:
         doc["one"] = ring.one
     return doc

@@ -49,22 +49,24 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _extend_closure,
-                   _generators, _right_dist_holds, group_generators, memoized, table_array,
-                   validate_group)
+from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _check_table,
+                   _extend_closure, _generators, _right_dist_holds, _Tables, group_generators,
+                   memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
 
 
-@dataclass(frozen=True)
-class NModule:
+@dataclass(frozen=True, eq=False)
+class NModule(_Tables):
     """Finite left N-module: carrier group plus an n x m action table."""
+
+    _TABLES = ("action",)
 
     ring: NearRing
     carrier: FiniteGroup
-    action: tuple[tuple[int, ...], ...]
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    action: np.ndarray
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -79,18 +81,12 @@ class IdealVerdict:
 def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
     """Check both module laws (and unitarity when the ring is unital)."""
     n, m = ring.order, carrier.order
-    action = tuple(tuple(row) for row in action)
-    if len(action) != n or any(len(row) != m for row in action):
-        raise ValueError(f"action table must be {n}x{m}")
-    module = NModule(ring=ring, carrier=carrier, action=action)
-    act = table_array(module, "action")
-    radd = table_array(ring.group, "add")
-    madd = table_array(carrier, "add")
-    rmul = table_array(ring, "mul")
+    act = _check_table(action, n, m, "action table")
+    radd, madd, rmul = ring.add, carrier.add, ring.mul
     for r1 in range(n):
         # (r1+r2)m == r1 m + r2 m
         lhs = act[radd[r1], :]
-        rhs = madd[np.broadcast_to(act[r1], (n, m)), act]
+        rhs = madd[act[r1], act]
         bad = np.argwhere(lhs != rhs)
         if len(bad):
             r2, x = bad[0]
@@ -103,18 +99,16 @@ def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
             r2, x = bad[0]
             raise ValueError(f"associativity fails at (r1,r2,m)=({r1},{int(r2)},{int(x)})")
     if ring.one is not None:
-        for x in range(m):
-            if action[ring.one][x] != x:
-                raise ValueError(f"module is not unitary at m={x}")
-    return module
+        bad = np.flatnonzero(act[ring.one] != np.arange(m))
+        if len(bad):
+            raise ValueError(f"module is not unitary at m={int(bad[0])}")
+    return NModule(ring=ring, carrier=carrier, action=act)
 
 
 @memoized
 def regular_representation(ring: NearRing) -> NModule:
     """N acting on itself by left multiplication; action table is mul."""
-    rep = NModule(ring=ring, carrier=ring.group, action=ring.mul)
-    table_array.keep(rep, table_array(ring, "mul"), "action")
-    return rep
+    return NModule(ring=ring, carrier=ring.group, action=ring.mul)
 
 
 def _check_side(side: str) -> None:
@@ -126,7 +120,7 @@ def _check_side(side: str) -> None:
 def orbit_masks(ring: NearRing, side: str) -> np.ndarray:
     """Read-only n x n bool table whose row a is Na (left) or aN (right)."""
     _check_side(side)
-    mul = table_array(ring, "mul")
+    mul = ring.mul
     idx = np.arange(ring.order)
     masks = np.zeros((ring.order, ring.order), dtype=bool)
     if side == "left":
@@ -142,7 +136,7 @@ def annihilator_masks(ring: NearRing, side: str) -> np.ndarray:
     """Read-only n x n bool table whose row a is (0:a) = {x : x*a = 0} (left)
     or {x : a*x = 0} (right)."""
     _check_side(side)
-    zero = table_array(ring, "mul") == 0
+    zero = ring.mul == 0
     masks = np.ascontiguousarray(zero.T) if side == "left" else zero
     masks.setflags(write=False)
     return masks
@@ -185,9 +179,7 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     that is checked first over S, in O(|S| n^2); when it fails, every orbit
     goes through ``is_N_ideal`` instead.
     """
-    add = table_array(ring.group, "add")
-    neg = table_array(ring.group, "neg")
-    mul = table_array(ring, "mul")
+    add, neg, mul = ring.add, ring.neg, ring.mul
     gens = np.array(group_generators(ring.group), dtype=np.int64)
     if not _right_dist_holds(add, mul, gens):
         rep = regular_representation(ring)
@@ -229,8 +221,7 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     in_l[members] = True
     if not members or not in_l[0]:
         return IdealVerdict("not_subgroup", (0,))
-    madd = table_array(module.carrier, "add")
-    mneg = table_array(module.carrier, "neg")
+    madd, mneg = module.carrier.add, module.carrier.neg
     mem = np.array(members, dtype=np.int64)
     bad = np.argwhere(~in_l[madd[mem[:, None], mem]])
     if len(bad):
@@ -244,7 +235,7 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
             raise InvariantError("normality fails on generators but on no pair (x, l)")
         x, i = bad[0]
         return IdealVerdict("not_normal", (int(x), members[i]))
-    act = table_array(module, "action")
+    act = module.action
     minus_rm = mneg[act]                                        # (n, m): -rm
     shifted = act[:, madd[gens_l, :]]                           # (n, |S_L|, m): r(l+m)
     if in_l[madd[shifted, minus_rm[:, None, :]]].all():
@@ -258,18 +249,22 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     raise InvariantError("N-ideal condition fails on generators but on no (r, l, m)")
 
 
+def right_escape(ring: NearRing, subset) -> Optional[tuple[int, int]]:
+    """The first (l, x), l in ``subset`` ascending, with l*x outside it."""
+    members = np.array(sorted(subset), dtype=np.int64)
+    in_l = np.zeros(ring.order, dtype=bool)
+    in_l[members] = True
+    bad = np.argwhere(~in_l[ring.mul[members]])
+    return (int(members[bad[0, 0]]), int(bad[0, 1])) if len(bad) else None
+
+
 def is_ideal(ring: NearRing, subset) -> str:
     """'left_ideal' iff an N-ideal of the regular representation;
     'two_sided_ideal' additionally requires LN contained in L."""
     verdict = is_N_ideal(regular_representation(ring), subset)
     if not verdict:
         return "not_left_ideal"
-    in_l = frozenset(subset)
-    for l in sorted(in_l):
-        for x in range(ring.order):
-            if ring.mul[l][x] not in in_l:
-                return "left_ideal"
-    return "two_sided_ideal"
+    return "left_ideal" if right_escape(ring, subset) else "two_sided_ideal"
 
 
 def _ideal_closure(ring: NearRing, a: int) -> np.ndarray:
@@ -281,9 +276,7 @@ def _ideal_closure(ring: NearRing, a: int) -> np.ndarray:
     conjugate and r(l+m) - rm rules: the reductions of ``is_N_ideal`` make
     that enough.
     """
-    add = table_array(ring.group, "add")
-    neg = table_array(ring.group, "neg")
-    mul = table_array(ring, "mul")
+    add, neg, mul = ring.add, ring.neg, ring.mul
     minus_rm = neg[mul]
     reached = np.zeros(ring.order, dtype=bool)
     reached[0] = True
@@ -307,7 +300,7 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
     """
     if ring.order > IDEAL_ENUM_ORDER_CAP:
         raise CapExceeded(f"ideal enumeration limited to order {IDEAL_ENUM_ORDER_CAP}")
-    add = table_array(ring.group, "add")
+    add = ring.add
     found: dict[bytes, np.ndarray] = {}
 
     def insert(mask: np.ndarray) -> bool:
@@ -354,32 +347,26 @@ def quotient_module(module: NModule, subset) -> Quotient:
     verdict = is_N_ideal(module, subset)
     if not verdict:
         raise ValueError(f"subset is not an N-ideal: {verdict.kind} at {verdict.witness}")
-    members = sorted(subset)
-    madd = module.carrier.add
-    m_n = module.carrier.order
-    rep_of = [min(madd[x][l] for l in members) for x in range(m_n)]
-    reps = sorted(set(rep_of))
-    q_index = {rep: i for i, rep in enumerate(reps)}
-    proj = tuple(q_index[rep_of[x]] for x in range(m_n))
-    q = len(reps)
-    qadd = [[proj[madd[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
+    members = np.array(sorted(subset), dtype=np.int64)
+    madd, act = module.carrier.add, module.action
+    rep_of = madd[:, members].min(axis=1)   # least member of the coset x + L
+    is_rep = rep_of == np.arange(len(madd))  # r is the least member of r + L
+    reps, proj = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep_of]
     qlabels = None
     if module.carrier.labels:
-        qlabels = tuple(f"{module.carrier.label(r)}+L" for r in reps)
-    carrier = validate_group(qadd, labels=qlabels)
-    qact = [[proj[module.action[r][reps[i]]] for i in range(q)]
-            for r in range(module.ring.order)]
+        qlabels = tuple(f"{module.carrier.label(r)}+L" for r in reps.tolist())
+    carrier = validate_group(proj[madd[reps[:, None], reps]], labels=qlabels)
+    qact = proj[act[:, reps]]
     # Well-definedness: the action must not depend on the representative.
-    for r in range(module.ring.order):
-        for x in range(m_n):
-            if proj[module.action[r][x]] != qact[r][proj[x]]:
-                raise InvariantError("quotient action depends on coset representative "
-                                     f"at (r, m) = ({r}, {x})")
+    bad = np.argwhere(proj[act] != qact[:, proj])
+    if len(bad):
+        r, x = bad[0].tolist()
+        raise InvariantError("quotient action depends on coset representative "
+                             f"at (r, m) = ({r}, {x})")
     return Quotient(
-        module=NModule(ring=module.ring, carrier=carrier,
-                       action=tuple(tuple(row) for row in qact)),
-        projection=proj,
-        representatives=tuple(reps),
+        module=NModule(ring=module.ring, carrier=carrier, action=qact),
+        projection=tuple(proj.tolist()),
+        representatives=tuple(reps.tolist()),
     )
 
 
@@ -412,13 +399,13 @@ class _Target:
             self._members = members
 
     def add(self, x: int, y: int) -> Optional[int]:
-        v = self._add[x][y]
+        v = int(self._add[x, y])
         if self._members is not None and v not in self._members:
             return None
         return v
 
     def act(self, r: int, x: int) -> Optional[int]:
-        v = self._act[r][x]
+        v = int(self._act[r, x])
         if self._members is not None and v not in self._members:
             return None
         return v
@@ -436,26 +423,21 @@ class HomResult:
 
 def generated_submodule(module: NModule, g: int) -> frozenset[int]:
     """Closure of {g} under the action and subgroup generation."""
-    madd = module.carrier.add
-    seen = {0, g}
-    frontier = [0, g]
-    while frontier:
-        x = frontier.pop()
-        for r in range(module.ring.order):
-            v = module.action[r][x]
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-        for y in list(seen):
-            for v in (madd[x][y], madd[y][x]):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        v = module.carrier.neg[x]
-        if v not in seen:
-            seen.add(v)
-            frontier.append(v)
-    return frozenset(seen)
+    madd, mneg, act = module.carrier.add, module.carrier.neg, module.action
+    seen = np.zeros(module.carrier.order, dtype=bool)
+    frontier = np.array([0, g])
+    seen[frontier] = True
+    while len(frontier):  # semi-naive: only images of new elements can be new
+        members = np.flatnonzero(seen)
+        new = np.zeros_like(seen)
+        new[act[:, frontier]] = True
+        new[madd[frontier[:, None], members]] = True
+        new[madd[members[:, None], frontier]] = True
+        new[mneg[frontier]] = True
+        new &= ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+    return _members(seen)
 
 
 def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomResult:
@@ -479,7 +461,7 @@ def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomRes
         changed = False
         for x, y in sorted(image.items()):
             for r in range(ring.order):
-                x2 = module.action[r][x]
+                x2 = int(module.action[r, x])
                 y2 = tv.act(r, y)
                 if y2 is None:
                     return HomResult(None, "action_escapes_target", (r, x))
@@ -490,7 +472,7 @@ def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomRes
                     image[x2] = y2
                     changed = True
             for x2, y2 in sorted(image.items()):
-                x3 = module.carrier.add[x][x2]
+                x3 = int(module.carrier.add[x, x2])
                 y3 = tv.add(y, y2)
                 if y3 is None:
                     return HomResult(None, "sum_escapes_target", (x, x2))
@@ -533,34 +515,24 @@ def _iso_generator(module: NModule, tv: _Target, gen: int) -> IsoResult:
 
 
 def _iso_bruteforce(module: NModule, tv: _Target) -> IsoResult:
+    """The first bijection fixing 0, in ``itertools.permutations`` order, that
+    is additive and N-linear.  Both laws compare against ``hom`` of an
+    element, which lies in the target, so they also keep the image there."""
     m_n = module.carrier.order
     if m_n != len(tv.elements):
         return IsoResult(False)
     if m_n > BRUTEFORCE_ISO_CAP:
         raise CapExceeded(f"bruteforce isomorphism limited to |M| <= {BRUTEFORCE_ISO_CAP}")
     others = [e for e in tv.elements if e != tv.zero]
-    madd = module.carrier.add
-    for perm in itertools.permutations(others):
-        hom = (tv.zero,) + perm
-        ok = True
-        for x in range(m_n):
-            for y in range(m_n):
-                if tv.add(hom[x], hom[y]) != hom[madd[x][y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for r in range(module.ring.order):
-            for x in range(m_n):
-                if tv.act(r, hom[x]) != hom[module.action[r][x]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return IsoResult(True, hom)
+    perms = itertools.permutations(others)
+    while block := list(itertools.islice(perms, 120)):
+        homs = np.array([(tv.zero,) + perm for perm in block], dtype=np.int64).reshape(-1, m_n)
+        # [p, x, y]: hom(x) + hom(y) == hom(x + y) under permutation p
+        additive = (tv._add[homs[:, :, None], homs[:, None, :]]
+                    == homs[:, module.carrier.add]).all(axis=(1, 2))
+        for hom in homs[additive]:
+            if (tv._act[:, hom] == hom[module.action]).all():
+                return IsoResult(True, tuple(hom.tolist()))
     return IsoResult(False)
 
 

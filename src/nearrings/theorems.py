@@ -16,10 +16,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CapExceeded, NearRing, table_array
+from .core import CapExceeded, NearRing, same_tables
 from .catalog import builtin
 from .classify import (
     all_element_profiles,
+    first_true,
+    inner_products,
     is_left_morphic,
     structure_profile,
     units,
@@ -28,9 +30,11 @@ from .classify import (
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
+    annihilator_masks,
     left_annihilators,
     left_orbits,
     orbit_is_N_ideal,
+    orbit_masks,
 )
 
 
@@ -70,10 +74,6 @@ def _convention_gate(ring: NearRing) -> Optional[str]:
     return None
 
 
-def _same_tables(ring: NearRing, other: NearRing) -> bool:
-    return ring.add == other.add and ring.mul == other.mul
-
-
 # ---------------------------------------------------------------------------
 # entries
 
@@ -94,24 +94,23 @@ def _check_lemma1_equiv(ring: NearRing) -> TheoremReport:
 
 
 def _lemma10_map_failure(ring: NearRing, a: int, u: int) -> Optional[tuple[int, str]]:
-    """The first x in (0:a) at which x -> xu is not additive or not
-    N-linear, scanned in lemma10's order; None if there is none."""
-    mul, add = ring.mul, ring.add
-    ann_sorted = sorted(left_annihilators(ring)[a])
-    for x in ann_sorted:
-        for y in ann_sorted:
-            if mul[add[x][y]][u] != add[mul[x][u]][mul[y][u]]:
-                return x, "x -> xu not additive"
-        for r in range(ring.order):
-            if mul[mul[r][x]][u] != mul[r][mul[x][u]]:
-                return x, "x -> xu not N-linear"
+    """The first x in (0:a) at which x -> xu is not additive (over y in
+    (0:a)) or, failing that, not N-linear (over r in N); None if there is
+    none."""
+    add, mul = ring.add, ring.mul
+    ann = np.flatnonzero(annihilator_masks(ring, "left")[a])
+    xu = mul[:, u]
+    not_additive = (xu[add[ann[:, None], ann]] != add[xu[ann, None], xu[ann]]).any(axis=1)
+    not_linear = (xu[mul[:, ann]] != mul[:, xu[ann]]).any(axis=0)
+    for i in np.flatnonzero(not_additive | not_linear)[:1]:
+        return int(ann[i]), "x -> xu not additive" if not_additive[i] else "x -> xu not N-linear"
     return None
 
 
 def _map_is_linear(ring: NearRing, u: int) -> bool:
     """x -> xu is additive and N-linear on all of N (always, on tables that
     passed validation: right distributivity and associativity)."""
-    add, mul = table_array(ring.group, "add"), table_array(ring, "mul")
+    add, mul = ring.add, ring.mul
     xu = mul[:, u]
     return (np.array_equal(xu[add], add[xu[:, None], xu[None, :]])
             and np.array_equal(xu[mul], mul[:, xu]))
@@ -125,35 +124,37 @@ def _check_lemma10(ring: NearRing) -> TheoremReport:
     if not unit_set:
         return _na(tid, "no units")
     n, mul = ring.order, ring.mul
-    orbits = left_orbits(ring)
-    anns = left_annihilators(ring)
-    full = frozenset(range(n))
+    anns = annihilator_masks(ring, "left")
+    us = np.array(sorted(unit_set), dtype=np.int64)
+    inv_us = np.array([inv[u] for u in us.tolist()], dtype=np.int64)
     # Where x -> xu is linear on all of N it is on every (0:a); only the
     # other units need the scan over (0:a).
-    linear = {u: _map_is_linear(ring, u) for u in unit_set}
-    count = 0
+    linear = np.array([_map_is_linear(ring, u) for u in us.tolist()], dtype=bool)
+    clauses = ("Nu != N", "(0:a) != (0:a*u^-1)", "(0:a)u^-1 != (0:ua)",
+               "x -> xu not injective")
+    orbit_not_full = ~orbit_masks(ring, "left")[us].all(axis=1)
+    slots = np.arange(len(us))[None, :]
+    # Each (a, u) pair in (a, then u) order counts one instantiation; the
+    # four set checks run for all units of one a at a time.
     for a in range(n):
-        for u in sorted(unit_set):
-            count += 1
-            ui = inv[u]
-            if orbits[u] != full:
-                return TheoremReport(tid, "fail", count, ((a, u), "Nu != N"))
-            if anns[a] != anns[mul[a][ui]]:
-                return TheoremReport(tid, "fail", count,
-                                     ((a, u), "(0:a) != (0:a*u^-1)"))
-            translate = frozenset(mul[x][ui] for x in anns[a])
-            if translate != anns[mul[u][a]]:
-                return TheoremReport(tid, "fail", count,
-                                     ((a, u), "(0:a)u^-1 != (0:ua)"))
-            # x -> xu is an additive N-linear bijection onto (0:a)u
-            image = [mul[x][u] for x in sorted(anns[a])]
-            if len(set(image)) != len(image):
-                return TheoremReport(tid, "fail", count, ((a, u), "x -> xu not injective"))
-            failure = None if linear[u] else _lemma10_map_failure(ring, a, u)
+        ann = np.flatnonzero(anns[a])
+        translate = np.zeros((len(us), n), dtype=bool)   # row u: (0:a)u^-1
+        translate[slots, mul[ann[:, None], inv_us]] = True
+        image = np.zeros((len(us), n), dtype=bool)       # row u: (0:a)u
+        image[slots, mul[ann[:, None], us]] = True
+        failed = np.stack([orbit_not_full, (anns[a] != anns[mul[a, inv_us]]).any(axis=1),
+                           (translate != anns[mul[us, a]]).any(axis=1),
+                           image.sum(axis=1) != len(ann)])   # in the order of clauses
+        for i in np.flatnonzero(failed.any(axis=0) | ~linear).tolist():
+            u, count = int(us[i]), a * len(us) + i + 1
+            if failed[:, i].any():
+                clause = clauses[int(failed[:, i].argmax())]
+                return TheoremReport(tid, "fail", count, ((a, u), clause))
+            failure = _lemma10_map_failure(ring, a, u)
             if failure:
                 x, clause = failure
                 return TheoremReport(tid, "fail", count, ((a, u, x), clause))
-    return TheoremReport(tid, "pass", count)
+    return TheoremReport(tid, "pass", n * len(us))
 
 
 def _check_prop2(ring: NearRing) -> TheoremReport:
@@ -161,18 +162,21 @@ def _check_prop2(ring: NearRing) -> TheoremReport:
     if ring.one is None:
         return _na(tid, "near-ring has no unity")
     unit_set, _ = units(ring)
-    morphic = [a for a in range(ring.order) if is_left_morphic(ring, a)]
-    if not morphic or not unit_set:
+    morphic = np.array([bool(is_left_morphic(ring, a)) for a in range(ring.order)])
+    if not morphic.any() or not unit_set:
         return _na(tid, "no left morphic element / no unit")
-    count = 0
-    for a in morphic:
-        for u in sorted(unit_set):
-            count += 1
-            if not is_left_morphic(ring, ring.mul[a][u]):
-                return TheoremReport(tid, "fail", count, ((a, u), "au not left morphic"))
-            if not is_left_morphic(ring, ring.mul[u][a]):
-                return TheoremReport(tid, "fail", count, ((a, u), "ua not left morphic"))
-    return TheoremReport(tid, "pass", count)
+    ms = np.flatnonzero(morphic)
+    us = np.array(sorted(unit_set), dtype=np.int64)
+    mul = ring.mul
+    au_ok = morphic[mul[ms[:, None], us]]
+    ua_ok = morphic[mul[us, ms[:, None]]]
+    bad = np.argwhere(~(au_ok & ua_ok))
+    if len(bad):
+        i, j = bad[0].tolist()
+        clause = "ua not left morphic" if au_ok[i, j] else "au not left morphic"
+        return TheoremReport(tid, "fail", i * len(us) + j + 1,
+                             ((int(ms[i]), int(us[j])), clause))
+    return TheoremReport(tid, "pass", len(ms) * len(us))
 
 
 def _check_prop64(ring: NearRing) -> TheoremReport:
@@ -219,20 +223,20 @@ def _check_ccc_decomposition(ring: NearRing) -> TheoremReport:
     sp = structure_profile(ring)
     if not (sp.regular and sp.subcommutative):
         return _na(tid, "not a generalised near-field (regular + subcommutative)")
-    anns = left_annihilators(ring)
-    orbits = left_orbits(ring)
-    add = ring.add
-    full = frozenset(range(ring.order))
+    n, add = ring.order, ring.add
+    anns, orbits = annihilator_masks(ring, "left"), orbit_masks(ring, "left")
+    only_zero = np.arange(n) == 0
     principal = orbit_is_N_ideal(ring)
     count = 0
-    for a in range(ring.order):
+    for a in range(n):
         count += 1
         if not principal[a]:
             return TheoremReport(tid, "fail", count, ((a,), "Na is not an N-ideal"))
-        if anns[a] & orbits[a] != frozenset({0}):
+        if not np.array_equal(anns[a] & orbits[a], only_zero):
             return TheoremReport(tid, "fail", count, ((a,), "(0:a) meets Na nontrivially"))
-        sums = frozenset(add[x][y] for x in anns[a] for y in orbits[a])
-        if sums != full:
+        sums = np.zeros(n, dtype=bool)
+        sums[add[np.flatnonzero(anns[a])[:, None], np.flatnonzero(orbits[a])]] = True
+        if not sums.all():
             return TheoremReport(tid, "fail", count, ((a,), "(0:a) + Na != N"))
         if not is_left_morphic(ring, a):
             return TheoremReport(tid, "fail", count, ((a,), "a not left morphic"))
@@ -299,17 +303,17 @@ def _check_lemma13(ring: NearRing) -> TheoremReport:
     if blocked:
         return blocked
     mul = ring.mul
-    count = 0
-    for a in range(ring.order):
-        aa = mul[a][a]
-        for x in range(ring.order):
-            if mul[x][aa] == a:
-                count += 1
-                if mul[mul[a][x]][a] != a:
-                    return TheoremReport(tid, "fail", count, ((a, x), "a != axa"))
-                if mul[a][x] != mul[x][a]:
-                    return TheoremReport(tid, "fail", count, ((a, x), "ax != xa"))
-    return TheoremReport(tid, "pass", count)
+    idx = np.arange(ring.order)
+    # [a, x]: x*a^2 == a is the hypothesis; each (a, x) meeting it counts one
+    hyp = mul[:, mul[idx, idx]].T == idx[:, None]
+    not_axa = inner_products(ring) != idx[:, None]
+    bad = np.argwhere(hyp & (not_axa | (mul != mul.T)))
+    if len(bad):
+        a, x = bad[0].tolist()
+        count = int(hyp[:a].sum() + hyp[a, :x + 1].sum())
+        return TheoremReport(tid, "fail", count,
+                             ((a, x), "a != axa" if not_axa[a, x] else "ax != xa"))
+    return TheoremReport(tid, "pass", int(hyp.sum()))
 
 
 def _check_lemma_ffff(ring: NearRing) -> TheoremReport:
@@ -331,14 +335,12 @@ def _check_prop_ff_square(ring: NearRing) -> TheoremReport:
     blocked = _lsr_gate(ring, tid)
     if blocked:
         return blocked
-    mul = ring.mul
-    count = 0
-    for a in range(ring.order):
-        count += 1
-        sq = mul[a][a]
-        if not any(mul[mul[sq][x]][sq] == sq for x in range(ring.order)):
-            return TheoremReport(tid, "fail", count, ((a,), "a^2 not regular"))
-    return TheoremReport(tid, "pass", count)
+    regular = np.array([p.is_regular for p in all_element_profiles(ring)], dtype=bool)
+    idx = np.arange(ring.order)
+    bad = np.flatnonzero(~regular[ring.mul[idx, idx]])
+    if len(bad):
+        return TheoremReport(tid, "fail", int(bad[0]) + 1, ((int(bad[0]),), "a^2 not regular"))
+    return TheoremReport(tid, "pass", ring.order)
 
 
 def _check_prop_ff_morphic(ring: NearRing) -> TheoremReport:
@@ -362,25 +364,24 @@ def _check_lemma_this_thm217(ring: NearRing) -> TheoremReport:
     n, mul, add, neg, one = ring.order, ring.mul, ring.add, ring.neg, ring.one
     anns = left_annihilators(ring)
     orbits = left_orbits(ring)
+    idx = np.arange(n)
     count = 0
-    for e in range(n):
-        if mul[e][e] != e:
-            continue
-        ce = add[one][neg[e]]  # 1 - e
+    for e in np.flatnonzero(mul[idx, idx] == idx).tolist():
+        ce = int(add[one, neg[e]])  # 1 - e
         s1 = bool(is_left_morphic(ring, e))
         s2 = orbits[e] == anns[ce]
-        s3 = all(mul[x][ce] == add[neg[mul[x][e]]][x] for x in range(n))
-        s4 = (anns[e] & anns[ce] == frozenset({0})) and mul[e][ce] == 0
-        s5 = all(mul[x][ce] == add[x][neg[mul[x][e]]] for x in range(n))
-        s6 = orbits[ce] == anns[e] and mul[e][ce] == 0
-        s7 = mul[ce][ce] == ce and bool(is_left_morphic(ring, ce))
+        s3 = bool((mul[:, ce] == add[neg[mul[:, e]], idx]).all())
+        s4 = (anns[e] & anns[ce] == frozenset({0})) and bool(mul[e, ce] == 0)
+        s5 = bool((mul[:, ce] == add[idx, neg[mul[:, e]]]).all())
+        s6 = orbits[ce] == anns[e] and bool(mul[e, ce] == 0)
+        s7 = bool(mul[ce, ce] == ce) and bool(is_left_morphic(ring, ce))
         statements = (s1, s2, s3, s4, s5, s6, s7)
         count += 7
         if len(set(statements)) != 1:
             return TheoremReport(tid, "fail", count,
                                  ((e,), f"seven statements differ: {statements}"))
         if s1:
-            if add[one][neg[ce]] != e:
+            if add[one, neg[ce]] != e:
                 return TheoremReport(tid, "fail", count, ((e,), "1-(1-e) != e"))
             if orbits[ce] != anns[e]:
                 return TheoremReport(tid, "fail", count, ((e,), "N(1-e) != (0:e)"))
@@ -445,10 +446,10 @@ def _check_thm62(ring: NearRing) -> TheoremReport:
             return TheoremReport(tid, "fail", count, ((a,), "element not unit-regular"))
         x = p.regular_witness
         b = p.morphic.witness
-        u = add[mul[mul[x][a]][x]][b]  # u := xax + b
+        u = int(add[mul[mul[x, a], x], b])  # u := xax + b
         if u not in unit_set:
             return TheoremReport(tid, "fail", count, ((a, x, b), "u = xax+b is not a unit"))
-        if mul[mul[a][u]][a] != a:
+        if mul[mul[a, u], a] != a:
             return TheoremReport(tid, "fail", count, ((a, x, b), "aua != a for u = xax+b"))
     return TheoremReport(tid, "pass", count)
 
@@ -484,7 +485,7 @@ def _check_ehrlich_T(ring: NearRing) -> TheoremReport:
 
 def _check_ex20_claim(ring: NearRing) -> TheoremReport:
     tid = "ex20_claim"
-    if not _same_tables(ring, builtin("m0_z3")):
+    if not same_tables(ring, builtin("m0_z3")):
         return _na(tid, "tables differ from the zero-fixing maps on Z3")
     sp = structure_profile(ring)
     if not sp.unit_regular:
@@ -501,25 +502,24 @@ def _check_ex20c_claim(ring: NearRing) -> TheoremReport:
     base, module = ring.extension
     m_n = module.carrier.order
     mul = ring.mul
-    unit_set, _ = units(ring)
-    base_units, _ = units(base)
-    mneg = module.carrier.neg
-    act = module.action
+    is_unit = np.array([v is not None for v in units(ring)[1]], dtype=bool)
+    base_is_unit = np.array([v is not None for v in units(base)[1]], dtype=bool)
+    # the witness family <u, -um> needs a unit inner inverse u of a in R
+    inner = first_true((inner_products(base) == np.arange(base.order)[:, None])
+                       & base_is_unit)
     count = 0
-    for a in range(base.order):
-        # the witness family <u, -um> needs a unit inner inverse of a in R
-        u = next((u for u in sorted(base_units)
-                  if base.mul[base.mul[a][u]][a] == a), None)
+    for a, u in enumerate(inner):
         if u is None:
             return TheoremReport(tid, "fail", count,
                                  ((a,), "base ring element has no unit inner inverse"))
-        for m in range(m_n):
+        elems = a * m_n + np.arange(m_n)
+        ws = u * m_n + module.carrier.neg[module.action[u]]
+        regular = mul[mul[elems, ws], elems] == elems
+        for m, (elem, w) in enumerate(zip(elems.tolist(), ws.tolist())):
             count += 1
-            elem = a * m_n + m
-            w = u * m_n + mneg[act[u][m]]
-            if w not in unit_set:
+            if not is_unit[w]:
                 return TheoremReport(tid, "fail", count, ((elem, w), "<u,-um> not a unit"))
-            if mul[mul[elem][w]][elem] != elem:
+            if not regular[m]:
                 return TheoremReport(tid, "fail", count,
                                      ((elem, w), "a*<u,-um>*a != a"))
             if m != 0 and is_left_morphic(ring, elem):
@@ -530,7 +530,7 @@ def _check_ex20c_claim(ring: NearRing) -> TheoremReport:
 
 def _check_ex_gggg_claim(ring: NearRing) -> TheoremReport:
     tid = "ex_gggg_claim"
-    if not _same_tables(ring, builtin("mat2_f2")):
+    if not same_tables(ring, builtin("mat2_f2")):
         return _na(tid, "tables differ from 2x2 matrices over F2")
     sp = structure_profile(ring)
     checks = [("not left morphic", bool(sp.left_morphic)),

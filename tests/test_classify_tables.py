@@ -11,16 +11,23 @@ validation, check the fallback taken when right distributivity fails.
 """
 import dataclasses
 import random
+import types
+from contextlib import contextmanager
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearrings import (
     IdealVerdict,
     MorphicVerdict,
+    TheoremReport,
     annihilator,
     builtin,
+    check,
+    enumerate_left_ideals,
     is_left_morphic,
     is_N_ideal,
     orbit,
@@ -30,9 +37,11 @@ from nearrings import (
 )
 from nearrings.catalog import DEFAULT_CORPUS_NAMES, _zn_group
 import nearrings.classify as classify
+import nearrings.theorems as theorems
 from nearrings.classify import all_element_profiles, units
 from nearrings.core import build_M0, build_product
-from nearrings.nmodules import left_annihilators, left_orbits, orbit_is_N_ideal
+from nearrings.nmodules import (IDEAL_ENUM_ORDER_CAP, left_annihilators, left_orbits,
+                                orbit_is_N_ideal)
 
 PRODUCTS = (("zn_ring(2)", "m0_z3"), ("zn_ring(4)", "zn_ring(6)"),
             ("klein4_ring", "mat2_f2"), ("mat2_f2", "zn_ring(2)"), ("m0_z3", "zn_ring(6)"))
@@ -289,3 +298,297 @@ def test_trivial_ring():
     assert orbit_is_N_ideal(ring).tolist() == [True]
     assert is_left_morphic(ring, 0) == MorphicVerdict("morphic", witness=0)
     assert structure_profile(ring).left_morphic
+
+
+# ---------------------------------------------------------------------------
+# the per-element profile scans, the structure witnesses read off single
+# rows, and the theorem cells rewritten as gathers, against the loops they
+# replace.  The loops read ``.tolist()`` copies of the tables, which keeps
+# their Python-level indexing fast.
+
+
+def reference_profile_fields(ring):
+    """Per element: idempotent, central, nilpotency index and the first
+    regular, unit-regular, left and right strongly regular witnesses."""
+    n, mul = ring.order, ring.mul.tolist()
+    unital = ring.one is not None
+    inv = units(ring)[1] if unital else (None,) * n
+    out = []
+    for a in range(n):
+        aa = mul[a][a]
+        nilp, power = 0, a
+        for k in range(1, n + 1):
+            if power == 0:
+                nilp = k
+                break
+            power = mul[power][a]
+        reg = next((x for x in range(n) if mul[mul[a][x]][a] == a), None)
+        ureg = next((u for u in range(n)
+                     if inv[u] is not None and mul[mul[a][u]][a] == a), None)
+        lsr = next((x for x in range(n) if mul[x][aa] == a), None)
+        rsr = next((x for x in range(n) if mul[aa][x] == a), None)
+        out.append((aa == a, all(mul[a][x] == mul[x][a] for x in range(n)), nilp,
+                    reg is not None, reg, ureg is not None if unital else None, ureg,
+                    lsr is not None, lsr, rsr is not None, rsr))
+    return out
+
+
+def profile_fields(ring):
+    return [(p.is_idempotent, p.is_central, p.nilpotency_index, p.is_regular,
+             p.regular_witness, p.is_unit_regular, p.unit_witness,
+             p.is_left_strongly_regular, p.lsr_witness, p.is_right_strongly_regular,
+             p.rsr_witness) for p in all_element_profiles(ring)]
+
+
+def reference_row_witnesses(ring):
+    """The IFP, idempotents-central and left-duo witnesses by the seed loops;
+    a key is absent when the property holds (left duo: or is undecided)."""
+    n, mul = ring.order, ring.mul.tolist()
+    out = {}
+    for a in range(n):
+        for b in range(n):
+            if mul[a][b] == 0:
+                x = next((x for x in range(n) if mul[mul[a][x]][b] != 0), None)
+                if x is not None:
+                    out.setdefault("has_ifp", (a, x, b))
+    for a in range(n):
+        if mul[a][a] == a:
+            x = next((x for x in range(n) if mul[a][x] != mul[x][a]), None)
+            if x is not None:
+                out["idempotents_central"] = (a, x)
+                break
+    if n <= IDEAL_ENUM_ORDER_CAP:
+        for ideal in enumerate_left_ideals(ring):
+            if reference_is_ideal(ring, ideal) != "two_sided_ideal":
+                out["left_duo"] = next((l, x) for l in sorted(ideal) for x in range(n)
+                                       if mul[l][x] not in ideal)
+                out["left_duo_ideal"] = tuple(sorted(ideal))
+                break
+    return out
+
+
+def reference_is_ideal(ring, subset):
+    """``is_ideal`` with the seed's double loop for LN in L."""
+    if not is_N_ideal(regular_representation(ring), subset):
+        return "not_left_ideal"
+    mul, in_l = ring.mul.tolist(), frozenset(subset)
+    for l in sorted(in_l):
+        for x in range(ring.order):
+            if mul[l][x] not in in_l:
+                return "left_ideal"
+    return "two_sided_ideal"
+
+
+ROW_KEYS = ("has_ifp", "idempotents_central", "left_duo", "left_duo_ideal")
+
+
+def reference_lemma13(ring):
+    n, mul = ring.order, ring.mul.tolist()
+    count = 0
+    for a in range(n):
+        aa = mul[a][a]
+        for x in range(n):
+            if mul[x][aa] == a:
+                count += 1
+                if mul[mul[a][x]][a] != a:
+                    return TheoremReport("lemma13", "fail", count, ((a, x), "a != axa"))
+                if mul[a][x] != mul[x][a]:
+                    return TheoremReport("lemma13", "fail", count, ((a, x), "ax != xa"))
+    return TheoremReport("lemma13", "pass", count)
+
+
+def reference_prop_ff_square(ring):
+    n, mul = ring.order, ring.mul.tolist()
+    count = 0
+    for a in range(n):
+        count += 1
+        sq = mul[a][a]
+        if not any(mul[mul[sq][x]][sq] == sq for x in range(n)):
+            return TheoremReport("prop_ff_square", "fail", count, ((a,), "a^2 not regular"))
+    return TheoremReport("prop_ff_square", "pass", count)
+
+
+def reference_prop2(ring):
+    tid, n, mul = "prop2", ring.order, ring.mul.tolist()
+    unit_set, _ = units(ring)
+    morphic = [a for a in range(n) if is_left_morphic(ring, a)]
+    if not morphic or not unit_set:
+        return TheoremReport(tid, "not_applicable",
+                             hypothesis_note="no left morphic element / no unit")
+    count = 0
+    for a in morphic:
+        for u in sorted(unit_set):
+            count += 1
+            if not is_left_morphic(ring, mul[a][u]):
+                return TheoremReport(tid, "fail", count, ((a, u), "au not left morphic"))
+            if not is_left_morphic(ring, mul[u][a]):
+                return TheoremReport(tid, "fail", count, ((a, u), "ua not left morphic"))
+    return TheoremReport(tid, "pass", count)
+
+
+def reference_lemma_this_thm217(ring):
+    tid = "lemma_this_thm217"
+    n, one = ring.order, ring.one
+    mul, add, neg = ring.mul.tolist(), ring.add.tolist(), ring.neg.tolist()
+    anns, orbits = left_annihilators(ring), left_orbits(ring)
+    count = 0
+    for e in range(n):
+        if mul[e][e] != e:
+            continue
+        ce = add[one][neg[e]]
+        s1 = bool(is_left_morphic(ring, e))
+        s2 = orbits[e] == anns[ce]
+        s3 = all(mul[x][ce] == add[neg[mul[x][e]]][x] for x in range(n))
+        s4 = (anns[e] & anns[ce] == frozenset({0})) and mul[e][ce] == 0
+        s5 = all(mul[x][ce] == add[x][neg[mul[x][e]]] for x in range(n))
+        s6 = orbits[ce] == anns[e] and mul[e][ce] == 0
+        s7 = mul[ce][ce] == ce and bool(is_left_morphic(ring, ce))
+        statements = (s1, s2, s3, s4, s5, s6, s7)
+        count += 7
+        if len(set(statements)) != 1:
+            return TheoremReport(tid, "fail", count,
+                                 ((e,), f"seven statements differ: {statements}"))
+        if s1:
+            if add[one][neg[ce]] != e:
+                return TheoremReport(tid, "fail", count, ((e,), "1-(1-e) != e"))
+            if orbits[ce] != anns[e]:
+                return TheoremReport(tid, "fail", count, ((e,), "N(1-e) != (0:e)"))
+    return TheoremReport(tid, "pass", count)
+
+
+def reference_ccc_decomposition(ring):
+    tid, n, add = "ccc_decomposition", ring.order, ring.add.tolist()
+    anns, orbits = left_annihilators(ring), left_orbits(ring)
+    principal = reference_orbit_is_N_ideal(ring)
+    count = 0
+    for a in range(n):
+        count += 1
+        if not principal[a]:
+            return TheoremReport(tid, "fail", count, ((a,), "Na is not an N-ideal"))
+        if anns[a] & orbits[a] != frozenset({0}):
+            return TheoremReport(tid, "fail", count, ((a,), "(0:a) meets Na nontrivially"))
+        if frozenset(add[x][y] for x in anns[a] for y in orbits[a]) != frozenset(range(n)):
+            return TheoremReport(tid, "fail", count, ((a,), "(0:a) + Na != N"))
+        if not is_left_morphic(ring, a):
+            return TheoremReport(tid, "fail", count, ((a,), "a not left morphic"))
+    return TheoremReport(tid, "pass", count)
+
+
+def reference_ex20c_claim(ring):
+    tid = "ex20c_claim"
+    if not ring.extension:
+        return TheoremReport(tid, "not_applicable",
+                             hypothesis_note="not built as an R x M extension")
+    base, module = ring.extension
+    m_n, mul, bmul = module.carrier.order, ring.mul.tolist(), base.mul.tolist()
+    unit_set, _ = units(ring)
+    base_units, _ = units(base)
+    mneg, act = module.carrier.neg.tolist(), module.action.tolist()
+    count = 0
+    for a in range(base.order):
+        u = next((u for u in sorted(base_units) if bmul[bmul[a][u]][a] == a), None)
+        if u is None:
+            return TheoremReport(tid, "fail", count,
+                                 ((a,), "base ring element has no unit inner inverse"))
+        for m in range(m_n):
+            count += 1
+            elem = a * m_n + m
+            w = u * m_n + mneg[act[u][m]]
+            if w not in unit_set:
+                return TheoremReport(tid, "fail", count, ((elem, w), "<u,-um> not a unit"))
+            if mul[mul[elem][w]][elem] != elem:
+                return TheoremReport(tid, "fail", count, ((elem, w), "a*<u,-um>*a != a"))
+            if m != 0 and is_left_morphic(ring, elem):
+                return TheoremReport(tid, "fail", count,
+                                     ((elem,), "<a,m> with m != 0 is left morphic"))
+    return TheoremReport(tid, "pass", count)
+
+
+# The scans after each cell's hypothesis gate; the oracles above have no gate.
+CELL_ORACLES = {
+    "ex20c_claim": reference_ex20c_claim,
+    "lemma13": reference_lemma13,
+    "prop_ff_square": reference_prop_ff_square,
+    "prop2": reference_prop2,
+    "lemma_this_thm217": reference_lemma_this_thm217,
+    "ccc_decomposition": reference_ccc_decomposition,
+}
+
+
+@contextmanager
+def ungated():
+    """Open the hypothesis gates of the cells in ``CELL_ORACLES`` (unity
+    aside), so their scans run, and can fail, on every ring."""
+    profile = types.SimpleNamespace(regular=True, subcommutative=True)
+    with mock.patch.object(theorems, "_lsr_gate", return_value=None), \
+            mock.patch.object(theorems, "_convention_gate", return_value=None), \
+            mock.patch.object(theorems, "structure_profile", return_value=profile):
+        yield
+
+
+def assert_rewritten_scans_agree(ring):
+    assert profile_fields(ring) == reference_profile_fields(ring)
+    witnesses = structure_profile(ring).witnesses
+    assert {k: v for k, v in witnesses.items() if k in ROW_KEYS} == \
+        reference_row_witnesses(ring)
+    with ungated():
+        for tid, oracle in CELL_ORACLES.items():
+            if ring.one is None and tid not in ("lemma13", "prop_ff_square"):
+                continue
+            assert check(ring, tid) == oracle(ring), tid
+
+
+def scrambled(name, data):
+    """A copy of a family member with one to three ``mul`` entries
+    overwritten, made with dataclasses.replace: no validation, empty cache."""
+    ring = ring_named(name)
+    n = ring.order
+    mul = ring.mul.tolist()
+    for _ in range(data.draw(st.integers(1, 3))):
+        x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        mul[x][y] = v
+    return dataclasses.replace(ring, mul=mul)
+
+
+@ring_and_seed
+@settings(max_examples=60, deadline=None)
+def test_rewritten_scans_match_the_loops(name, seed):
+    assert_rewritten_scans_agree(relabelled(ring_named(name), seed))
+
+
+@given(name=st.sampled_from(UNVALIDATED_BASES), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_rewritten_scans_match_the_loops_unvalidated(name, data):
+    assert_rewritten_scans_agree(scrambled(name, data))
+
+
+def with_entry(ring, x, y, v):
+    mul = ring.mul.tolist()
+    mul[x][y] = v
+    return dataclasses.replace(ring, mul=mul)
+
+
+# Inputs on which a cell's scan fails, so the agreement above is seen to
+# cover counterexamples and clauses, not only passes.
+FAILING_CELLS = [
+    (lambda: ring_named("m0_z4"), "lemma13", "ax != xa"),
+    (lambda: builtin("zn_ring(8)"), "prop_ff_square", "a^2 not regular"),
+    (lambda: with_entry(builtin("klein4_ring"), 3, 3, 2), "prop2", "au not left morphic"),
+    (lambda: with_entry(builtin("zn_ring(4)"), 1, 3, 0), "prop2", "ua not left morphic"),
+    (lambda: builtin("ext_f2_f2"), "lemma_this_thm217",
+     "seven statements differ: (False, False, False, True, False, False, False)"),
+    (lambda: builtin("zn_ring(4)"), "ccc_decomposition", None),
+    (lambda: with_entry(builtin("ext_f2_f2"), 0, 0, 1), "ex20c_claim", "a*<u,-um>*a != a"),
+    (lambda: with_entry(builtin("ext_f2_f2"), 2, 2, 0), "ex20c_claim", "<u,-um> not a unit"),
+]
+
+
+@pytest.mark.parametrize("make, tid, clause", FAILING_CELLS)
+def test_cell_oracles_see_failures(make, tid, clause):
+    ring = make()
+    with ungated():
+        report = check(ring, tid)
+        assert report == CELL_ORACLES[tid](ring)
+    assert report.status == "fail"
+    if clause is not None:
+        assert report.counterexample[1] == clause

@@ -6,6 +6,7 @@ import pytest
 
 from nearrings import build_product, builtin, emit_table
 from nearrings.cli import main
+from nearrings.core import DEFAULT_ORDER_CAP
 
 
 def run(argv):
@@ -259,3 +260,36 @@ class TestCorpus:
     def test_not_a_directory_exits_3(self):
         code, _ = run(["corpus", "/no/such/dir"])
         assert code == 3
+
+
+class TestLoadCap:
+    """A document that declares an order above the construction cap is
+    refused before its tables are read: exit 3 and one line."""
+
+    @pytest.fixture()
+    def huge_dir(self, tmp_path):
+        doc = {"format": "nearring-table/1", "name": "huge", "order": DEFAULT_ORDER_CAP + 1,
+               "add": [[0]], "mul": [[0]]}
+        (tmp_path / "huge.json").write_text(json.dumps(doc))
+        return tmp_path
+
+    def line(self, path):
+        return f"{path}: over cap: order {DEFAULT_ORDER_CAP + 1} exceeds cap {DEFAULT_ORDER_CAP}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_single_file(self, command, huge_dir):
+        path = str(huge_dir / "huge.json")
+        assert run([command, path]) == (3, self.line(path))
+
+    def test_verify(self, huge_dir):
+        assert run(["verify", str(huge_dir / "huge.json")]) == \
+            (3, self.line(huge_dir / "huge.json"))
+
+    def test_corpus_flags_the_file_and_classifies_the_rest(self, huge_dir):
+        (huge_dir / "klein4.json").write_text(emit_table(builtin("klein4_ring")))
+        code, text = run(["corpus", str(huge_dir), "--format", "json"])
+        first, rest = text.split("\n", 1)
+        assert code == 3 and first + "\n" == self.line(huge_dir / "huge.json")
+        rows = json.loads(rest)["rows"]
+        assert rows[0] == {"file": "huge.json", "error": True}
+        assert rows[1]["name"] == "klein4_ring"

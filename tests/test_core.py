@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nearrings import (
@@ -24,6 +25,7 @@ from nearrings import (
     validate_nearring,
 )
 from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL, _f2_module, _zn_group
+from nearrings.core import same_tables
 
 
 def klein4():
@@ -33,12 +35,12 @@ def klein4():
 class TestValidateGroup:
     def test_trivial_group(self):
         g = validate_group([[0]])
-        assert g.order == 1 and g.neg == (0,)
+        assert g.order == 1 and g.neg.tolist() == [0]
 
     def test_klein4(self):
         g = validate_group(_KLEIN4_ADD, labels=("0", "a", "b", "c"))
         assert g.order == 4
-        assert g.neg == (0, 1, 2, 3)  # every element is its own inverse
+        assert g.neg.tolist() == [0, 1, 2, 3]  # every element is its own inverse
         assert g.sub(1, 2) == 3
         assert g.label(3) == "c"
 
@@ -172,7 +174,7 @@ class TestBuildM0:
 class TestBuildProduct:
     def test_single_factor_is_identity(self):
         ring = build_product([klein4()])
-        assert ring.add == klein4().add and ring.mul == klein4().mul
+        assert same_tables(ring, klein4())
 
     def test_componentwise(self):
         k, z = klein4(), builtin("zn_ring(2)")
@@ -259,8 +261,8 @@ class TestSerialization:
                      "ext_f2_f2", "klein4_x_f2"):
             ring = builtin(name)
             back = from_document(parse_table(emit_table(ring)))
-            assert back.add == ring.add
-            assert back.mul == ring.mul
+            assert np.array_equal(back.add, ring.add)
+            assert np.array_equal(back.mul, ring.mul)
             assert back.one == ring.one
             assert back.flags == ring.flags
             assert back.group.labels == ring.group.labels
@@ -303,7 +305,7 @@ class TestSerialization:
         ring = from_document(parse_table(json.dumps(doc)))
         assert all(ring.add[0][j] == j for j in range(4))
         assert ring.flags == klein4().flags
-        assert ring.add == klein4().add and ring.mul == klein4().mul
+        assert same_tables(ring, klein4())
 
     def test_bad_one_index(self):
         doc = to_document(klein4())

@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 digests of the JSON reports on the default corpus,
 on the orders 64-96 tables of the benchmark's ``classify_mid`` workload and
-on the one-element ring.
+on the one-element ring, and of the ``validate`` output on the seed-1 inputs
+of its ``validate_large`` and ``validate_invalid`` workloads.
 
 A refactor must keep these bytes unchanged.  A change that means to alter
 the output records new digests and says why in CHANGES.md.
@@ -9,6 +10,7 @@ import hashlib
 import importlib.util
 import io
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,33 @@ MID_ORDER_CLASSIFY_JSON = {
 TRIVIAL_RING_JSON = {
     "classify": "52a4e1f1866d3fc6724b28e823e4577fa1e9ca43fcd21b855b233a6074de0073",
     "verify": "6f8faf0c29665e29dae32a2eabeb18cc772303212526e1aaa525eb1d67ac0121",
+}
+
+
+# (exit code, stdout digest) of ``validate FILE`` run in the directory that
+# holds the seed-1 inputs of the benchmark's validate workloads: order-256
+# tables whose additive identity is moved off index 0, then order-384
+# tables with a corrupted entry, a right-distributivity failure, an entry
+# out of range and truncated JSON.
+VALIDATE = {
+    ("validate_large", "z8xz32.json"):
+        (0, "65681db5198d8055543e5d9b70300b280a50b3d87b8aff7c47c8008326e7325e"),
+    ("validate_large", "m0z4xz4.json"):
+        (0, "3af2580fb36095c171d445ca339b51218e3172f0d79d2f4520068c34629ac283"),
+    ("validate_large", "gf2_8.json"):
+        (0, "92cd05d1cb9aef7662b7dce3ad98fcd7e16ec8a118e8ca4cbd5c91a5d94ee2b3"),
+    ("validate_large", "d128_proj.json"):
+        (0, "03c94deff380424a6d7a58cc964df5f74a948654157b6669526d75f23c18fcee"),
+    ("validate_invalid", "bad_add.json"):
+        (1, "17e5463e1e367d9157be1b439b5e0c8fa3122c78c50c13a8cb74fd1c1f213ffd"),
+    ("validate_invalid", "bad_mul.json"):
+        (1, "c0959847a9ce274aa53d33fb2a58956c13c1675ba95408f720c1e1fbae551b46"),
+    ("validate_invalid", "bad_rightdist.json"):
+        (1, "5b53199a550fe3a4acce78b4431dfa223ae7ec65d35fd896ce2bf8838e2f69b5"),
+    ("validate_invalid", "bad_range.json"):
+        (3, "e2fd2ecccb4ca289adc3aaf859b02913c0104c7db8cef95f05fc7a120b78a1cb"),
+    ("validate_invalid", "bad_json.json"):
+        (3, "86431af6ce6a38445af815e7f1b36a000ef1cf2c69fdfd98745ef5047f826e19"),
 }
 
 
@@ -104,3 +133,18 @@ def test_trivial_ring_json_digest(command, tmp_path):
     path.write_text(emit_table(validate_nearring([[0]], [[0]])))
     assert run_digest([command, str(path), "--format", "json"]) == \
         (0, TRIVIAL_RING_JSON[command])
+
+
+@lru_cache(maxsize=None)
+def workload_texts(workload):
+    """File name -> document text of the workload's seed-1 inputs."""
+    gen = perfbench_gen()
+    return {name: obj if isinstance(obj, str) else gen.document(obj)
+            for cmd in gen.commands(workload, 1) for name, obj in cmd.files}
+
+
+@pytest.mark.parametrize("workload, name", sorted(VALIDATE))
+def test_validate_digest(workload, name, tmp_path, monkeypatch):
+    (tmp_path / name).write_text(workload_texts(workload)[name])
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(["validate", name]) == VALIDATE[workload, name]

@@ -37,6 +37,21 @@ class TestValidateModule:
         with pytest.raises(ValueError, match="unitary"):
             validate_module(builtin("zn_ring(2)"), _zn_group(2), action)
 
+    @pytest.mark.parametrize("entry", [True, 1.0, 7, -1])
+    def test_bad_entry_named(self, entry):
+        # [[0, 0], [0, 1]] is the Z2-module Z2; only the last entry differs.
+        with pytest.raises(ValueError) as exc:
+            validate_module(builtin("zn_ring(2)"), _zn_group(2), [[0, 0], [0, entry]])
+        assert str(exc.value) == f"action table: entry {entry!r} in row 1 out of range [0,2)"
+
+    def test_rectangular_table_is_checked(self):
+        ring = builtin("zn_ring(4)")
+        with pytest.raises(ValueError) as exc:
+            validate_module(ring, _zn_group(2), [[0, 0], [0, 1], [0, 2], [0, 1]])
+        assert str(exc.value) == "action table: entry 2 in row 2 out of range [0,2)"
+        module = validate_module(ring, _zn_group(2), [[0, 0], [0, 1], [0, 0], [0, 1]])
+        assert module.action.shape == (4, 2)
+
     def test_non_additive_rejected(self):
         # constant action breaks (r1 + r2) m = r1 m + r2 m over Z2
         ring = builtin("zn_ring(2)")

@@ -14,7 +14,7 @@ from nearrings import (
     regular_representation,
 )
 from nearrings.classify import is_left_morphic, units
-from nearrings.core import AxiomViolation, TableFormatError
+from nearrings.core import AxiomViolation, TableFormatError, same_tables
 
 CORPUS = ("klein4_ring", "zn_ring(2)", "zn_ring(4)", "zn_ring(6)",
           "zn_ring(9)", "m0_z3", "mat2_f2", "klein4_x_f2",
@@ -110,7 +110,7 @@ def test_failed_ideal_verdicts_reevaluate(name, data):
 def test_serialization_roundtrip(name):
     ring = builtin(name)
     back = from_document(parse_table(emit_table(ring)))
-    assert back.add == ring.add and back.mul == ring.mul
+    assert same_tables(back, ring)
     assert back.flags == ring.flags and back.one == ring.one
 
 
