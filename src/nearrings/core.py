@@ -195,12 +195,15 @@ def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
     """``table`` as a read-only int64 ``rows`` x ``cols`` array of indices
     in [0, cols).  Fast accept: an integer array, or nested lists of exactly
     ``int`` (not ``bool``), of the right shape and range.  Anything else
-    takes the loop below, which names the first offending row or entry."""
+    takes the loop below, which names the first offending row or entry; a
+    table or row that is not a list (a number, null, a JSON object) is
+    refused as such."""
     arr = None
     if isinstance(table, np.ndarray):
         if np.issubdtype(table.dtype, np.integer) and table.shape == (rows, cols):
             arr = table
-    elif (len(table) == rows and all(len(row) == cols for row in table)
+    elif (isinstance(table, (list, tuple)) and len(table) == rows
+          and all(isinstance(row, (list, tuple)) and len(row) == cols for row in table)
           and set(map(type, itertools.chain.from_iterable(table))) <= {int}):
         try:
             arr = _seal(np.array(table, dtype=np.int64))
@@ -210,9 +213,13 @@ def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
         return _as_table(arr)
     if isinstance(table, np.ndarray):
         table = table.tolist()
+    if not isinstance(table, (list, tuple)):
+        raise TableFormatError(f"{field}: not a list of rows")
     if len(table) != rows:
         raise TableFormatError(f"{field}: expected {rows} rows, got {len(table)}")
     for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise TableFormatError(f"{field}: row {i} is not a list")
         if len(row) != cols:
             raise TableFormatError(f"{field}: row {i} has {len(row)} entries, expected {cols}")
         for v in row:

@@ -17,7 +17,9 @@ The N-ideal layer works over generating sets, with exact reductions:
   first witness in ascending scan order.
 - ``_ideal_closure`` keeps its set closed under + semi-naively and sends
   only the generators it adds through the conjugate and r(l+m) - rm rules,
-  which the same two arguments make enough.
+  which the same two arguments make enough.  Its principal ideals also
+  decide left duo in ``classify.structure_profile``, with ``right_escape``
+  and no enumeration.
 - ``enumerate_left_ideals`` closes each singleton once, then saturates
   "ideal + principal ideal".  By the identity above the sum L1 + L2 of two
   N-ideals is an N-ideal, hence their join, and every N-ideal is the sum of
@@ -160,16 +162,6 @@ def orbit(ring: NearRing, side: str, a: int) -> frozenset[int]:
 
 
 @memoized
-def left_annihilators(ring: NearRing) -> tuple[frozenset[int], ...]:
-    return tuple(map(_members, annihilator_masks(ring, "left")))
-
-
-@memoized
-def left_orbits(ring: NearRing) -> tuple[frozenset[int], ...]:
-    return tuple(map(_members, orbit_masks(ring, "left")))
-
-
-@memoized
 def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     """Bool vector whose entry a says whether Na is an N-ideal of the regular
     representation, decided for every a in one pass.
@@ -183,7 +175,8 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     gens = np.array(group_generators(ring.group), dtype=np.int64)
     if not _right_dist_holds(add, mul, gens):
         rep = regular_representation(ring)
-        ok = np.array([bool(is_N_ideal(rep, na)) for na in left_orbits(ring)], dtype=bool)
+        ok = np.array([bool(is_N_ideal(rep, _members(row)))
+                       for row in orbit_masks(ring, "left")], dtype=bool)
         ok.setflags(write=False)
         return ok
     orbits = orbit_masks(ring, "left")
@@ -377,38 +370,19 @@ def quotient_module(module: NModule, subset) -> Quotient:
 # regular representation (the shape of annihilator sets).  In the embedded
 # case the action is the ambient multiplication, which may leave the subset;
 # a hom must then map into the subset anyway, so such pairs simply fail.
+# Either way a target is its addition table, its action table and the mask
+# of its members, with 0 as its zero.
 
 
-class _Target:
-    def __init__(self, ring: NearRing, obj: Union[NModule, frozenset, set]):
-        self.ring = ring
-        if isinstance(obj, NModule):
-            self.elements = list(range(obj.carrier.order))
-            self.zero = 0
-            self._add = obj.carrier.add
-            self._act = obj.action
-            self._members = None
-        else:
-            members = frozenset(obj)
-            if 0 not in members:
-                raise ValueError("embedded target must contain 0")
-            self.elements = sorted(members)
-            self.zero = 0
-            self._add = ring.add
-            self._act = ring.mul
-            self._members = members
-
-    def add(self, x: int, y: int) -> Optional[int]:
-        v = int(self._add[x, y])
-        if self._members is not None and v not in self._members:
-            return None
-        return v
-
-    def act(self, r: int, x: int) -> Optional[int]:
-        v = int(self._act[r, x])
-        if self._members is not None and v not in self._members:
-            return None
-        return v
+def _target(ring: NearRing, obj: Union[NModule, frozenset, set]):
+    """(addition table, action table, member mask) of a hom target."""
+    if isinstance(obj, NModule):
+        return obj.carrier.add, obj.action, np.ones(obj.carrier.order, dtype=bool)
+    members = np.zeros(ring.order, dtype=bool)
+    members[sorted(obj)] = True
+    if not members[0]:
+        raise ValueError("embedded target must contain 0")
+    return ring.add, ring.mul, members
 
 
 @dataclass(frozen=True)
@@ -446,24 +420,33 @@ def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomRes
     ``target`` is an NModule over the same ring or a frozenset embedded in
     the regular representation.  Failure names the violated relation.
     """
-    ring = module.ring
-    tv = target if isinstance(target, _Target) else _Target(ring, target)
-    m_n = module.carrier.order
-    if len(generated_submodule(module, g)) != m_n:
+    if len(generated_submodule(module, g)) != module.carrier.order:
         raise ValueError(f"element {g} does not generate the module")
-    if b not in tv.elements:
+    return _extend_hom(_as_lists(module, _target(module.ring, target)), g, b)
+
+
+def _as_lists(module: NModule, target) -> tuple[list, ...]:
+    """The module's action and addition and the target's tables as nested
+    lists, which the closure below indexes entry by entry."""
+    return (module.action.tolist(), module.carrier.add.tolist(),
+            *(table.tolist() for table in target))
+
+
+def _extend_hom(tables: tuple[list, ...], g: int, b: int) -> HomResult:
+    """``hom_from_cyclic_generator`` for a generator g, on ``_as_lists`` tables."""
+    act, madd, t_add, t_act, in_t = tables
+    if not (0 <= b < len(in_t) and in_t[b]):
         return HomResult(None, "image_not_in_target", (b,))
-    image: dict[int, int] = {0: tv.zero, g: b}
-    if image.get(0) != tv.zero:
+    image: dict[int, int] = {0: 0, g: b}
+    if image[0] != 0:
         return HomResult(None, "zero_relation", (0,))
     changed = True
     while changed:
         changed = False
         for x, y in sorted(image.items()):
-            for r in range(ring.order):
-                x2 = int(module.action[r, x])
-                y2 = tv.act(r, y)
-                if y2 is None:
+            for r in range(len(act)):
+                x2, y2 = act[r][x], t_act[r][y]
+                if not in_t[y2]:
                     return HomResult(None, "action_escapes_target", (r, x))
                 if x2 in image:
                     if image[x2] != y2:
@@ -472,9 +455,8 @@ def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomRes
                     image[x2] = y2
                     changed = True
             for x2, y2 in sorted(image.items()):
-                x3 = int(module.carrier.add[x, x2])
-                y3 = tv.add(y, y2)
-                if y3 is None:
+                x3, y3 = madd[x][x2], t_add[y][y2]
+                if not in_t[y3]:
                     return HomResult(None, "sum_escapes_target", (x, x2))
                 if x3 in image:
                     if image[x3] != y3:
@@ -482,9 +464,10 @@ def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomRes
                 else:
                     image[x3] = y3
                     changed = True
-    if len(image) != m_n:
-        raise InvariantError(f"closure from generator {g} reached {len(image)} of {m_n} elements")
-    return HomResult(hom=tuple(image[x] for x in range(m_n)))
+    if len(image) != len(madd):
+        raise InvariantError(f"closure from generator {g} reached {len(image)} "
+                             f"of {len(madd)} elements")
+    return HomResult(hom=tuple(image[x] for x in range(len(madd))))
 
 
 @dataclass(frozen=True)
@@ -496,42 +479,40 @@ class IsoResult:
         return self.isomorphic
 
 
-def _is_bijection_onto(hom: tuple[int, ...], tv: _Target) -> bool:
-    return len(set(hom)) == len(hom) == len(tv.elements)
-
-
 def _cyclic_generator(module: NModule) -> Optional[int]:
     """The least element that generates the module, or None if it is not cyclic."""
     m_n = module.carrier.order
     return next((g for g in range(m_n) if len(generated_submodule(module, g)) == m_n), None)
 
 
-def _iso_generator(module: NModule, tv: _Target, gen: int) -> IsoResult:
-    for b in tv.elements:
-        res = hom_from_cyclic_generator(module, gen, tv, b)
-        if res and _is_bijection_onto(res.hom, tv):
+def _iso_generator(module: NModule, target, gen: int) -> IsoResult:
+    tables = _as_lists(module, target)
+    members = np.flatnonzero(target[2]).tolist()
+    for b in members:
+        res = _extend_hom(tables, gen, b)
+        if res and len(set(res.hom)) == len(res.hom) == len(members):
             return IsoResult(True, res.hom)
     return IsoResult(False)
 
 
-def _iso_bruteforce(module: NModule, tv: _Target) -> IsoResult:
+def _iso_bruteforce(module: NModule, target) -> IsoResult:
     """The first bijection fixing 0, in ``itertools.permutations`` order, that
     is additive and N-linear.  Both laws compare against ``hom`` of an
     element, which lies in the target, so they also keep the image there."""
+    t_add, t_act, members = target
     m_n = module.carrier.order
-    if m_n != len(tv.elements):
+    if m_n != members.sum():
         return IsoResult(False)
     if m_n > BRUTEFORCE_ISO_CAP:
         raise CapExceeded(f"bruteforce isomorphism limited to |M| <= {BRUTEFORCE_ISO_CAP}")
-    others = [e for e in tv.elements if e != tv.zero]
-    perms = itertools.permutations(others)
+    perms = itertools.permutations(np.flatnonzero(members)[1:].tolist())
     while block := list(itertools.islice(perms, 120)):
-        homs = np.array([(tv.zero,) + perm for perm in block], dtype=np.int64).reshape(-1, m_n)
+        homs = np.array([(0,) + perm for perm in block], dtype=np.int64).reshape(-1, m_n)
         # [p, x, y]: hom(x) + hom(y) == hom(x + y) under permutation p
-        additive = (tv._add[homs[:, :, None], homs[:, None, :]]
+        additive = (t_add[homs[:, :, None], homs[:, None, :]]
                     == homs[:, module.carrier.add]).all(axis=(1, 2))
         for hom in homs[additive]:
-            if (tv._act[:, hom] == hom[module.action]).all():
+            if (t_act[:, hom] == hom[module.action]).all():
                 return IsoResult(True, tuple(hom.tolist()))
     return IsoResult(False)
 
@@ -543,16 +524,16 @@ def modules_isomorphic(module: NModule, target, mode: str = "auto") -> IsoResult
     bruteforce: scan all bijections fixing 0 (|M| <= 8).
     auto: generator when the module is cyclic, else bruteforce.
     """
-    tv = _Target(module.ring, target)
+    target = _target(module.ring, target)
     if mode == "bruteforce":
-        return _iso_bruteforce(module, tv)
+        return _iso_bruteforce(module, target)
     if mode not in ("generator", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     gen = _cyclic_generator(module)
     if gen is not None:
-        return _iso_generator(module, tv, gen)
+        return _iso_generator(module, target, gen)
     if mode == "generator":
         raise ValueError("module is not cyclic; generator mode does not apply")
     if module.carrier.order <= BRUTEFORCE_ISO_CAP:
-        return _iso_bruteforce(module, tv)
+        return _iso_bruteforce(module, target)
     raise CapExceeded("module is not cyclic and exceeds the bruteforce cap")

@@ -8,6 +8,13 @@ counterexample is well defined.
 
 Several results are stated under the running convention of a unital
 zero-symmetric near-ring; those entries gate on both flags.
+
+Entries read the whole-ring tables: rows of the orbit and annihilator masks,
+the element profiles, and one bool vector of left morphic elements.  A scan
+over the elements becomes a (clauses x elements) bool table, and
+``_first_failure`` reports its first failing element with that element's
+first failing clause, as the ascending loop would; ``_equivalence`` reports
+a tuple of conditions that should coincide.
 """
 from __future__ import annotations
 
@@ -31,8 +38,6 @@ from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
     annihilator_masks,
-    left_annihilators,
-    left_orbits,
     orbit_is_N_ideal,
     orbit_masks,
 )
@@ -74,6 +79,37 @@ def _convention_gate(ring: NearRing) -> Optional[str]:
     return None
 
 
+def _first_failure(tid: str, clauses: tuple[str, ...], holds, offset: int = 0) -> TheoremReport:
+    """The ascending scan over elements, read off a table: ``holds[c][a]``
+    says whether clause c holds at element a.  Fail at the first a where a
+    clause fails, naming a's first failing clause, with count offset + a + 1;
+    pass with count offset + n."""
+    holds = np.asarray(holds, dtype=bool)
+    bad = np.flatnonzero(~holds.all(axis=0))
+    if len(bad):
+        a = int(bad[0])
+        return TheoremReport(tid, "fail", offset + a + 1,
+                             ((a,), clauses[int(holds[:, a].argmin())]))
+    return TheoremReport(tid, "pass", offset + holds.shape[1])
+
+
+def _equivalence(tid: str, conds, count: int, elements: tuple[int, ...] = ()) -> TheoremReport:
+    """Pass when the conditions all agree, else fail naming them."""
+    conds = tuple(bool(c) for c in conds)  # Python bools, so the clause prints True/False
+    if len(set(conds)) != 1:
+        return TheoremReport(tid, "fail", count, (elements, f"conditions not equivalent: {conds}"))
+    return TheoremReport(tid, "pass", count)
+
+
+def _morphic(ring: NearRing) -> np.ndarray:
+    """Bool vector: a is left morphic (``is_left_morphic``, with its checks)."""
+    return np.array([bool(is_left_morphic(ring, a)) for a in range(ring.order)], dtype=bool)
+
+
+def _is_unit(ring: NearRing) -> np.ndarray:
+    return np.array([v is not None for v in units(ring)[1]], dtype=bool)
+
+
 # ---------------------------------------------------------------------------
 # entries
 
@@ -84,13 +120,9 @@ def _check_lemma1_equiv(ring: NearRing) -> TheoremReport:
         return _na(tid, "near-ring has no unity")
     if ring.order > BRUTEFORCE_ISO_CAP:
         return _na(tid, f"order {ring.order} exceeds brute-force cap {BRUTEFORCE_ISO_CAP}")
-    count = 0
-    for a in range(ring.order):
-        count += 1
-        if bool(is_left_morphic(ring, a)) != _algorithm_I(ring, a):
-            return TheoremReport(tid, "fail", count,
-                                 ((a,), "witness scan and isomorphism search disagree"))
-    return TheoremReport(tid, "pass", count)
+    searched = [_algorithm_I(ring, a) for a in range(ring.order)]
+    return _first_failure(tid, ("witness scan and isomorphism search disagree",),
+                          [_morphic(ring) == searched])
 
 
 def _lemma10_map_failure(ring: NearRing, a: int, u: int) -> Optional[tuple[int, str]]:
@@ -162,7 +194,7 @@ def _check_prop2(ring: NearRing) -> TheoremReport:
     if ring.one is None:
         return _na(tid, "near-ring has no unity")
     unit_set, _ = units(ring)
-    morphic = np.array([bool(is_left_morphic(ring, a)) for a in range(ring.order)])
+    morphic = _morphic(ring)
     if not morphic.any() or not unit_set:
         return _na(tid, "no left morphic element / no unit")
     ms = np.flatnonzero(morphic)
@@ -183,21 +215,18 @@ def _check_prop64(ring: NearRing) -> TheoremReport:
     tid = "prop64"
     if ring.one is None:
         return _na(tid, "near-ring has no unity")
-    unit_set, _ = units(ring)
-    anns = left_annihilators(ring)
-    orbits = left_orbits(ring)
-    full = frozenset(range(ring.order))
-    morphic = [a for a in range(ring.order) if is_left_morphic(ring, a)]
-    if not morphic:
+    ms = np.flatnonzero(_morphic(ring))
+    if not len(ms):
         return _na(tid, "no left morphic element")
-    count = 0
-    for a in morphic:
-        count += 1
-        conds = (anns[a] == frozenset({0}), orbits[a] == full, a in unit_set)
-        if len(set(conds)) != 1:
-            return TheoremReport(tid, "fail", count,
-                                 ((a,), f"conditions not equivalent: {conds}"))
-    return TheoremReport(tid, "pass", count)
+    only_zero = np.arange(ring.order) == 0
+    # [condition, i] at the i-th left morphic element
+    conds = np.stack([(annihilator_masks(ring, "left")[ms] == only_zero).all(axis=1),
+                      orbit_masks(ring, "left")[ms].all(axis=1), _is_unit(ring)[ms]])
+    differ = np.flatnonzero(conds.any(axis=0) != conds.all(axis=0))
+    if len(differ):
+        i = int(differ[0])
+        return _equivalence(tid, conds[:, i], i + 1, (int(ms[i]),))
+    return TheoremReport(tid, "pass", len(ms))
 
 
 def _check_product_morphic(ring: NearRing) -> TheoremReport:
@@ -225,22 +254,15 @@ def _check_ccc_decomposition(ring: NearRing) -> TheoremReport:
         return _na(tid, "not a generalised near-field (regular + subcommutative)")
     n, add = ring.order, ring.add
     anns, orbits = annihilator_masks(ring, "left"), orbit_masks(ring, "left")
-    only_zero = np.arange(n) == 0
-    principal = orbit_is_N_ideal(ring)
-    count = 0
-    for a in range(n):
-        count += 1
-        if not principal[a]:
-            return TheoremReport(tid, "fail", count, ((a,), "Na is not an N-ideal"))
-        if not np.array_equal(anns[a] & orbits[a], only_zero):
-            return TheoremReport(tid, "fail", count, ((a,), "(0:a) meets Na nontrivially"))
-        sums = np.zeros(n, dtype=bool)
-        sums[add[np.flatnonzero(anns[a])[:, None], np.flatnonzero(orbits[a])]] = True
-        if not sums.all():
-            return TheoremReport(tid, "fail", count, ((a,), "(0:a) + Na != N"))
-        if not is_left_morphic(ring, a):
-            return TheoremReport(tid, "fail", count, ((a,), "a not left morphic"))
-    return TheoremReport(tid, "pass", count)
+    pa, x = np.nonzero(anns)                  # x in (0:a)
+    pair, y = np.nonzero(orbits[pa])          # y in Na
+    sums = np.zeros((n, n), dtype=bool)       # row a: (0:a) + Na
+    sums[pa[pair], add[x[pair], y]] = True
+    clauses = ("Na is not an N-ideal", "(0:a) meets Na nontrivially", "(0:a) + Na != N",
+               "a not left morphic")
+    return _first_failure(tid, clauses, [orbit_is_N_ideal(ring),
+                                         ((anns & orbits) == (np.arange(n) == 0)).all(axis=1),
+                                         sums.all(axis=1), _morphic(ring)])
 
 
 def _check_wsw_morphic(ring: NearRing) -> TheoremReport:
@@ -251,12 +273,7 @@ def _check_wsw_morphic(ring: NearRing) -> TheoremReport:
     sp = structure_profile(ring)
     if not sp.weakly_divisible:
         return _na(tid, "not weakly divisible")
-    count = 0
-    for a in range(ring.order):
-        count += 1
-        if not is_left_morphic(ring, a):
-            return TheoremReport(tid, "fail", count, ((a,), "element not left morphic"))
-    return TheoremReport(tid, "pass", count)
+    return _first_failure(tid, ("element not left morphic",), [_morphic(ring)])
 
 
 def _check_lemma213(ring: NearRing) -> TheoremReport:
@@ -280,12 +297,9 @@ def _check_lemma_hdt(ring: NearRing) -> TheoremReport:
     if gate:
         return _na(tid, gate)
     sp = structure_profile(ring)
-    conds = (sp.left_strongly_regular,
-             sp.regular and sp.reduced,
-             sp.regular and sp.idempotents_central)
-    if len(set(conds)) != 1:
-        return TheoremReport(tid, "fail", 3, ((), f"conditions not equivalent: {conds}"))
-    return TheoremReport(tid, "pass", 3)
+    return _equivalence(tid, (sp.left_strongly_regular,
+                              sp.regular and sp.reduced,
+                              sp.regular and sp.idempotents_central), 3)
 
 
 def _lsr_gate(ring: NearRing, tid: str):
@@ -321,13 +335,8 @@ def _check_lemma_ffff(ring: NearRing) -> TheoremReport:
     blocked = _lsr_gate(ring, tid)
     if blocked:
         return blocked
-    profiles = all_element_profiles(ring)
-    count = 0
-    for p in profiles:
-        count += 1
-        if not p.is_unit_regular:
-            return TheoremReport(tid, "fail", count, ((p.index,), "element not unit-regular"))
-    return TheoremReport(tid, "pass", count)
+    return _first_failure(tid, ("element not unit-regular",),
+                          [[p.is_unit_regular for p in all_element_profiles(ring)]])
 
 
 def _check_prop_ff_square(ring: NearRing) -> TheoremReport:
@@ -337,10 +346,7 @@ def _check_prop_ff_square(ring: NearRing) -> TheoremReport:
         return blocked
     regular = np.array([p.is_regular for p in all_element_profiles(ring)], dtype=bool)
     idx = np.arange(ring.order)
-    bad = np.flatnonzero(~regular[ring.mul[idx, idx]])
-    if len(bad):
-        return TheoremReport(tid, "fail", int(bad[0]) + 1, ((int(bad[0]),), "a^2 not regular"))
-    return TheoremReport(tid, "pass", ring.order)
+    return _first_failure(tid, ("a^2 not regular",), [regular[ring.mul[idx, idx]]])
 
 
 def _check_prop_ff_morphic(ring: NearRing) -> TheoremReport:
@@ -348,12 +354,7 @@ def _check_prop_ff_morphic(ring: NearRing) -> TheoremReport:
     blocked = _lsr_gate(ring, tid)
     if blocked:
         return blocked
-    count = 0
-    for a in range(ring.order):
-        count += 1
-        if not is_left_morphic(ring, a):
-            return TheoremReport(tid, "fail", count, ((a,), "element not left morphic"))
-    return TheoremReport(tid, "pass", count)
+    return _first_failure(tid, ("element not left morphic",), [_morphic(ring)])
 
 
 def _check_lemma_this_thm217(ring: NearRing) -> TheoremReport:
@@ -362,18 +363,17 @@ def _check_lemma_this_thm217(ring: NearRing) -> TheoremReport:
     if gate:
         return _na(tid, gate)
     n, mul, add, neg, one = ring.order, ring.mul, ring.add, ring.neg, ring.one
-    anns = left_annihilators(ring)
-    orbits = left_orbits(ring)
+    anns, orbits = annihilator_masks(ring, "left"), orbit_masks(ring, "left")
     idx = np.arange(n)
     count = 0
     for e in np.flatnonzero(mul[idx, idx] == idx).tolist():
         ce = int(add[one, neg[e]])  # 1 - e
         s1 = bool(is_left_morphic(ring, e))
-        s2 = orbits[e] == anns[ce]
+        s2 = np.array_equal(orbits[e], anns[ce])
         s3 = bool((mul[:, ce] == add[neg[mul[:, e]], idx]).all())
-        s4 = (anns[e] & anns[ce] == frozenset({0})) and bool(mul[e, ce] == 0)
+        s4 = np.array_equal(anns[e] & anns[ce], idx == 0) and bool(mul[e, ce] == 0)
         s5 = bool((mul[:, ce] == add[idx, neg[mul[:, e]]]).all())
-        s6 = orbits[ce] == anns[e] and bool(mul[e, ce] == 0)
+        s6 = np.array_equal(orbits[ce], anns[e]) and bool(mul[e, ce] == 0)
         s7 = bool(mul[ce, ce] == ce) and bool(is_left_morphic(ring, ce))
         statements = (s1, s2, s3, s4, s5, s6, s7)
         count += 7
@@ -383,7 +383,7 @@ def _check_lemma_this_thm217(ring: NearRing) -> TheoremReport:
         if s1:
             if add[one, neg[ce]] != e:
                 return TheoremReport(tid, "fail", count, ((e,), "1-(1-e) != e"))
-            if orbits[ce] != anns[e]:
+            if not np.array_equal(orbits[ce], anns[e]):
                 return TheoremReport(tid, "fail", count, ((e,), "N(1-e) != (0:e)"))
     return TheoremReport(tid, "pass", count)
 
@@ -399,16 +399,10 @@ def _check_prop_cccxi(ring: NearRing) -> TheoremReport:
     conds = [("addition not commutative", ring.flags.abelian_add),
              ("not left distributive", ring.flags.left_distributive),
              ("multiplication not commutative", ring.flags.commutative_mul)]
-    count = 0
-    for clause, ok in conds:
-        count += 1
+    for count, (clause, ok) in enumerate(conds, 1):
         if not ok:
             return TheoremReport(tid, "fail", count, ((), clause))
-    for a in range(ring.order):
-        count += 1
-        if not is_left_morphic(ring, a):
-            return TheoremReport(tid, "fail", count, ((a,), "element not left morphic"))
-    return TheoremReport(tid, "pass", count)
+    return _first_failure(tid, ("element not left morphic",), [_morphic(ring)], len(conds))
 
 
 def _check_prop226(ring: NearRing) -> TheoremReport:
@@ -416,15 +410,13 @@ def _check_prop226(ring: NearRing) -> TheoremReport:
     gate = _convention_gate(ring)
     if gate:
         return _na(tid, gate)
+    # structure_profile leaves left_duo undecided above this order (see there).
     if ring.order > IDEAL_ENUM_ORDER_CAP:
         return _na(tid, f"order {ring.order} exceeds ideal enumeration cap")
     sp = structure_profile(ring)
-    conds = (sp.reduced and bool(sp.left_morphic),
-             sp.left_strongly_regular,
-             sp.regular and bool(sp.left_duo))
-    if len(set(conds)) != 1:
-        return TheoremReport(tid, "fail", 3, ((), f"conditions not equivalent: {conds}"))
-    return TheoremReport(tid, "pass", 3)
+    return _equivalence(tid, (sp.reduced and sp.left_morphic,
+                              sp.left_strongly_regular,
+                              sp.regular and sp.left_duo), 3)
 
 
 def _check_thm62(ring: NearRing) -> TheoremReport:
@@ -462,12 +454,9 @@ def _check_prop_tttt(ring: NearRing) -> TheoremReport:
     sp = structure_profile(ring)
     if not sp.has_ifp:
         return _na(tid, "near-ring does not have IFP")
-    conds = (sp.left_strongly_regular,
-             bool(sp.left_morphic) and sp.regular,
-             bool(sp.unit_regular))
-    if len(set(conds)) != 1:
-        return TheoremReport(tid, "fail", 3, ((), f"conditions not equivalent: {conds}"))
-    return TheoremReport(tid, "pass", 3)
+    return _equivalence(tid, (sp.left_strongly_regular,
+                              sp.left_morphic and sp.regular,
+                              sp.unit_regular), 3)
 
 
 def _check_ehrlich_T(ring: NearRing) -> TheoremReport:
@@ -502,8 +491,7 @@ def _check_ex20c_claim(ring: NearRing) -> TheoremReport:
     base, module = ring.extension
     m_n = module.carrier.order
     mul = ring.mul
-    is_unit = np.array([v is not None for v in units(ring)[1]], dtype=bool)
-    base_is_unit = np.array([v is not None for v in units(base)[1]], dtype=bool)
+    is_unit, base_is_unit = _is_unit(ring), _is_unit(base)
     # the witness family <u, -um> needs a unit inner inverse u of a in R
     inner = first_true((inner_products(base) == np.arange(base.order)[:, None])
                        & base_is_unit)

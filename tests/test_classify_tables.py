@@ -10,6 +10,7 @@ sets and the first witnesses.  Copies with scrambled products, built without
 validation, check the fallback taken when right distributivity fails.
 """
 import dataclasses
+import itertools
 import random
 import types
 from contextlib import contextmanager
@@ -40,8 +41,7 @@ import nearrings.classify as classify
 import nearrings.theorems as theorems
 from nearrings.classify import all_element_profiles, units
 from nearrings.core import build_M0, build_product
-from nearrings.nmodules import (IDEAL_ENUM_ORDER_CAP, left_annihilators, left_orbits,
-                                orbit_is_N_ideal)
+from nearrings.nmodules import IDEAL_ENUM_ORDER_CAP, orbit_is_N_ideal
 
 PRODUCTS = (("zn_ring(2)", "m0_z3"), ("zn_ring(4)", "zn_ring(6)"),
             ("klein4_ring", "mat2_f2"), ("mat2_f2", "zn_ring(2)"), ("m0_z3", "zn_ring(6)"))
@@ -224,8 +224,6 @@ def test_orbits_annihilators_sizes_and_units(name, seed):
     orbits, anns = reference_orbits(ring), reference_annihilators(ring)
     right_orbits = [frozenset(mul[a][x] for x in range(n)) for a in range(n)]
     right_anns = [frozenset(x for x in range(n) if mul[a][x] == 0) for a in range(n)]
-    assert list(left_orbits(ring)) == orbits
-    assert list(left_annihilators(ring)) == anns
     for a in range(n):
         assert orbit(ring, "left", a) == orbits[a]
         assert orbit(ring, "right", a) == right_orbits[a]
@@ -247,7 +245,7 @@ def test_orbits_annihilators_sizes_and_units(name, seed):
 def test_retract_orbits_fail_normality_only():
     ring = ring_named("dretract_3")
     rep = regular_representation(ring)
-    kinds = {is_N_ideal(rep, na).kind for na in left_orbits(ring)}
+    kinds = {is_N_ideal(rep, orbit(ring, "left", a)).kind for a in range(ring.order)}
     assert kinds == {"N_ideal", "not_normal"}
     assert orbit_is_N_ideal(ring).tolist() == [a < 3 for a in range(6)]
 
@@ -263,7 +261,7 @@ def test_is_N_ideal_runs_only_for_failing_orbits(monkeypatch):
     monkeypatch.setattr(classify, "is_N_ideal", counting)
     for a in range(ring.order):
         is_left_morphic(ring, a)
-    failing = [left_orbits(ring)[a] for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
+    failing = [orbit(ring, "left", a) for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
     assert failing and calls == failing
 
 
@@ -358,13 +356,20 @@ def reference_row_witnesses(ring):
                 out["idempotents_central"] = (a, x)
                 break
     if n <= IDEAL_ENUM_ORDER_CAP:
-        for ideal in enumerate_left_ideals(ring):
-            if reference_is_ideal(ring, ideal) != "two_sided_ideal":
-                out["left_duo"] = next((l, x) for l in sorted(ideal) for x in range(n)
-                                       if mul[l][x] not in ideal)
-                out["left_duo_ideal"] = tuple(sorted(ideal))
-                break
+        out.update(reference_left_duo(ring))
     return out
+
+
+def reference_left_duo(ring):
+    """The left-duo witness and ideal by the seed's scan: the first ideal
+    of the full enumeration that is not two-sided; empty when there is none."""
+    mul = ring.mul.tolist()
+    for ideal in enumerate_left_ideals(ring):
+        if reference_is_ideal(ring, ideal) != "two_sided_ideal":
+            return {"left_duo": next((l, x) for l in sorted(ideal) for x in range(ring.order)
+                                     if mul[l][x] not in ideal),
+                    "left_duo_ideal": tuple(sorted(ideal))}
+    return {}
 
 
 def reference_is_ideal(ring, subset):
@@ -430,7 +435,7 @@ def reference_lemma_this_thm217(ring):
     tid = "lemma_this_thm217"
     n, one = ring.order, ring.one
     mul, add, neg = ring.mul.tolist(), ring.add.tolist(), ring.neg.tolist()
-    anns, orbits = left_annihilators(ring), left_orbits(ring)
+    anns, orbits = reference_annihilators(ring), reference_orbits(ring)
     count = 0
     for e in range(n):
         if mul[e][e] != e:
@@ -458,7 +463,7 @@ def reference_lemma_this_thm217(ring):
 
 def reference_ccc_decomposition(ring):
     tid, n, add = "ccc_decomposition", ring.order, ring.add.tolist()
-    anns, orbits = left_annihilators(ring), left_orbits(ring)
+    anns, orbits = reference_annihilators(ring), reference_orbits(ring)
     principal = reference_orbit_is_N_ideal(ring)
     count = 0
     for a in range(n):
@@ -504,8 +509,84 @@ def reference_ex20c_claim(ring):
     return TheoremReport(tid, "pass", count)
 
 
-# The scans after each cell's hypothesis gate; the oracles above have no gate.
+def reference_lemma1_equiv(ring):
+    tid = "lemma1_equiv"
+    if ring.order > 8:
+        return TheoremReport(tid, "not_applicable",
+                             hypothesis_note=f"order {ring.order} exceeds brute-force cap 8")
+    # The search runs on every element before the first disagreement is
+    # reported: on an unvalidated table, an exception it raises for any
+    # element ends the cell.
+    searched = [classify._algorithm_I(ring, a) for a in range(ring.order)]
+    count = 0
+    for a in range(ring.order):
+        count += 1
+        if bool(is_left_morphic(ring, a)) != searched[a]:
+            return TheoremReport(tid, "fail", count,
+                                 ((a,), "witness scan and isomorphism search disagree"))
+    return TheoremReport(tid, "pass", count)
+
+
+def reference_all_morphic(tid, ring, count=0):
+    for a in range(ring.order):
+        count += 1
+        if not is_left_morphic(ring, a):
+            return TheoremReport(tid, "fail", count, ((a,), "element not left morphic"))
+    return TheoremReport(tid, "pass", count)
+
+
+def reference_lemma_ffff(ring):
+    n, mul = ring.order, ring.mul.tolist()
+    unit_set, _ = units(ring)
+    count = 0
+    for a in range(n):
+        count += 1
+        if not any(u in unit_set and mul[mul[a][u]][a] == a for u in range(n)):
+            return TheoremReport("lemma_ffff", "fail", count,
+                                 ((a,), "element not unit-regular"))
+    return TheoremReport("lemma_ffff", "pass", count)
+
+
+def reference_prop_cccxi(ring):
+    tid = "prop_cccxi"
+    conds = [("addition not commutative", ring.flags.abelian_add),
+             ("not left distributive", ring.flags.left_distributive),
+             ("multiplication not commutative", ring.flags.commutative_mul)]
+    count = 0
+    for clause, ok in conds:
+        count += 1
+        if not ok:
+            return TheoremReport(tid, "fail", count, ((), clause))
+    return reference_all_morphic(tid, ring, count)
+
+
+def reference_prop64(ring):
+    tid = "prop64"
+    unit_set, _ = units(ring)
+    anns, orbits = reference_annihilators(ring), reference_orbits(ring)
+    full = frozenset(range(ring.order))
+    morphic = [a for a in range(ring.order) if is_left_morphic(ring, a)]
+    if not morphic:
+        return TheoremReport(tid, "not_applicable", hypothesis_note="no left morphic element")
+    count = 0
+    for a in morphic:
+        count += 1
+        conds = (anns[a] == frozenset({0}), orbits[a] == full, a in unit_set)
+        if len(set(conds)) != 1:
+            return TheoremReport(tid, "fail", count,
+                                 ((a,), f"conditions not equivalent: {conds}"))
+    return TheoremReport(tid, "pass", count)
+
+
+# The scans after each cell's hypothesis gate; the oracles above have no gate
+# beyond unity (and lemma1_equiv's order cap, which ``ungated`` leaves shut).
 CELL_ORACLES = {
+    "lemma1_equiv": reference_lemma1_equiv,
+    "wsw_morphic": lambda ring: reference_all_morphic("wsw_morphic", ring),
+    "lemma_ffff": reference_lemma_ffff,
+    "prop_ff_morphic": lambda ring: reference_all_morphic("prop_ff_morphic", ring),
+    "prop_cccxi": reference_prop_cccxi,
+    "prop64": reference_prop64,
     "ex20c_claim": reference_ex20c_claim,
     "lemma13": reference_lemma13,
     "prop_ff_square": reference_prop_ff_square,
@@ -519,11 +600,21 @@ CELL_ORACLES = {
 def ungated():
     """Open the hypothesis gates of the cells in ``CELL_ORACLES`` (unity
     aside), so their scans run, and can fail, on every ring."""
-    profile = types.SimpleNamespace(regular=True, subcommutative=True)
+    profile = types.SimpleNamespace(regular=True, subcommutative=True, boolean=True,
+                                    weakly_divisible=True)
     with mock.patch.object(theorems, "_lsr_gate", return_value=None), \
             mock.patch.object(theorems, "_convention_gate", return_value=None), \
             mock.patch.object(theorems, "structure_profile", return_value=profile):
         yield
+
+
+def outcome(fn, *args):
+    """The report, or the type and message of the exception raised instead
+    (``run_suite`` records those as error cells)."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
 
 
 def assert_rewritten_scans_agree(ring):
@@ -535,7 +626,7 @@ def assert_rewritten_scans_agree(ring):
         for tid, oracle in CELL_ORACLES.items():
             if ring.one is None and tid not in ("lemma13", "prop_ff_square"):
                 continue
-            assert check(ring, tid) == oracle(ring), tid
+            assert outcome(check, ring, tid) == outcome(oracle, ring), tid
 
 
 def scrambled(name, data):
@@ -578,6 +669,20 @@ FAILING_CELLS = [
     (lambda: builtin("ext_f2_f2"), "lemma_this_thm217",
      "seven statements differ: (False, False, False, True, False, False, False)"),
     (lambda: builtin("zn_ring(4)"), "ccc_decomposition", None),
+    (lambda: with_entry(builtin("zn_ring(6)"), 0, 0, 1), "ccc_decomposition",
+     "Na is not an N-ideal"),
+    (lambda: with_entry(builtin("zn_ring(6)"), 3, 2, 2), "ccc_decomposition", "(0:a) + Na != N"),
+    (lambda: with_entry(builtin("zn_ring(2)"), 0, 1, 1), "ccc_decomposition", "a not left morphic"),
+    (lambda: with_entry(builtin("zn_ring(2)"), 0, 1, 1), "lemma1_equiv",
+     "witness scan and isomorphism search disagree"),
+    (lambda: builtin("m0_z3"), "wsw_morphic", "element not left morphic"),
+    (lambda: builtin("m0_z3"), "prop_ff_morphic", "element not left morphic"),
+    (lambda: builtin("zn_ring(8)"), "lemma_ffff", "element not unit-regular"),
+    (lambda: builtin("m0_z3"), "prop_cccxi", "not left distributive"),
+    (lambda: builtin("mat2_f2"), "prop_cccxi", "multiplication not commutative"),
+    (lambda: with_entry(builtin("zn_ring(2)"), 0, 0, 1), "prop_cccxi", "element not left morphic"),
+    (lambda: with_entry(builtin("mat2_f2"), 7, 14, 1), "prop64",
+     "conditions not equivalent: (True, True, False)"),
     (lambda: with_entry(builtin("ext_f2_f2"), 0, 0, 1), "ex20c_claim", "a*<u,-um>*a != a"),
     (lambda: with_entry(builtin("ext_f2_f2"), 2, 2, 0), "ex20c_claim", "<u,-um> not a unit"),
 ]
@@ -592,3 +697,56 @@ def test_cell_oracles_see_failures(make, tid, clause):
     assert report.status == "fail"
     if clause is not None:
         assert report.counterexample[1] == clause
+
+
+# The cells that compare three structure flags, by the seed's formulas.
+EQUIVALENCE_CELLS = {
+    "lemma_hdt": lambda sp: (sp.left_strongly_regular, sp.regular and sp.reduced,
+                             sp.regular and sp.idempotents_central),
+    "prop226": lambda sp: (sp.reduced and bool(sp.left_morphic), sp.left_strongly_regular,
+                           sp.regular and bool(sp.left_duo)),
+    "prop_tttt": lambda sp: (sp.left_strongly_regular, bool(sp.left_morphic) and sp.regular,
+                             bool(sp.unit_regular)),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(EQUIVALENCE_CELLS))
+def test_equivalence_cells_on_every_flag_combination(tid):
+    ring = builtin("zn_ring(2)")
+    names = ("left_strongly_regular", "regular", "reduced", "idempotents_central")
+    optional = ("left_morphic", "left_duo", "unit_regular")
+    for values in itertools.product((True, False), repeat=len(names)):
+        for maybe in itertools.product((True, False, None), repeat=len(optional)):
+            profile = types.SimpleNamespace(has_ifp=True, **dict(zip(names, values)),
+                                            **dict(zip(optional, maybe)))
+            with mock.patch.object(theorems, "_convention_gate", return_value=None), \
+                    mock.patch.object(theorems, "structure_profile", return_value=profile):
+                report = check(ring, tid)
+            conds = EQUIVALENCE_CELLS[tid](profile)
+            expected = (TheoremReport(tid, "pass", 3) if len(set(conds)) == 1 else
+                        TheoremReport(tid, "fail", 3,
+                                      ((), f"conditions not equivalent: {conds}")))
+            assert report == expected, profile
+
+
+# Rings with failing principal ideals of one, two and three sizes (mat2_f2,
+# M0(Z4), mat2_f2 x Z2, Klein4 x mat2_f2 of order 64) and left duo ones.
+LEFT_DUO_FAMILY = ("mat2_f2", "m0_z3", "m0_z4", "mat2_f2 x zn_ring(2)",
+                   "klein4_ring x mat2_f2", "dproj_3", "dproj_4", "dretract_6",
+                   "zn_ring(4) x zn_ring(6)", "klein4_ring")
+
+
+@given(name=st.sampled_from(LEFT_DUO_FAMILY),
+       seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)))
+@settings(max_examples=40, deadline=None)
+def test_left_duo_from_principal_ideals_matches_enumeration(name, seed):
+    ring = relabelled(ring_named(name), seed)
+    sp = structure_profile(ring)
+    ref = reference_left_duo(ring)
+    assert sp.left_duo == (not ref)
+    assert {k: v for k, v in sp.witnesses.items() if k.startswith("left_duo")} == ref
+
+
+def test_left_duo_family_has_rings_that_are_not_left_duo():
+    verdicts = [structure_profile(ring_named(name)).left_duo for name in LEFT_DUO_FAMILY]
+    assert verdicts.count(False) == 5 and verdicts.count(True) == 5

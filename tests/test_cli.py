@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nearrings import build_product, builtin, emit_table
+from nearrings import TableFormatError, build_product, builtin, emit_table, validate_module
 from nearrings.cli import main
 from nearrings.core import DEFAULT_ORDER_CAP
 
@@ -293,3 +293,40 @@ class TestLoadCap:
         rows = json.loads(rest)["rows"]
         assert rows[0] == {"file": "huge.json", "error": True}
         assert rows[1]["name"] == "klein4_ring"
+
+
+class TestNonListTables:
+    """A table, or a row of one, that is not a list is a format error:
+    exit 3 and one line, never a traceback."""
+
+    TABLES = ([0, 1], 5, None, [[0, 1], 7], {"0": [0, 1], "1": [1, 0]}, [[0, 1], {"x": 1}])
+
+    @pytest.fixture(params=range(len(TABLES)))
+    def bad_dir(self, request, tmp_path):
+        doc = {"format": "nearring-table/1", "name": "bad", "order": 2,
+               "add": self.TABLES[request.param], "mul": [[0, 0], [0, 0]]}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        return tmp_path
+
+    @staticmethod
+    def format_errors(text):
+        return [line for line in text.splitlines() if "format error" in line]
+
+    def test_validate(self, bad_dir):
+        code, text = run(["validate", str(bad_dir / "bad.json")])
+        assert code == 3
+        assert text.count("\n") == 1 and len(self.format_errors(text)) == 1
+        assert "add: " in text and ("not a list of rows" in text or "is not a list" in text)
+
+    @pytest.mark.parametrize("command", ["verify", "corpus"])
+    def test_directory(self, command, bad_dir):
+        code, text = run([command, str(bad_dir)])
+        assert code == 3
+        assert self.format_errors(text) == [
+            line for line in run(["validate", str(bad_dir / "bad.json")])[1].splitlines()]
+
+    def test_module_action(self):
+        ring = builtin("zn_ring(2)")
+        for action in (3, [[0, 1], 1]):
+            with pytest.raises(TableFormatError, match="is not a list|not a list of rows"):
+                validate_module(ring, ring.group, action)

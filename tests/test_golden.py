@@ -1,5 +1,7 @@
-"""Golden outputs: SHA-256 digests of the JSON reports on the default corpus,
-on the orders 64-96 tables of the benchmark's ``classify_mid`` workload and
+"""Golden outputs: SHA-256 digests of the JSON reports on the default corpus
+(``verify`` with and without ``--notes``), of ``verify --notes`` on the
+seed-1 inputs of the benchmark's ``suite_small`` workload, on the orders
+64-96 tables of the benchmark's ``classify_mid`` workload and
 on the one-element ring, and of the ``validate`` output on the seed-1 inputs
 of its ``validate_large`` and ``validate_invalid`` workloads.
 
@@ -20,6 +22,14 @@ from nearrings.catalog import DEFAULT_CORPUS_NAMES
 from nearrings.cli import main
 
 VERIFY_JSON = "d4baac7261b73100cfff493a008e0ddc170fa7c9401633a14f60662acb6ee747"
+
+# ``verify --format json --notes``: every cell's count, counterexample and
+# hypothesis note, on the default corpus and on the seed-1 inputs of the
+# benchmark's ``suite_small`` workload (``verify ... .`` in their directory).
+VERIFY_NOTES_JSON = {
+    "default_corpus": "2cda0a49f650c105485148a4deddc80c1bea3fece1ff4b68caa288f94de00b3b",
+    "suite_small": "cb75a4d765fb35f8b4f9a3ff1203c14def6f75b387ef96dd389366a99e86ca75",
+}
 
 CLASSIFY_JSON = {
     "klein4_ring": "7a61c2beb62a7f237486d6c6fed3920edec7556b4c9e11c2b24dfe2d3bcc816d",
@@ -111,6 +121,11 @@ def test_verify_json_digest():
     assert run_digest(["verify", "--format", "json"]) == (0, VERIFY_JSON)
 
 
+def test_verify_notes_json_digest_default_corpus():
+    assert run_digest(["verify", "--format", "json", "--notes"]) == \
+        (0, VERIFY_NOTES_JSON["default_corpus"])
+
+
 @pytest.mark.parametrize("name", DEFAULT_CORPUS_NAMES)
 def test_classify_json_digest(name, tmp_path):
     path = tmp_path / "ring.json"
@@ -148,3 +163,11 @@ def test_validate_digest(workload, name, tmp_path, monkeypatch):
     (tmp_path / name).write_text(workload_texts(workload)[name])
     monkeypatch.chdir(tmp_path)
     assert run_digest(["validate", name]) == VALIDATE[workload, name]
+
+
+def test_verify_notes_json_digest_suite_small(tmp_path, monkeypatch):
+    for name, text in workload_texts("suite_small").items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(["verify", "--format", "json", "--notes", "."]) == \
+        (0, VERIFY_NOTES_JSON["suite_small"])

@@ -168,11 +168,11 @@ def test_json_schema():
 
 def reference_lemma10(ring):
     """The exhaustive lemma10 scan: Python loops over (0:a) for every (a, u)."""
-    from nearrings import units
-    from nearrings.nmodules import left_annihilators, left_orbits
+    from nearrings import annihilator, orbit, units
     unit_set, inv = units(ring)
     n, mul, add = ring.order, ring.mul, ring.add
-    orbits, anns = left_orbits(ring), left_annihilators(ring)
+    orbits = [orbit(ring, "left", a) for a in range(n)]
+    anns = [annihilator(ring, "left", {a}) for a in range(n)]
     count = 0
     for a in range(n):
         for u in sorted(unit_set):
