@@ -70,6 +70,11 @@ def units(ring: NearRing) -> tuple[frozenset[int], tuple[Optional[int], ...]]:
     return frozenset(a for a, v in enumerate(inv) if v is not None), inv
 
 
+def unit_mask(ring: NearRing) -> np.ndarray:
+    """Bool vector: a is a unit (``units``)."""
+    return np.array([v is not None for v in units(ring)[1]], dtype=bool)
+
+
 @dataclass(frozen=True)
 class MorphicVerdict:
     status: str  # morphic | na_not_ideal | no_witness
@@ -173,7 +178,7 @@ def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
     idx = np.arange(n)
     unital = ring.one is not None
     unit_set, inv = units(ring) if unital else (frozenset(), (None,) * n)
-    is_unit = np.array([v is not None for v in inv], dtype=bool)
+    is_unit = unit_mask(ring) if unital else np.zeros(n, dtype=bool)
     orbit_left, orbit_right, ann_left, ann_right = (
         table.sum(axis=1).tolist()
         for table in (orbit_masks(ring, "left"), orbit_masks(ring, "right"),

@@ -31,6 +31,7 @@ from .classify import (
     inner_products,
     is_left_morphic,
     structure_profile,
+    unit_mask,
     units,
     _algorithm_I,
 )
@@ -106,10 +107,6 @@ def _morphic(ring: NearRing) -> np.ndarray:
     return np.array([bool(is_left_morphic(ring, a)) for a in range(ring.order)], dtype=bool)
 
 
-def _is_unit(ring: NearRing) -> np.ndarray:
-    return np.array([v is not None for v in units(ring)[1]], dtype=bool)
-
-
 # ---------------------------------------------------------------------------
 # entries
 
@@ -120,9 +117,12 @@ def _check_lemma1_equiv(ring: NearRing) -> TheoremReport:
         return _na(tid, "near-ring has no unity")
     if ring.order > BRUTEFORCE_ISO_CAP:
         return _na(tid, f"order {ring.order} exceeds brute-force cap {BRUTEFORCE_ISO_CAP}")
-    searched = [_algorithm_I(ring, a) for a in range(ring.order)]
+    n, morphic = ring.order, _morphic(ring)
+    # The search stops at the first disagreement: on a table that is not a
+    # near-ring it may raise at a later element.
+    first = next((a for a in range(n) if morphic[a] != _algorithm_I(ring, a)), n)
     return _first_failure(tid, ("witness scan and isomorphism search disagree",),
-                          [_morphic(ring) == searched])
+                          [np.arange(n) < first])
 
 
 def _lemma10_map_failure(ring: NearRing, a: int, u: int) -> Optional[tuple[int, str]]:
@@ -221,7 +221,7 @@ def _check_prop64(ring: NearRing) -> TheoremReport:
     only_zero = np.arange(ring.order) == 0
     # [condition, i] at the i-th left morphic element
     conds = np.stack([(annihilator_masks(ring, "left")[ms] == only_zero).all(axis=1),
-                      orbit_masks(ring, "left")[ms].all(axis=1), _is_unit(ring)[ms]])
+                      orbit_masks(ring, "left")[ms].all(axis=1), unit_mask(ring)[ms]])
     differ = np.flatnonzero(conds.any(axis=0) != conds.all(axis=0))
     if len(differ):
         i = int(differ[0])
@@ -254,15 +254,14 @@ def _check_ccc_decomposition(ring: NearRing) -> TheoremReport:
         return _na(tid, "not a generalised near-field (regular + subcommutative)")
     n, add = ring.order, ring.add
     anns, orbits = annihilator_masks(ring, "left"), orbit_masks(ring, "left")
-    pa, x = np.nonzero(anns)                  # x in (0:a)
-    pair, y = np.nonzero(orbits[pa])          # y in Na
-    sums = np.zeros((n, n), dtype=bool)       # row a: (0:a) + Na
-    sums[pa[pair], add[x[pair], y]] = True
+    # (0:a) + Na = N, one |(0:a)| x |Na| sum table at a time
+    covers = [np.bincount(add[np.flatnonzero(anns[a])[:, None], np.flatnonzero(orbits[a])]
+                          .ravel(), minlength=n).all() for a in range(n)]
     clauses = ("Na is not an N-ideal", "(0:a) meets Na nontrivially", "(0:a) + Na != N",
                "a not left morphic")
     return _first_failure(tid, clauses, [orbit_is_N_ideal(ring),
                                          ((anns & orbits) == (np.arange(n) == 0)).all(axis=1),
-                                         sums.all(axis=1), _morphic(ring)])
+                                         covers, _morphic(ring)])
 
 
 def _check_wsw_morphic(ring: NearRing) -> TheoremReport:
@@ -491,7 +490,7 @@ def _check_ex20c_claim(ring: NearRing) -> TheoremReport:
     base, module = ring.extension
     m_n = module.carrier.order
     mul = ring.mul
-    is_unit, base_is_unit = _is_unit(ring), _is_unit(base)
+    is_unit, base_is_unit = unit_mask(ring), unit_mask(base)
     # the witness family <u, -um> needs a unit inner inverse u of a in R
     inner = first_true((inner_products(base) == np.arange(base.order)[:, None])
                        & base_is_unit)
