@@ -91,12 +91,16 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
 
     Decides whether N/Na is isomorphic to (0:a) via an additive bijection
     that intertwines the quotient action with the ambient multiplication.
+    On a table with 0*a != 0, (0:a) lacks 0, so it is no subgroup and no
+    isomorphism exists.
     """
     na = orbit(ring, "left", a)
     if not is_N_ideal(regular_representation(ring), na):
         return False
-    quot = quotient_module(regular_representation(ring), na)
     ann = annihilator(ring, "left", (a,))
+    if 0 not in ann:
+        return False
+    quot = quotient_module(regular_representation(ring), na)
     return bool(modules_isomorphic(quot.module, ann, mode="bruteforce"))
 
 

@@ -355,7 +355,10 @@ def _left_dist_witness(add: np.ndarray, mul: np.ndarray,
 
 def validate_group(add, labels=None) -> FiniteGroup:
     """Validate an addition table as a group with identity at index 0."""
-    n = len(add)
+    try:
+        n = len(add)
+    except TypeError:
+        raise TableFormatError("add: not a list of rows") from None
     if n < 1:
         raise TableFormatError("empty addition table")
     add = _check_table(add, n, n, "add")
@@ -431,8 +434,11 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
     group = validate_group(add, labels=labels)
     n, add = group.order, group.add
     mul = _check_table(mul, n, n, "mul")
-    if one is not None and not 0 <= one < n:
-        raise TableFormatError(f"one: index {one} out of range [0,{n})")
+    if isinstance(one, np.integer):
+        one = int(one)
+    if one is not None and (not isinstance(one, int) or isinstance(one, bool)
+                            or not 0 <= one < n):
+        raise TableFormatError(f"one: index {one!r} out of range [0,{n})")
     gens = group_generators(group)
     # Laws are reported in the order mul_assoc, right_dist, but the reduced
     # associativity check needs right distributivity, so that runs first.

@@ -6,8 +6,13 @@ false the report is not_applicable and records why.  Scan order is always
 ascending element index, lexicographic over tuples, so the first
 counterexample is well defined.
 
-Several results are stated under the running convention of a unital
-zero-symmetric near-ring; those entries gate on both flags.
+Most results are stated under the paper's running convention of a unital
+zero-symmetric near-ring, some also for left strongly regular ones.  Each
+catalog entry declares that shared hypothesis as its gate (none, unity, the
+convention, or the convention and left strong regularity), and ``check``
+applies the gate before the entry runs: a ring that fails it is
+not_applicable with the gate's note.  Hypotheses of one entry alone stay in
+that entry.
 
 Entries read the whole-ring tables: rows of the orbit and annihilator masks,
 the element profiles, and one bool vector of left morphic elements.  A scan
@@ -71,13 +76,28 @@ def _na(tid: str, note: str) -> TheoremReport:
     return TheoremReport(tid, "not_applicable", hypothesis_note=note)
 
 
+# A gate returns the note saying why the ring fails it, or None.
+Gate = Callable[[NearRing], Optional[str]]
+Cell = Callable[[NearRing, str], TheoremReport]
+
+
+def _unital(ring: NearRing) -> Optional[str]:
+    return "near-ring has no unity" if ring.one is None else None
+
+
 def _convention_gate(ring: NearRing) -> Optional[str]:
-    """Results stated for unital zero-symmetric near-rings."""
-    if ring.one is None:
-        return "near-ring has no unity"
-    if not ring.flags.zero_symmetric:
-        return "near-ring is not zero-symmetric"
-    return None
+    """The running convention: a unital zero-symmetric near-ring."""
+    note = _unital(ring)
+    if note is None and not ring.flags.zero_symmetric:
+        note = "near-ring is not zero-symmetric"
+    return note
+
+
+def _lsr_gate(ring: NearRing) -> Optional[str]:
+    note = _convention_gate(ring)
+    if note is None and not structure_profile(ring).left_strongly_regular:
+        note = "not left strongly regular"
+    return note
 
 
 def _first_failure(tid: str, clauses: tuple[str, ...], holds, offset: int = 0) -> TheoremReport:
@@ -111,10 +131,7 @@ def _morphic(ring: NearRing) -> np.ndarray:
 # entries
 
 
-def _check_lemma1_equiv(ring: NearRing) -> TheoremReport:
-    tid = "lemma1_equiv"
-    if ring.one is None:
-        return _na(tid, "near-ring has no unity")
+def _check_lemma1_equiv(ring: NearRing, tid: str) -> TheoremReport:
     if ring.order > BRUTEFORCE_ISO_CAP:
         return _na(tid, f"order {ring.order} exceeds brute-force cap {BRUTEFORCE_ISO_CAP}")
     n, morphic = ring.order, _morphic(ring)
@@ -148,10 +165,7 @@ def _map_is_linear(ring: NearRing, u: int) -> bool:
             and np.array_equal(xu[mul], mul[:, xu]))
 
 
-def _check_lemma10(ring: NearRing) -> TheoremReport:
-    tid = "lemma10"
-    if ring.one is None:
-        return _na(tid, "near-ring has no unity")
+def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
     unit_set, inv = units(ring)
     if not unit_set:
         return _na(tid, "no units")
@@ -189,10 +203,7 @@ def _check_lemma10(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", n * len(us))
 
 
-def _check_prop2(ring: NearRing) -> TheoremReport:
-    tid = "prop2"
-    if ring.one is None:
-        return _na(tid, "near-ring has no unity")
+def _check_prop2(ring: NearRing, tid: str) -> TheoremReport:
     unit_set, _ = units(ring)
     morphic = _morphic(ring)
     if not morphic.any() or not unit_set:
@@ -211,10 +222,7 @@ def _check_prop2(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", len(ms) * len(us))
 
 
-def _check_prop64(ring: NearRing) -> TheoremReport:
-    tid = "prop64"
-    if ring.one is None:
-        return _na(tid, "near-ring has no unity")
+def _check_prop64(ring: NearRing, tid: str) -> TheoremReport:
     ms = np.flatnonzero(_morphic(ring))
     if not len(ms):
         return _na(tid, "no left morphic element")
@@ -229,8 +237,7 @@ def _check_prop64(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", len(ms))
 
 
-def _check_product_morphic(ring: NearRing) -> TheoremReport:
-    tid = "product_morphic"
+def _check_product_morphic(ring: NearRing, tid: str) -> TheoremReport:
     if not ring.factors:
         return _na(tid, "not built as a direct product")
     if ring.one is None or any(f.one is None for f in ring.factors):
@@ -244,11 +251,7 @@ def _check_product_morphic(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", count)
 
 
-def _check_ccc_decomposition(ring: NearRing) -> TheoremReport:
-    tid = "ccc_decomposition"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_ccc_decomposition(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not (sp.regular and sp.subcommutative):
         return _na(tid, "not a generalised near-field (regular + subcommutative)")
@@ -264,22 +267,14 @@ def _check_ccc_decomposition(ring: NearRing) -> TheoremReport:
                                          covers, _morphic(ring)])
 
 
-def _check_wsw_morphic(ring: NearRing) -> TheoremReport:
-    tid = "wsw_morphic"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_wsw_morphic(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not sp.weakly_divisible:
         return _na(tid, "not weakly divisible")
     return _first_failure(tid, ("element not left morphic",), [_morphic(ring)])
 
 
-def _check_lemma213(ring: NearRing) -> TheoremReport:
-    tid = "lemma213"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_lemma213(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not sp.regular or ring.order <= 1:
         return _na(tid, "not a non-zero regular near-ring")
@@ -290,31 +285,14 @@ def _check_lemma213(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", 2)
 
 
-def _check_lemma_hdt(ring: NearRing) -> TheoremReport:
-    tid = "lemma_hdt"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_lemma_hdt(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     return _equivalence(tid, (sp.left_strongly_regular,
                               sp.regular and sp.reduced,
                               sp.regular and sp.idempotents_central), 3)
 
 
-def _lsr_gate(ring: NearRing, tid: str):
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
-    if not structure_profile(ring).left_strongly_regular:
-        return _na(tid, "not left strongly regular")
-    return None
-
-
-def _check_lemma13(ring: NearRing) -> TheoremReport:
-    tid = "lemma13"
-    blocked = _lsr_gate(ring, tid)
-    if blocked:
-        return blocked
+def _check_lemma13(ring: NearRing, tid: str) -> TheoremReport:
     mul = ring.mul
     idx = np.arange(ring.order)
     # [a, x]: x*a^2 == a is the hypothesis; each (a, x) meeting it counts one
@@ -329,38 +307,22 @@ def _check_lemma13(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", int(hyp.sum()))
 
 
-def _check_lemma_ffff(ring: NearRing) -> TheoremReport:
-    tid = "lemma_ffff"
-    blocked = _lsr_gate(ring, tid)
-    if blocked:
-        return blocked
+def _check_lemma_ffff(ring: NearRing, tid: str) -> TheoremReport:
     return _first_failure(tid, ("element not unit-regular",),
                           [[p.is_unit_regular for p in all_element_profiles(ring)]])
 
 
-def _check_prop_ff_square(ring: NearRing) -> TheoremReport:
-    tid = "prop_ff_square"
-    blocked = _lsr_gate(ring, tid)
-    if blocked:
-        return blocked
+def _check_prop_ff_square(ring: NearRing, tid: str) -> TheoremReport:
     regular = np.array([p.is_regular for p in all_element_profiles(ring)], dtype=bool)
     idx = np.arange(ring.order)
     return _first_failure(tid, ("a^2 not regular",), [regular[ring.mul[idx, idx]]])
 
 
-def _check_prop_ff_morphic(ring: NearRing) -> TheoremReport:
-    tid = "prop_ff_morphic"
-    blocked = _lsr_gate(ring, tid)
-    if blocked:
-        return blocked
+def _check_prop_ff_morphic(ring: NearRing, tid: str) -> TheoremReport:
     return _first_failure(tid, ("element not left morphic",), [_morphic(ring)])
 
 
-def _check_lemma_this_thm217(ring: NearRing) -> TheoremReport:
-    tid = "lemma_this_thm217"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_lemma_this_thm217(ring: NearRing, tid: str) -> TheoremReport:
     n, mul, add, neg, one = ring.order, ring.mul, ring.add, ring.neg, ring.one
     anns, orbits = annihilator_masks(ring, "left"), orbit_masks(ring, "left")
     idx = np.arange(n)
@@ -387,11 +349,7 @@ def _check_lemma_this_thm217(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", count)
 
 
-def _check_prop_cccxi(ring: NearRing) -> TheoremReport:
-    tid = "prop_cccxi"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_prop_cccxi(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not sp.boolean:
         return _na(tid, "not Boolean (some element is not idempotent)")
@@ -404,11 +362,7 @@ def _check_prop_cccxi(ring: NearRing) -> TheoremReport:
     return _first_failure(tid, ("element not left morphic",), [_morphic(ring)], len(conds))
 
 
-def _check_prop226(ring: NearRing) -> TheoremReport:
-    tid = "prop226"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_prop226(ring: NearRing, tid: str) -> TheoremReport:
     # structure_profile leaves left_duo undecided above this order (see there).
     if ring.order > IDEAL_ENUM_ORDER_CAP:
         return _na(tid, f"order {ring.order} exceeds ideal enumeration cap")
@@ -418,11 +372,7 @@ def _check_prop226(ring: NearRing) -> TheoremReport:
                               sp.regular and sp.left_duo), 3)
 
 
-def _check_thm62(ring: NearRing) -> TheoremReport:
-    tid = "thm62"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_thm62(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not (sp.left_morphic and sp.regular):
         return _na(tid, "not a left morphic regular near-ring")
@@ -445,11 +395,7 @@ def _check_thm62(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", count)
 
 
-def _check_prop_tttt(ring: NearRing) -> TheoremReport:
-    tid = "prop_tttt"
-    gate = _convention_gate(ring)
-    if gate:
-        return _na(tid, gate)
+def _check_prop_tttt(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not sp.has_ifp:
         return _na(tid, "near-ring does not have IFP")
@@ -458,8 +404,7 @@ def _check_prop_tttt(ring: NearRing) -> TheoremReport:
                               sp.unit_regular), 3)
 
 
-def _check_ehrlich_T(ring: NearRing) -> TheoremReport:
-    tid = "ehrlich_T"
+def _check_ehrlich_T(ring: NearRing, tid: str) -> TheoremReport:
     if not ring.is_ring() or ring.one is None:
         return _na(tid, "not a unital ring")
     sp = structure_profile(ring)
@@ -471,8 +416,7 @@ def _check_ehrlich_T(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", 2)
 
 
-def _check_ex20_claim(ring: NearRing) -> TheoremReport:
-    tid = "ex20_claim"
+def _check_ex20_claim(ring: NearRing, tid: str) -> TheoremReport:
     if not same_tables(ring, builtin("m0_z3")):
         return _na(tid, "tables differ from the zero-fixing maps on Z3")
     sp = structure_profile(ring)
@@ -483,8 +427,7 @@ def _check_ex20_claim(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", 2)
 
 
-def _check_ex20c_claim(ring: NearRing) -> TheoremReport:
-    tid = "ex20c_claim"
+def _check_ex20c_claim(ring: NearRing, tid: str) -> TheoremReport:
     if not ring.extension:
         return _na(tid, "not built as an R x M extension")
     base, module = ring.extension
@@ -515,8 +458,7 @@ def _check_ex20c_claim(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", count)
 
 
-def _check_ex_gggg_claim(ring: NearRing) -> TheoremReport:
-    tid = "ex_gggg_claim"
+def _check_ex_gggg_claim(ring: NearRing, tid: str) -> TheoremReport:
     if not same_tables(ring, builtin("mat2_f2")):
         return _na(tid, "tables differ from 2x2 matrices over F2")
     sp = structure_profile(ring)
@@ -532,29 +474,30 @@ def _check_ex_gggg_claim(ring: NearRing) -> TheoremReport:
     return TheoremReport(tid, "pass", count)
 
 
-_CATALOG: dict[str, tuple[str, Callable[[NearRing], TheoremReport]]] = {
-    "lemma1_equiv": ("witness scan agrees with quotient isomorphism search", _check_lemma1_equiv),
-    "lemma10": ("unit translation laws for orbits and annihilators", _check_lemma10),
-    "prop2": ("left morphic elements are closed under unit translation", _check_prop2),
-    "prop64": ("trivial annihilator, full orbit, and invertibility coincide", _check_prop64),
-    "product_morphic": ("a direct product is left morphic iff every factor is", _check_product_morphic),
-    "ccc_decomposition": ("generalised near-fields decompose as (0:a) + Na", _check_ccc_decomposition),
-    "wsw_morphic": ("finite weakly divisible near-rings are left morphic", _check_wsw_morphic),
-    "lemma213": ("regular: reduced iff idempotents central", _check_lemma213),
-    "lemma_hdt": ("left strongly regular iff regular+reduced iff regular+central idempotents", _check_lemma_hdt),
-    "lemma13": ("a = xa^2 implies a = axa and ax = xa", _check_lemma13),
-    "lemma_ffff": ("left strongly regular implies unit-regular", _check_lemma_ffff),
-    "prop_ff_square": ("left strongly regular: squares are regular", _check_prop_ff_square),
-    "prop_ff_morphic": ("left strongly regular implies left morphic", _check_prop_ff_morphic),
-    "lemma_this_thm217": ("seven equivalent characterizations of morphic idempotents", _check_lemma_this_thm217),
-    "prop_cccxi": ("Boolean near-rings are commutative morphic rings", _check_prop_cccxi),
-    "prop226": ("reduced+morphic iff left strongly regular iff regular+left duo", _check_prop226),
-    "thm62": ("left morphic regular implies unit-regular via u = xax+b", _check_thm62),
-    "prop_tttt": ("with IFP: strongly regular, morphic+regular, unit-regular coincide", _check_prop_tttt),
-    "ehrlich_T": ("rings: unit-regular iff regular and left morphic", _check_ehrlich_T),
-    "ex20_claim": ("zero-fixing maps on Z3: unit-regular, not left morphic", _check_ex20_claim),
-    "ex20c_claim": ("R x M extensions: unit-regular, never morphic off the zero section", _check_ex20c_claim),
-    "ex_gggg_claim": ("2x2 matrices over F2: morphic regular, not duo, not strongly regular", _check_ex_gggg_claim),
+# id: (description, gate, cell)
+_CATALOG: dict[str, tuple[str, Optional[Gate], Cell]] = {
+    "lemma1_equiv": ("witness scan agrees with quotient isomorphism search", _unital, _check_lemma1_equiv),
+    "lemma10": ("unit translation laws for orbits and annihilators", _unital, _check_lemma10),
+    "prop2": ("left morphic elements are closed under unit translation", _unital, _check_prop2),
+    "prop64": ("trivial annihilator, full orbit, and invertibility coincide", _unital, _check_prop64),
+    "product_morphic": ("a direct product is left morphic iff every factor is", None, _check_product_morphic),
+    "ccc_decomposition": ("generalised near-fields decompose as (0:a) + Na", _convention_gate, _check_ccc_decomposition),
+    "wsw_morphic": ("finite weakly divisible near-rings are left morphic", _convention_gate, _check_wsw_morphic),
+    "lemma213": ("regular: reduced iff idempotents central", _convention_gate, _check_lemma213),
+    "lemma_hdt": ("left strongly regular iff regular+reduced iff regular+central idempotents", _convention_gate, _check_lemma_hdt),
+    "lemma13": ("a = xa^2 implies a = axa and ax = xa", _lsr_gate, _check_lemma13),
+    "lemma_ffff": ("left strongly regular implies unit-regular", _lsr_gate, _check_lemma_ffff),
+    "prop_ff_square": ("left strongly regular: squares are regular", _lsr_gate, _check_prop_ff_square),
+    "prop_ff_morphic": ("left strongly regular implies left morphic", _lsr_gate, _check_prop_ff_morphic),
+    "lemma_this_thm217": ("seven equivalent characterizations of morphic idempotents", _convention_gate, _check_lemma_this_thm217),
+    "prop_cccxi": ("Boolean near-rings are commutative morphic rings", _convention_gate, _check_prop_cccxi),
+    "prop226": ("reduced+morphic iff left strongly regular iff regular+left duo", _convention_gate, _check_prop226),
+    "thm62": ("left morphic regular implies unit-regular via u = xax+b", _convention_gate, _check_thm62),
+    "prop_tttt": ("with IFP: strongly regular, morphic+regular, unit-regular coincide", _convention_gate, _check_prop_tttt),
+    "ehrlich_T": ("rings: unit-regular iff regular and left morphic", None, _check_ehrlich_T),
+    "ex20_claim": ("zero-fixing maps on Z3: unit-regular, not left morphic", None, _check_ex20_claim),
+    "ex20c_claim": ("R x M extensions: unit-regular, never morphic off the zero section", None, _check_ex20c_claim),
+    "ex_gggg_claim": ("2x2 matrices over F2: morphic regular, not duo, not strongly regular", None, _check_ex_gggg_claim),
 }
 
 
@@ -567,11 +510,14 @@ def theorem_description(theorem_id: str) -> str:
 
 
 def check(ring: NearRing, theorem_id: str) -> TheoremReport:
-    """Evaluate one entry; a size limit on the way is not_applicable."""
+    """Evaluate one entry: its gate, then its cell.  A size limit on the way
+    is not_applicable."""
     if theorem_id not in _CATALOG:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
+    _, gate, cell = _CATALOG[theorem_id]
     try:
-        return _CATALOG[theorem_id][1](ring)
+        note = gate(ring) if gate else None
+        return _na(theorem_id, note) if note else cell(ring, theorem_id)
     except CapExceeded as exc:
         return _na(theorem_id, str(exc))
 

@@ -594,14 +594,22 @@ CELL_ORACLES = {
 }
 
 
+def open_convention_gates():
+    """Clear the convention and left-strongly-regular gates in the catalog's
+    gate column; the unity gate stays."""
+    shut = (theorems._convention_gate, theorems._lsr_gate)
+    return mock.patch.dict(theorems._CATALOG, {
+        tid: (description, None, cell)
+        for tid, (description, gate, cell) in theorems._CATALOG.items() if gate in shut})
+
+
 @contextmanager
 def ungated():
     """Open the hypothesis gates of the cells in ``CELL_ORACLES`` (unity
     aside), so their scans run, and can fail, on every ring."""
     profile = types.SimpleNamespace(regular=True, subcommutative=True, boolean=True,
                                     weakly_divisible=True)
-    with mock.patch.object(theorems, "_lsr_gate", return_value=None), \
-            mock.patch.object(theorems, "_convention_gate", return_value=None), \
+    with open_convention_gates(), \
             mock.patch.object(theorems, "structure_profile", return_value=profile):
         yield
 
@@ -609,14 +617,13 @@ def ungated():
 # The isomorphism search behind lemma1_equiv assumes a near-ring.  On a
 # scrambled table it may raise one of these (by type, message prefix); the
 # cell must then raise the same.
-SEARCH_ERRORS = {ValueError: "embedded target must contain 0",
-                 InvariantError: "quotient action depends on coset representative"}
+SEARCH_ERRORS = {InvariantError: "quotient action depends on coset representative"}
 
 
 def assert_lemma1_equiv_agrees(ring):
     try:
         expected = reference_lemma1_equiv(ring)
-    except (ValueError, InvariantError) as exc:
+    except tuple(SEARCH_ERRORS) as exc:
         assert str(exc).startswith(SEARCH_ERRORS[type(exc)]), exc
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             check(ring, "lemma1_equiv")
@@ -667,6 +674,12 @@ def with_entry(ring, x, y, v):
     mul = ring.mul.tolist()
     mul[x][y] = v
     return dataclasses.replace(ring, mul=mul)
+
+
+def test_lemma1_equiv_without_zero_in_the_annihilator():
+    # 0*1 = 1, so (0:1) lacks 0: no subgroup, so no isomorphism to search for
+    ring = with_entry(builtin("klein4_ring"), 0, 1, 1)
+    assert check(ring, "lemma1_equiv") == TheoremReport("lemma1_equiv", "pass", 4)
 
 
 # Inputs on which a cell's scan fails, so the agreement above is seen to
@@ -732,7 +745,7 @@ def test_equivalence_cells_on_every_flag_combination(tid):
         for maybe in itertools.product((True, False, None), repeat=len(optional)):
             profile = types.SimpleNamespace(has_ifp=True, **dict(zip(names, values)),
                                             **dict(zip(optional, maybe)))
-            with mock.patch.object(theorems, "_convention_gate", return_value=None), \
+            with open_convention_gates(), \
                     mock.patch.object(theorems, "structure_profile", return_value=profile):
                 report = check(ring, tid)
             conds = EQUIVALENCE_CELLS[tid](profile)

@@ -1,4 +1,5 @@
 """Validation, construction, and serialization of near-ring tables."""
+import ast
 import json
 import os
 import subprocess
@@ -85,6 +86,16 @@ class TestValidateGroup:
             validate_group(add)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("validate", [
+        lambda: validate_nearring(5, [[0]]),
+        lambda: validate_nearring(None, None),
+        lambda: validate_group(7),
+    ], ids=["nearring_int", "nearring_none", "group_int"])
+    def test_addition_table_that_is_not_a_list(self, validate):
+        with pytest.raises(TableFormatError) as exc:
+            validate()
+        assert str(exc.value) == "add: not a list of rows"
+
 
 class TestValidateNearring:
     def test_klein4_flags(self):
@@ -123,6 +134,16 @@ class TestValidateNearring:
         with pytest.raises(AxiomViolation) as exc:
             validate_nearring(_KLEIN4_ADD, _KLEIN4_MUL, one=0)
         assert exc.value.law == "unity"
+
+    @pytest.mark.parametrize("one", [1.0, "1", True])
+    def test_declared_unity_must_be_an_index(self, one):
+        with pytest.raises(TableFormatError) as exc:
+            validate_nearring(_KLEIN4_ADD, _KLEIN4_MUL, one=one)
+        assert str(exc.value) == f"one: index {one!r} out of range [0,4)"
+
+    def test_declared_unity_may_be_a_numpy_integer(self):
+        ring = validate_nearring(_KLEIN4_ADD, _KLEIN4_MUL, one=np.int64(2))
+        assert ring.one == 2 and type(ring.one) is int
 
     def test_unity_found_when_not_declared(self):
         ring = validate_nearring(_KLEIN4_ADD, _KLEIN4_MUL)
@@ -342,3 +363,13 @@ def test_invariants_survive_optimize(name):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised ")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts; invariants raise InvariantError instead
+    package = Path(__file__).resolve().parents[1] / "src" / "nearrings"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
