@@ -18,7 +18,12 @@ it holds everywhere as soon as it holds on S.  Validation keeps S as the
 group's ``group_generators``, which the N-ideal test reuses.  When a
 reduced check fails, the exhaustive scan for that law alone runs to report
 the first witness in ascending scan order; every reported failure carries a
-witness tuple that re-evaluates to a violation on the raw tables.
+witness tuple that re-evaluates to a violation on the raw tables.  The
+associativity scan does a full row check only for the first of each set of
+equal rows, since equal rows have the same check, and compares row labels
+for the repeats among the middle factors; with k distinct rows it costs
+O(k^2 n + n^2), within O(k n^2 + n^2), and O(n^3) as before when all rows
+differ.
 
 Every table (``FiniteGroup.add``/``neg``, ``NearRing.mul``, ``NModule.action``)
 is stored once, as a read-only int64 array, converted on construction (also
@@ -193,11 +198,12 @@ def memoized(fn):
 
 def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
     """``table`` as a read-only int64 ``rows`` x ``cols`` array of indices
-    in [0, cols).  Fast accept: an integer array, or nested lists of exactly
-    ``int`` (not ``bool``), of the right shape and range.  Anything else
-    takes the loop below, which names the first offending row or entry; a
-    table or row that is not a list (a number, null, a JSON object) is
-    refused as such."""
+    in [0, cols).  Fast path: an integer array, or nested lists of exactly
+    ``int`` (not ``bool``), of the right shape, is range-checked as an
+    array, which names the first out-of-range entry in row-major order.
+    Anything else takes the loop below, which names the first offending row
+    or entry; a table or row that is not a list (a number, null, a JSON
+    object) is refused as such."""
     arr = None
     if isinstance(table, np.ndarray):
         if np.issubdtype(table.dtype, np.integer) and table.shape == (rows, cols):
@@ -209,8 +215,12 @@ def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
             arr = _seal(np.array(table, dtype=np.int64))
         except OverflowError:  # an entry beyond int64; the loop reports it
             pass
-    if arr is not None and arr.min() >= 0 and arr.max() < cols:
-        return _as_table(arr)
+    if arr is not None:
+        if arr.min() >= 0 and arr.max() < cols:
+            return _as_table(arr)
+        i, j = divmod(int(((arr < 0) | (arr >= cols)).argmax()), cols)
+        raise TableFormatError(
+            f"{field}: entry {int(arr[i, j])!r} in row {i} out of range [0,{cols})")
     if isinstance(table, np.ndarray):
         table = table.tolist()
     if not isinstance(table, (list, tuple)):
@@ -313,16 +323,45 @@ def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
     return bad
 
 
+def _row_classes(t: np.ndarray) -> np.ndarray:
+    """``rep[i]``: the least index whose row of ``t`` equals row i.
+
+    Rows are bucketed by the hash of their bytes and every match is
+    confirmed with ``np.array_equal``; only indices are kept."""
+    rep = np.arange(len(t))
+    buckets: dict[int, list[int]] = {}
+    for i, row in enumerate(t):
+        bucket = buckets.setdefault(hash(row.tobytes()), [])
+        rep[i] = next((p for p in bucket if np.array_equal(t[p], row)), i)
+        if rep[i] == i:
+            bucket.append(i)
+    return rep
+
+
 def _assoc_witness(t: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """First (i,j,k) with (i.j).k != i.(j.k), scanning i ascending."""
-    n = len(t)
-    for i in range(n):
-        lhs = t[t[i], :]          # (j,k) -> (i.j).k
-        rhs = t[i, t]             # (j,k) -> i.(j.k)
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            j, k = bad[0]
-            return (i, int(j), int(k))
+    """First (i,j,k) with (i.j).k != i.(j.k), scanning i, j, k ascending.
+
+    Row i's check reads only the contents of row i, so a row equal to an
+    earlier row, which has passed, passes too: only the first of each set
+    of equal rows is checked.  Within that check, a row j equal to an
+    earlier row p that passed has i.(j.k) = i.(p.k) = (i.p).k, so j fails
+    iff rows i.j and i.p differ, a comparison of row labels.  With k
+    distinct rows this costs O(k^2 n + n^2): O(n^3) only when all rows
+    differ, as before.
+    """
+    rep = _row_classes(t)
+    firsts = np.flatnonzero(rep == np.arange(len(t)))
+    first_rows = t[firsts]
+    for i in firsts.tolist():
+        lhs = t[t[i, firsts]]     # (p,k) -> (i.p).k over the first rows p
+        rhs = t[i][first_rows]    # (p,k) -> i.(p.k)
+        bad = np.zeros(len(t), dtype=bool)
+        bad[firsts] = (lhs != rhs).any(axis=1)
+        bad = bad[rep] | (rep[t[i]] != rep[t[i, rep]])
+        if bad.any():
+            j = int(bad.argmax())
+            k = int((t[t[i, j]] != t[i, t[j]]).argmax())
+            return (i, j, k)
     return None
 
 
@@ -606,8 +645,8 @@ def from_document(raw: RawTables) -> NearRing:
     ident = np.flatnonzero(_identities(add))
     if len(ident) and ident[0] != 0:
         e = ident[0]
-        old = np.concatenate(([e], np.delete(np.arange(raw.order), e)))  # new -> old
-        new = np.empty_like(old)                                          # old -> new
+        old = np.concatenate(([e], np.arange(e), np.arange(e + 1, raw.order)))  # new -> old
+        new = np.empty_like(old)                                                # old -> new
         new[old] = np.arange(raw.order)
         add = new[add[old[:, None], old]]
         mul = new[mul[old[:, None], old]]

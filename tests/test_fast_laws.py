@@ -1,8 +1,10 @@
 """The generator-reduced law checks against the exhaustive scans.
 
-The exhaustive scans (``_assoc_witness``, ``_right_dist_witness``,
-``_left_dist_witness``) are the oracle: validation must return the same
-verdict and the same first witness as running them in validation order.
+The exhaustive scans (``reference_assoc_witness`` below, and
+``_right_dist_witness``, ``_left_dist_witness``) are the oracle: validation
+must return the same verdict and the same first witness as running them in
+validation order.  ``_assoc_witness``, which skips repeated rows, must
+agree with ``reference_assoc_witness`` on its own as well.
 """
 import json
 
@@ -25,6 +27,19 @@ BUILTINS = ("klein4_ring", "zn_ring(6)", "zn_ring(9)", "m0_z3", "mat2_f2",
             "klein4_x_f2", "ext_f2_f2")
 
 
+def reference_assoc_witness(t):
+    """First (i,j,k) with (i.j).k != i.(j.k), scanning i ascending."""
+    n = len(t)
+    for i in range(n):
+        lhs = t[t[i], :]          # (j,k) -> (i.j).k
+        rhs = t[i, t]             # (j,k) -> i.(j.k)
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            j, k = bad[0]
+            return (i, int(j), int(k))
+    return None
+
+
 def reference_outcome(add, mul):
     """Seed-order exhaustive validation: the first failing law and its
     witness, or ("ok", first left-distributivity witness or None)."""
@@ -33,13 +48,13 @@ def reference_outcome(add, mul):
     for j in range(n):
         if a[0][j] != j or a[j][0] != j:
             return ("add_identity", (j,))
-    w = _assoc_witness(a)
+    w = reference_assoc_witness(a)
     if w is not None:
         return ("add_assoc", w)
     for i in range(n):
         if not any(a[i][j] == 0 and a[j][i] == 0 for j in range(n)):
             return ("add_inverse", (i,))
-    w = _assoc_witness(m)
+    w = reference_assoc_witness(m)
     if w is not None:
         return ("mul_assoc", w)
     w = _right_dist_witness(a, m)
@@ -96,14 +111,15 @@ def right_projection(add):
 
 
 @st.composite
-def corrupt(draw, table, max_hits=3):
-    """Overwrite a few entries off row 0 and column 0."""
+def corrupt(draw, table, max_hits=3, first=1):
+    """Overwrite 1 to ``max_hits`` entries in rows and columns from
+    ``first`` on: by default off row 0 and column 0."""
     n = len(table)
     table = [row[:] for row in table]
-    if n < 2:
+    if n <= first:
         return table
     for _ in range(draw(st.integers(1, max_hits))):
-        i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        i, j = draw(st.integers(first, n - 1)), draw(st.integers(first, n - 1))
         table[i][j] = draw(st.integers(0, n - 1))
     return table
 
@@ -146,7 +162,7 @@ def test_right_projection_fails_only_right_distributivity(add):
 def test_non_associative_addition(add, data):
     add = data.draw(corrupt(add))
     assert_agrees(add, projection(add))
-    w = _assoc_witness(np.array(add))
+    w = reference_assoc_witness(np.array(add))
     assert _add_assoc_holds(np.array(add), _generators(np.array(add))) == (w is None)
 
 
@@ -159,7 +175,7 @@ def test_column_endomorphisms_on_cyclic_groups(n, data):
     a, m = np.array(add), np.array(mul)
     gens = _generators(a)
     assert _right_dist_holds(a, m, gens)
-    assert _mul_assoc_holds(m, gens) == (_assoc_witness(m) is None)
+    assert _mul_assoc_holds(m, gens) == (reference_assoc_witness(m) is None)
     assert_agrees(add, mul)
 
 
@@ -211,12 +227,12 @@ def test_failures_only_later_generators_see(a, b, broken_add, data):
     ad, m = np.array(add), np.array(mul)
     gens = _generators(ad)
     assert gens[0] == 1 and len(gens) > 1
-    assert _add_assoc_holds(ad, gens) == (_assoc_witness(ad) is None)
+    assert _add_assoc_holds(ad, gens) == (reference_assoc_witness(ad) is None)
     if not broken_add:
         rd = _right_dist_holds(ad, m, gens)
         assert rd == (_right_dist_witness(ad, m) is None)
         if rd:
-            assert _mul_assoc_holds(m, gens) == (_assoc_witness(m) is None)
+            assert _mul_assoc_holds(m, gens) == (reference_assoc_witness(m) is None)
         bad = _left_dist_bad_rows(ad, m, gens)
         for x in range(len(add)):
             assert bool(bad[x]) != np.array_equal(m[x][ad], ad[m[x][:, None], m[x][None, :]])
@@ -240,3 +256,65 @@ def test_greedy_generators_generate(add):
     assert closure(add, gens) == set(range(len(add)))
     for k, s in enumerate(gens):
         assert s not in closure(add, gens[:k])
+
+
+# ---------------------------------------------------------------------------
+# the associativity scan over distinct rows
+
+
+def left_projection(n):
+    """x*y = x: every row differs, so no row is skipped."""
+    return [[x] * n for x in range(n)]
+
+
+@st.composite
+def few_distinct_rows(draw):
+    """An n x n table with few distinct rows: x*y = y (one row), x*y = x,
+    a constant table, or k random rows spread over the n positions."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(("right", "left", "constant", "spread")))
+    if kind == "right":
+        return right_projection(cyclic(n))
+    if kind == "left":
+        return left_projection(n)
+    if kind == "constant":
+        return [[draw(st.integers(0, n - 1))] * n for _ in range(n)]
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return [rows[draw(st.integers(0, k - 1))][:] for _ in range(n)]
+
+
+def hit(table):
+    """1 to 3 corrupted entries anywhere, row 0 and column 0 included."""
+    return corrupt(table, first=0)
+
+
+@st.composite
+def relabelled_projection(draw):
+    """The projection ring on a random group under a random relabelling."""
+    add = draw(groups)
+    p = np.array(draw(st.permutations(range(len(add)))))
+    out = np.empty((len(add), len(add)), dtype=np.int64)
+    out[p[:, None], p] = p[np.array(projection(add))]
+    return out.tolist()
+
+
+@given(table=st.one_of(few_distinct_rows(), few_distinct_rows().flatmap(hit),
+                       relabelled_projection(), relabelled_projection().flatmap(hit)))
+@settings(max_examples=600, deadline=None)
+def test_row_class_scan_matches_the_exhaustive_scan(table):
+    t = np.array(table)
+    assert _assoc_witness(t) == reference_assoc_witness(t)
+
+
+@given(add=st.one_of(st.integers(1, 64).map(cyclic),
+                     st.tuples(st.integers(2, 4), st.integers(2, 16)).map(
+                         lambda ab: product(cyclic(ab[0]), cyclic(ab[1])))),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_right_projection_outcomes_up_to_order_64(add, data):
+    mul = right_projection(add)
+    if data.draw(st.booleans()):
+        mul = data.draw(hit(mul))
+    assert_agrees(add, mul)

@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearrings import (
     AxiomViolation,
@@ -50,7 +51,7 @@ from nearrings.catalog import (_KLEIN4_ADD, _KLEIN4_MUL, _f2_module, _f2sq_group
 from nearrings.classify import all_element_profiles
 import nearrings.cli as cli
 from nearrings.cli import main
-from nearrings.core import DEFAULT_ORDER_CAP, NearRing, same_tables
+from nearrings.core import DEFAULT_ORDER_CAP, NearRing, _check_table, same_tables
 from nearrings.nmodules import right_escape
 
 
@@ -167,6 +168,22 @@ class TestCheckTable:
         with pytest.raises(TableFormatError) as exc:
             validate_group(add)
         assert str(exc.value) == message
+
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           dtype=st.sampled_from((None, np.int64, np.int16)))
+    @settings(max_examples=200, deadline=None)
+    def test_out_of_range_message_matches_the_loop(self, data, rows, cols, dtype):
+        table = data.draw(st.lists(st.lists(st.integers(0, cols - 1), min_size=cols,
+                                            max_size=cols), min_size=rows, max_size=rows))
+        for _ in range(data.draw(st.integers(1, 3))):
+            table[data.draw(st.integers(0, rows - 1))][data.draw(st.integers(0, cols - 1))] = \
+                data.draw(st.one_of(st.integers(-5, -1), st.integers(cols, cols + 5)))
+        expected = next(f"mul: entry {v!r} in row {i} out of range [0,{cols})"
+                        for i, row in enumerate(table) for v in row if not 0 <= v < cols)
+        with pytest.raises(TableFormatError) as exc:
+            _check_table(table if dtype is None else np.array(table, dtype=dtype),
+                         rows, cols, "mul")
+        assert str(exc.value) == expected
 
     def test_document_entry_beyond_int64(self):
         doc = json.loads(klein4_document())
