@@ -20,10 +20,8 @@ reduced check fails, the exhaustive scan for that law alone runs to report
 the first witness in ascending scan order; every reported failure carries a
 witness tuple that re-evaluates to a violation on the raw tables.  The
 associativity scan does a full row check only for the first of each set of
-equal rows, since equal rows have the same check, and compares row labels
-for the repeats among the middle factors; with k distinct rows it costs
-O(k^2 n + n^2), within O(k n^2 + n^2), and O(n^3) as before when all rows
-differ.
+equal rows, since equal rows have the same check; with k distinct rows it
+costs O(k n^2 + n^2), and O(n^3) as before when all rows differ.
 
 Every table (``FiniteGroup.add``/``neg``, ``NearRing.mul``, ``NModule.action``)
 is stored once, as a read-only int64 array, converted on construction (also
@@ -326,16 +324,12 @@ def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
 def _row_classes(t: np.ndarray) -> np.ndarray:
     """``rep[i]``: the least index whose row of ``t`` equals row i.
 
-    Rows are bucketed by the hash of their bytes and every match is
-    confirmed with ``np.array_equal``; only indices are kept."""
-    rep = np.arange(len(t))
-    buckets: dict[int, list[int]] = {}
-    for i, row in enumerate(t):
-        bucket = buckets.setdefault(hash(row.tobytes()), [])
-        rep[i] = next((p for p in bucket if np.array_equal(t[p], row)), i)
-        if rep[i] == i:
-            bucket.append(i)
-    return rep
+    Each row is viewed as one opaque byte string, so ``np.unique`` groups
+    equal rows exactly; its stable sort makes ``first`` the first
+    occurrence of each group."""
+    rows = np.ascontiguousarray(t).view(np.dtype((np.void, t.itemsize * t.shape[1])))
+    _, first, inv = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    return first[inv]
 
 
 def _assoc_witness(t: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -343,25 +337,17 @@ def _assoc_witness(t: np.ndarray) -> Optional[tuple[int, int, int]]:
 
     Row i's check reads only the contents of row i, so a row equal to an
     earlier row, which has passed, passes too: only the first of each set
-    of equal rows is checked.  Within that check, a row j equal to an
-    earlier row p that passed has i.(j.k) = i.(p.k) = (i.p).k, so j fails
-    iff rows i.j and i.p differ, a comparison of row labels.  With k
-    distinct rows this costs O(k^2 n + n^2): O(n^3) only when all rows
-    differ, as before.
+    of equal rows is checked.  With k distinct rows this costs
+    O(k n^2 + n^2): O(n^3) only when all rows differ, as before.
     """
-    rep = _row_classes(t)
-    firsts = np.flatnonzero(rep == np.arange(len(t)))
-    first_rows = t[firsts]
-    for i in firsts.tolist():
-        lhs = t[t[i, firsts]]     # (p,k) -> (i.p).k over the first rows p
-        rhs = t[i][first_rows]    # (p,k) -> i.(p.k)
-        bad = np.zeros(len(t), dtype=bool)
-        bad[firsts] = (lhs != rhs).any(axis=1)
-        bad = bad[rep] | (rep[t[i]] != rep[t[i, rep]])
-        if bad.any():
-            j = int(bad.argmax())
-            k = int((t[t[i, j]] != t[i, t[j]]).argmax())
-            return (i, j, k)
+    n = len(t)
+    for i in np.flatnonzero(_row_classes(t) == np.arange(n)).tolist():
+        lhs = t[t[i]]             # (j,k) -> (i.j).k
+        rhs = t[i][t]             # (j,k) -> i.(j.k)
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            j, k = bad[0]
+            return (i, int(j), int(k))
     return None
 
 

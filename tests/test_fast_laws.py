@@ -21,6 +21,7 @@ from nearrings.core import (
     _mul_assoc_holds,
     _right_dist_holds,
     _right_dist_witness,
+    _row_classes,
 )
 
 BUILTINS = ("klein4_ring", "zn_ring(6)", "zn_ring(9)", "m0_z3", "mat2_f2",
@@ -298,6 +299,13 @@ def relabelled_projection(draw):
     out = np.empty((len(add), len(add)), dtype=np.int64)
     out[p[:, None], p] = p[np.array(projection(add))]
     return out.tolist()
+
+
+@given(table=few_distinct_rows())
+@settings(max_examples=200, deadline=None)
+def test_row_classes_name_the_first_equal_row(table):
+    t = np.array(table)
+    assert _row_classes(t).tolist() == [table.index(row) for row in table]
 
 
 @given(table=st.one_of(few_distinct_rows(), few_distinct_rows().flatmap(hit),
