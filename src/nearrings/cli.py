@@ -118,7 +118,7 @@ def cmd_classify(args, out) -> int:
         return EXIT_IO
     if args.element is not None:
         sel = None
-        if args.element.isdigit() and int(args.element) < ring.order:
+        if args.element.isdecimal() and int(args.element) < ring.order:
             sel = int(args.element)
         elif ring.group.labels and args.element in ring.group.labels:
             sel = ring.group.labels.index(args.element)

@@ -2,26 +2,39 @@
 
 Everything is an index table: a group of order n is an n-by-n addition table
 over element indices 0..n-1, and a near-ring adds an n-by-n multiplication
-table on top.  Every verdict is exact, but the O(n^3) laws are decided in
-O(n^2 |S|) over a generating set S of (N,+):
+table on top.
 
-- additive associativity by Light's test, (x+s)+y = x+(s+y);
-- right distributivity as "every x -> x*z is an endomorphism of (N,+)",
-  (x+s)*z = x*z + s*z, which suffices once addition is associative;
-- multiplicative associativity, given right distributivity, as
-  (s*y)*z = s*(y*z), since both sides are endomorphisms in the first slot;
-- the left-distributive flag as "x -> x*y is an endomorphism", tested for
-  all rows x at once over S.
+Each table law is written once, as a row function: given a row r it returns
+the bool table over (s, m) that is True where the law fails.  ``_assoc`` is
+(r.s).m = r.(s.m) and ``_additive`` is (r+s).m = r.m + s.m, for an action of
+a near-ring on a group; a near-ring's laws are ``_assoc(add, add)``,
+``_assoc(mul, mul)`` and ``_additive(add, mul, add)``, the two module laws
+of its regular representation plus associativity of +.  The same row
+functions serve ``nmodules.validate_module`` and ``is_N_ideal``.
 
-A set T of elements on which such an identity holds is closed under +, so
-it holds everywhere as soon as it holds on S.  Validation keeps S as the
+Every verdict is exact, but the O(n^3) laws are decided in O(n^2 |S|) by
+``_holds`` over the rows r in a generating set S of (N,+).  The rows where
+a law holds are closed under +, and contain 0 once they contain S (for
+associativity of +, 0 is an identity; for the others (N,+) is a finite
+group, where 0 is a multiple of any s), so they are all of N as soon as
+they contain S.  The closure, for r1, r2 in that set:
+
+- associativity of +, with nothing else:
+  ((r1+r2)+s)+m = (r1+(r2+s))+m = r1+((r2+s)+m) = r1+(r2+(s+m)) = (r1+r2)+(s+m);
+- right distributivity, given associative +:
+  ((r1+r2)+s)*m = r1*m + (r2+s)*m = r1*m + r2*m + s*m = (r1+r2)*m + s*m;
+- associativity of *, given right distributivity:
+  ((r1+r2)*s)*m = (r1*s)*m + (r2*s)*m = r1*(s*m) + r2*(s*m) = (r1+r2)*(s*m).
+
+The left-distributive flag asks whether every x -> x*y is an endomorphism
+of (N,+), tested for all rows x at once over S.  Validation keeps S as the
 group's ``group_generators``, which the N-ideal test reuses.  When a
-reduced check fails, the exhaustive scan for that law alone runs to report
-the first witness in ascending scan order; every reported failure carries a
-witness tuple that re-evaluates to a violation on the raw tables.  The
-associativity scan does a full row check only for the first of each set of
-equal rows, since equal rows have the same check; with k distinct rows it
-costs O(k n^2 + n^2), and O(n^3) as before when all rows differ.
+reduced check fails, ``_first_violation`` scans the same row function over
+all rows for the first witness in ascending scan order; every reported
+failure carries a witness tuple that re-evaluates to a violation on the
+raw tables.  The associativity scans read only the first of each set of
+equal rows (``_first_rows``), since equal rows have the same check; with k
+distinct rows a scan costs O(k n^2 + n^2), and O(n^3) when all rows differ.
 
 Every table (``FiniteGroup.add``/``neg``, ``NearRing.mul``, ``NModule.action``)
 is stored once, as a read-only int64 array, converted on construction (also
@@ -118,7 +131,6 @@ class FiniteGroup(_Tables):
 
 @dataclass(frozen=True)
 class NearRingFlags:
-    right_distributive: bool
     left_distributive: bool
     abelian_add: bool
     zero_symmetric: bool
@@ -289,27 +301,31 @@ def group_generators(group: FiniteGroup) -> list[int]:
     return _generators(group.add)
 
 
-def _add_assoc_holds(add: np.ndarray, gens) -> bool:
-    """Light's test: (x+s)+y == x+(s+y) for all x, y and every generator s."""
-    return all(np.array_equal(add[add[:, s], :], add[:, add[s, :]]) for s in gens)
+def _assoc(rmul: np.ndarray, act: np.ndarray):
+    """Row function of (r.s).m = r.(s.m): row r gives the bool table over
+    (s, m) that is True where the law fails."""
+    return lambda r: act[rmul[r]] != act[r][act]
 
 
-def _right_dist_holds(add: np.ndarray, mul: np.ndarray, gens) -> bool:
-    """(x+s)*z == x*z + s*z for all x, z and every generator s.
-
-    Exact once (N,+) is a group: every x -> x*z is then an endomorphism.
-    """
-    return all(np.array_equal(mul[add[:, s], :], add[mul, mul[s][None, :]])
-               for s in gens)
+def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
+    """Row function of (r+s).m = r.m + s.m: row r gives the bool table over
+    (s, m) that is True where the law fails."""
+    return lambda r: act[radd[r]] != madd[act[r], act]
 
 
-def _mul_assoc_holds(mul: np.ndarray, gens) -> bool:
-    """(s*y)*z == s*(y*z) for all y, z and every generator s.
+def _holds(bad, rows) -> bool:
+    """No row in ``rows`` has a failure of the row function ``bad``."""
+    return not any(bad(r).any() for r in rows)
 
-    Exact once right distributivity holds: both sides are then additive in
-    the first argument.
-    """
-    return all(np.array_equal(mul[mul[s], :], mul[s, mul]) for s in gens)
+
+def _first_violation(bad, rows) -> Optional[tuple[int, ...]]:
+    """The first (i, *rest) with ``bad(i)[rest]`` True, i ascending over
+    ``rows`` and rest in row-major order, or None."""
+    for i in rows:
+        hits = np.argwhere(bad(i))
+        if len(hits):
+            return (int(i), *hits[0].tolist())
+    return None
 
 
 def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
@@ -332,50 +348,9 @@ def _row_classes(t: np.ndarray) -> np.ndarray:
     return first[inv]
 
 
-def _assoc_witness(t: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """First (i,j,k) with (i.j).k != i.(j.k), scanning i, j, k ascending.
-
-    Row i's check reads only the contents of row i, so a row equal to an
-    earlier row, which has passed, passes too: only the first of each set
-    of equal rows is checked.  With k distinct rows this costs
-    O(k n^2 + n^2): O(n^3) only when all rows differ, as before.
-    """
-    n = len(t)
-    for i in np.flatnonzero(_row_classes(t) == np.arange(n)).tolist():
-        lhs = t[t[i]]             # (j,k) -> (i.j).k
-        rhs = t[i][t]             # (j,k) -> i.(j.k)
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            j, k = bad[0]
-            return (i, int(j), int(k))
-    return None
-
-
-def _right_dist_witness(add: np.ndarray, mul: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """First (i,j,k) with (i+j)*k != i*k + j*k."""
-    n = len(add)
-    for i in range(n):
-        lhs = mul[add[i], :]                    # (j,k) -> (i+j)*k
-        rhs = add[mul[i][None, :], mul]         # (j,k) -> add[i*k, j*k]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            j, k = bad[0]
-            return (i, int(j), int(k))
-    return None
-
-
-def _left_dist_witness(add: np.ndarray, mul: np.ndarray,
-                       start: int = 0) -> Optional[tuple[int, int, int]]:
-    """First (i,j,k) with i*(j+k) != i*j + i*k, scanning rows from ``start``."""
-    n = len(add)
-    for i in range(start, n):
-        lhs = mul[i, add]                        # (j,k) -> i*(j+k)
-        rhs = add[mul[i][:, None], mul[i][None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            j, k = bad[0]
-            return (i, int(j), int(k))
-    return None
+def _first_rows(t: np.ndarray) -> list[int]:
+    """The first of each set of equal rows of ``t``, ascending."""
+    return np.flatnonzero(_row_classes(t) == np.arange(len(t))).tolist()
 
 
 def validate_group(add, labels=None) -> FiniteGroup:
@@ -391,8 +366,9 @@ def validate_group(add, labels=None) -> FiniteGroup:
     if j is not None:
         raise AxiomViolation("add_identity", (j,))
     gens = _generators(add)
-    if not _add_assoc_holds(add, gens):
-        raise AxiomViolation("add_assoc", _assoc_witness(add))
+    add_assoc = _assoc(add, add)
+    if not _holds(add_assoc, gens):
+        raise AxiomViolation("add_assoc", _first_violation(add_assoc, _first_rows(add)))
     # neg[i] is the least j with i+j = j+i = 0
     inverse = (add == 0) & (add.T == 0)
     has_inverse = inverse.any(axis=1)
@@ -416,8 +392,9 @@ def _compute_flags(add: np.ndarray, mul: np.ndarray, one, gens):
     bad_rows = _left_dist_bad_rows(add, mul, gens)
     left_dist = not bad_rows.any()
     if not left_dist:
-        witnesses.append(("left_distributive",
-                          _left_dist_witness(add, mul, start=int(bad_rows.argmax()))))
+        w = _first_violation(lambda x: mul[x, add] != add[mul[x][:, None], mul[x]],
+                             range(int(bad_rows.argmax()), len(add)))
+        witnesses.append(("left_distributive", w))
 
     bad = np.argwhere(add != add.T)
     abelian = len(bad) == 0
@@ -443,7 +420,6 @@ def _compute_flags(add: np.ndarray, mul: np.ndarray, one, gens):
         one = int(found[0]) if len(found) else None
     unital = one is not None
     flags = NearRingFlags(
-        right_distributive=True,
         left_distributive=left_dist,
         abelian_add=abelian,
         zero_symmetric=zero_symmetric,
@@ -465,16 +441,15 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
                             or not 0 <= one < n):
         raise TableFormatError(f"one: index {one!r} out of range [0,{n})")
     gens = group_generators(group)
+    mul_assoc, right_dist = _assoc(mul, mul), _additive(add, mul, add)
     # Laws are reported in the order mul_assoc, right_dist, but the reduced
     # associativity check needs right distributivity, so that runs first.
-    if _right_dist_holds(add, mul, gens):
-        if not _mul_assoc_holds(mul, gens):
-            raise AxiomViolation("mul_assoc", _assoc_witness(mul))
-    else:
-        w = _assoc_witness(mul)
+    # When either fails, the associativity scan decides which law to report.
+    if not (_holds(right_dist, gens) and _holds(mul_assoc, gens)):
+        w = _first_violation(mul_assoc, _first_rows(mul))
         if w is not None:
             raise AxiomViolation("mul_assoc", w)
-        raise AxiomViolation("right_dist", _right_dist_witness(add, mul))
+        raise AxiomViolation("right_dist", _first_violation(right_dist, range(n)))
     # 0*x = 0 is forced by right distributivity; a failure here means the
     # checks above are broken, not the input.
     if mul[0].any():

@@ -4,6 +4,11 @@ Subsets of a carrier are plain frozensets of element indices.  An N-ideal L
 of a module M is a normal subgroup of (M,+) with r(l+m) - rm in L for all
 r, l, m; these are exactly the kernels that admit quotient modules.
 
+The two module laws are ``core``'s row functions ``_additive`` and
+``_assoc``, the same ones that validate a near-ring as its regular
+representation.  ``validate_module`` scans both over every row r, since
+modules are small and the scan stays exact for any ring.
+
 The N-ideal layer works over generating sets, with exact reductions:
 
 - ``is_N_ideal`` checks L + L in L on all pairs, then normality and the
@@ -39,9 +44,9 @@ distributive, i.e. for the regular representation of a validated near-ring:
   with t = r2(l+m) - r2m, so r needs to range over S only.
 
 A near-ring built without validation need not be right distributive, so
-``orbit_is_N_ideal`` first checks that law over S, in O(|S| n^2), and falls
-back to ``is_N_ideal`` on every orbit when it fails.  ``is_N_ideal`` takes
-arbitrary actions, so it keeps r over all of N.
+``orbit_is_N_ideal`` first checks that law over S with ``core._holds``, in
+O(|S| n^2), and falls back to ``is_N_ideal`` on every orbit when it fails.
+``is_N_ideal`` takes arbitrary actions, so it keeps r over all of N.
 """
 from __future__ import annotations
 
@@ -51,9 +56,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _check_table,
-                   _extend_closure, _generators, _right_dist_holds, _Tables, group_generators,
-                   memoized, validate_group)
+from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
+                   _check_table, _extend_closure, _first_violation, _generators, _holds,
+                   _Tables, group_generators, memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -81,25 +86,19 @@ class IdealVerdict:
 
 
 def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
-    """Check both module laws (and unitarity when the ring is unital)."""
+    """Check both module laws (and unitarity when the ring is unital).
+
+    The laws are scanned together, row r1 by row r1 ascending and additivity
+    before associativity within a row, so the error names the first failure
+    (r1, r2, m) in that order."""
     n, m = ring.order, carrier.order
     act = _check_table(action, n, m, "action table")
-    radd, madd, rmul = ring.add, carrier.add, ring.mul
-    for r1 in range(n):
-        # (r1+r2)m == r1 m + r2 m
-        lhs = act[radd[r1], :]
-        rhs = madd[act[r1], act]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            r2, x = bad[0]
-            raise ValueError(f"additivity fails at (r1,r2,m)=({r1},{int(r2)},{int(x)})")
-        # (r1 r2)m == r1 (r2 m)
-        lhs = act[rmul[r1], :]
-        rhs = act[r1][act]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            r2, x = bad[0]
-            raise ValueError(f"associativity fails at (r1,r2,m)=({r1},{int(r2)},{int(x)})")
+    additive, assoc = _additive(ring.add, act, carrier.add), _assoc(ring.mul, act)
+    w = _first_violation(lambda r: np.stack([additive(r), assoc(r)]), range(n))
+    if w is not None:
+        r1, law, r2, x = w
+        raise ValueError(f"{('additivity', 'associativity')[law]} fails at "
+                         f"(r1,r2,m)=({r1},{r2},{x})")
     if ring.one is not None:
         bad = np.flatnonzero(act[ring.one] != np.arange(m))
         if len(bad):
@@ -173,7 +172,7 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     """
     add, neg, mul = ring.add, ring.neg, ring.mul
     gens = np.array(group_generators(ring.group), dtype=np.int64)
-    if not _right_dist_holds(add, mul, gens):
+    if not _holds(_additive(add, mul, add), gens):
         rep = regular_representation(ring)
         ok = np.array([bool(is_N_ideal(rep, _members(row)))
                        for row in orbit_masks(ring, "left")], dtype=bool)
@@ -233,12 +232,11 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     shifted = act[:, madd[gens_l, :]]                           # (n, |S_L|, m): r(l+m)
     if in_l[madd[shifted, minus_rm[:, None, :]]].all():
         return IdealVerdict("N_ideal")
-    for r in range(module.ring.order):
-        shifted = act[r, madd[mem, :]]                          # (|L|, m): r(l+m)
-        bad = np.argwhere(~in_l[madd[shifted, minus_rm[r][None, :]]])
-        if len(bad):
-            li, x = bad[0]
-            return IdealVerdict("not_N_ideal", (r, int(members[li]), int(x)))
+    w = _first_violation(lambda r: ~in_l[madd[act[r, madd[mem]], minus_rm[r]]],  # r(l+m) - rm
+                         range(module.ring.order))
+    if w is not None:
+        r, li, x = w
+        return IdealVerdict("not_N_ideal", (r, members[li], x))
     raise InvariantError("N-ideal condition fails on generators but on no (r, l, m)")
 
 

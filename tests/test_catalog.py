@@ -70,4 +70,3 @@ def test_default_corpus_members_validate():
     assert len(corpus) == 9
     for name, ring in corpus:
         assert ring.name == name
-        assert ring.flags.right_distributive

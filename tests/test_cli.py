@@ -94,6 +94,11 @@ class TestClassify:
         code, _ = run(["classify", klein4_file, "--element", "zz"])
         assert code == 3
 
+    def test_superscript_digit_is_an_unknown_element(self, klein4_file):
+        # "²".isdigit() is true, but int("²") raises
+        code, text = run(["classify", klein4_file, "--element", "²"])
+        assert (code, text) == (3, "unknown element '²'\n")
+
     def test_json_shape(self, klein4_file):
         code, text = run(["classify", klein4_file, "--format", "json"])
         assert code == 0

@@ -1,10 +1,11 @@
 """The generator-reduced law checks against the exhaustive scans.
 
-The exhaustive scans (``reference_assoc_witness`` below, and
-``_right_dist_witness``, ``_left_dist_witness``) are the oracle: validation
-must return the same verdict and the same first witness as running them in
-validation order.  ``_assoc_witness``, which skips repeated rows, must
-agree with ``reference_assoc_witness`` on its own as well.
+The exhaustive scans below (``reference_assoc_witness``,
+``reference_right_dist_witness``, ``reference_left_dist_witness``) are the
+oracle: validation must return the same verdict and the same first witness
+as running them in validation order.  The associativity scan over the first
+of each set of equal rows must agree with ``reference_assoc_witness`` on its
+own as well, and ``_holds`` over a generating set with the exhaustive scans.
 """
 import json
 
@@ -13,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from nearrings import AxiomViolation, builtin, emit_table, validate_nearring
 from nearrings.core import (
-    _add_assoc_holds,
-    _assoc_witness,
+    _additive,
+    _assoc,
+    _first_rows,
+    _first_violation,
     _generators,
+    _holds,
     _left_dist_bad_rows,
-    _left_dist_witness,
-    _mul_assoc_holds,
-    _right_dist_holds,
-    _right_dist_witness,
     _row_classes,
 )
 
@@ -34,6 +34,32 @@ def reference_assoc_witness(t):
     for i in range(n):
         lhs = t[t[i], :]          # (j,k) -> (i.j).k
         rhs = t[i, t]             # (j,k) -> i.(j.k)
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            j, k = bad[0]
+            return (i, int(j), int(k))
+    return None
+
+
+def reference_right_dist_witness(add, mul):
+    """First (i,j,k) with (i+j)*k != i*k + j*k."""
+    n = len(add)
+    for i in range(n):
+        lhs = mul[add[i], :]                    # (j,k) -> (i+j)*k
+        rhs = add[mul[i][None, :], mul]         # (j,k) -> add[i*k, j*k]
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            j, k = bad[0]
+            return (i, int(j), int(k))
+    return None
+
+
+def reference_left_dist_witness(add, mul, start=0):
+    """First (i,j,k) with i*(j+k) != i*j + i*k, scanning rows from ``start``."""
+    n = len(add)
+    for i in range(start, n):
+        lhs = mul[i, add]                        # (j,k) -> i*(j+k)
+        rhs = add[mul[i][:, None], mul[i][None, :]]
         bad = np.argwhere(lhs != rhs)
         if len(bad):
             j, k = bad[0]
@@ -58,10 +84,10 @@ def reference_outcome(add, mul):
     w = reference_assoc_witness(m)
     if w is not None:
         return ("mul_assoc", w)
-    w = _right_dist_witness(a, m)
+    w = reference_right_dist_witness(a, m)
     if w is not None:
         return ("right_dist", w)
-    return ("ok", _left_dist_witness(a, m))
+    return ("ok", reference_left_dist_witness(a, m))
 
 
 def fast_outcome(add, mul):
@@ -163,8 +189,8 @@ def test_right_projection_fails_only_right_distributivity(add):
 def test_non_associative_addition(add, data):
     add = data.draw(corrupt(add))
     assert_agrees(add, projection(add))
-    w = reference_assoc_witness(np.array(add))
-    assert _add_assoc_holds(np.array(add), _generators(np.array(add))) == (w is None)
+    a = np.array(add)
+    assert _holds(_assoc(a, a), _generators(a)) == (reference_assoc_witness(a) is None)
 
 
 @given(n=st.integers(2, 16), data=st.data())
@@ -175,8 +201,8 @@ def test_column_endomorphisms_on_cyclic_groups(n, data):
     add, mul = cyclic(n), column_endomorphisms(n, c)
     a, m = np.array(add), np.array(mul)
     gens = _generators(a)
-    assert _right_dist_holds(a, m, gens)
-    assert _mul_assoc_holds(m, gens) == (reference_assoc_witness(m) is None)
+    assert _holds(_additive(a, m, a), gens)
+    assert _holds(_assoc(m, m), gens) == (reference_assoc_witness(m) is None)
     assert_agrees(add, mul)
 
 
@@ -188,7 +214,7 @@ def test_reduced_predicates_on_arbitrary_products(add, data):
                              min_size=n, max_size=n))
     a, m = np.array(add), np.array(mul)
     gens = _generators(a)
-    assert _right_dist_holds(a, m, gens) == (_right_dist_witness(a, m) is None)
+    assert _holds(_additive(a, m, a), gens) == (reference_right_dist_witness(a, m) is None)
     bad = _left_dist_bad_rows(a, m, gens)
     for x in range(n):
         row_ok = np.array_equal(m[x][a], a[m[x][:, None], m[x][None, :]])
@@ -228,12 +254,12 @@ def test_failures_only_later_generators_see(a, b, broken_add, data):
     ad, m = np.array(add), np.array(mul)
     gens = _generators(ad)
     assert gens[0] == 1 and len(gens) > 1
-    assert _add_assoc_holds(ad, gens) == (reference_assoc_witness(ad) is None)
+    assert _holds(_assoc(ad, ad), gens) == (reference_assoc_witness(ad) is None)
     if not broken_add:
-        rd = _right_dist_holds(ad, m, gens)
-        assert rd == (_right_dist_witness(ad, m) is None)
+        rd = _holds(_additive(ad, m, ad), gens)
+        assert rd == (reference_right_dist_witness(ad, m) is None)
         if rd:
-            assert _mul_assoc_holds(m, gens) == (reference_assoc_witness(m) is None)
+            assert _holds(_assoc(m, m), gens) == (reference_assoc_witness(m) is None)
         bad = _left_dist_bad_rows(ad, m, gens)
         for x in range(len(add)):
             assert bool(bad[x]) != np.array_equal(m[x][ad], ad[m[x][:, None], m[x][None, :]])
@@ -313,7 +339,7 @@ def test_row_classes_name_the_first_equal_row(table):
 @settings(max_examples=600, deadline=None)
 def test_row_class_scan_matches_the_exhaustive_scan(table):
     t = np.array(table)
-    assert _assoc_witness(t) == reference_assoc_witness(t)
+    assert _first_violation(_assoc(t, t), _first_rows(t)) == reference_assoc_witness(t)
 
 
 @given(add=st.one_of(st.integers(1, 64).map(cyclic),

@@ -1,5 +1,10 @@
 """N-modules: annihilators, orbits, N-ideals, quotients, homs, isos."""
+import functools
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearrings import (
     annihilator,
@@ -15,11 +20,97 @@ from nearrings import (
     validate_module,
 )
 from nearrings.catalog import _f2sq_module, _zn_group
-from nearrings.nmodules import generated_submodule
+from nearrings.core import _generators
+from nearrings.nmodules import NModule, generated_submodule
 
 
 def klein4():
     return builtin("klein4_ring")
+
+
+def reference_validate_module(ring, carrier, action):
+    """The per-row loop over both module laws: the oracle for
+    ``validate_module``'s first failure and its message."""
+    n, m = ring.order, carrier.order
+    act = np.array(action, dtype=np.int64)
+    radd, madd, rmul = ring.add, carrier.add, ring.mul
+    for r1 in range(n):
+        # (r1+r2)m == r1 m + r2 m
+        lhs = act[radd[r1], :]
+        rhs = madd[act[r1], act]
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            r2, x = bad[0]
+            raise ValueError(f"additivity fails at (r1,r2,m)=({r1},{int(r2)},{int(x)})")
+        # (r1 r2)m == r1 (r2 m)
+        lhs = act[rmul[r1], :]
+        rhs = act[r1][act]
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            r2, x = bad[0]
+            raise ValueError(f"associativity fails at (r1,r2,m)=({r1},{int(r2)},{int(x)})")
+    if ring.one is not None:
+        bad = np.flatnonzero(act[ring.one] != np.arange(m))
+        if len(bad):
+            raise ValueError(f"module is not unitary at m={int(bad[0])}")
+    return NModule(ring=ring, carrier=carrier, action=act)
+
+
+def module_outcome(validate, ring, carrier, action):
+    """The action table ``validate`` accepts, or the message it refuses with."""
+    try:
+        return validate(ring, carrier, action).action.tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+SMALL_RINGS = ("zn_ring(2)", "zn_ring(3)", "zn_ring(4)", "klein4_ring", "m0_z3")
+
+
+@functools.lru_cache(maxsize=None)
+def additive_maps(name, m):
+    """Every homomorphism from (R,+) to Z_m, R the builtin ``name``: each
+    choice of images of the generators, extended along sums of generators,
+    kept when the result is additive."""
+    add = builtin(name).add
+    gens = _generators(add)
+    maps = []
+    for images in itertools.product(range(m), repeat=len(gens)):
+        h = {0: 0}
+        reached = [0]
+        for r in reached:  # breadth first; the list grows while it is read
+            for s, image in zip(gens, images):
+                t = int(add[r, s])
+                if t not in h:
+                    h[t] = (h[r] + image) % m
+                    reached.append(t)
+        h = np.array([h[r] for r in range(len(add))])
+        if (h[add] == (h[:, None] + h) % m).all():
+            maps.append(h)
+    return maps
+
+
+@st.composite
+def random_actions(draw):
+    """An action of a small builtin on Z2-Z4: random entries, or additive
+    columns with one entry changed half the time.  Half the time the
+    unity, if any, then acts as the identity."""
+    name, m = draw(st.sampled_from(SMALL_RINGS)), draw(st.integers(2, 4))
+    ring = builtin(name)
+    n = ring.order
+    if draw(st.booleans()):
+        action = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
+                               min_size=n, max_size=n))
+    else:
+        maps = additive_maps(name, m)
+        action = np.stack([maps[draw(st.integers(0, len(maps) - 1))]
+                           for _ in range(m)], axis=1).tolist()
+        if draw(st.booleans()):
+            action[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = \
+                draw(st.integers(0, m - 1))
+    if ring.one is not None and draw(st.booleans()):
+        action[ring.one] = list(range(m))
+    return ring, _zn_group(m), action
 
 
 class TestValidateModule:
@@ -58,6 +149,12 @@ class TestValidateModule:
         action = [[0, 1], [0, 1]]
         with pytest.raises(ValueError, match="additivity|unitary"):
             validate_module(ring, _zn_group(2), action)
+
+    @given(case=random_actions())
+    @settings(max_examples=500, deadline=None)
+    def test_first_failure_matches_the_per_row_loop(self, case):
+        assert module_outcome(validate_module, *case) == \
+            module_outcome(reference_validate_module, *case)
 
 
 class TestAnnihilatorsAndOrbits:
