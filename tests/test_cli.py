@@ -70,6 +70,21 @@ class TestValidate:
         code, _ = run(["validate", "/no/such/file.json"])
         assert code == 3
 
+    # json.loads raises RecursionError on deep nesting and ValueError on an
+    # integer of more than 4300 digits; neither is a JSONDecodeError.
+    @pytest.mark.parametrize("order, add", [
+        ("1", "[" * 100_000 + "]" * 100_000),
+        ("1" * 5000, "[[0]]"),
+        ("1", "[[" + "1" * 5000 + "]]"),
+    ], ids=["deep nesting", "5000-digit order", "5000-digit entry"])
+    def test_json_the_parser_cannot_hold_exits_3(self, tmp_path, order, add):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": "nearring-table/1", "name": "x", "order": %s, '
+                       '"add": %s, "mul": [[0]]}' % (order, add))
+        code, text = run(["validate", str(bad)])
+        assert code == 3
+        assert text.startswith(f"{bad}: format error: not valid JSON: ")
+
 
 class TestClassify:
     def test_m0_z3_f5_row(self, m0_file):

@@ -1,0 +1,194 @@
+"""The table reader of ``parse_table`` against the ``json.loads`` parser.
+
+``reference_parse_table`` is ``parse_table`` as it was before the reader,
+kept verbatim: every document must give the same outcome through both,
+either the same RawTables (fields, dtype and read-only flags) or the same
+exception type and message.  Generated documents vary the order, the
+separators, the key order, the optional fields and non-ASCII strings, and
+take up to three edits: replace a number, insert text next to a bracket,
+comma, colon, brace or quote, right after a table or at the start of a key,
+or move a comma past the next number.
+"""
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nearrings import parse_table
+from nearrings.core import (
+    DEFAULT_ORDER_CAP,
+    TABLE_FORMAT,
+    CapExceeded,
+    RawTables,
+    TableFormatError,
+    _check_table,
+    _read_document,
+)
+
+
+def reference_parse_table(data) -> RawTables:
+    """Parse a NearRing Table Format v1 document; shape checks only."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise TableFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TableFormatError("document must be a JSON object")
+    if doc.get("format") != TABLE_FORMAT:
+        raise TableFormatError(f'missing or unsupported "format" (want {TABLE_FORMAT!r})')
+    for key in ("name", "order", "add", "mul"):
+        if key not in doc:
+            raise TableFormatError(f'missing required field "{key}"')
+    name = doc["name"]
+    if not isinstance(name, str):
+        raise TableFormatError('"name" must be a string')
+    n = doc["order"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise TableFormatError('"order" must be a positive integer')
+    if n > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
+    add = _check_table(doc["add"], n, n, "add")
+    mul = _check_table(doc["mul"], n, n, "mul")
+    labels = None
+    if doc.get("labels") is not None:
+        labels = doc["labels"]
+        if (not isinstance(labels, list) or len(labels) != n
+                or not all(isinstance(s, str) for s in labels)):
+            raise TableFormatError('"labels" must be a list of n strings')
+        if len(set(labels)) != n:
+            raise TableFormatError('"labels" contains duplicates')
+        labels = tuple(labels)
+    one = doc.get("one")
+    if one is not None and (not isinstance(one, int) or isinstance(one, bool)
+                            or not 0 <= one < n):
+        raise TableFormatError(f'"one" index {one!r} out of range [0,{n})')
+    return RawTables(name=name, order=n, labels=labels, add=add, mul=mul, one=one)
+
+
+def outcome(parse, data):
+    try:
+        raw = parse(data)
+    except Exception as exc:  # the outcome is whatever is raised
+        return type(exc), str(exc)
+    tables = [(t.tolist(), t.dtype, t.flags.writeable) for t in (raw.add, raw.mul)]
+    return (raw.name, raw.order, type(raw.order), raw.labels, raw.one, type(raw.one),
+            tables)
+
+
+STYLES = ({"separators": (",", ":")}, {}, {"indent": 1})
+SITES = {  # the spans of a document that an edit may replace
+    "replace": lambda text: [m.span() for m in re.finditer(r"\d+", text)],
+    "insert": lambda text: [(i + d, i + d) for i, c in enumerate(text)
+                            if c in '[],:{}"' for d in (0, 1)],
+    "append": lambda text: [(m.end(), m.end())  # right after a table
+                            for m in re.finditer(r"\][ \t\n\r]*\]", text)],
+    "key": lambda text: [(m.end(), m.end())
+                         for m in re.finditer(r'"(?=\w+"[ \t\n\r]*:)', text)],
+}
+MUTATIONS = ("01", "-1", "1.0", "1e2", "true", "99999", "400", "301", "0 1", ",,",
+             "[ ]", '"add":[[0]],', '\\"', "\\", "\x01", "é", "", " ", "]", "[", "0", "7")
+
+
+def document(n, seed, keys=None, labels=False, one=None, name="z", style=0,
+             ensure_ascii=True) -> str:
+    rng = np.random.default_rng(seed)
+    doc = {"format": TABLE_FORMAT, "name": name, "order": n,
+           "add": rng.integers(0, n, (n, n)).tolist(),
+           "mul": rng.integers(0, n, (n, n)).tolist()}
+    if labels:
+        doc["labels"] = [f"{name}{i}" for i in range(n)]
+    if one is not None:
+        doc["one"] = one
+    keys = keys or list(doc)
+    return json.dumps({k: doc[k] for k in keys}, ensure_ascii=ensure_ascii,
+                      **STYLES[style])
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 16))
+    labels, with_one = draw(st.booleans()), draw(st.booleans())
+    keys = ["format", "name", "order", "add", "mul"]
+    keys += ["labels"] * labels + ["one"] * with_one
+    text = document(n, draw(st.integers(0, 2**32 - 1)),
+                    keys=draw(st.one_of(st.just(keys), st.permutations(keys))), labels=labels,
+                    one=draw(st.integers(0, n)) if with_one else None,
+                    name=draw(st.sampled_from(("z", "né", "環"))),
+                    style=draw(st.integers(0, len(STYLES) - 1)),
+                    ensure_ascii=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(sorted(SITES) + ["shift"]))
+        pairs = list(re.finditer(r"(\d+)[ \t\n\r]*,[ \t\n\r]*(\d+)", text))
+        if edit == "shift" and pairs:  # "a, b" -> "a b,": one gap holds two numbers, the next none
+            m = draw(st.sampled_from(pairs))
+            start, stop, new = m.start(), m.end(), f"{m[1]} {m[2]},"
+        else:
+            spans = SITES.get(edit, SITES["insert"])(text) or [(len(text), len(text))]
+            start, stop = draw(st.sampled_from(spans))
+            new = draw(st.sampled_from(MUTATIONS))
+        text = text[:start] + new + text[stop:]
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+@given(documents())
+@settings(max_examples=1500, deadline=None)
+def test_reader_matches_the_json_parser(data):
+    assert outcome(parse_table, data) == outcome(reference_parse_table, data)
+
+
+def with_entry(text, entry):
+    """``text`` with its first ``add`` entry replaced by ``entry``."""
+    return re.sub(r'("add":\[\[)\d+', lambda m: m[1] + entry, text, count=1)
+
+
+# Documents that a reader missing one of its checks would get wrong.
+KNOWN = {
+    "bytes after the closing bracket": '{"format":"%s","name":"z","order":1,"add":[[0]]5,'
+                                       '"mul":[[0]]}' % TABLE_FORMAT,
+    "entry over 255": with_entry(document(16, 1), "301"),
+    "leading zero": with_entry(document(2, 1), "01"),
+    "whitespace inside a number": '{"format":"%s","name":"z","order":2,"add":[[0 1,],'
+                                  '[1,0]],"mul":[[0,0],[0,0]]}' % TABLE_FORMAT,
+    "unterminated key": document(1, 1).replace('"mul"', '"mul\\"'),
+    "invalid escape in a key": document(1, 1).replace('"mul"', '"m\\ul"'),
+    "control character in a key": document(1, 1).replace('"mul"', '"m\x01ul"'),
+    "non-ASCII in a table": document(2, 1).replace("0", "é", 1),
+    "duplicate table": document(2, 1).replace("{", '{"add":[[0]],', 1),
+    "trailing comma": document(1, 1)[:-1] + ",}",
+    "truncated": document(8, 1)[:100],
+}
+
+
+@pytest.mark.parametrize("text", KNOWN.values(), ids=KNOWN.keys())
+def test_known_documents_match_the_json_parser(text):
+    assert outcome(parse_table, text) == outcome(reference_parse_table, text)
+
+
+@pytest.mark.parametrize("style", range(len(STYLES)))
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+def test_documents_with_order_first_take_the_reader(style, ensure_ascii):
+    # Non-ASCII names and labels must not send a document to json.loads.
+    text = document(12, 7, labels=True, one=3, name="né環", style=style,
+                    ensure_ascii=ensure_ascii)
+    doc = _read_document(text)
+    assert doc is not None and doc == {**json.loads(text), "add": doc["add"], "mul": doc["mul"]}
+    for key in ("add", "mul"):
+        assert isinstance(doc[key], np.ndarray) and not doc[key].flags.writeable
+        assert doc[key].tolist() == json.loads(text)[key]
+
+
+@pytest.mark.parametrize("text", [
+    document(3, 1, keys=["format", "name", "add", "mul", "order"]),
+    '{"format": "nearring-table/1", "name": "x", "order": 1, "add": %s, "mul": [[0]]}'
+    % ("[" * 100_000 + "]" * 100_000),
+    '{"format": "nearring-table/1", "name": "x", "order": %s, "add": [[0]], "mul": [[0]]}'
+    % ("1" * 5000),
+    '{"format": "nearring-table/1", "name": "x", "order": 1, "add": [[%s]], "mul": [[0]]}'
+    % ("1" * 5000),
+], ids=["order after the tables", "deep nesting", "5000-digit order", "5000-digit entry"])
+def test_other_documents_fall_back(text):
+    assert _read_document(text) is None
