@@ -26,6 +26,10 @@ they contain S.  The closure, for r1, r2 in that set:
 - associativity of *, given right distributivity:
   ((r1+r2)*s)*m = (r1*s)*m + (r2*s)*m = r1*(s*m) + r2*(s*m) = (r1+r2)*(s*m).
 
+``_laws_hold`` checks right distributivity, then associativity, over S: the
+one law predicate, exact for any table over a group.  ``validate_nearring``,
+``nmodules.orbit_is_N_ideal`` and the ``lemma10`` theorem cell call it.
+
 The left-distributive flag asks whether every x -> x*y is an endomorphism
 of (N,+), tested for all rows x at once over S.  Validation keeps S as the
 group's ``group_generators``, which the N-ideal test reuses.  When a
@@ -326,6 +330,11 @@ def _holds(bad, rows) -> bool:
     return not any(bad(r).any() for r in rows)
 
 
+def _laws_hold(add: np.ndarray, mul: np.ndarray, gens) -> bool:
+    """Right distributivity and associativity of ``mul``, over generators."""
+    return _holds(_additive(add, mul, add), gens) and _holds(_assoc(mul, mul), gens)
+
+
 def _first_violation(bad, rows) -> Optional[tuple[int, ...]]:
     """The first (i, *rest) with ``bad(i)[rest]`` True, i ascending over
     ``rows`` and rest in row-major order, or None."""
@@ -449,15 +458,13 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
                             or not 0 <= one < n):
         raise TableFormatError(f"one: index {one!r} out of range [0,{n})")
     gens = group_generators(group)
-    mul_assoc, right_dist = _assoc(mul, mul), _additive(add, mul, add)
-    # Laws are reported in the order mul_assoc, right_dist, but the reduced
-    # associativity check needs right distributivity, so that runs first.
-    # When either fails, the associativity scan decides which law to report.
-    if not (_holds(right_dist, gens) and _holds(mul_assoc, gens)):
-        w = _first_violation(mul_assoc, _first_rows(mul))
+    # Laws are reported in the order mul_assoc, right_dist: when either
+    # fails, the associativity scan decides which law to report.
+    if not _laws_hold(add, mul, gens):
+        w = _first_violation(_assoc(mul, mul), _first_rows(mul))
         if w is not None:
             raise AxiomViolation("mul_assoc", w)
-        raise AxiomViolation("right_dist", _first_violation(right_dist, range(n)))
+        raise AxiomViolation("right_dist", _first_violation(_additive(add, mul, add), range(n)))
     # 0*x = 0 is forced by right distributivity; a failure here means the
     # checks above are broken, not the input.
     if mul[0].any():

@@ -1,8 +1,9 @@
 """Left N-module machinery: annihilators, orbits, N-ideals, quotients, homs.
 
-Subsets of a carrier are plain frozensets of element indices.  An N-ideal L
-of a module M is a normal subgroup of (M,+) with r(l+m) - rm in L for all
-r, l, m; these are exactly the kernels that admit quotient modules.
+Subsets are collections of element indices, checked once: each must be an
+integer (not a bool) in [0, order), else ``ValueError``.  An N-ideal L of a
+module M is a normal subgroup of (M,+) with r(l+m) - rm in L for all r, l,
+m; these are exactly the kernels that admit quotient modules.
 
 The two module laws are ``core``'s row functions ``_additive`` and
 ``_assoc``, the same ones that validate a near-ring as its regular
@@ -44,8 +45,8 @@ distributive, i.e. for the regular representation of a validated near-ring:
   with t = r2(l+m) - r2m, so r needs to range over S only.
 
 A near-ring built without validation need not be right distributive, so
-``orbit_is_N_ideal`` first checks that law over S with ``core._holds``, in
-O(|S| n^2), and falls back to ``is_N_ideal`` on every orbit when it fails.
+``orbit_is_N_ideal`` first checks the laws over S (``core._laws_hold``, in
+O(|S| n^2)) and falls back to ``is_N_ideal`` on every orbit when they fail.
 ``is_N_ideal`` takes arbitrary actions, so it keeps r over all of N.
 """
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
-                   _check_table, _extend_closure, _first_violation, _generators, _holds,
+                   _check_table, _extend_closure, _first_violation, _generators, _laws_hold,
                    _Tables, group_generators, memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
@@ -147,17 +148,27 @@ def _members(mask: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
+def _index_mask(order: int, subset) -> np.ndarray:
+    """Bool mask of element indices, each an integer (not a bool) in [0, order)."""
+    mask = np.zeros(order, dtype=bool)
+    for x in subset:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < order:
+            raise ValueError(f"element index {x!r} is not an integer in [0,{order})")
+        mask[x] = True
+    return mask
+
+
 def annihilator(ring: NearRing, side: str, subset) -> frozenset[int]:
     """Left: {x : x*s = 0 for all s}; right: {x : s*x = 0 for all s}."""
-    members = sorted(subset)
-    if not members:
+    in_s = _index_mask(ring.order, subset)
+    if not in_s.any():
         raise ValueError("annihilator of the empty set is not defined")
-    return _members(annihilator_masks(ring, side)[members].all(axis=0))
+    return _members(annihilator_masks(ring, side)[in_s].all(axis=0))
 
 
 def orbit(ring: NearRing, side: str, a: int) -> frozenset[int]:
     """Left: Na = {n*a}; right: aN = {a*n}."""
-    return _members(orbit_masks(ring, side)[a])
+    return _members(orbit_masks(ring, side)[_index_mask(ring.order, (a,))][0])
 
 
 @memoized
@@ -167,12 +178,12 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
 
     Both reductions (module docstring) need the action to be right
     distributive.  A ``NearRing`` built without validation may not be, so
-    that is checked first over S, in O(|S| n^2); when it fails, every orbit
-    goes through ``is_N_ideal`` instead.
+    the laws are checked first over S (``core._laws_hold``, in O(|S| n^2));
+    the check falls back to ``is_N_ideal`` on every orbit when the laws fail.
     """
     add, neg, mul = ring.add, ring.neg, ring.mul
     gens = np.array(group_generators(ring.group), dtype=np.int64)
-    if not _holds(_additive(add, mul, add), gens):
+    if not _laws_hold(add, mul, gens):
         rep = regular_representation(ring)
         ok = np.array([bool(is_N_ideal(rep, _members(row)))
                        for row in orbit_masks(ring, "left")], dtype=bool)
@@ -208,13 +219,12 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     the N-ideal condition are checked over generators (module docstring);
     when a reduced check fails, that stage's full scan finds the witness.
     """
-    members = sorted(subset)
-    in_l = np.zeros(module.carrier.order, dtype=bool)
-    in_l[members] = True
-    if not members or not in_l[0]:
+    in_l = _index_mask(module.carrier.order, subset)
+    if not in_l[0]:
         return IdealVerdict("not_subgroup", (0,))
     madd, mneg = module.carrier.add, module.carrier.neg
-    mem = np.array(members, dtype=np.int64)
+    mem = np.flatnonzero(in_l)
+    members = mem.tolist()
     bad = np.argwhere(~in_l[madd[mem[:, None], mem]])
     if len(bad):
         i, j = bad[0]
@@ -242,9 +252,8 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
 
 def right_escape(ring: NearRing, subset) -> Optional[tuple[int, int]]:
     """The first (l, x), l in ``subset`` ascending, with l*x outside it."""
-    members = np.array(sorted(subset), dtype=np.int64)
-    in_l = np.zeros(ring.order, dtype=bool)
-    in_l[members] = True
+    in_l = _index_mask(ring.order, subset)
+    members = np.flatnonzero(in_l)
     bad = np.argwhere(~in_l[ring.mul[members]])
     return (int(members[bad[0, 0]]), int(bad[0, 1])) if len(bad) else None
 
@@ -338,7 +347,7 @@ def quotient_module(module: NModule, subset) -> Quotient:
     verdict = is_N_ideal(module, subset)
     if not verdict:
         raise ValueError(f"subset is not an N-ideal: {verdict.kind} at {verdict.witness}")
-    members = np.array(sorted(subset), dtype=np.int64)
+    members = np.flatnonzero(_index_mask(module.carrier.order, subset))
     madd, act = module.carrier.add, module.action
     rep_of = madd[:, members].min(axis=1)   # least member of the coset x + L
     is_rep = rep_of == np.arange(len(madd))  # r is the least member of r + L
@@ -376,8 +385,7 @@ def _target(ring: NearRing, obj: Union[NModule, frozenset, set]):
     """(addition table, action table, member mask) of a hom target."""
     if isinstance(obj, NModule):
         return obj.carrier.add, obj.action, np.ones(obj.carrier.order, dtype=bool)
-    members = np.zeros(ring.order, dtype=bool)
-    members[sorted(obj)] = True
+    members = _index_mask(ring.order, obj)
     if not members[0]:
         raise ValueError("embedded target must contain 0")
     return ring.add, ring.mul, members
@@ -394,22 +402,16 @@ class HomResult:
 
 
 def generated_submodule(module: NModule, g: int) -> frozenset[int]:
-    """Closure of {g} under the action and subgroup generation."""
-    madd, mneg, act = module.carrier.add, module.carrier.neg, module.action
-    seen = np.zeros(module.carrier.order, dtype=bool)
-    frontier = np.array([0, g])
-    seen[frontier] = True
-    while len(frontier):  # semi-naive: only images of new elements can be new
-        members = np.flatnonzero(seen)
-        new = np.zeros_like(seen)
-        new[act[:, frontier]] = True
-        new[madd[frontier[:, None], members]] = True
-        new[madd[members[:, None], frontier]] = True
-        new[mneg[frontier]] = True
-        new &= ~seen
-        seen |= new
-        frontier = np.flatnonzero(new)
-    return _members(seen)
+    """Closure of {0, g} under the action and +, hence a subgroup.  Each
+    round takes the images of all members, 0 included: on an action that
+    was not validated r*0 need not be 0."""
+    madd, act = module.carrier.add, module.action
+    wanted = _index_mask(module.carrier.order, (0, g))
+    reached = np.zeros_like(wanted)
+    while not (wanted <= reached).all():
+        _extend_closure(madd, reached, int((wanted & ~reached).argmax()))
+        wanted[act[:, reached]] = True
+    return _members(reached)
 
 
 def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomResult:

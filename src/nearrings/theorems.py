@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CapExceeded, NearRing, same_tables
+from .core import CapExceeded, NearRing, _laws_hold, group_generators, same_tables
 from .catalog import builtin
 from .classify import (
     all_element_profiles,
@@ -156,15 +156,6 @@ def _lemma10_map_failure(ring: NearRing, a: int, u: int) -> Optional[tuple[int, 
     return None
 
 
-def _map_is_linear(ring: NearRing, u: int) -> bool:
-    """x -> xu is additive and N-linear on all of N (always, on tables that
-    passed validation: right distributivity and associativity)."""
-    add, mul = ring.add, ring.mul
-    xu = mul[:, u]
-    return (np.array_equal(xu[add], add[xu[:, None], xu[None, :]])
-            and np.array_equal(xu[mul], mul[:, xu]))
-
-
 def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
     unit_set, inv = units(ring)
     if not unit_set:
@@ -173,9 +164,9 @@ def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
     anns = annihilator_masks(ring, "left")
     us = np.array(sorted(unit_set), dtype=np.int64)
     inv_us = np.array([inv[u] for u in us.tolist()], dtype=np.int64)
-    # Where x -> xu is linear on all of N it is on every (0:a); only the
-    # other units need the scan over (0:a).
-    linear = np.array([_map_is_linear(ring, u) for u in us.tolist()], dtype=bool)
+    # Right distributivity makes every x -> xu additive and associativity
+    # N-linear, so the map scan over (0:a) runs only when a law fails.
+    laws_hold = _laws_hold(ring.add, mul, group_generators(ring.group))
     clauses = ("Nu != N", "(0:a) != (0:a*u^-1)", "(0:a)u^-1 != (0:ua)",
                "x -> xu not injective")
     orbit_not_full = ~orbit_masks(ring, "left")[us].all(axis=1)
@@ -191,7 +182,7 @@ def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
         failed = np.stack([orbit_not_full, (anns[a] != anns[mul[a, inv_us]]).any(axis=1),
                            (translate != anns[mul[us, a]]).any(axis=1),
                            image.sum(axis=1) != len(ann)])   # in the order of clauses
-        for i in np.flatnonzero(failed.any(axis=0) | ~linear).tolist():
+        for i in np.flatnonzero(failed.any(axis=0) | (not laws_hold)).tolist():
             u, count = int(us[i]), a * len(us) + i + 1
             if failed[:, i].any():
                 clause = clauses[int(failed[:, i].argmax())]

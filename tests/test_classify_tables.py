@@ -42,8 +42,10 @@ from nearrings.catalog import DEFAULT_CORPUS_NAMES, _zn_group
 import nearrings.classify as classify
 import nearrings.theorems as theorems
 from nearrings.classify import all_element_profiles, units
-from nearrings.core import build_M0, build_product
-from nearrings.nmodules import IDEAL_ENUM_ORDER_CAP, orbit_is_N_ideal
+from nearrings.core import (_additive, _generators, _holds, _laws_hold, build_M0, build_product,
+                            group_generators)
+from nearrings.nmodules import (IDEAL_ENUM_ORDER_CAP, NModule, _cyclic_generator,
+                                generated_submodule, orbit_is_N_ideal)
 
 PRODUCTS = (("zn_ring(2)", "m0_z3"), ("zn_ring(4)", "zn_ring(6)"),
             ("klein4_ring", "mat2_f2"), ("mat2_f2", "zn_ring(2)"), ("m0_z3", "zn_ring(6)"))
@@ -776,3 +778,101 @@ def test_left_duo_from_principal_ideals_matches_enumeration(name, seed):
 def test_left_duo_family_has_rings_that_are_not_left_duo():
     verdicts = [structure_profile(ring_named(name)).left_duo for name in LEFT_DUO_FAMILY]
     assert verdicts.count(False) == 5 and verdicts.count(True) == 5
+
+
+# ---------------------------------------------------------------------------
+# the shared rules: one law predicate, one additive closure
+
+
+def reference_laws_hold(add, mul):
+    """Right distributivity and associativity of ``mul``, over all triples."""
+    add, mul = np.asarray(add), np.asarray(mul)
+    r, s, m = np.ix_(*[np.arange(len(add))] * 3)
+    return bool((mul[add[r, s], m] == add[mul[r, m], mul[s, m]]).all()
+                and (mul[mul[r, s], m] == mul[r, mul[s, m]]).all())
+
+
+# Z2 with 1*0 = 1 and every other product 0: right distributive, since
+# x -> x*0 is the identity and x -> x*1 is zero, but not associative:
+# (1*0)*1 = 0 while 1*(0*1) = 1.
+Z2_ADD, Z2_NOT_ASSOCIATIVE = np.array([[0, 1], [1, 0]]), np.array([[0, 0], [1, 0]])
+
+
+def test_laws_hold_checks_associativity_too():
+    gens = _generators(Z2_ADD)
+    assert _holds(_additive(Z2_ADD, Z2_NOT_ASSOCIATIVE, Z2_ADD), gens)
+    assert not reference_laws_hold(Z2_ADD, Z2_NOT_ASSOCIATIVE)
+    assert not _laws_hold(Z2_ADD, Z2_NOT_ASSOCIATIVE, gens)
+
+
+@given(name=st.one_of(st.just("z2_not_associative"), st.sampled_from(RING_NAMES)),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_laws_hold_matches_the_exhaustive_scan(name, data):
+    if name == "z2_not_associative":
+        add, mul, gens = Z2_ADD, Z2_NOT_ASSOCIATIVE.copy(), _generators(Z2_ADD)
+        if data.draw(st.booleans()):
+            mul[data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))] ^= 1
+    else:
+        ring = ring_named(name) if data.draw(st.booleans()) else scrambled(name, data)
+        add, mul, gens = ring.add, ring.mul, group_generators(ring.group)
+    assert _laws_hold(add, mul, gens) == reference_laws_hold(add, mul)
+
+
+def reference_generated_submodule(module, g):
+    """``generated_submodule`` before it shared ``core._extend_closure``:
+    a semi-naive loop over the action, +, and negation."""
+    madd, mneg, act = module.carrier.add, module.carrier.neg, module.action
+    seen = np.zeros(module.carrier.order, dtype=bool)
+    frontier = np.array([0, g])
+    seen[frontier] = True
+    while len(frontier):  # semi-naive: only images of new elements can be new
+        members = np.flatnonzero(seen)
+        new = np.zeros_like(seen)
+        new[act[:, frontier]] = True
+        new[madd[frontier[:, None], members]] = True
+        new[madd[members[:, None], frontier]] = True
+        new[mneg[frontier]] = True
+        new &= ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+    return frozenset(np.flatnonzero(seen).tolist())
+
+
+def assert_closures_agree(module):
+    m_n = module.carrier.order
+    closures = [reference_generated_submodule(module, g) for g in range(m_n)]
+    assert [generated_submodule(module, g) for g in range(m_n)] == closures
+    assert _cyclic_generator(module) == next(
+        (g for g in range(m_n) if len(closures[g]) == m_n), None)
+
+
+def test_generated_submodule_takes_the_images_of_zero():
+    # With 1*0 = 3 the action does not fix 0, so {0} is not closed under it;
+    # r*3 is 0 or 3 for every r.
+    ring = builtin("klein4_ring")
+    action = ring.mul.tolist()
+    action[1][0] = 3
+    module = NModule(ring=ring, carrier=ring.group, action=action)
+    assert generated_submodule(module, 0) == frozenset({0, 3})
+    assert_closures_agree(module)
+
+
+@given(name=st.sampled_from(RING_NAMES), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_generated_submodule_matches_the_old_loop(name, data):
+    ring = ring_named(name)
+    if data.draw(st.booleans()):
+        assert_closures_agree(regular_representation(ring))
+        return
+    # 1 to 3 overwritten action entries, the first one half the time an
+    # r*0 that is not 0
+    n = ring.order
+    action = ring.mul.tolist()
+    for k in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, n - 1))
+        if k == 0 and n > 1 and data.draw(st.booleans()):
+            action[r][0] = data.draw(st.integers(1, n - 1))
+        else:
+            action[r][data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    assert_closures_agree(NModule(ring=ring, carrier=ring.group, action=action))

@@ -21,7 +21,7 @@ from nearrings import (
 )
 from nearrings.catalog import _f2sq_module, _zn_group
 from nearrings.core import _generators
-from nearrings.nmodules import NModule, generated_submodule
+from nearrings.nmodules import IdealVerdict, NModule, generated_submodule, right_escape
 
 
 def klein4():
@@ -331,3 +331,64 @@ class TestHomsAndIsos:
         rep = regular_representation(ring)
         with pytest.raises(ValueError, match="bruteforce"):
             modules_isomorphic(rep, frozenset(range(9)), mode="bruteforce")
+
+
+# Every entry point that takes element indices checks them once: a negative
+# index must not wrap round, an index >= n must not surface as numpy's
+# IndexError, and neither a float nor a bool names an element.
+BAD_INDICES = (-2, -1, 4, 7, 1.5, True)
+
+
+def z4():
+    return builtin("zn_ring(4)")
+
+
+INDEX_ENTRY_POINTS = {
+    "annihilator": lambda bad: annihilator(z4(), "left", {bad}),
+    "orbit": lambda bad: orbit(z4(), "left", bad),
+    "is_N_ideal": lambda bad: is_N_ideal(regular_representation(z4()), {0, bad}),
+    "is_ideal": lambda bad: is_ideal(z4(), {0, bad}),
+    "quotient_module": lambda bad: quotient_module(regular_representation(z4()), {0, bad}),
+    "right_escape": lambda bad: right_escape(z4(), {0, bad}),
+    "hom_target": lambda bad: hom_from_cyclic_generator(
+        regular_representation(z4()), 1, frozenset({0, bad}), 0),
+    "iso_target": lambda bad: modules_isomorphic(
+        regular_representation(z4()), frozenset({0, bad}), mode="generator"),
+    "generated_submodule": lambda bad: generated_submodule(regular_representation(z4()), bad),
+}
+
+
+class TestElementIndices:
+    @pytest.mark.parametrize("bad", BAD_INDICES)
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    def test_bad_index_raises_value_error(self, entry, bad):
+        with pytest.raises(ValueError, match=r"element index .* is not an integer in \[0,4\)"):
+            INDEX_ENTRY_POINTS[entry](bad)
+
+    def test_the_reported_cases(self):
+        # A negative index used to wrap round to n - 2 or n - 1, and 7 to
+        # raise numpy's IndexError.
+        with pytest.raises(ValueError):
+            is_ideal(z4(), {0, -2})
+        with pytest.raises(ValueError):
+            annihilator(z4(), "left", {-1})
+        with pytest.raises(ValueError):
+            is_N_ideal(regular_representation(klein4()), {0, 7})
+
+    def test_numpy_integers_are_indices(self):
+        ring = z4()
+        rep = regular_representation(ring)
+        two = np.int64(2)
+        assert annihilator(ring, "left", {two}) == annihilator(ring, "left", {2})
+        assert orbit(ring, "left", np.int32(2)) == orbit(ring, "left", 2)
+        assert is_N_ideal(rep, np.array([0, 2])) == is_N_ideal(rep, {0, 2})
+        assert is_ideal(ring, [np.int8(0), two]) == "two_sided_ideal"
+        assert generated_submodule(rep, two) == generated_submodule(rep, 2)
+
+    def test_empty_subsets_keep_their_results(self):
+        ring = z4()
+        assert is_N_ideal(regular_representation(ring), set()) == \
+            IdealVerdict("not_subgroup", (0,))
+        assert is_ideal(ring, ()) == "not_left_ideal"
+        with pytest.raises(ValueError, match="annihilator of the empty set"):
+            annihilator(ring, "left", set())

@@ -13,6 +13,7 @@ from nearrings import (
     theorem_catalog,
     validate_nearring,
 )
+import nearrings.theorems as theorems
 from nearrings.theorems import theorem_description
 
 
@@ -230,3 +231,23 @@ def test_lemma10_agrees_with_exhaustive_scan(name, data):
         return
     assert (report.status, report.instantiations, report.counterexample) == \
         reference_lemma10(ring)
+
+
+def test_lemma10_map_clauses_are_skipped_on_validated_rings(monkeypatch):
+    # On a near-ring every x -> xu is additive and N-linear, so the per-pair
+    # map scan never runs; on a copy where the laws fail, it does.
+    calls = []
+    real = theorems._lemma10_map_failure
+
+    def counting(ring, a, u):
+        calls.append((a, u))
+        return real(ring, a, u)
+
+    monkeypatch.setattr(theorems, "_lemma10_map_failure", counting)
+    names = ["klein4_ring", "m0_z3", "mat2_f2", "ext_f2_f2", "ext_mat2f2_f2sq", "klein4_x_f2"]
+    names += [f"zn_ring({n})" for n in range(2, 13)]
+    for name in names:
+        assert check(builtin(name), "lemma10").status == "pass", name
+    assert calls == []
+    check(swap_in_column(builtin("zn_ring(5)"), 2, 1, 4), "lemma10")
+    assert calls == [(0, 1), (0, 2)]
