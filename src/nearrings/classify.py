@@ -7,12 +7,12 @@ instances, a brute-force isomorphism search between N/Na and (0:a).
 
 The scans run over whole-ring n x n bool tables from ``nmodules``: rows of
 Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
-(``orbit_is_N_ideal``, whose reduction of r to generators of (N,+) needs
-right distributivity; it checks that law first and tests each orbit on its
-own when the table breaks it).  The
-morphic witness scan, subcommutativity (Na = aN), weak divisibility (b in
-Na or a in Nb) and IFP (ab = 0 implies aN in (0:b)) compare rows of these
-tables; each still reports the first witness in ascending scan order.
+(``orbit_is_N_ideal``, whose reductions need the near-ring laws; it reads
+``core.laws_hold``, stored by validation, and tests each orbit on its own
+when the table breaks them).  The morphic witness scan, subcommutativity
+(Na = aN), weak divisibility (b in Na or a in Nb) and IFP (ab = 0 implies
+aN in (0:b)) compare rows of these tables; each still reports the first
+witness in ascending scan order.
 Left duo is decided on the principal ideals (``nmodules._ideal_closure``)
 with ``right_escape``; the comment in ``structure_profile`` shows why the
 first ideal that is not two-sided is a principal one.

@@ -27,11 +27,17 @@ they contain S.  The closure, for r1, r2 in that set:
   ((r1+r2)*s)*m = (r1*s)*m + (r2*s)*m = r1*(s*m) + r2*(s*m) = (r1+r2)*(s*m).
 
 ``_laws_hold`` checks right distributivity, then associativity, over S: the
-one law predicate, exact for any table over a group.  ``validate_nearring``,
-``nmodules.orbit_is_N_ideal`` and the ``lemma10`` theorem cell call it.
+one law predicate, exact for any table over a group.  ``validate_nearring``
+calls it on the raw tables; every other caller reads ``laws_hold(ring)``,
+its verdict on a ring's own tables, memoised in the ring's ``derived``
+cache like ``endomorphism_rows(ring)``, the vector of rows x for which
+y -> x*y is an endomorphism of (N,+).  Validation stores both (``True``
+and the vector behind the left-distributive flag); a ``dataclasses.replace``
+copy starts with an empty cache and computes both from its own tables, so
+no caller needs to know how a ring was made.
 
-The left-distributive flag asks whether every x -> x*y is an endomorphism
-of (N,+), tested for all rows x at once over S.  Validation keeps S as the
+The left-distributive flag asks whether every row is an endomorphism,
+tested for all rows x at once over S.  Validation keeps S as the
 group's ``group_generators``, which the N-ideal test reuses.  When a
 reduced check fails, ``_first_violation`` scans the same row function over
 all rows for the first witness in ascending scan order; every reported
@@ -157,6 +163,11 @@ class NearRing(_Tables):
     ``factors`` / ``extension`` record construction provenance (direct
     products and the R x M extension) so structure-specific checks can
     recognise how an instance was built.
+
+    A ``dataclasses.replace`` copy keeps ``one``, ``flags`` and
+    ``flag_witnesses`` as given, unchecked against its tables; only its
+    ``derived`` cache starts empty, so what is memoised there (``laws_hold``
+    and ``endomorphism_rows`` included) is computed from its own tables.
     """
 
     _TABLES = ("mul",)
@@ -354,6 +365,19 @@ def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
     return bad
 
 
+@memoized
+def laws_hold(ring: NearRing) -> bool:
+    """``_laws_hold`` on the ring's own tables, over ``group_generators``."""
+    return _laws_hold(ring.add, ring.mul, group_generators(ring.group))
+
+
+@memoized
+def endomorphism_rows(ring: NearRing) -> np.ndarray:
+    """Read-only bool vector: entry x says whether y -> x*y is an
+    endomorphism of (N,+)."""
+    return _seal(~_left_dist_bad_rows(ring.add, ring.mul, group_generators(ring.group)))
+
+
 def _row_classes(t: np.ndarray) -> np.ndarray:
     """``rep[i]``: the least index whose row of ``t`` equals row i.
 
@@ -400,17 +424,17 @@ def validate_group(add, labels=None) -> FiniteGroup:
     return group
 
 
-def _compute_flags(add: np.ndarray, mul: np.ndarray, one, gens):
-    """Exact flag scans; returns (one, flags, witnesses)."""
+def _compute_flags(add: np.ndarray, mul: np.ndarray, one, endo: np.ndarray):
+    """Exact flag scans, given the endomorphism-row vector ``endo``;
+    returns (one, flags, witnesses)."""
     witnesses: list[tuple[str, tuple[int, ...]]] = []
 
     # Rows before the first bad one are endomorphisms, so the exhaustive
     # scan's first witness lies in that row.
-    bad_rows = _left_dist_bad_rows(add, mul, gens)
-    left_dist = not bad_rows.any()
+    left_dist = bool(endo.all())
     if not left_dist:
         w = _first_violation(lambda x: mul[x, add] != add[mul[x][:, None], mul[x]],
-                             range(int(bad_rows.argmax()), len(add)))
+                             range(int(endo.argmin()), len(add)))
         witnesses.append(("left_distributive", w))
 
     bad = np.argwhere(add != add.T)
@@ -469,9 +493,13 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
     # checks above are broken, not the input.
     if mul[0].any():
         raise InvariantError("0*x != 0 in a table that passed right distributivity")
-    one, flags, witnesses = _compute_flags(add, mul, one, gens)
-    return NearRing(group=group, mul=mul, one=one, flags=flags,
+    endo = _seal(~_left_dist_bad_rows(add, mul, gens))
+    one, flags, witnesses = _compute_flags(add, mul, one, endo)
+    ring = NearRing(group=group, mul=mul, one=one, flags=flags,
                     flag_witnesses=witnesses, name=name, **provenance)
+    laws_hold.keep(ring, True)
+    endomorphism_rows.keep(ring, endo)
+    return ring
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,24 @@ Orbits and annihilators of a near-ring are read off memoised n x n bool
 tables (``orbit_masks``, ``annihilator_masks``); a subset's annihilator is
 the AND of its members' rows.  ``orbit_is_N_ideal`` decides "Na is an
 N-ideal" for every a at once, in O(|S|^2 n^2) over a generating set S of
-(N,+), by two more reductions that hold only when the action is right
-distributive, i.e. for the regular representation of a validated near-ring:
+(N,+), by three more reductions that hold only when the near-ring laws
+do, i.e. for the regular representation of a near-ring:
 
 - Na = {n*a} is the subgroup generated by {s*a : s in S}, since
   n -> n*a is an endomorphism of (N,+);
 - for a normal L, the r with r(l+m) - rm in L for all l, m are closed
   under +: (r1+r2)(l+m) - (r1+r2)m = [r1(l+m) - r1m] + [r1m + t - r1m]
-  with t = r2(l+m) - r2m, so r needs to range over S only.
+  with t = r2(l+m) - r2m, so r needs to range over S only;
+- a generator r whose row is an endomorphism of (N,+) needs no check:
+  r(l+m) - rm = rl = r(s*a) = (r*s)*a, in Na.  On a ring every row is
+  one, so only the normality check is left.
 
-A near-ring built without validation need not be right distributive, so
-``orbit_is_N_ideal`` first checks the laws over S (``core._laws_hold``, in
-O(|S| n^2)) and falls back to ``is_N_ideal`` on every orbit when they fail.
-``is_N_ideal`` takes arbitrary actions, so it keeps r over all of N.
+A near-ring built without validation need not satisfy the laws, so
+``orbit_is_N_ideal`` reads ``core.laws_hold`` (stored by validation,
+computed in O(|S| n^2) on any other ring) and the rows from
+``core.endomorphism_rows``, and falls back to ``is_N_ideal`` on every
+orbit when the laws fail.  ``is_N_ideal`` takes arbitrary actions, so it
+keeps r over all of N.
 """
 from __future__ import annotations
 
@@ -58,8 +63,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
-                   _check_table, _extend_closure, _first_violation, _generators, _laws_hold,
-                   _Tables, group_generators, memoized, validate_group)
+                   _check_table, _extend_closure, _first_violation, _generators, _Tables,
+                   endomorphism_rows, group_generators, laws_hold, memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -148,13 +153,18 @@ def _members(mask: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
+def _index(order: int, x) -> int:
+    """``x`` as a Python int, if it is an integer (not a bool) in [0, order)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < order:
+        raise ValueError(f"element index {x!r} is not an integer in [0,{order})")
+    return int(x)
+
+
 def _index_mask(order: int, subset) -> np.ndarray:
-    """Bool mask of element indices, each an integer (not a bool) in [0, order)."""
+    """Bool mask of element indices, each checked by ``_index``."""
     mask = np.zeros(order, dtype=bool)
     for x in subset:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < order:
-            raise ValueError(f"element index {x!r} is not an integer in [0,{order})")
-        mask[x] = True
+        mask[_index(order, x)] = True
     return mask
 
 
@@ -168,7 +178,7 @@ def annihilator(ring: NearRing, side: str, subset) -> frozenset[int]:
 
 def orbit(ring: NearRing, side: str, a: int) -> frozenset[int]:
     """Left: Na = {n*a}; right: aN = {a*n}."""
-    return _members(orbit_masks(ring, side)[_index_mask(ring.order, (a,))][0])
+    return _members(orbit_masks(ring, side)[_index(ring.order, a)])
 
 
 @memoized
@@ -176,14 +186,14 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     """Bool vector whose entry a says whether Na is an N-ideal of the regular
     representation, decided for every a in one pass.
 
-    Both reductions (module docstring) need the action to be right
-    distributive.  A ``NearRing`` built without validation may not be, so
-    the laws are checked first over S (``core._laws_hold``, in O(|S| n^2));
-    the check falls back to ``is_N_ideal`` on every orbit when the laws fail.
+    The reductions (module docstring) need the near-ring laws.  A
+    ``NearRing`` built without validation may break them, so the check
+    reads ``core.laws_hold`` first and falls back to ``is_N_ideal`` on every
+    orbit when they fail.  Otherwise r ranges over the generators whose row
+    is not an endomorphism: for the others r(l+m) - rm = rl = (r*s)*a, in Na.
     """
     add, neg, mul = ring.add, ring.neg, ring.mul
-    gens = np.array(group_generators(ring.group), dtype=np.int64)
-    if not _laws_hold(add, mul, gens):
+    if not laws_hold(ring):
         rep = regular_representation(ring)
         ok = np.array([bool(is_N_ideal(rep, _members(row)))
                        for row in orbit_masks(ring, "left")], dtype=bool)
@@ -191,13 +201,15 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
         return ok
     orbits = orbit_masks(ring, "left")
     cols = np.arange(ring.order)
+    gens = np.array(group_generators(ring.group), dtype=np.int64)
     gens_l = mul[gens, :]  # row s holds s*a for every a: generators of each Na
     conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
     ok = orbits[cols, conj].all(axis=(0, 1))
+    movers = gens[~endomorphism_rows(ring)[gens]]
     # One (l, r) pair of generators at a time, so temporaries stay n x n.
-    for row in gens_l:
+    for row in gens_l if len(movers) else ():
         shifted = add[row[:, None], cols]                       # [a, m]: s*a + m
-        for r in gens:
+        for r in movers:
             diff = add[mul[r][shifted], neg[mul[r]]]            # r(l+m) - rm
             ok &= orbits[cols[:, None], diff].all(axis=1)
     ok.setflags(write=False)
@@ -418,11 +430,13 @@ def hom_from_cyclic_generator(module: NModule, g: int, target, b: int) -> HomRes
     """The unique additive N-linear map sending g to b, if well defined.
 
     ``target`` is an NModule over the same ring or a frozenset embedded in
-    the regular representation.  Failure names the violated relation.
+    the regular representation; ``b`` is an element index of the target's
+    carrier (of N when embedded).  Failure names the violated relation.
     """
     if len(generated_submodule(module, g)) != module.carrier.order:
         raise ValueError(f"element {g} does not generate the module")
-    return _extend_hom(_as_lists(module, _target(module.ring, target)), g, b)
+    target = _target(module.ring, target)
+    return _extend_hom(_as_lists(module, target), g, _index(len(target[2]), b))
 
 
 def _as_lists(module: NModule, target) -> tuple[list, ...]:
@@ -433,9 +447,10 @@ def _as_lists(module: NModule, target) -> tuple[list, ...]:
 
 
 def _extend_hom(tables: tuple[list, ...], g: int, b: int) -> HomResult:
-    """``hom_from_cyclic_generator`` for a generator g, on ``_as_lists`` tables."""
+    """``hom_from_cyclic_generator`` for a generator g and a checked index b,
+    on ``_as_lists`` tables."""
     act, madd, t_add, t_act, in_t = tables
-    if not (0 <= b < len(in_t) and in_t[b]):
+    if not in_t[b]:
         return HomResult(None, "image_not_in_target", (b,))
     image: dict[int, int] = {0: 0, g: b}
     if image[0] != 0:

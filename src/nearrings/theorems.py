@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CapExceeded, NearRing, _laws_hold, group_generators, same_tables
+from .core import CapExceeded, NearRing, laws_hold, same_tables
 from .catalog import builtin
 from .classify import (
     all_element_profiles,
@@ -164,9 +164,6 @@ def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
     anns = annihilator_masks(ring, "left")
     us = np.array(sorted(unit_set), dtype=np.int64)
     inv_us = np.array([inv[u] for u in us.tolist()], dtype=np.int64)
-    # Right distributivity makes every x -> xu additive and associativity
-    # N-linear, so the map scan over (0:a) runs only when a law fails.
-    laws_hold = _laws_hold(ring.add, mul, group_generators(ring.group))
     clauses = ("Nu != N", "(0:a) != (0:a*u^-1)", "(0:a)u^-1 != (0:ua)",
                "x -> xu not injective")
     orbit_not_full = ~orbit_masks(ring, "left")[us].all(axis=1)
@@ -182,7 +179,9 @@ def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
         failed = np.stack([orbit_not_full, (anns[a] != anns[mul[a, inv_us]]).any(axis=1),
                            (translate != anns[mul[us, a]]).any(axis=1),
                            image.sum(axis=1) != len(ann)])   # in the order of clauses
-        for i in np.flatnonzero(failed.any(axis=0) | (not laws_hold)).tolist():
+        # Right distributivity makes every x -> xu additive and associativity
+        # N-linear, so the map scan over (0:a) runs only when a law fails.
+        for i in np.flatnonzero(failed.any(axis=0) | (not laws_hold(ring))).tolist():
             u, count = int(us[i]), a * len(us) + i + 1
             if failed[:, i].any():
                 clause = clauses[int(failed[:, i].argmax())]

@@ -3,7 +3,14 @@ import dataclasses
 import gc
 import weakref
 
+import numpy as np
+import pytest
+
+import nearrings.core as core
 from nearrings import (
+    build_product,
+    builtin,
+    check,
     is_left_morphic,
     regular_representation,
     run_suite,
@@ -11,7 +18,9 @@ from nearrings import (
     validate_nearring,
 )
 from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL
-from nearrings.core import _generators, group_generators, same_tables
+from nearrings.core import (_generators, endomorphism_rows, group_generators, laws_hold,
+                            same_tables)
+from nearrings.nmodules import orbit_is_N_ideal
 
 
 def fresh_klein4():
@@ -64,3 +73,59 @@ def test_validation_stores_the_generators():
     gens = ring.group.derived["group_generators",]
     assert gens == _generators(ring.group.add) == [1, 2]
     assert group_generators(ring.group) is gens
+
+
+def exhaustive_endomorphism_rows(ring):
+    """Per row x, whether x*(y+z) = x*y + x*z for every y and z."""
+    add, mul = ring.add, ring.mul
+    return [bool((mul[x][add] == add[mul[x][:, None], mul[x]]).all())
+            for x in range(ring.order)]
+
+
+def test_validation_stores_the_law_verdicts():
+    ring = fresh_klein4()
+    endo = ring.derived["endomorphism_rows",]
+    assert ring.derived["laws_hold",] is True and laws_hold(ring) is True
+    assert endomorphism_rows(ring) is endo and not endo.flags.writeable
+    assert endo.tolist() == exhaustive_endomorphism_rows(ring) == [True] * 4
+    mul = ring.mul.copy()
+    mul[1, 3] = 1   # (1+2)*3 = 3 but 1*3 + 2*3 = 2; 1*(2+3) = 1 but 1*2 + 1*3 = 0
+    broken = dataclasses.replace(ring, mul=mul)
+    assert broken.derived == {}
+    assert laws_hold(broken) is False
+    assert endomorphism_rows(broken).tolist() == exhaustive_endomorphism_rows(broken)
+    assert not endomorphism_rows(broken)[1]
+
+
+FRESH_RINGS = {
+    "klein4_ring": fresh_klein4,
+    "zn4_x_m0_z3": lambda: build_product((builtin("zn_ring(4)"), builtin("m0_z3"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_RINGS))
+def test_consumers_read_the_stored_verdict(monkeypatch, name):
+    ring = FRESH_RINGS[name]()
+    calls = []
+    holds = core._holds
+    monkeypatch.setattr(core, "_holds", lambda bad, rows: calls.append(rows) or holds(bad, rows))
+    orbit_is_N_ideal(ring)
+    assert check(ring, "lemma10").status == "pass"
+    assert calls == []
+    # A copy starts with an empty cache and checks its own tables.
+    copy = dataclasses.replace(ring, name="copy")
+    assert np.array_equal(orbit_is_N_ideal(copy), orbit_is_N_ideal(ring))
+    assert calls
+
+
+def test_stale_flags_do_not_reach_the_orbit_test():
+    # Z3 x Z3 and M0(Z3) have the same addition table, so the copy has the
+    # ring's flags (left distributive) over the near-ring's tables.
+    m0 = builtin("m0_z3")
+    ring = build_product((builtin("zn_ring(3)"),) * 2)
+    copy = dataclasses.replace(ring, mul=m0.mul)
+    assert same_tables(copy, m0) and copy.flags.left_distributive
+    assert laws_hold(copy) and not endomorphism_rows(copy).all()
+    expected = orbit_is_N_ideal(m0)
+    assert not expected.all()
+    assert np.array_equal(orbit_is_N_ideal(copy), expected)

@@ -352,6 +352,8 @@ INDEX_ENTRY_POINTS = {
     "right_escape": lambda bad: right_escape(z4(), {0, bad}),
     "hom_target": lambda bad: hom_from_cyclic_generator(
         regular_representation(z4()), 1, frozenset({0, bad}), 0),
+    "hom_image": lambda bad: hom_from_cyclic_generator(
+        regular_representation(z4()), 1, frozenset(range(4)), bad),
     "iso_target": lambda bad: modules_isomorphic(
         regular_representation(z4()), frozenset({0, bad}), mode="generator"),
     "generated_submodule": lambda bad: generated_submodule(regular_representation(z4()), bad),
@@ -384,6 +386,14 @@ class TestElementIndices:
         assert is_N_ideal(rep, np.array([0, 2])) == is_N_ideal(rep, {0, 2})
         assert is_ideal(ring, [np.int8(0), two]) == "two_sided_ideal"
         assert generated_submodule(rep, two) == generated_submodule(rep, 2)
+        hom = hom_from_cyclic_generator(rep, 1, frozenset(range(4)), two)
+        assert hom == hom_from_cyclic_generator(rep, 1, frozenset(range(4)), 2)
+        assert {type(y) for y in hom.hom} == {int}
+
+    def test_image_outside_an_embedded_target_is_a_failure(self):
+        res = hom_from_cyclic_generator(regular_representation(z4()), 1, frozenset({0, 2}), 1)
+        assert (res.hom, res.failure, res.failure_elements) == \
+            (None, "image_not_in_target", (1,))
 
     def test_empty_subsets_keep_their_results(self):
         ring = z4()
