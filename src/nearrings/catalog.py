@@ -134,14 +134,15 @@ _FIXED = {
     "klein4_x_f2": _klein4_x_f2,
 }
 
-_ZN_RE = re.compile(r"^zn_ring\((\d+)\)$")
+# ASCII digits without a leading zero: the spelling catalog_names uses.
+_ZN_RE = re.compile(r"zn_ring\(([1-9][0-9]*)\)")
 
 
 def builtin(name: str) -> NearRing:
     """Return the validated builtin near-ring with the given catalog name."""
     if name in _FIXED:
         return _FIXED[name]()
-    m = _ZN_RE.match(name)
+    m = _ZN_RE.fullmatch(name)
     if m:
         return _zn_ring(int(m.group(1)))
     raise KeyError(f"unknown builtin {name!r}")

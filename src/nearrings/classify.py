@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CapExceeded, InvariantError, NearRing, memoized
+from .core import CapExceeded, InvariantError, NearRing, _first_hit, memoized
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
@@ -286,17 +286,17 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     # IFP: ab = 0 implies aNb = 0, i.e. aN lies in (0:b).  The first (a, b)
     # in row-major order that breaks it, then the least x with (ax)b != 0.
     outside = right.astype(np.int32) @ (~annihilator_masks(ring, "left")).T.astype(np.int32)
-    bad = np.argwhere((mul == 0) & (outside > 0))
-    ifp = not len(bad)
+    bad = _first_hit((mul == 0) & (outside > 0))
+    ifp = bad is None
     if not ifp:
-        a, b = bad[0].tolist()
-        x = int(np.flatnonzero(mul[mul[a], b])[0])
+        a, b = bad
+        x, = _first_hit(mul[mul[a], b] != 0)
         witnesses["has_ifp"] = (a, x, b)
 
-    bad = np.flatnonzero((left != right).any(axis=1))
-    subcommutative = not len(bad)
+    bad = _first_hit((left != right).any(axis=1))
+    subcommutative = bad is None
     if not subcommutative:
-        witnesses["subcommutative"] = (int(bad[0]),)
+        witnesses["subcommutative"] = bad
 
     bad = first(lambda p: p.is_idempotent)
     boolean = bad is None
@@ -304,10 +304,10 @@ def structure_profile(ring: NearRing) -> StructureProfile:
         witnesses["boolean"] = (bad,)
 
     # Weakly divisible: b in Na or a in Nb for every pair (a, b).
-    bad = np.argwhere(~(left | left.T))
-    weakly_divisible = not len(bad)
+    bad = _first_hit(~(left | left.T))
+    weakly_divisible = bad is None
     if not weakly_divisible:
-        witnesses["weakly_divisible"] = tuple(bad[0].tolist())
+        witnesses["weakly_divisible"] = bad
 
     # Left duo: every N-ideal L of the regular representation has LN in L.
     # If l*x escapes L for some l in L, it escapes the principal ideal
@@ -330,7 +330,7 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     bad = first(lambda p: not p.is_idempotent or p.is_central)
     idem_central = bad is None
     if not idem_central:
-        x = int(np.flatnonzero(mul[bad] != mul[:, bad])[0])
+        x, = _first_hit(mul[bad] != mul[:, bad])
         witnesses["idempotents_central"] = (bad, x)
 
     for flag_name, pred in (

@@ -107,6 +107,18 @@ def _classify_json(ring: NearRing, profiles) -> dict:
     }
 
 
+def _element_index(text: str, order: int) -> int | None:
+    """``text`` as an element index: ASCII digits, leading zeros allowed,
+    naming an index below ``order``; else None.  ``int`` only sees as many
+    digits as ``order`` has."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(order)) or int(digits) >= order:
+        return None
+    return int(digits)
+
+
 def cmd_classify(args, out) -> int:
     ring, code = _load(args.file, out)
     if ring is None:
@@ -117,10 +129,8 @@ def cmd_classify(args, out) -> int:
         print(f"{args.file}: over cap: {exc}", file=out)
         return EXIT_IO
     if args.element is not None:
-        sel = None
-        if args.element.isdecimal() and int(args.element) < ring.order:
-            sel = int(args.element)
-        elif ring.group.labels and args.element in ring.group.labels:
+        sel = _element_index(args.element, ring.order)
+        if sel is None and ring.group.labels and args.element in ring.group.labels:
             sel = ring.group.labels.index(args.element)
         if sel is None:
             print(f"unknown element {args.element!r}", file=out)
@@ -217,7 +227,11 @@ def cmd_builtin(args, out) -> int:
         return EXIT_IO
     text = emit_table(ring)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"{args.out}: {exc.strerror or exc}", file=out)
+            return EXIT_IO
     else:
         out.write(text)
     return EXIT_OK

@@ -31,16 +31,19 @@ one law predicate, exact for any table over a group.  ``validate_nearring``
 calls it on the raw tables; every other caller reads ``laws_hold(ring)``,
 its verdict on a ring's own tables, memoised in the ring's ``derived``
 cache like ``endomorphism_rows(ring)``, the vector of rows x for which
-y -> x*y is an endomorphism of (N,+).  Validation stores both (``True``
-and the vector behind the left-distributive flag); a ``dataclasses.replace``
-copy starts with an empty cache and computes both from its own tables, so
-no caller needs to know how a ring was made.
+y -> x*y is an endomorphism of (N,+), tested for all rows at once over S.
+Validation stores both (``True`` and the vector); the flags and their
+witnesses (``flag_scan``, read through ``ring.flags`` and
+``ring.flag_witnesses``) are computed from the ring's own tables on first
+read.  A ``dataclasses.replace`` copy starts with an empty cache and
+computes all of them from its own tables, so no caller needs to know how a
+ring was made.
 
-The left-distributive flag asks whether every row is an endomorphism,
-tested for all rows x at once over S.  Validation keeps S as the
-group's ``group_generators``, which the N-ideal test reuses.  When a
+Validation keeps S as the group's ``group_generators``, which the N-ideal
+test reuses.  Every first witness is the first True entry of a bool table
+in row-major order, as a tuple of Python ints (``_first_hit``); when a
 reduced check fails, ``_first_violation`` scans the same row function over
-all rows for the first witness in ascending scan order; every reported
+all rows for the first witness in ascending scan order, and every reported
 failure carries a witness tuple that re-evaluates to a violation on the
 raw tables.  The associativity scans read only the first of each set of
 equal rows (``_first_rows``), since equal rows have the same check; with k
@@ -164,10 +167,10 @@ class NearRing(_Tables):
     products and the R x M extension) so structure-specific checks can
     recognise how an instance was built.
 
-    A ``dataclasses.replace`` copy keeps ``one``, ``flags`` and
-    ``flag_witnesses`` as given, unchecked against its tables; only its
-    ``derived`` cache starts empty, so what is memoised there (``laws_hold``
-    and ``endomorphism_rows`` included) is computed from its own tables.
+    A ``dataclasses.replace`` copy keeps ``one`` as given, unchecked
+    against its tables.  Its ``derived`` cache starts empty, so what is
+    memoised there (``laws_hold``, ``endomorphism_rows`` and the ``flags``
+    with their ``flag_witnesses`` included) is computed from its own tables.
     """
 
     _TABLES = ("mul",)
@@ -175,8 +178,6 @@ class NearRing(_Tables):
     group: FiniteGroup
     mul: np.ndarray
     one: Optional[int]
-    flags: NearRingFlags
-    flag_witnesses: tuple[tuple[str, tuple[int, ...]], ...] = ()
     name: Optional[str] = None
     factors: Optional[tuple["NearRing", ...]] = None
     extension: Optional[tuple] = None
@@ -199,6 +200,16 @@ class NearRing(_Tables):
 
     def sub(self, i: int, j: int) -> int:
         return self.group.sub(i, j)
+
+    @property
+    def flags(self) -> NearRingFlags:
+        return flag_scan(self)[0]
+
+    @property
+    def flag_witnesses(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """The first witness of each flag that fails, in the order of the
+        ``NearRingFlags`` fields (``unital`` has none)."""
+        return flag_scan(self)[1]
 
     def is_ring(self) -> bool:
         return self.flags.abelian_add and self.flags.left_distributive
@@ -251,7 +262,7 @@ def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
     if arr is not None:
         if arr.min() >= 0 and arr.max() < cols:
             return _as_table(arr)
-        i, j = divmod(int(((arr < 0) | (arr >= cols)).argmax()), cols)
+        i, j = _first_hit((arr < 0) | (arr >= cols))
         raise TableFormatError(
             f"{field}: entry {int(arr[i, j])!r} in row {i} out of range [0,{cols})")
     if isinstance(table, np.ndarray):
@@ -278,11 +289,20 @@ def _identities(t: np.ndarray) -> np.ndarray:
     return (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
 
 
-def _first_non_identity(t: np.ndarray, e: int) -> Optional[int]:
-    """The least x with t[e][x] != x or t[x][e] != x, or None."""
+def _first_hit(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The index of the first True entry of ``mask`` in row-major order, as
+    a tuple of Python ints, or None when there is none."""
+    if mask.size:
+        i = int(mask.argmax())
+        if mask.flat[i]:
+            return tuple(int(k) for k in np.unravel_index(i, mask.shape))
+    return None
+
+
+def _first_non_identity(t: np.ndarray, e: int) -> Optional[tuple[int]]:
+    """(x,) for the least x with t[e][x] != x or t[x][e] != x, or None."""
     idx = np.arange(len(t))
-    bad = np.flatnonzero((t[e] != idx) | (t[:, e] != idx))
-    return int(bad[0]) if len(bad) else None
+    return _first_hit((t[e] != idx) | (t[:, e] != idx))
 
 
 def _extend_closure(add: np.ndarray, reached: np.ndarray, s: int) -> None:
@@ -349,11 +369,7 @@ def _laws_hold(add: np.ndarray, mul: np.ndarray, gens) -> bool:
 def _first_violation(bad, rows) -> Optional[tuple[int, ...]]:
     """The first (i, *rest) with ``bad(i)[rest]`` True, i ascending over
     ``rows`` and rest in row-major order, or None."""
-    for i in rows:
-        hits = np.argwhere(bad(i))
-        if len(hits):
-            return (int(i), *hits[0].tolist())
-    return None
+    return next(((int(i), *hit) for i in rows if (hit := _first_hit(bad(i)))), None)
 
 
 def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
@@ -376,6 +392,26 @@ def endomorphism_rows(ring: NearRing) -> np.ndarray:
     """Read-only bool vector: entry x says whether y -> x*y is an
     endomorphism of (N,+)."""
     return _seal(~_left_dist_bad_rows(ring.add, ring.mul, group_generators(ring.group)))
+
+
+@memoized
+def flag_scan(ring: NearRing) -> tuple[NearRingFlags, tuple[tuple[str, tuple[int, ...]], ...]]:
+    """Exact flag scans on the ring's own tables: the flags, and the first
+    witness of each flag that fails (``NearRing.flag_witnesses``)."""
+    add, mul = ring.add, ring.mul
+    # Rows before the first bad one are endomorphisms, so the exhaustive
+    # scan's first witness lies in that row.
+    bad = _first_hit(~endomorphism_rows(ring))
+    witnesses = {
+        "left_distributive": bad and _first_violation(
+            lambda x: mul[x, add] != add[mul[x][:, None], mul[x]], range(bad[0], len(add))),
+        "abelian_add": _first_hit(add != add.T),
+        "zero_symmetric": _first_hit(mul[:, 0] != 0),
+        "commutative_mul": _first_hit(mul != mul.T),
+    }
+    flags = NearRingFlags(unital=ring.one is not None,
+                          **{flag: w is None for flag, w in witnesses.items()})
+    return flags, tuple((flag, w) for flag, w in witnesses.items() if w is not None)
 
 
 def _row_classes(t: np.ndarray) -> np.ndarray:
@@ -405,16 +441,16 @@ def validate_group(add, labels=None) -> FiniteGroup:
     add = _check_table(add, n, n, "add")
     j = _first_non_identity(add, 0)
     if j is not None:
-        raise AxiomViolation("add_identity", (j,))
+        raise AxiomViolation("add_identity", j)
     gens = _generators(add)
     add_assoc = _assoc(add, add)
     if not _holds(add_assoc, gens):
         raise AxiomViolation("add_assoc", _first_violation(add_assoc, _first_rows(add)))
     # neg[i] is the least j with i+j = j+i = 0
     inverse = (add == 0) & (add.T == 0)
-    has_inverse = inverse.any(axis=1)
-    if not has_inverse.all():
-        raise AxiomViolation("add_inverse", (int(has_inverse.argmin()),))
+    w = _first_hit(~inverse.any(axis=1))
+    if w is not None:
+        raise AxiomViolation("add_inverse", w)
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
@@ -424,55 +460,11 @@ def validate_group(add, labels=None) -> FiniteGroup:
     return group
 
 
-def _compute_flags(add: np.ndarray, mul: np.ndarray, one, endo: np.ndarray):
-    """Exact flag scans, given the endomorphism-row vector ``endo``;
-    returns (one, flags, witnesses)."""
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
-
-    # Rows before the first bad one are endomorphisms, so the exhaustive
-    # scan's first witness lies in that row.
-    left_dist = bool(endo.all())
-    if not left_dist:
-        w = _first_violation(lambda x: mul[x, add] != add[mul[x][:, None], mul[x]],
-                             range(int(endo.argmin()), len(add)))
-        witnesses.append(("left_distributive", w))
-
-    bad = np.argwhere(add != add.T)
-    abelian = len(bad) == 0
-    if not abelian:
-        witnesses.append(("abelian_add", (int(bad[0][0]), int(bad[0][1]))))
-
-    bad = np.flatnonzero(mul[:, 0])
-    zero_symmetric = not len(bad)
-    if not zero_symmetric:
-        witnesses.append(("zero_symmetric", (int(bad[0]),)))
-
-    bad = np.argwhere(mul != mul.T)
-    comm = len(bad) == 0
-    if not comm:
-        witnesses.append(("commutative_mul", (int(bad[0][0]), int(bad[0][1]))))
-
-    if one is not None:
-        x = _first_non_identity(mul, one)
-        if x is not None:
-            raise AxiomViolation("unity", (one, x), f"declared one={one} fails at {x}")
-    else:
-        found = np.flatnonzero(_identities(mul))
-        one = int(found[0]) if len(found) else None
-    unital = one is not None
-    flags = NearRingFlags(
-        left_distributive=left_dist,
-        abelian_add=abelian,
-        zero_symmetric=zero_symmetric,
-        unital=unital,
-        commutative_mul=comm,
-    )
-    return None if one is None else int(one), flags, tuple(witnesses)
-
-
 def validate_nearring(add, mul, one=None, labels=None, name=None,
                       **provenance) -> NearRing:
-    """Validate tables as a right near-ring and compute its flags exactly."""
+    """Validate tables as a right near-ring and resolve its unity: a declared
+    ``one`` must be a two-sided identity of ``mul``; otherwise ``one`` is the
+    least such identity, or None.  The flags are read later (``flag_scan``)."""
     group = validate_group(add, labels=labels)
     n, add = group.order, group.add
     mul = _check_table(mul, n, n, "mul")
@@ -493,12 +485,16 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
     # checks above are broken, not the input.
     if mul[0].any():
         raise InvariantError("0*x != 0 in a table that passed right distributivity")
-    endo = _seal(~_left_dist_bad_rows(add, mul, gens))
-    one, flags, witnesses = _compute_flags(add, mul, one, endo)
-    ring = NearRing(group=group, mul=mul, one=one, flags=flags,
-                    flag_witnesses=witnesses, name=name, **provenance)
+    if one is not None:
+        x = _first_non_identity(mul, one)
+        if x is not None:
+            raise AxiomViolation("unity", (one, *x), f"declared one={one} fails at {x[0]}")
+    else:
+        found = _first_hit(_identities(mul))
+        one = found[0] if found else None
+    ring = NearRing(group=group, mul=mul, one=one, name=name, **provenance)
     laws_hold.keep(ring, True)
-    endomorphism_rows.keep(ring, endo)
+    endomorphism_rows.keep(ring, _seal(~_left_dist_bad_rows(add, mul, gens)))
     return ring
 
 
@@ -752,9 +748,9 @@ def parse_table(data) -> RawTables:
 def from_document(raw: RawTables) -> NearRing:
     """Validate parsed tables; re-indexes so the additive identity sits at 0."""
     add, mul, labels, one = raw.add, raw.mul, raw.labels, raw.one
-    ident = np.flatnonzero(_identities(add))
-    if len(ident) and ident[0] != 0:
-        e = ident[0]
+    found = _first_hit(_identities(add))
+    if found and found[0] != 0:
+        e = found[0]
         old = np.concatenate(([e], np.arange(e), np.arange(e + 1, raw.order)))  # new -> old
         new = np.empty_like(old)                                                # old -> new
         new[old] = np.arange(raw.order)

@@ -57,14 +57,15 @@ keeps r over all of N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
-                   _check_table, _extend_closure, _first_violation, _generators, _Tables,
-                   endomorphism_rows, group_generators, laws_hold, memoized, validate_group)
+                   _check_table, _extend_closure, _first_hit, _first_violation, _generators,
+                   _Tables, endomorphism_rows, group_generators, laws_hold, memoized,
+                   validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -79,7 +80,6 @@ class NModule(_Tables):
     ring: NearRing
     carrier: FiniteGroup
     action: np.ndarray
-    derived: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,9 @@ def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
         raise ValueError(f"{('additivity', 'associativity')[law]} fails at "
                          f"(r1,r2,m)=({r1},{r2},{x})")
     if ring.one is not None:
-        bad = np.flatnonzero(act[ring.one] != np.arange(m))
-        if len(bad):
-            raise ValueError(f"module is not unitary at m={int(bad[0])}")
+        bad = _first_hit(act[ring.one] != np.arange(m))
+        if bad:
+            raise ValueError(f"module is not unitary at m={bad[0]}")
     return NModule(ring=ring, carrier=carrier, action=act)
 
 
@@ -237,18 +237,18 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     madd, mneg = module.carrier.add, module.carrier.neg
     mem = np.flatnonzero(in_l)
     members = mem.tolist()
-    bad = np.argwhere(~in_l[madd[mem[:, None], mem]])
-    if len(bad):
-        i, j = bad[0]
+    bad = _first_hit(~in_l[madd[mem[:, None], mem]])
+    if bad:
+        i, j = bad
         return IdealVerdict("not_subgroup", (members[i], members[j]))
     gens_l = _subgroup_generators(madd, mem)
     gens_m = np.array(group_generators(module.carrier), dtype=np.int64)
     if not in_l[madd[madd[gens_m[:, None], gens_l], mneg[gens_m][:, None]]].all():
-        bad = np.argwhere(~in_l[madd[madd[:, mem], mneg[:, None]]])  # x + l - x
-        if not len(bad):
+        bad = _first_hit(~in_l[madd[madd[:, mem], mneg[:, None]]])  # x + l - x
+        if not bad:
             raise InvariantError("normality fails on generators but on no pair (x, l)")
-        x, i = bad[0]
-        return IdealVerdict("not_normal", (int(x), members[i]))
+        x, i = bad
+        return IdealVerdict("not_normal", (x, members[i]))
     act = module.action
     minus_rm = mneg[act]                                        # (n, m): -rm
     shifted = act[:, madd[gens_l, :]]                           # (n, |S_L|, m): r(l+m)
@@ -266,8 +266,8 @@ def right_escape(ring: NearRing, subset) -> Optional[tuple[int, int]]:
     """The first (l, x), l in ``subset`` ascending, with l*x outside it."""
     in_l = _index_mask(ring.order, subset)
     members = np.flatnonzero(in_l)
-    bad = np.argwhere(~in_l[ring.mul[members]])
-    return (int(members[bad[0, 0]]), int(bad[0, 1])) if len(bad) else None
+    bad = _first_hit(~in_l[ring.mul[members]])
+    return (int(members[bad[0]]), bad[1]) if bad else None
 
 
 def is_ideal(ring: NearRing, subset) -> str:
@@ -370,9 +370,9 @@ def quotient_module(module: NModule, subset) -> Quotient:
     carrier = validate_group(proj[madd[reps[:, None], reps]], labels=qlabels)
     qact = proj[act[:, reps]]
     # Well-definedness: the action must not depend on the representative.
-    bad = np.argwhere(proj[act] != qact[:, proj])
-    if len(bad):
-        r, x = bad[0].tolist()
+    bad = _first_hit(proj[act] != qact[:, proj])
+    if bad:
+        r, x = bad
         raise InvariantError("quotient action depends on coset representative "
                              f"at (r, m) = ({r}, {x})")
     return Quotient(

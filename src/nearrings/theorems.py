@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CapExceeded, NearRing, laws_hold, same_tables
+from .core import CapExceeded, NearRing, _first_hit, laws_hold, same_tables
 from .catalog import builtin
 from .classify import (
     all_element_profiles,
@@ -106,11 +106,10 @@ def _first_failure(tid: str, clauses: tuple[str, ...], holds, offset: int = 0) -
     clause fails, naming a's first failing clause, with count offset + a + 1;
     pass with count offset + n."""
     holds = np.asarray(holds, dtype=bool)
-    bad = np.flatnonzero(~holds.all(axis=0))
-    if len(bad):
-        a = int(bad[0])
-        return TheoremReport(tid, "fail", offset + a + 1,
-                             ((a,), clauses[int(holds[:, a].argmin())]))
+    bad = _first_hit(~holds.T)
+    if bad:
+        a, c = bad
+        return TheoremReport(tid, "fail", offset + a + 1, ((a,), clauses[c]))
     return TheoremReport(tid, "pass", offset + holds.shape[1])
 
 
@@ -151,9 +150,11 @@ def _lemma10_map_failure(ring: NearRing, a: int, u: int) -> Optional[tuple[int, 
     xu = mul[:, u]
     not_additive = (xu[add[ann[:, None], ann]] != add[xu[ann, None], xu[ann]]).any(axis=1)
     not_linear = (xu[mul[:, ann]] != mul[:, xu[ann]]).any(axis=0)
-    for i in np.flatnonzero(not_additive | not_linear)[:1]:
-        return int(ann[i]), "x -> xu not additive" if not_additive[i] else "x -> xu not N-linear"
-    return None
+    bad = _first_hit(np.stack([not_additive, not_linear], axis=1))
+    if bad is None:
+        return None
+    i, c = bad
+    return int(ann[i]), ("x -> xu not additive", "x -> xu not N-linear")[c]
 
 
 def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
@@ -203,9 +204,9 @@ def _check_prop2(ring: NearRing, tid: str) -> TheoremReport:
     mul = ring.mul
     au_ok = morphic[mul[ms[:, None], us]]
     ua_ok = morphic[mul[us, ms[:, None]]]
-    bad = np.argwhere(~(au_ok & ua_ok))
-    if len(bad):
-        i, j = bad[0].tolist()
+    bad = _first_hit(~(au_ok & ua_ok))
+    if bad:
+        i, j = bad
         clause = "ua not left morphic" if au_ok[i, j] else "au not left morphic"
         return TheoremReport(tid, "fail", i * len(us) + j + 1,
                              ((int(ms[i]), int(us[j])), clause))
@@ -220,9 +221,9 @@ def _check_prop64(ring: NearRing, tid: str) -> TheoremReport:
     # [condition, i] at the i-th left morphic element
     conds = np.stack([(annihilator_masks(ring, "left")[ms] == only_zero).all(axis=1),
                       orbit_masks(ring, "left")[ms].all(axis=1), unit_mask(ring)[ms]])
-    differ = np.flatnonzero(conds.any(axis=0) != conds.all(axis=0))
-    if len(differ):
-        i = int(differ[0])
+    differ = _first_hit(conds.any(axis=0) != conds.all(axis=0))
+    if differ:
+        i, = differ
         return _equivalence(tid, conds[:, i], i + 1, (int(ms[i]),))
     return TheoremReport(tid, "pass", len(ms))
 
@@ -288,9 +289,9 @@ def _check_lemma13(ring: NearRing, tid: str) -> TheoremReport:
     # [a, x]: x*a^2 == a is the hypothesis; each (a, x) meeting it counts one
     hyp = mul[:, mul[idx, idx]].T == idx[:, None]
     not_axa = inner_products(ring) != idx[:, None]
-    bad = np.argwhere(hyp & (not_axa | (mul != mul.T)))
-    if len(bad):
-        a, x = bad[0].tolist()
+    bad = _first_hit(hyp & (not_axa | (mul != mul.T)))
+    if bad:
+        a, x = bad
         count = int(hyp[:a].sum() + hyp[a, :x + 1].sum())
         return TheoremReport(tid, "fail", count,
                              ((a, x), "a != axa" if not_axa[a, x] else "ax != xa"))

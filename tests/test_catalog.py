@@ -16,6 +16,18 @@ def test_unknown_name():
         builtin("nope")
 
 
+@pytest.mark.parametrize("name", ["zn_ring(\u0661\u0662)", "zn_ring(0004)", "zn_ring(12)\n",
+                                  "zn_ring(+12)", " zn_ring(12)"])
+def test_only_listed_spellings_load(name):
+    # ARABIC-INDIC DIGITS ONE TWO, a leading zero, stray characters
+    with pytest.raises(KeyError):
+        builtin(name)
+
+
+def test_every_listed_name_loads_under_that_name():
+    assert [builtin(name).name for name in catalog_names()] == catalog_names()
+
+
 def test_zn_range():
     assert builtin("zn_ring(2)").order == 2
     assert builtin("zn_ring(64)").order == 64

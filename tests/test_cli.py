@@ -114,6 +114,16 @@ class TestClassify:
         code, text = run(["classify", klein4_file, "--element", "²"])
         assert (code, text) == (3, "unknown element '²'\n")
 
+    @pytest.mark.parametrize("element", ["5" * 5000, "\u0663"],
+                             ids=["5000 digits", "arabic-indic digit three"])
+    def test_index_is_a_bounded_run_of_ascii_digits(self, klein4_file, element):
+        code, text = run(["classify", klein4_file, "--element", element])
+        assert (code, text) == (3, f"unknown element {element!r}\n")
+
+    def test_index_with_leading_zeros(self, klein4_file):
+        assert run(["classify", klein4_file, "--element", "0003"]) == \
+            run(["classify", klein4_file, "--element", "c"])
+
     def test_json_shape(self, klein4_file):
         code, text = run(["classify", klein4_file, "--format", "json"])
         assert code == 0
@@ -243,6 +253,12 @@ class TestBuiltin:
     def test_unknown_exits_3(self):
         code, _ = run(["builtin", "not_a_ring"])
         assert code == 3
+
+    def test_out_into_a_missing_directory_exits_3(self, tmp_path):
+        target = tmp_path / "missing_dir" / "k.json"
+        code, text = run(["builtin", "klein4_ring", "--out", str(target)])
+        assert (code, text) == (3, f"{target}: No such file or directory\n")
+        assert not target.parent.exists()
 
 
 class TestCorpus:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nearrings import (
     AxiomViolation,
@@ -26,11 +27,27 @@ from nearrings import (
     validate_nearring,
 )
 from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL, _f2_module, _zn_group
-from nearrings.core import same_tables
+from nearrings.core import _first_hit, same_tables
 
 
 def klein4():
     return builtin("klein4_ring")
+
+
+@given(shape=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+       density=st.sampled_from([0.0, 0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_hit_is_the_first_argwhere_row(shape, density, seed):
+    mask = np.random.default_rng(seed).random(shape) < density
+    for m in (mask, mask.T):  # the transpose is not C-contiguous
+        hits = np.argwhere(m)
+        found = _first_hit(m)
+        assert found == (tuple(hits[0]) if len(hits) else None)
+        assert found is None or all(type(k) is int for k in found)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 4), (1,), (4, 3), (2, 3, 4)])
+def test_first_hit_of_an_empty_or_all_false_mask_is_none(shape):
+    assert _first_hit(np.zeros(shape, dtype=bool)) is None
 
 
 class TestValidateGroup:

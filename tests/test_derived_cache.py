@@ -1,6 +1,8 @@
 """The per-instance derived-data cache: lifetime, keys and shared arrays."""
 import dataclasses
+import functools
 import gc
+import io
 import weakref
 
 import numpy as np
@@ -11,6 +13,7 @@ from nearrings import (
     build_product,
     builtin,
     check,
+    emit_table,
     is_left_morphic,
     regular_representation,
     run_suite,
@@ -18,6 +21,7 @@ from nearrings import (
     validate_nearring,
 )
 from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL
+from nearrings.cli import main
 from nearrings.core import (_generators, endomorphism_rows, group_generators, laws_hold,
                             same_tables)
 from nearrings.nmodules import orbit_is_N_ideal
@@ -120,12 +124,33 @@ def test_consumers_read_the_stored_verdict(monkeypatch, name):
 
 def test_stale_flags_do_not_reach_the_orbit_test():
     # Z3 x Z3 and M0(Z3) have the same addition table, so the copy has the
-    # ring's flags (left distributive) over the near-ring's tables.
+    # ring's unity over the near-ring's tables; its flags are the near-ring's.
     m0 = builtin("m0_z3")
     ring = build_product((builtin("zn_ring(3)"),) * 2)
     copy = dataclasses.replace(ring, mul=m0.mul)
-    assert same_tables(copy, m0) and copy.flags.left_distributive
+    assert same_tables(copy, m0) and not copy.flags.left_distributive
+    assert copy.flags == m0.flags and copy.flag_witnesses == m0.flag_witnesses
     assert laws_hold(copy) and not endomorphism_rows(copy).all()
     expected = orbit_is_N_ideal(m0)
     assert not expected.all()
     assert np.array_equal(orbit_is_N_ideal(copy), expected)
+
+
+def test_flag_scans_run_once_per_ring(monkeypatch, tmp_path):
+    scanned = []
+    scan = core.flag_scan.__wrapped__
+
+    @functools.wraps(scan)
+    def counted(ring):
+        scanned.append(ring)
+        return scan(ring)
+
+    monkeypatch.setattr(core, "flag_scan", core.memoized(counted))
+    for name in ("klein4_ring", "m0_z3"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_table(builtin(name)))
+        for argv in (["validate"], ["classify", "--format", "json"], ["verify"]):
+            main([argv[0], str(path), *argv[1:]], out=io.StringIO())
+    # Each command loads its own ring, which reads its flags and scans once.
+    assert len(scanned) == 6
+    assert len({id(ring) for ring in scanned}) == 6
