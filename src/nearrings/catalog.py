@@ -45,8 +45,6 @@ def _klein4_ring() -> NearRing:
 
 @lru_cache(maxsize=None)
 def _zn_ring(n: int) -> NearRing:
-    if not ZN_MIN <= n <= ZN_MAX:
-        raise ValueError(f"zn_ring order must be in [{ZN_MIN},{ZN_MAX}], got {n}")
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]
     return validate_nearring(add, mul, one=1 % n,
@@ -144,7 +142,12 @@ def builtin(name: str) -> NearRing:
         return _FIXED[name]()
     m = _ZN_RE.fullmatch(name)
     if m:
-        return _zn_ring(int(m.group(1)))
+        digits = m.group(1)
+        # Without leading zeros, more digits than ZN_MAX has is out of
+        # range; int() refuses very long digit strings with its own error.
+        if len(digits) > len(str(ZN_MAX)) or not ZN_MIN <= int(digits) <= ZN_MAX:
+            raise ValueError(f"zn_ring order must be in [{ZN_MIN},{ZN_MAX}], got {digits}")
+        return _zn_ring(int(digits))
     raise KeyError(f"unknown builtin {name!r}")
 
 

@@ -16,15 +16,23 @@ witness in ascending scan order.
 Left duo is decided on the principal ideals (``nmodules._ideal_closure``)
 with ``right_escape``; the comment in ``structure_profile`` shows why the
 first ideal that is not two-sided is a principal one.
+
+Each per-element fact is one read-only vector over the whole ring,
+``element_column(ring, name)``, computed on first read, kept in the ring's
+``derived`` cache and not capped by order; a witness vector holds the least
+witness, or -1 where there is none.  The profiles and the theorem cells
+read these vectors.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CapExceeded, InvariantError, NearRing, _first_hit, memoized
+from .core import (CapExceeded, InvariantError, NearRing, _first_hit, _row_classes, _seal,
+                   memoized)
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
@@ -49,10 +57,19 @@ class NonUnitalError(ValueError):
     """Operation needs a unity and the near-ring has none."""
 
 
-def first_true(hits: np.ndarray) -> list[Optional[int]]:
-    """Per row of a 2-d bool array, the least column that is True, or None."""
-    return [j if ok else None
-            for j, ok in zip(hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist())]
+def first_true(hits: np.ndarray) -> np.ndarray:
+    """Per row of a 2-d bool array, the least column that is True, or -1."""
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+
+
+def _least_solution(table: np.ndarray) -> np.ndarray:
+    """Per row a of a square table, the least x with table[a, x] == a, or -1."""
+    return first_true(table == np.arange(len(table))[:, None])
+
+
+def _or_none(column: np.ndarray) -> list[Optional[int]]:
+    """A witness column as Python ints, with None for -1."""
+    return [None if v < 0 else v for v in column.tolist()]
 
 
 def inner_products(ring: NearRing) -> np.ndarray:
@@ -63,16 +80,8 @@ def inner_products(ring: NearRing) -> np.ndarray:
 @memoized
 def units(ring: NearRing) -> tuple[frozenset[int], tuple[Optional[int], ...]]:
     """All two-sided invertible elements, plus the inverse table."""
-    if ring.one is None:
-        raise NonUnitalError("units are defined only for unital near-rings")
-    is_one = ring.mul == ring.one
-    inv = tuple(first_true(is_one & is_one.T))  # [a, v]: a*v = v*a = 1
+    inv = tuple(_or_none(element_column(ring, "inverse")))
     return frozenset(a for a, v in enumerate(inv) if v is not None), inv
-
-
-def unit_mask(ring: NearRing) -> np.ndarray:
-    """Bool vector: a is a unit (``units``)."""
-    return np.array([v is not None for v in units(ring)[1]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -105,28 +114,13 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
 
 
 @memoized
-def _morphic_witnesses(ring: NearRing) -> list[Optional[int]]:
-    """For every a, the least b with Na = (0:b) and Nb = (0:a), or None.
-
-    Rows of the orbit and annihilator tables get equal labels exactly when
-    they are equal sets, so both equalities become an n x n comparison of
-    labels."""
-    n = ring.order
-    rows = np.concatenate([orbit_masks(ring, "left"), annihilator_masks(ring, "left")])
-    first_seen: dict[bytes, int] = {}
-    labels = np.array([first_seen.setdefault(row.tobytes(), len(first_seen)) for row in rows])
-    na, ann = labels[:n], labels[n:]
-    return first_true((na[:, None] == ann[None, :]) & (ann[:, None] == na[None, :]))
-
-
-@memoized
 def is_left_morphic(ring: NearRing, a: int, cross_check: bool = False) -> MorphicVerdict:
     """Witness scan: Na must be an N-ideal and some b must satisfy
     Na = (0:b) and Nb = (0:a); first such b wins.
 
-    Both are read off whole-ring tables (``orbit_is_N_ideal``,
-    ``_morphic_witnesses``); only an Na that is not an N-ideal goes through
-    ``is_N_ideal``, for its first witness."""
+    Both are read off whole-ring tables (``orbit_is_N_ideal``, the
+    "morphic_witness" column); only an Na that is not an N-ideal goes
+    through ``is_N_ideal``, for its first witness."""
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
     do_cross = cross_check and ring.order <= BRUTEFORCE_ISO_CAP
@@ -137,13 +131,83 @@ def is_left_morphic(ring: NearRing, a: int, cross_check: bool = False) -> Morphi
         result = MorphicVerdict("na_not_ideal", ideal_verdict=verdict,
                                 cross_checked=do_cross)
     else:
-        b = _morphic_witnesses(ring)[a]
-        result = MorphicVerdict("no_witness" if b is None else "morphic", witness=b,
-                                cross_checked=do_cross)
+        b = int(element_column(ring, "morphic_witness")[a])
+        result = MorphicVerdict("no_witness" if b < 0 else "morphic",
+                                witness=None if b < 0 else b, cross_checked=do_cross)
     if do_cross:
         if _algorithm_I(ring, a) != bool(result):
             raise InvariantError(f"morphic cross-check disagrees at element {a}")
     return result
+
+
+def _inverses(ring: NearRing) -> np.ndarray:
+    if ring.one is None:
+        raise NonUnitalError("units are defined only for unital near-rings")
+    is_one = ring.mul == ring.one
+    return first_true(is_one & is_one.T)  # [a, v]: a*v = v*a = 1
+
+
+def _nilpotency(ring: NearRing) -> np.ndarray:
+    """Per a, the least k <= n with a^k = 0, else 0."""
+    n, mul = ring.order, ring.mul
+    idx = np.arange(n)
+    nilpotency = np.zeros(n, dtype=np.int64)
+    power = idx
+    for k in range(1, n + 1):
+        nilpotency[(power == 0) & (nilpotency == 0)] = k
+        power = mul[power, idx]
+    return nilpotency
+
+
+def _morphic_witnesses(ring: NearRing) -> np.ndarray:
+    """Per a, the least b with Na = (0:b) and Nb = (0:a), or -1.
+
+    Equal rows of the orbit and annihilator tables get equal labels
+    (``_row_classes``, on the rows packed to bits), so b is the first
+    element whose label pair (Nb, (0:b)) is a's pair ((0:a), Na)."""
+    n = ring.order
+    labels = _row_classes(np.concatenate([np.packbits(orbit_masks(ring, "left"), axis=1),
+                                          np.packbits(annihilator_masks(ring, "left"), axis=1)]))
+    na, ann = labels[:n], labels[n:]
+    pairs, first = np.unique(na * 2 * n + ann, return_index=True)
+    wanted = ann * 2 * n + na
+    at = np.searchsorted(pairs, wanted).clip(max=len(pairs) - 1)
+    return np.where(pairs[at] == wanted, first[at], -1)
+
+
+def _left_morphic(ring: NearRing) -> np.ndarray:
+    """Per a: Na is an N-ideal and a has a morphic witness.  Where Na is not
+    an N-ideal, ``is_left_morphic`` runs, which checks the batch N-ideal
+    test against ``is_N_ideal`` there."""
+    if ring.one is None:
+        raise NonUnitalError("left morphic is defined only for unital near-rings")
+    ideal = orbit_is_N_ideal(ring)
+    for a in np.flatnonzero(~ideal).tolist():
+        is_left_morphic(ring, a)
+    return ideal & (element_column(ring, "morphic_witness") >= 0)
+
+
+_COLUMNS: dict[str, Callable[[NearRing], np.ndarray]] = {
+    "inverse": _inverses,
+    "idempotent": lambda ring: ring.mul.diagonal() == np.arange(ring.order),
+    "central": lambda ring: (ring.mul == ring.mul.T).all(axis=1),
+    "nilpotency": _nilpotency,
+    "regular": lambda ring: _least_solution(inner_products(ring)),        # (a*x)*a == a
+    "unit_regular": lambda ring: _least_solution(                         # the same, x a unit
+        np.where(element_column(ring, "inverse") >= 0, inner_products(ring), -1)),
+    "lsr": lambda ring: _least_solution(ring.mul[:, ring.mul.diagonal()].T),  # x*(a*a) == a
+    "rsr": lambda ring: _least_solution(ring.mul[ring.mul.diagonal()]),       # (a*a)*x == a
+    "morphic_witness": _morphic_witnesses,
+    "morphic": _left_morphic,
+}
+
+
+@memoized
+def element_column(ring: NearRing, name: str) -> np.ndarray:
+    """The fact ``name`` of ``_COLUMNS`` at every element, as a read-only
+    vector.  "inverse", "unit_regular" and "morphic" raise
+    ``NonUnitalError`` on a ring without unity."""
+    return _seal(_COLUMNS[name](ring))
 
 
 @dataclass(frozen=True)
@@ -178,33 +242,21 @@ def element_profile(ring: NearRing, a: int) -> ElementProfile:
 def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
     if ring.order > CLASSIFY_ORDER_CAP:
         raise CapExceeded(f"classification limited to order {CLASSIFY_ORDER_CAP}")
-    n, mul = ring.order, ring.mul
-    idx = np.arange(n)
-    unital = ring.one is not None
-    unit_set, inv = units(ring) if unital else (frozenset(), (None,) * n)
-    is_unit = unit_mask(ring) if unital else np.zeros(n, dtype=bool)
+    n, unital = ring.order, ring.one is not None
+    col = functools.partial(element_column, ring)
+    inv = _or_none(col("inverse")) if unital else [None] * n
+    ureg = _or_none(col("unit_regular")) if unital else [None] * n
+    reg, lsr, rsr = (_or_none(col(name)) for name in ("regular", "lsr", "rsr"))
+    idempotent, central, nilpotency = (col(name).tolist()
+                                       for name in ("idempotent", "central", "nilpotency"))
     orbit_left, orbit_right, ann_left, ann_right = (
         table.sum(axis=1).tolist()
         for table in (orbit_masks(ring, "left"), orbit_masks(ring, "right"),
                       annihilator_masks(ring, "left"), annihilator_masks(ring, "right")))
-    aa = mul[idx, idx]
-    nilpotency = np.zeros(n, dtype=np.int64)  # least k <= n with a^k = 0, else 0
-    power = idx
-    for k in range(1, n + 1):
-        nilpotency[(power == 0) & (nilpotency == 0)] = k
-        power = mul[power, idx]
-    # [a, x] tables; each witness is the least x that satisfies the row
-    regular = inner_products(ring) == idx[:, None]      # (a*x)*a == a
-    reg = first_true(regular)
-    ureg = first_true(regular & is_unit)
-    lsr = first_true(mul[:, aa].T == idx[:, None])      # x*(a*a) == a
-    rsr = first_true(mul[aa] == idx[:, None])           # (a*a)*x == a
-    idempotent, central = (aa == idx).tolist(), (mul == mul.T).all(axis=1).tolist()
-    nilpotency = nilpotency.tolist()
     return tuple(
         ElementProfile(
             index=a, label=ring.label(a),
-            is_unit=a in unit_set if unital else None, inverse=inv[a],
+            is_unit=inv[a] is not None if unital else None, inverse=inv[a],
             is_idempotent=idempotent[a], is_central=central[a],
             nilpotency_index=nilpotency[a],
             is_regular=reg[a] is not None, regular_witness=reg[a],
@@ -255,59 +307,42 @@ class StructureProfile:
 
 @memoized
 def structure_profile(ring: NearRing) -> StructureProfile:
+    if ring.order > CLASSIFY_ORDER_CAP:
+        raise CapExceeded(f"classification limited to order {CLASSIFY_ORDER_CAP}")
     n, mul = ring.order, ring.mul
-    profiles = all_element_profiles(ring)
     unital = ring.one is not None
-    witnesses: dict = {}
-
-    def first(pred):
-        return next((a for a in range(n) if not pred(profiles[a])), None)
-
-    if not ring.flags.zero_symmetric:
-        witnesses["zero_symmetric"] = dict(ring.flag_witnesses)["zero_symmetric"]
-    if not ring.flags.abelian_add:
-        witnesses["abelian_add"] = dict(ring.flag_witnesses)["abelian_add"]
+    col = functools.partial(element_column, ring)
+    nonzero = np.arange(n) > 0
+    flag_witnesses = dict(ring.flag_witnesses)
+    witnesses: dict = {flag: flag_witnesses[flag] for flag in ("zero_symmetric", "abelian_add")
+                       if flag in flag_witnesses}
     if not ring.is_ring():
-        wd = dict(ring.flag_witnesses)
-        witnesses["is_ring"] = wd.get("abelian_add") or wd.get("left_distributive")
+        witnesses["is_ring"] = (flag_witnesses.get("abelian_add")
+                                or flag_witnesses.get("left_distributive"))
 
-    near_field = unital and all(p.is_unit for p in profiles[1:]) and n > 1
-    if unital and not near_field:
-        bad = next((a for a in range(1, n) if not profiles[a].is_unit), None)
+    def holds(prop: str, bad: Optional[tuple[int, ...]]) -> bool:
         if bad is not None:
-            witnesses["is_near_field"] = (bad,)
+            witnesses[prop] = bad
+        return bad is None
 
-    bad = next((a for a in range(1, n) if profiles[a].nilpotency_index > 0), None)
-    reduced = bad is None
-    if bad is not None:
-        witnesses["reduced"] = (bad,)
+    near_field = (unital and holds("is_near_field", _first_hit((col("inverse") < 0) & nonzero))
+                  and n > 1)
+    reduced = holds("reduced", _first_hit((col("nilpotency") > 0) & nonzero))
 
     left, right = orbit_masks(ring, "left"), orbit_masks(ring, "right")
     # IFP: ab = 0 implies aNb = 0, i.e. aN lies in (0:b).  The first (a, b)
     # in row-major order that breaks it, then the least x with (ax)b != 0.
     outside = right.astype(np.int32) @ (~annihilator_masks(ring, "left")).T.astype(np.int32)
     bad = _first_hit((mul == 0) & (outside > 0))
-    ifp = bad is None
-    if not ifp:
+    if bad is not None:
         a, b = bad
         x, = _first_hit(mul[mul[a], b] != 0)
-        witnesses["has_ifp"] = (a, x, b)
-
-    bad = _first_hit((left != right).any(axis=1))
-    subcommutative = bad is None
-    if not subcommutative:
-        witnesses["subcommutative"] = bad
-
-    bad = first(lambda p: p.is_idempotent)
-    boolean = bad is None
-    if bad is not None:
-        witnesses["boolean"] = (bad,)
-
+        bad = (a, x, b)
+    ifp = holds("has_ifp", bad)
+    subcommutative = holds("subcommutative", _first_hit((left != right).any(axis=1)))
+    boolean = holds("boolean", _first_hit(~col("idempotent")))
     # Weakly divisible: b in Na or a in Nb for every pair (a, b).
-    bad = _first_hit(~(left | left.T))
-    weakly_divisible = bad is None
-    if not weakly_divisible:
-        witnesses["weakly_divisible"] = bad
+    weakly_divisible = holds("weakly_divisible", _first_hit(~(left | left.T)))
 
     # Left duo: every N-ideal L of the regular representation has LN in L.
     # If l*x escapes L for some l in L, it escapes the principal ideal
@@ -327,35 +362,20 @@ def structure_profile(ring: NearRing) -> StructureProfile:
             witnesses["left_duo"] = right_escape(ring, failing)
             witnesses["left_duo_ideal"] = failing
 
-    bad = first(lambda p: not p.is_idempotent or p.is_central)
-    idem_central = bad is None
-    if not idem_central:
-        x, = _first_hit(mul[bad] != mul[:, bad])
-        witnesses["idempotents_central"] = (bad, x)
+    bad = _first_hit(col("idempotent") & ~col("central"))
+    if bad is not None:
+        x, = _first_hit(mul[bad[0]] != mul[:, bad[0]])
+        bad = (*bad, x)
+    idem_central = holds("idempotents_central", bad)
 
-    for flag_name, pred in (
-        ("regular", lambda p: p.is_regular),
-        ("left_strongly_regular", lambda p: p.is_left_strongly_regular),
-        ("right_strongly_regular", lambda p: p.is_right_strongly_regular),
-    ):
-        bad = first(pred)
-        if bad is not None:
-            witnesses[flag_name] = (bad,)
-    regular = "regular" not in witnesses
-    lsr = "left_strongly_regular" not in witnesses
-    rsr = "right_strongly_regular" not in witnesses
-
+    regular = holds("regular", _first_hit(col("regular") < 0))
+    lsr = holds("left_strongly_regular", _first_hit(col("lsr") < 0))
+    rsr = holds("right_strongly_regular", _first_hit(col("rsr") < 0))
     unit_regular: Optional[bool] = None
     left_morphic: Optional[bool] = None
     if unital:
-        bad = first(lambda p: p.is_unit_regular)
-        unit_regular = bad is None
-        if bad is not None:
-            witnesses["unit_regular"] = (bad,)
-        bad = first(lambda p: bool(p.morphic))
-        left_morphic = bad is None
-        if bad is not None:
-            witnesses["left_morphic"] = (bad,)
+        unit_regular = holds("unit_regular", _first_hit(col("unit_regular") < 0))
+        left_morphic = holds("left_morphic", _first_hit(~col("morphic")))
 
     return StructureProfile(
         zero_symmetric=ring.flags.zero_symmetric,

@@ -502,7 +502,7 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
 # constructions
 
 
-def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
+def build_M0(g: FiniteGroup, name=None) -> NearRing:
     """All maps g -> g fixing 0, pointwise addition, composition as product.
 
     Element order is lexicographic on the value vector (f(1),...,f(n-1)),
@@ -512,8 +512,8 @@ def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRin
     if n < 2:
         raise ValueError("base group must have order >= 2")
     order = n ** (n - 1)
-    if order > cap:
-        raise CapExceeded(f"|M0(G)| = {order} exceeds cap {cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"|M0(G)| = {order} exceeds cap {DEFAULT_ORDER_CAP}")
     # vals[f, x] = f(x): f(0) = 0, then the base-n digits of the index f
     weights = n ** np.arange(n - 2, -1, -1)
     vals = np.zeros((order, n), dtype=np.int64)
@@ -526,15 +526,15 @@ def build_M0(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRin
                              name=f"m0_order{order}" if name is None else name)
 
 
-def build_product(factors, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
+def build_product(factors, name=None) -> NearRing:
     """Componentwise direct product; element index is row-major over factors."""
     factors = tuple(factors)
     if not factors:
         raise ValueError("need at least one factor")
     orders = [f.order for f in factors]
     total = math.prod(orders)
-    if total > cap:
-        raise CapExceeded(f"product order {total} exceeds cap {cap}")
+    if total > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"product order {total} exceeds cap {DEFAULT_ORDER_CAP}")
     strides = [math.prod(orders[k + 1:]) for k in range(len(orders))]
     # parts[k][x] is the k-th component of element x
     parts = [np.arange(total) // st % o for st, o in zip(strides, orders)]
@@ -553,8 +553,7 @@ def build_product(factors, cap: int = DEFAULT_ORDER_CAP, name=None) -> NearRing:
                              factors=factors)
 
 
-def build_extension(ring: NearRing, module, cap: int = DEFAULT_ORDER_CAP,
-                    name=None) -> NearRing:
+def build_extension(ring: NearRing, module, name=None) -> NearRing:
     """Carrier R x M with <a1,m1>*<a2,m2> = <a1*a2, a1*m2 + m1>.
 
     Unital with one = <1,0>; not zero-symmetric unless M is trivial.
@@ -566,8 +565,8 @@ def build_extension(ring: NearRing, module, cap: int = DEFAULT_ORDER_CAP,
         raise ValueError("extension base must be a unital ring")
     r_n, m_n = ring.order, module.carrier.order
     total = r_n * m_n
-    if total > cap:
-        raise CapExceeded(f"extension order {total} exceeds cap {cap}")
+    if total > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"extension order {total} exceeds cap {DEFAULT_ORDER_CAP}")
     # element <a, m> has index a * m_n + m
     a, m = np.divmod(np.arange(total), m_n)
     a1, a2, m1, m2 = a[:, None], a[None, :], m[:, None], m[None, :]

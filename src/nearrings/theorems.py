@@ -14,12 +14,12 @@ applies the gate before the entry runs: a ring that fails it is
 not_applicable with the gate's note.  Hypotheses of one entry alone stay in
 that entry.
 
-Entries read the whole-ring tables: rows of the orbit and annihilator masks,
-the element profiles, and one bool vector of left morphic elements.  A scan
-over the elements becomes a (clauses x elements) bool table, and
-``_first_failure`` reports its first failing element with that element's
-first failing clause, as the ascending loop would; ``_equivalence`` reports
-a tuple of conditions that should coincide.
+Entries read the whole-ring tables: rows of the orbit and annihilator masks
+and the per-element vectors of ``classify.element_column``.  A scan over the
+elements becomes an (element x clause) bool table, whose first hit
+(``core._first_hit``; ``_first_failure`` when the counterexample is the
+element) is the ascending loop's first failing element and clause;
+``_equivalence`` reports a tuple of conditions that should coincide.
 """
 from __future__ import annotations
 
@@ -30,16 +30,7 @@ import numpy as np
 
 from .core import CapExceeded, NearRing, _first_hit, laws_hold, same_tables
 from .catalog import builtin
-from .classify import (
-    all_element_profiles,
-    first_true,
-    inner_products,
-    is_left_morphic,
-    structure_profile,
-    unit_mask,
-    units,
-    _algorithm_I,
-)
+from .classify import element_column, inner_products, structure_profile, _algorithm_I
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
@@ -121,11 +112,6 @@ def _equivalence(tid: str, conds, count: int, elements: tuple[int, ...] = ()) ->
     return TheoremReport(tid, "pass", count)
 
 
-def _morphic(ring: NearRing) -> np.ndarray:
-    """Bool vector: a is left morphic (``is_left_morphic``, with its checks)."""
-    return np.array([bool(is_left_morphic(ring, a)) for a in range(ring.order)], dtype=bool)
-
-
 # ---------------------------------------------------------------------------
 # entries
 
@@ -133,7 +119,7 @@ def _morphic(ring: NearRing) -> np.ndarray:
 def _check_lemma1_equiv(ring: NearRing, tid: str) -> TheoremReport:
     if ring.order > BRUTEFORCE_ISO_CAP:
         return _na(tid, f"order {ring.order} exceeds brute-force cap {BRUTEFORCE_ISO_CAP}")
-    n, morphic = ring.order, _morphic(ring)
+    n, morphic = ring.order, element_column(ring, "morphic")
     # The search stops at the first disagreement: on a table that is not a
     # near-ring it may raise at a later element.
     first = next((a for a in range(n) if morphic[a] != _algorithm_I(ring, a)), n)
@@ -158,13 +144,13 @@ def _lemma10_map_failure(ring: NearRing, a: int, u: int) -> Optional[tuple[int, 
 
 
 def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
-    unit_set, inv = units(ring)
-    if not unit_set:
+    inverse = element_column(ring, "inverse")
+    us = np.flatnonzero(inverse >= 0)
+    if not len(us):
         return _na(tid, "no units")
     n, mul = ring.order, ring.mul
     anns = annihilator_masks(ring, "left")
-    us = np.array(sorted(unit_set), dtype=np.int64)
-    inv_us = np.array([inv[u] for u in us.tolist()], dtype=np.int64)
+    inv_us = inverse[us]
     clauses = ("Nu != N", "(0:a) != (0:a*u^-1)", "(0:a)u^-1 != (0:ua)",
                "x -> xu not injective")
     orbit_not_full = ~orbit_masks(ring, "left")[us].all(axis=1)
@@ -195,12 +181,10 @@ def _check_lemma10(ring: NearRing, tid: str) -> TheoremReport:
 
 
 def _check_prop2(ring: NearRing, tid: str) -> TheoremReport:
-    unit_set, _ = units(ring)
-    morphic = _morphic(ring)
-    if not morphic.any() or not unit_set:
+    morphic = element_column(ring, "morphic")
+    ms, us = np.flatnonzero(morphic), np.flatnonzero(element_column(ring, "inverse") >= 0)
+    if not len(ms) or not len(us):
         return _na(tid, "no left morphic element / no unit")
-    ms = np.flatnonzero(morphic)
-    us = np.array(sorted(unit_set), dtype=np.int64)
     mul = ring.mul
     au_ok = morphic[mul[ms[:, None], us]]
     ua_ok = morphic[mul[us, ms[:, None]]]
@@ -214,13 +198,14 @@ def _check_prop2(ring: NearRing, tid: str) -> TheoremReport:
 
 
 def _check_prop64(ring: NearRing, tid: str) -> TheoremReport:
-    ms = np.flatnonzero(_morphic(ring))
+    ms = np.flatnonzero(element_column(ring, "morphic"))
     if not len(ms):
         return _na(tid, "no left morphic element")
     only_zero = np.arange(ring.order) == 0
     # [condition, i] at the i-th left morphic element
     conds = np.stack([(annihilator_masks(ring, "left")[ms] == only_zero).all(axis=1),
-                      orbit_masks(ring, "left")[ms].all(axis=1), unit_mask(ring)[ms]])
+                      orbit_masks(ring, "left")[ms].all(axis=1),
+                      element_column(ring, "inverse")[ms] >= 0])
     differ = _first_hit(conds.any(axis=0) != conds.all(axis=0))
     if differ:
         i, = differ
@@ -255,14 +240,14 @@ def _check_ccc_decomposition(ring: NearRing, tid: str) -> TheoremReport:
                "a not left morphic")
     return _first_failure(tid, clauses, [orbit_is_N_ideal(ring),
                                          ((anns & orbits) == (np.arange(n) == 0)).all(axis=1),
-                                         covers, _morphic(ring)])
+                                         covers, element_column(ring, "morphic")])
 
 
 def _check_wsw_morphic(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not sp.weakly_divisible:
         return _na(tid, "not weakly divisible")
-    return _first_failure(tid, ("element not left morphic",), [_morphic(ring)])
+    return _first_failure(tid, ("element not left morphic",), [element_column(ring, "morphic")])
 
 
 def _check_lemma213(ring: NearRing, tid: str) -> TheoremReport:
@@ -300,44 +285,46 @@ def _check_lemma13(ring: NearRing, tid: str) -> TheoremReport:
 
 def _check_lemma_ffff(ring: NearRing, tid: str) -> TheoremReport:
     return _first_failure(tid, ("element not unit-regular",),
-                          [[p.is_unit_regular for p in all_element_profiles(ring)]])
+                          [element_column(ring, "unit_regular") >= 0])
 
 
 def _check_prop_ff_square(ring: NearRing, tid: str) -> TheoremReport:
-    regular = np.array([p.is_regular for p in all_element_profiles(ring)], dtype=bool)
-    idx = np.arange(ring.order)
-    return _first_failure(tid, ("a^2 not regular",), [regular[ring.mul[idx, idx]]])
+    regular = element_column(ring, "regular") >= 0
+    return _first_failure(tid, ("a^2 not regular",), [regular[ring.mul.diagonal()]])
 
 
 def _check_prop_ff_morphic(ring: NearRing, tid: str) -> TheoremReport:
-    return _first_failure(tid, ("element not left morphic",), [_morphic(ring)])
+    return _first_failure(tid, ("element not left morphic",), [element_column(ring, "morphic")])
 
 
 def _check_lemma_this_thm217(ring: NearRing, tid: str) -> TheoremReport:
-    n, mul, add, neg, one = ring.order, ring.mul, ring.add, ring.neg, ring.one
+    mul, add, neg, one = ring.mul, ring.add, ring.neg, ring.one
     anns, orbits = annihilator_masks(ring, "left"), orbit_masks(ring, "left")
-    idx = np.arange(n)
-    count = 0
-    for e in np.flatnonzero(mul[idx, idx] == idx).tolist():
-        ce = int(add[one, neg[e]])  # 1 - e
-        s1 = bool(is_left_morphic(ring, e))
-        s2 = np.array_equal(orbits[e], anns[ce])
-        s3 = bool((mul[:, ce] == add[neg[mul[:, e]], idx]).all())
-        s4 = np.array_equal(anns[e] & anns[ce], idx == 0) and bool(mul[e, ce] == 0)
-        s5 = bool((mul[:, ce] == add[idx, neg[mul[:, e]]]).all())
-        s6 = np.array_equal(orbits[ce], anns[e]) and bool(mul[e, ce] == 0)
-        s7 = bool(mul[ce, ce] == ce) and bool(is_left_morphic(ring, ce))
-        statements = (s1, s2, s3, s4, s5, s6, s7)
-        count += 7
-        if len(set(statements)) != 1:
-            return TheoremReport(tid, "fail", count,
-                                 ((e,), f"seven statements differ: {statements}"))
-        if s1:
-            if add[one, neg[ce]] != e:
-                return TheoremReport(tid, "fail", count, ((e,), "1-(1-e) != e"))
-            if not np.array_equal(orbits[ce], anns[e]):
-                return TheoremReport(tid, "fail", count, ((e,), "N(1-e) != (0:e)"))
-    return TheoremReport(tid, "pass", count)
+    morphic, idx = element_column(ring, "morphic"), np.arange(ring.order)
+    # entry i of each vector is about the i-th idempotent e and ce = 1 - e
+    es = np.flatnonzero(element_column(ring, "idempotent"))
+    ce = add[one, neg[es]]
+    xe, xce = mul[:, es], mul[:, ce]  # [x, i]: xe and x(1-e)
+    orthogonal = mul[es, ce] == 0
+    n_ce_is_ann_e = (orbits[ce] == anns[es]).all(axis=1)
+    statements = np.stack([
+        morphic[es],
+        (orbits[es] == anns[ce]).all(axis=1),
+        (xce == add[neg[xe], idx[:, None]]).all(axis=0),
+        ((anns[es] & anns[ce]) == (idx == 0)).all(axis=1) & orthogonal,
+        (xce == add[idx[:, None], neg[xe]]).all(axis=0),
+        n_ce_is_ann_e & orthogonal,
+        (mul[ce, ce] == ce) & morphic[ce]])
+    failed = np.stack([statements.any(axis=0) != statements.all(axis=0),
+                       statements[0] & (add[one, neg[ce]] != es),
+                       statements[0] & ~n_ce_is_ann_e], axis=1)
+    bad = _first_hit(failed)
+    if bad is None:
+        return TheoremReport(tid, "pass", 7 * len(es))
+    i, c = bad
+    clause = (f"seven statements differ: {tuple(statements[:, i].tolist())}",
+              "1-(1-e) != e", "N(1-e) != (0:e)")[c]
+    return TheoremReport(tid, "fail", 7 * (i + 1), ((int(es[i]),), clause))
 
 
 def _check_prop_cccxi(ring: NearRing, tid: str) -> TheoremReport:
@@ -350,7 +337,7 @@ def _check_prop_cccxi(ring: NearRing, tid: str) -> TheoremReport:
     for count, (clause, ok) in enumerate(conds, 1):
         if not ok:
             return TheoremReport(tid, "fail", count, ((), clause))
-    return _first_failure(tid, ("element not left morphic",), [_morphic(ring)], len(conds))
+    return _first_failure(tid, ("element not left morphic",), [element_column(ring, "morphic")], len(conds))
 
 
 def _check_prop226(ring: NearRing, tid: str) -> TheoremReport:
@@ -367,23 +354,20 @@ def _check_thm62(ring: NearRing, tid: str) -> TheoremReport:
     sp = structure_profile(ring)
     if not (sp.left_morphic and sp.regular):
         return _na(tid, "not a left morphic regular near-ring")
-    mul, add = ring.mul, ring.add
-    unit_set, _ = units(ring)
-    profiles = all_element_profiles(ring)
-    count = 0
-    for a in range(ring.order):
-        count += 1
-        p = profiles[a]
-        if not p.is_unit_regular:
-            return TheoremReport(tid, "fail", count, ((a,), "element not unit-regular"))
-        x = p.regular_witness
-        b = p.morphic.witness
-        u = int(add[mul[mul[x, a], x], b])  # u := xax + b
-        if u not in unit_set:
-            return TheoremReport(tid, "fail", count, ((a, x, b), "u = xax+b is not a unit"))
-        if mul[mul[a, u], a] != a:
-            return TheoremReport(tid, "fail", count, ((a, x, b), "aua != a for u = xax+b"))
-    return TheoremReport(tid, "pass", count)
+    mul, add, idx = ring.mul, ring.add, np.arange(ring.order)
+    # the hypothesis gives every a a regular witness x and a morphic witness b
+    x, b = element_column(ring, "regular"), element_column(ring, "morphic_witness")
+    u = add[mul[mul[x, idx], x], b]  # u := xax + b
+    failed = np.stack([element_column(ring, "unit_regular") < 0,
+                       element_column(ring, "inverse")[u] < 0,
+                       mul[mul[idx, u], idx] != idx], axis=1)
+    bad = _first_hit(failed)
+    if bad is None:
+        return TheoremReport(tid, "pass", ring.order)
+    a, c = bad
+    clause = ("element not unit-regular", "u = xax+b is not a unit", "aua != a for u = xax+b")[c]
+    return TheoremReport(tid, "fail", a + 1,
+                         ((a,) if c == 0 else (a, int(x[a]), int(b[a])), clause))
 
 
 def _check_prop_tttt(ring: NearRing, tid: str) -> TheoremReport:
@@ -423,30 +407,23 @@ def _check_ex20c_claim(ring: NearRing, tid: str) -> TheoremReport:
         return _na(tid, "not built as an R x M extension")
     base, module = ring.extension
     m_n = module.carrier.order
-    mul = ring.mul
-    is_unit, base_is_unit = unit_mask(ring), unit_mask(base)
-    # the witness family <u, -um> needs a unit inner inverse u of a in R
-    inner = first_true((inner_products(base) == np.arange(base.order)[:, None])
-                       & base_is_unit)
-    count = 0
-    for a, u in enumerate(inner):
-        if u is None:
-            return TheoremReport(tid, "fail", count,
-                                 ((a,), "base ring element has no unit inner inverse"))
-        elems = a * m_n + np.arange(m_n)
-        ws = u * m_n + module.carrier.neg[module.action[u]]
-        regular = mul[mul[elems, ws], elems] == elems
-        for m, (elem, w) in enumerate(zip(elems.tolist(), ws.tolist())):
-            count += 1
-            if not is_unit[w]:
-                return TheoremReport(tid, "fail", count, ((elem, w), "<u,-um> not a unit"))
-            if not regular[m]:
-                return TheoremReport(tid, "fail", count,
-                                     ((elem, w), "a*<u,-um>*a != a"))
-            if m != 0 and is_left_morphic(ring, elem):
-                return TheoremReport(tid, "fail", count,
-                                     ((elem,), "<a,m> with m != 0 is left morphic"))
-    return TheoremReport(tid, "pass", count)
+    mul, idx = ring.mul, np.arange(ring.order)
+    a, m = np.divmod(idx, m_n)  # element <a, m>
+    # <u, -um> needs a unit inner inverse u of a in R; where u is -1 the
+    # element fails its first clause, so the wrapped index is never reported.
+    u = element_column(base, "unit_regular")[a]
+    w = u * m_n + module.carrier.neg[module.action[u, m]]
+    clauses = ("base ring element has no unit inner inverse", "<u,-um> not a unit",
+               "a*<u,-um>*a != a", "<a,m> with m != 0 is left morphic")
+    bad = _first_hit(np.stack([u < 0, element_column(ring, "inverse")[w] < 0,
+                               mul[mul[idx, w], idx] != idx,
+                               (m != 0) & element_column(ring, "morphic")], axis=1))
+    if bad is None:
+        return TheoremReport(tid, "pass", ring.order)
+    e, c = bad
+    if c == 0:  # checked per base element, before its elements are counted
+        return TheoremReport(tid, "fail", e, ((int(a[e]),), clauses[0]))
+    return TheoremReport(tid, "fail", e + 1, ((e,) if c == 3 else (e, int(w[e])), clauses[c]))
 
 
 def _check_ex_gggg_claim(ring: NearRing, tid: str) -> TheoremReport:

@@ -37,6 +37,12 @@ def test_zn_range():
         builtin("zn_ring(1)")
 
 
+def test_zn_order_longer_than_int_converts_is_out_of_range():
+    # int() refuses digit strings over 4300 characters with its own message
+    with pytest.raises(ValueError, match=r"^zn_ring order must be in \[2,64\], got 9{5000}$"):
+        builtin("zn_ring(" + "9" * 5000 + ")")
+
+
 def test_zn_is_residue_arithmetic():
     ring = builtin("zn_ring(6)")
     for i in range(6):

@@ -271,6 +271,15 @@ def test_is_N_ideal_runs_only_for_failing_orbits(monkeypatch):
 
 
 
+def test_morphic_vector_checks_the_batch_N_ideal_test(monkeypatch):
+    # A batch test that wrongly rejects an orbit must surface through the
+    # left morphic vector, as through ``is_left_morphic``.
+    ring = build_M0(_zn_group(4))
+    monkeypatch.setattr(classify, "is_N_ideal", lambda module, subset: IdealVerdict("N_ideal"))
+    with pytest.raises(InvariantError, match="batch N-ideal test disagrees at element"):
+        check(ring, "prop2")
+
+
 UNVALIDATED_BASES = DEFAULT_CORPUS_NAMES + ("m0_z4", "dproj_3", "dretract_4",
                                             "zn_ring(4) x zn_ring(6)")
 
@@ -767,6 +776,109 @@ def test_cell_oracles_see_failures(make, tid, clause):
     assert report.status == "fail"
     if clause is not None:
         assert report.counterexample[1] == clause
+
+
+def reference_thm62(ring):
+    """``thm62`` after its gate, by the loop over elements it replaced."""
+    tid = "thm62"
+    mul, add = ring.mul, ring.add
+    unit_set, _ = units(ring)
+    profiles = all_element_profiles(ring)
+    count = 0
+    for a in range(ring.order):
+        count += 1
+        p = profiles[a]
+        if not p.is_unit_regular:
+            return TheoremReport(tid, "fail", count, ((a,), "element not unit-regular"))
+        x = p.regular_witness
+        b = p.morphic.witness
+        u = int(add[mul[mul[x, a], x], b])  # u := xax + b
+        if u not in unit_set:
+            return TheoremReport(tid, "fail", count, ((a, x, b), "u = xax+b is not a unit"))
+        if mul[mul[a, u], a] != a:
+            return TheoremReport(tid, "fail", count, ((a, x, b), "aua != a for u = xax+b"))
+    return TheoremReport(tid, "pass", count)
+
+
+def meets_thm62(ring):
+    """The hypothesis of ``thm62``: the convention, regular and left morphic."""
+    if theorems._convention_gate(ring) is not None:
+        return False
+    sp = structure_profile(ring)
+    return bool(sp.left_morphic and sp.regular)
+
+
+# The members of the family that meet the hypothesis of thm62.
+THM62_FAMILY = ("klein4_ring", "zn_ring(2)", "zn_ring(6)", "mat2_f2", "klein4_x_f2",
+                "klein4_ring x mat2_f2", "mat2_f2 x zn_ring(2)")
+
+
+def test_thm62_family_is_every_member_that_meets_the_hypothesis():
+    assert tuple(name for name in RING_NAMES if meets_thm62(ring_named(name))) == THM62_FAMILY
+
+
+@given(name=st.sampled_from(THM62_FAMILY),
+       seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)))
+@settings(max_examples=40, deadline=None)
+def test_thm62_matches_the_loop(name, seed):
+    ring = relabelled(ring_named(name), seed)
+    assert meets_thm62(ring)
+    assert check(ring, "thm62") == reference_thm62(ring)
+
+
+@given(name=st.sampled_from(THM62_FAMILY), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_thm62_matches_the_loop_on_scrambled_copies(name, data):
+    ring = scrambled(name, data)
+    if meets_thm62(ring):
+        assert check(ring, "thm62") == reference_thm62(ring)
+    else:
+        assert check(ring, "thm62").status == "not_applicable"
+
+
+@given(name=st.sampled_from(THM62_FAMILY), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_thm62_matches_the_loop_on_other_witnesses(name, data):
+    # Valid near-rings pass, so the failing clauses are reached by handing
+    # loop and table the same other witnesses: random regular and morphic
+    # witness columns, and elements whose unit-regular witness is dropped.
+    ring = dataclasses.replace(ring_named(name), name="copy")  # empty cache
+    n = ring.order
+    witness = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(np.array)
+    dropped = list(data.draw(st.sets(st.integers(0, n - 1), max_size=1), label="dropped"))
+    unit_regular = classify._COLUMNS["unit_regular"]
+    columns = {"unit_regular": lambda ring: np.where(np.isin(np.arange(n), dropped), -1,
+                                                     unit_regular(ring))}
+    for column in ("regular", "morphic_witness"):
+        if data.draw(st.booleans(), label=f"replace {column}"):
+            columns[column] = lambda ring, values=data.draw(witness, label=column): values
+    with mock.patch.dict(classify._COLUMNS, columns):
+        assert meets_thm62(ring)
+        assert check(ring, "thm62") == reference_thm62(ring)
+
+
+# One witness of mat2_f2 changed, and the first failure the scan then reports.
+THM62_FAILURES = [
+    ("unit_regular", 3, -1, ((3,), "element not unit-regular")),
+    ("morphic_witness", 0, 0, ((0, 0, 0), "u = xax+b is not a unit")),
+    ("morphic_witness", 1, 7, ((1, 1, 7), "aua != a for u = xax+b")),
+]
+
+
+@pytest.mark.parametrize("column, a, value, counterexample", THM62_FAILURES)
+def test_thm62_other_witnesses_reach_each_clause(column, a, value, counterexample):
+    ring = dataclasses.replace(builtin("mat2_f2"), name="copy")
+    build = classify._COLUMNS[column]
+
+    def changed(ring):
+        values = build(ring)
+        values[a] = value
+        return values
+
+    with mock.patch.dict(classify._COLUMNS, {column: changed}):
+        report = check(ring, "thm62")
+        assert report == reference_thm62(ring)
+    assert report.counterexample == counterexample
 
 
 # The cells that compare three structure flags, by the seed's formulas.

@@ -254,6 +254,11 @@ class TestBuiltin:
         code, _ = run(["builtin", "not_a_ring"])
         assert code == 3
 
+    def test_zn_order_with_5000_digits_exits_3_with_the_range_error(self):
+        code, text = run(["builtin", "zn_ring(" + "9" * 5000 + ")"])
+        assert code == 3
+        assert text.startswith("unknown builtin: zn_ring order must be in [2,64], got 999")
+
     def test_out_into_a_missing_directory_exits_3(self, tmp_path):
         target = tmp_path / "missing_dir" / "k.json"
         code, text = run(["builtin", "klein4_ring", "--out", str(target)])

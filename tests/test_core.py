@@ -206,7 +206,7 @@ class TestBuildM0:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            build_M0(_zn_group(5), cap=100)
+            build_M0(_zn_group(7))  # order 7^6 > 4096
 
 
 class TestBuildProduct:

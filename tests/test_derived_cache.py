@@ -1,13 +1,16 @@
 """The per-instance derived-data cache: lifetime, keys and shared arrays."""
+import contextlib
 import dataclasses
 import functools
 import gc
 import io
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import nearrings.classify as classify
 import nearrings.core as core
 from nearrings import (
     build_product,
@@ -20,7 +23,7 @@ from nearrings import (
     structure_profile,
     validate_nearring,
 )
-from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL
+from nearrings.catalog import _KLEIN4_ADD, _KLEIN4_MUL, default_corpus
 from nearrings.cli import main
 from nearrings.core import (_generators, endomorphism_rows, group_generators, laws_hold,
                             same_tables)
@@ -154,3 +157,37 @@ def test_flag_scans_run_once_per_ring(monkeypatch, tmp_path):
     # Each command loads its own ring, which reads its flags and scans once.
     assert len(scanned) == 6
     assert len({id(ring) for ring in scanned}) == 6
+
+
+@pytest.fixture()
+def computed_columns(monkeypatch):
+    """(ring, name) for every per-element column computed during the test."""
+    computed = []
+    for name, build in list(classify._COLUMNS.items()):
+        def counted(ring, name=name, build=build):
+            computed.append((ring, name))
+            return build(ring)
+        monkeypatch.setitem(classify._COLUMNS, name, counted)
+    return computed
+
+
+def test_each_column_is_computed_once_per_ring(computed_columns, tmp_path):
+    path = tmp_path / "klein4.json"
+    path.write_text(emit_table(builtin("klein4_ring")))
+    corpus = [ring for _, ring in default_corpus()]
+    with contextlib.ExitStack() as stack:
+        # the builtins are shared: empty their caches here, restore them after
+        for ring in corpus:
+            stack.enter_context(mock.patch.dict(ring.derived, clear=True))
+        main(["verify"], out=io.StringIO())
+        main(["classify", str(path), "--format", "json"], out=io.StringIO())
+    pairs = [(id(ring), name) for ring, name in computed_columns]
+    assert len(set(pairs)) == len(pairs)
+    # every column of the nine unital corpus rings and of the loaded ring
+    assert len(pairs) == (len(corpus) + 1) * len(classify._COLUMNS)
+
+
+def test_prop2_computes_no_regularity_column(computed_columns):
+    ring = fresh_klein4()
+    assert check(ring, "prop2").status == "pass"
+    assert {name for _, name in computed_columns} == {"inverse", "morphic", "morphic_witness"}
