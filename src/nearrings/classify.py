@@ -8,14 +8,18 @@ instances, a brute-force isomorphism search between N/Na and (0:a).
 The scans run over whole-ring n x n bool tables from ``nmodules``: rows of
 Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
 (``orbit_is_N_ideal``, whose reductions need the near-ring laws; it reads
-``core.laws_hold``, stored by validation, and tests each orbit on its own
-when the table breaks them).  The morphic witness scan, subcommutativity
-(Na = aN), weak divisibility (b in Na or a in Nb) and IFP (ab = 0 implies
-aN in (0:b)) compare rows of these tables; each still reports the first
-witness in ascending scan order.
-Left duo is decided on the principal ideals (``nmodules._ideal_closure``)
-with ``right_escape``; the comment in ``structure_profile`` shows why the
-first ideal that is not two-sided is a principal one.
+``core.laws_hold``, stored by validation, and tests each distinct orbit on
+its own when the table breaks them).  The morphic witness scan,
+subcommutativity (Na = aN), weak divisibility (b in Na or a in Nb) and IFP
+(ab = 0 implies aN in (0:b)) compare rows of these tables; each still
+reports the first witness in ascending scan order.  An Na that the batch test rejects goes
+through ``is_N_ideal`` for its first witness, once per distinct orbit
+(``orbit_classes``), and the verdict is shared by every element with that
+orbit; ``is_N_ideal`` accepting such an orbit raises ``InvariantError``.
+Left duo is decided on the distinct principal ideals
+(``nmodules.principal_ideals``, one closure per distinct seed set, none
+where P(a) = Na); the comment in ``structure_profile`` shows why the first
+ideal that is not two-sided is a principal one.
 
 Each per-element fact is one read-only vector over the whole ring,
 ``element_column(ring, name)``, computed on first read, kept in the ring's
@@ -31,20 +35,21 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (CapExceeded, InvariantError, NearRing, _first_hit, _row_classes, _seal,
-                   memoized)
+from .core import (CapExceeded, InvariantError, NearRing, _first_hit, _first_rows, _row_classes,
+                   _seal, memoized)
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
     IdealVerdict,
-    _ideal_closure,
     annihilator,
     annihilator_masks,
     is_N_ideal,
     modules_isomorphic,
     orbit,
+    orbit_classes,
     orbit_is_N_ideal,
     orbit_masks,
+    principal_ideals,
     quotient_module,
     regular_representation,
     right_escape,
@@ -114,20 +119,29 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
 
 
 @memoized
+def _rejected_orbit_verdict(ring: NearRing, first: int) -> IdealVerdict:
+    """``is_N_ideal`` on Na for the first element a of an orbit that
+    ``orbit_is_N_ideal`` rejected, shared by every element with that orbit;
+    raises if it accepts."""
+    verdict = is_N_ideal(regular_representation(ring), orbit(ring, "left", first))
+    if verdict:
+        raise InvariantError(f"batch N-ideal test disagrees at element {first}")
+    return verdict
+
+
+@memoized
 def is_left_morphic(ring: NearRing, a: int, cross_check: bool = False) -> MorphicVerdict:
     """Witness scan: Na must be an N-ideal and some b must satisfy
     Na = (0:b) and Nb = (0:a); first such b wins.
 
     Both are read off whole-ring tables (``orbit_is_N_ideal``, the
     "morphic_witness" column); only an Na that is not an N-ideal goes
-    through ``is_N_ideal``, for its first witness."""
+    through ``is_N_ideal``, for its first witness, once per distinct orbit."""
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
     do_cross = cross_check and ring.order <= BRUTEFORCE_ISO_CAP
     if not orbit_is_N_ideal(ring)[a]:
-        verdict = is_N_ideal(regular_representation(ring), orbit(ring, "left", a))
-        if verdict:
-            raise InvariantError(f"batch N-ideal test disagrees at element {a}")
+        verdict = _rejected_orbit_verdict(ring, int(orbit_classes(ring)[a]))
         result = MorphicVerdict("na_not_ideal", ideal_verdict=verdict,
                                 cross_checked=do_cross)
     else:
@@ -176,14 +190,14 @@ def _morphic_witnesses(ring: NearRing) -> np.ndarray:
 
 
 def _left_morphic(ring: NearRing) -> np.ndarray:
-    """Per a: Na is an N-ideal and a has a morphic witness.  Where Na is not
-    an N-ideal, ``is_left_morphic`` runs, which checks the batch N-ideal
-    test against ``is_N_ideal`` there."""
+    """Per a: Na is an N-ideal and a has a morphic witness.  Each distinct
+    Na that the batch N-ideal test rejected is checked against
+    ``is_N_ideal`` once, as ``is_left_morphic`` would."""
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
     ideal = orbit_is_N_ideal(ring)
-    for a in np.flatnonzero(~ideal).tolist():
-        is_left_morphic(ring, a)
+    for first in sorted(set(orbit_classes(ring)[~ideal].tolist())):
+        _rejected_orbit_verdict(ring, first)
     return ideal & (element_column(ring, "morphic_witness") >= 0)
 
 
@@ -348,14 +362,17 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     # If l*x escapes L for some l in L, it escapes the principal ideal
     # P(l), which lies in L; so a smallest failing L contains a failing
     # P(l), and |P(l)| <= |L| forces P(l) = L.  The first failing ideal in
-    # (size, members) order is therefore the first failing principal one.
+    # (size, members) order is therefore the first failing principal one,
+    # found among the distinct rows of ``nmodules.principal_ideals``.
     # The order gate stays: perfbench/oracle.py and the recorded seed-1
     # digests expect left_duo to be null above it, so lifting it is an
     # output change of its own.
     left_duo: Optional[bool] = None
     if n <= IDEAL_ENUM_ORDER_CAP:
-        principal = {tuple(np.flatnonzero(_ideal_closure(ring, a)).tolist()) for a in range(n)}
-        failing = min((p for p in principal if right_escape(ring, p)),
+        principal = principal_ideals(ring)
+        ideals = principal[_first_rows(np.packbits(principal, axis=1))]
+        escapes = (ideals[:, :, None] & ~ideals[:, mul]).any(axis=(1, 2))  # [P, l, x]
+        failing = min((tuple(np.flatnonzero(p).tolist()) for p in ideals[escapes]),
                       key=lambda p: (len(p), p), default=None)
         left_duo = failing is None
         if not left_duo:

@@ -21,15 +21,17 @@ The N-ideal layer works over generating sets, with exact reductions:
   r((l1+l2)+m) - rm = [r(l1+(l2+m)) - r(l2+m)] + [r(l2+m) - rm].
   When a reduced check fails, that stage's exhaustive scan runs for the
   first witness in ascending scan order.
-- ``_ideal_closure`` keeps its set closed under + semi-naively and sends
-  only the generators it adds through the conjugate and r(l+m) - rm rules,
-  which the same two arguments make enough.  Its principal ideals also
-  decide left duo in ``classify.structure_profile``, with ``right_escape``
-  and no enumeration.
-- ``enumerate_left_ideals`` closes each singleton once, then saturates
-  "ideal + principal ideal".  By the identity above the sum L1 + L2 of two
-  N-ideals is an N-ideal, hence their join, and every N-ideal is the sum of
-  the principal ideals of its elements.
+- ``_ideal_closure`` closes a seed set to the smallest N-ideal containing
+  it.  It keeps its set closed under + semi-naively and sends only the
+  generators it adds through the conjugate and r(l+m) - rm rules, which
+  the same two arguments make enough.
+- ``principal_ideals`` holds P(a), the smallest N-ideal containing a, for
+  every a (reductions below).  Its distinct rows decide left duo in
+  ``classify.structure_profile``, with no enumeration.
+- ``enumerate_left_ideals`` starts from the principal ideals, then
+  saturates "ideal + principal ideal".  By the identity above the sum
+  L1 + L2 of two N-ideals is an N-ideal, hence their join, and every
+  N-ideal is the sum of the principal ideals of its elements.
 
 Orbits and annihilators of a near-ring are read off memoised n x n bool
 tables (``orbit_masks``, ``annihilator_masks``); a subset's annihilator is
@@ -47,12 +49,25 @@ do, i.e. for the regular representation of a near-ring:
   r(l+m) - rm = rl = r(s*a) = (r*s)*a, in Na.  On a ring every row is
   one, so only the normality check is left.
 
+A principal ideal P(a) depends, under the laws, only on the set N0*a,
+N0 = {x : x*0 = 0}.  In a right near-ring 0*z = 0, so for any r the
+constant c = r*0 satisfies c*z = r*(0*z) = c, and r0 = r - c lies in N0
+with r*l = r0*l + c.  Taking m = 0 in the N-ideal condition, every N-ideal
+containing a contains r*a - r*0 = r0*a for every r, i.e. N0*a.  So where a
+is in N0*a (always, with a unity, since 1 is in N0), P(a) is the smallest
+N-ideal containing the set N0*a, and one closure serves every element with
+that set.  On a zero-symmetric ring N0*a = Na, and P(a) = Na with no
+closure wherever Na is an N-ideal.  An element outside its N0*a gets a
+closure of its own.
+
 A near-ring built without validation need not satisfy the laws, so
-``orbit_is_N_ideal`` reads ``core.laws_hold`` (stored by validation,
-computed in O(|S| n^2) on any other ring) and the rows from
-``core.endomorphism_rows``, and falls back to ``is_N_ideal`` on every
-orbit when the laws fail.  ``is_N_ideal`` takes arbitrary actions, so it
-keeps r over all of N.
+``orbit_is_N_ideal`` and ``principal_ideals`` read ``core.laws_hold``
+(stored by validation, computed in O(|S| n^2) on any other ring), and
+``orbit_is_N_ideal`` the rows from ``core.endomorphism_rows``.  When the
+laws fail, ``orbit_is_N_ideal`` runs ``is_N_ideal`` once per distinct
+orbit (``orbit_classes``) and ``principal_ideals`` closes every element on
+its own.  ``is_N_ideal`` takes arbitrary actions, so it keeps r over all
+of N.
 """
 from __future__ import annotations
 
@@ -64,8 +79,8 @@ import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
                    _check_table, _extend_closure, _first_hit, _first_violation, _generators,
-                   _Tables, endomorphism_rows, group_generators, laws_hold, memoized,
-                   validate_group)
+                   _row_classes, _seal, _Tables, endomorphism_rows, group_generators, laws_hold,
+                   memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -139,6 +154,13 @@ def orbit_masks(ring: NearRing, side: str) -> np.ndarray:
 
 
 @memoized
+def orbit_classes(ring: NearRing) -> np.ndarray:
+    """Read-only vector: per a, the least b with Nb = Na, so that a fact
+    about the set Na is decided once per distinct orbit."""
+    return _seal(_row_classes(np.packbits(orbit_masks(ring, "left"), axis=1)))
+
+
+@memoized
 def annihilator_masks(ring: NearRing, side: str) -> np.ndarray:
     """Read-only n x n bool table whose row a is (0:a) = {x : x*a = 0} (left)
     or {x : a*x = 0} (right)."""
@@ -188,15 +210,17 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
 
     The reductions (module docstring) need the near-ring laws.  A
     ``NearRing`` built without validation may break them, so the check
-    reads ``core.laws_hold`` first and falls back to ``is_N_ideal`` on every
-    orbit when they fail.  Otherwise r ranges over the generators whose row
-    is not an endomorphism: for the others r(l+m) - rm = rl = (r*s)*a, in Na.
+    reads ``core.laws_hold`` first and falls back to ``is_N_ideal``, once
+    per distinct orbit, when they fail.  Otherwise r ranges over the
+    generators whose row is not an endomorphism: for the others
+    r(l+m) - rm = rl = (r*s)*a, in Na.
     """
     add, neg, mul = ring.add, ring.neg, ring.mul
     if not laws_hold(ring):
-        rep = regular_representation(ring)
-        ok = np.array([bool(is_N_ideal(rep, _members(row)))
-                       for row in orbit_masks(ring, "left")], dtype=bool)
+        rep, classes = regular_representation(ring), orbit_classes(ring)
+        ok = np.zeros(ring.order, dtype=bool)
+        for first in sorted(set(classes.tolist())):
+            ok[classes == first] = bool(is_N_ideal(rep, orbit(ring, "left", first)))
         ok.setflags(write=False)
         return ok
     orbits = orbit_masks(ring, "left")
@@ -279,9 +303,9 @@ def is_ideal(ring: NearRing, subset) -> str:
     return "left_ideal" if right_escape(ring, subset) else "two_sided_ideal"
 
 
-def _ideal_closure(ring: NearRing, a: int) -> np.ndarray:
+def _ideal_closure(ring: NearRing, seed: np.ndarray) -> np.ndarray:
     """Bool mask of the smallest N-ideal of the regular representation
-    containing ``a``.
+    containing the bool mask ``seed``.
 
     The set is kept closed under + (``core._extend_closure``), so it is a
     subgroup, and only the elements added as its generators go through the
@@ -292,8 +316,7 @@ def _ideal_closure(ring: NearRing, a: int) -> np.ndarray:
     minus_rm = neg[mul]
     reached = np.zeros(ring.order, dtype=bool)
     reached[0] = True
-    wanted = reached.copy()
-    wanted[a] = True
+    wanted = seed | reached
     while not (wanted <= reached).all():
         g = int((wanted & ~reached).argmax())
         _extend_closure(add, reached, g)
@@ -302,13 +325,48 @@ def _ideal_closure(ring: NearRing, a: int) -> np.ndarray:
     return reached
 
 
+@memoized
+def principal_ideals(ring: NearRing) -> np.ndarray:
+    """Read-only n x n bool table whose row a is P(a), the smallest N-ideal
+    of the regular representation containing a.
+
+    Under the near-ring laws P(a) is decided from the set N0*a, N0 = {x :
+    x*0 = 0} (module docstring): where a is in N0*a, P(a) is the smallest
+    N-ideal containing N0*a, so one closure serves every element with the
+    same set, and on a zero-symmetric ring it is Na itself wherever Na is
+    an N-ideal.  Every other element, and every element of a table that
+    breaks the laws, gets a closure of its own.
+    """
+    n, mul = ring.order, ring.mul
+    idx = np.arange(n)
+    table = np.zeros((n, n), dtype=bool)
+    own = np.ones(n, dtype=bool)  # elements closed on their own
+    if laws_hold(ring):
+        seeds = np.zeros((n, n), dtype=bool)
+        seeds[idx[None, :], mul[mul[:, 0] == 0]] = True     # row a: N0*a
+        own = ~seeds[idx, idx]
+        todo = ~own
+        if not mul[:, 0].any():                             # N0 = N
+            direct = todo & orbit_is_N_ideal(ring)
+            table[direct] = seeds[direct]
+            todo &= ~direct
+        classes = _row_classes(np.packbits(seeds, axis=1))
+        for first in sorted(set(classes[todo].tolist())):
+            table[todo & (classes == first)] = _ideal_closure(ring, seeds[first])
+    for a in np.flatnonzero(own).tolist():
+        table[a] = _ideal_closure(ring, idx == a)
+    table.setflags(write=False)
+    return table
+
+
 def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[frozenset[int]]:
     """All N-ideals of the regular representation; ascending by size then
     lexicographic.
 
     Every N-ideal is the sum of the principal ideals of its elements, and a
-    sum of N-ideals is one (module docstring), so the ideals are the
-    principal ones closed under "+ principal ideal", saturated from a frontier.
+    sum of N-ideals is one (module docstring), so the ideals are the rows of
+    ``principal_ideals`` closed under "+ principal ideal", saturated from a
+    frontier.
     """
     if ring.order > IDEAL_ENUM_ORDER_CAP:
         raise CapExceeded(f"ideal enumeration limited to order {IDEAL_ENUM_ORDER_CAP}")
@@ -325,8 +383,7 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
         return True
 
     principal = []  # (a, members of the ideal a generates), one per distinct ideal
-    for a in range(ring.order):
-        mask = _ideal_closure(ring, a)
+    for a, mask in enumerate(principal_ideals(ring)):
         if insert(mask):
             principal.append((a, np.flatnonzero(mask)))
     frontier = list(found.values())

@@ -41,6 +41,7 @@ from nearrings import (
 )
 from nearrings.catalog import DEFAULT_CORPUS_NAMES, _zn_group
 import nearrings.classify as classify
+import nearrings.nmodules as nmodules
 import nearrings.theorems as theorems
 from nearrings.classify import all_element_profiles, units
 from nearrings.core import (_additive, _generators, _holds, _laws_hold, build_M0, build_product,
@@ -84,6 +85,11 @@ SPECIAL = {
     "dretract_3": lambda: dihedral_retract(3),
     "dretract_4": lambda: dihedral_retract(4),
     "dretract_6": lambda: dihedral_retract(6),
+    # zero multiplication: Na = {0}, so a is not in Na for a != 0
+    "zero_z2xz4": lambda: validate_nearring(
+        [[(x // 4 ^ y // 4) * 4 + (x + y) % 4 for y in range(8)] for x in range(8)],
+        [[0] * 8 for _ in range(8)]),
+    "zero_d3": lambda: validate_nearring(dihedral_add(3), [[0] * 6 for _ in range(6)]),
 }
 
 
@@ -267,7 +273,9 @@ def test_is_N_ideal_runs_only_for_failing_orbits(monkeypatch):
     for a in range(ring.order):
         is_left_morphic(ring, a)
     failing = [orbit(ring, "left", a) for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
-    assert failing and calls == failing
+    # One call per distinct failing orbit, in order of first occurrence.
+    distinct = list(dict.fromkeys(failing))
+    assert (len(failing), len(distinct)) == (30, 7) and calls == distinct
 
 
 
@@ -932,6 +940,87 @@ def test_left_duo_from_principal_ideals_matches_enumeration(name, seed):
 def test_left_duo_family_has_rings_that_are_not_left_duo():
     verdicts = [structure_profile(ring_named(name)).left_duo for name in LEFT_DUO_FAMILY]
     assert verdicts.count(False) == 5 and verdicts.count(True) == 5
+
+
+# Principal ideals from the seed sets N0*a: zero-symmetric rings with and
+# without unity, non-zero-symmetric extensions (where N0*a is smaller than
+# Na), and zero multiplication, where N0*a = {0} misses a.
+PRINCIPAL_FAMILY = ("m0_z3", "m0_z4", "dproj_3", "dproj_4", "dretract_3", "dretract_6",
+                    "mat2_f2 x zn_ring(2)", "zn_ring(4) x zn_ring(6)", "ext_f2_f2",
+                    "ext_mat2f2_f2sq", "zero_z2xz4", "zero_d3")
+
+
+@given(name=st.sampled_from(PRINCIPAL_FAMILY),
+       seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_principal_ideals_match_the_per_element_closure(name, seed, data):
+    # Every third example overwrites one to three products in a copy made
+    # without validation, which usually breaks the laws the seed sets need.
+    ring = relabelled(ring_named(name), seed)
+    n = ring.order
+    if data.draw(st.integers(0, 2)) == 0:
+        mul = ring.mul.tolist()
+        for _ in range(data.draw(st.integers(1, 3))):
+            x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            mul[x][y] = v
+        ring = dataclasses.replace(ring, mul=mul)
+    table = nmodules.principal_ideals(ring)
+    for a in range(n):
+        assert table[a].tolist() == nmodules._ideal_closure(ring, np.arange(n) == a).tolist(), a
+
+
+def test_principal_ideals_family_reaches_every_route():
+    # Zero-symmetric with Na an N-ideal, one closure per seed set, and a
+    # closure of one element, each met somewhere in the family.
+    routes = set()
+    for name in PRINCIPAL_FAMILY:
+        ring = ring_named(name)
+        idx = np.arange(ring.order)
+        seeds = np.zeros((ring.order, ring.order), dtype=bool)
+        seeds[idx[None, :], ring.mul[ring.mul[:, 0] == 0]] = True
+        for a in idx:
+            if not seeds[a, a]:
+                routes.add("own")
+            elif not ring.mul[:, 0].any() and orbit_is_N_ideal(ring)[a]:
+                routes.add("orbit")
+            else:
+                routes.add("seed set")
+    assert routes == {"own", "orbit", "seed set"}
+
+
+SHARED_VERDICT_FAMILY = ("m0_z3", "m0_z4", "ext_f2_f2", "ext_mat2f2_f2sq",
+                         "zn_ring(2) x m0_z3", "m0_z3 x zn_ring(6)")
+
+
+@given(name=st.sampled_from(SHARED_VERDICT_FAMILY),
+       seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)))
+@settings(max_examples=30, deadline=None)
+def test_shared_orbit_verdicts_match_per_element_test(name, seed):
+    ring = relabelled(ring_named(name), seed)
+    rep = regular_representation(ring)
+    morphic = classify.element_column(ring, "morphic")
+    for a in range(ring.order):
+        expected = is_N_ideal(rep, orbit(ring, "left", a))
+        verdict = is_left_morphic(ring, a)
+        assert verdict.ideal_verdict == (None if expected else expected), a
+        assert bool(verdict) == morphic[a], a
+
+
+def test_morphic_vector_runs_is_N_ideal_once_per_distinct_failing_orbit(monkeypatch):
+    ring = build_M0(_zn_group(4))
+    calls = []
+
+    def counting(module, subset):
+        calls.append(subset)
+        return is_N_ideal(module, subset)
+
+    monkeypatch.setattr(classify, "is_N_ideal", counting)
+    classify.element_column(ring, "morphic")
+    failing = [orbit(ring, "left", a) for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
+    assert calls == list(dict.fromkeys(failing))
+    for a in range(ring.order):  # the per-element verdicts reuse them
+        is_left_morphic(ring, a)
+    assert len(calls) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,37 @@ def test_lemma10_map_clauses_are_skipped_on_validated_rings(monkeypatch):
     assert calls == []
     check(swap_in_column(builtin("zn_ring(5)"), 2, 1, 4), "lemma10")
     assert calls == [(0, 1), (0, 2)]
+
+
+LEMMA10_FAMILY = ["klein4_ring", "m0_z3", "mat2_f2", "ext_f2_f2", "ext_mat2f2_f2sq",
+                  "klein4_x_f2"] + [f"zn_ring({n})" for n in range(2, 13)]
+
+
+def test_lemma10_shortcut_matches_the_scan(monkeypatch):
+    # The laws prove the lemma once ``one`` is an identity; with the law
+    # verdict forced False the cell runs its full scan, map clauses included.
+    rings = [builtin(name) for name in LEMMA10_FAMILY]
+    rings.append(build_product((builtin("m0_z3"), builtin("zn_ring(2)"))))
+    shortcut = [check(ring, "lemma10") for ring in rings]
+    assert all(report.status == "pass" for report in shortcut)
+    monkeypatch.setattr(theorems, "laws_hold", lambda ring: False)
+    assert [check(dataclasses.replace(ring), "lemma10") for ring in rings] == shortcut
+
+
+def test_lemma10_shortcut_needs_one_to_be_an_identity():
+    # Z6 under its laws, but with 2 declared as ``one`` (a replace copy does
+    # not check it): the "units" solve a*v = v*a = 2, and N*2 != N.
+    ring = dataclasses.replace(builtin("zn_ring(6)"), one=2)
+    report = check(ring, "lemma10")
+    assert report.status == "fail"
+    assert (report.status, report.instantiations, report.counterexample) == \
+        reference_lemma10(ring)
+
+
+def test_convention_gate_reads_one_column():
+    # The gate decides zero symmetry from x*0 alone, without the flag scan.
+    for name in ("m0_z3", "ext_f2_f2", "zn_ring(6)", "klein4_x_f2"):
+        ring = dataclasses.replace(builtin(name))
+        note = theorems._convention_gate(ring)
+        assert ("flag_scan",) not in ring.derived
+        assert (note is None) == ring.flags.zero_symmetric, name
