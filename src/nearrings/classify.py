@@ -50,9 +50,9 @@ from .nmodules import (
     orbit_is_N_ideal,
     orbit_masks,
     principal_ideals,
-    quotient_module,
     regular_representation,
     right_escape,
+    _quotient,
 )
 
 CLASSIFY_ORDER_CAP = 256
@@ -114,7 +114,7 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
     ann = annihilator(ring, "left", (a,))
     if 0 not in ann:
         return False
-    quot = quotient_module(regular_representation(ring), na)
+    quot = _quotient(regular_representation(ring), na)  # Na passed is_N_ideal above
     return bool(modules_isomorphic(quot.module, ann, mode="bruteforce"))
 
 

@@ -5,7 +5,8 @@ over element indices 0..n-1, and a near-ring adds an n-by-n multiplication
 table on top.
 
 Each table law is written once, as a row function: given a row r it returns
-the bool table over (s, m) that is True where the law fails.  ``_assoc`` is
+the bool table over (s, m) that is True where the law fails (one table per
+row function, refilled by each call).  ``_assoc`` is
 (r.s).m = r.(s.m) and ``_additive`` is (r+s).m = r.m + s.m, for an action of
 a near-ring on a group; a near-ring's laws are ``_assoc(add, add)``,
 ``_assoc(mul, mul)`` and ``_additive(add, mul, add)``, the two module laws
@@ -57,9 +58,22 @@ these dataclasses is identity; compare tables with ``np.array_equal``.
 ``parse_table`` reads a table document in one of two ways, with the same
 field checks after either.  ``_read_document`` walks the top-level object
 with the ``json`` scanner and decodes ``add`` and ``mul`` from their
-characters in numpy, when they follow a valid ``order`` and hold n rows of
-n unsigned integers without leading zeros.  Any other document, and every
-malformed one, goes through ``json.loads``, which alone words the errors.
+characters in numpy, a block of whole rows at a time, when they follow a
+valid ``order`` and hold n rows of n unsigned integers without leading
+zeros.  The scanner decodes every other member and any table the reader
+refuses; a ``json.JSONDecodeError`` it raises there is the error
+``json.loads`` would raise.  A document with a table before ``order``, or
+that the scanner refuses otherwise (deep nesting, an over-long int), goes
+through ``json.loads``.
+
+No loop over rows or blocks, in the reader, the re-indexing of
+``from_document``, or the law, flag and group scans, allocates a temporary
+of more than ``_TEMP_BYTES`` (64 KiB): the scans work on row blocks
+(``_row_blocks``), a row function fills one bool table that its scan
+allocates once, and the reader decodes about 32 KiB of text at a time
+(one row at least, which is longer only for indented tables of order in
+the thousands).  So loading and validating a table touches little memory
+beyond the tables themselves, and few fresh pages.
 """
 from __future__ import annotations
 
@@ -75,6 +89,9 @@ import numpy as np
 
 # Construction refuses anything larger than this.
 DEFAULT_ORDER_CAP = 4096
+
+# The most bytes that one temporary of a loop over rows or blocks may take.
+_TEMP_BYTES = 1 << 16
 
 TABLE_FORMAT = "nearring-table/1"
 
@@ -283,10 +300,31 @@ def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
     return _as_table(table)
 
 
+def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``row_bytes`` bytes each, as
+    many rows as fit in ``_TEMP_BYTES`` (at least one) per slice."""
+    step = max(1, _TEMP_BYTES // row_bytes)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def _identities(t: np.ndarray) -> np.ndarray:
     """Bool vector: entry e says whether e is a two-sided identity of ``t``."""
-    idx = np.arange(len(t))
-    return (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
+    n = len(t)
+    idx = np.arange(n)
+    left, right = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
+    for rows in _row_blocks(n, n):
+        left[rows] = (t[rows] == idx).all(axis=1)
+        right &= (t[rows] == idx[rows, None]).all(axis=0)
+    return left & right
+
+
+def _first_asymmetry(t: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first (i, j) in row-major order with t[i, j] != t[j, i], or None."""
+    for rows in _row_blocks(len(t), len(t)):
+        hit = _first_hit(t[rows] != t.T[rows])
+        if hit:
+            return rows.start + hit[0], hit[1]
+    return None
 
 
 def _first_hit(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -314,8 +352,9 @@ def _extend_closure(add: np.ndarray, reached: np.ndarray, s: int) -> None:
     while len(frontier):
         members = np.flatnonzero(reached)
         new = np.zeros(len(add), dtype=bool)
-        new[add[frontier[:, None], members].ravel()] = True
-        new[add[members[:, None], frontier].ravel()] = True
+        for rows in _row_blocks(len(frontier), 8 * len(members)):
+            new[add[frontier[rows, None], members]] = True
+            new[add[members[:, None], frontier[rows]]] = True
         new &= ~reached
         reached |= new
         frontier = np.flatnonzero(new)
@@ -344,16 +383,34 @@ def group_generators(group: FiniteGroup) -> list[int]:
     return _generators(group.add)
 
 
+def _law(fill, shape):
+    """A row function from ``fill(r, rows, out)``, which writes into
+    ``out`` the bool table of row r over a block of rows of s.  Each call
+    fills one table of ``shape``, allocated here once per scan, block by
+    block, so that no int64 temporary exceeds ``_TEMP_BYTES``; the next call
+    overwrites it."""
+    table = np.empty(shape, dtype=bool)
+    blocks = _row_blocks(shape[0], 8 * shape[1])
+
+    def bad(r):
+        for rows in blocks:
+            fill(r, rows, table[rows])
+        return table
+    return bad
+
+
 def _assoc(rmul: np.ndarray, act: np.ndarray):
     """Row function of (r.s).m = r.(s.m): row r gives the bool table over
     (s, m) that is True where the law fails."""
-    return lambda r: act[rmul[r]] != act[r][act]
+    return _law(lambda r, s, out: np.not_equal(act[rmul[r, s]], act[r][act[s]], out=out),
+                act.shape)
 
 
 def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
     """Row function of (r+s).m = r.m + s.m: row r gives the bool table over
     (s, m) that is True where the law fails."""
-    return lambda r: act[radd[r]] != madd[act[r], act]
+    return _law(lambda r, s, out: np.not_equal(act[radd[r, s]], madd[act[r], act[s]], out=out),
+                act.shape)
 
 
 def _holds(bad, rows) -> bool:
@@ -376,8 +433,10 @@ def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
     """Rows x where y -> x*y is not an endomorphism of the group (N,+):
     x*(y+s) != x*y + x*s for some y and generator s."""
     bad = np.zeros(len(add), dtype=bool)
-    for s in gens:
-        bad |= (mul[:, add[:, s]] != add[mul, mul[:, s][:, None]]).any(axis=1)
+    for rows in _row_blocks(len(add), 8 * len(add)):
+        x = mul[rows]
+        for s in gens:
+            bad[rows] |= (x[:, add[:, s]] != add[x, x[:, s, None]]).any(axis=1)
     return bad
 
 
@@ -402,12 +461,13 @@ def flag_scan(ring: NearRing) -> tuple[NearRingFlags, tuple[tuple[str, tuple[int
     # Rows before the first bad one are endomorphisms, so the exhaustive
     # scan's first witness lies in that row.
     bad = _first_hit(~endomorphism_rows(ring))
+    left_dist = _law(lambda x, y, out: np.not_equal(
+        mul[x, add[y]], add[mul[x, y][:, None], mul[x]], out=out), add.shape)
     witnesses = {
-        "left_distributive": bad and _first_violation(
-            lambda x: mul[x, add] != add[mul[x][:, None], mul[x]], range(bad[0], len(add))),
-        "abelian_add": _first_hit(add != add.T),
+        "left_distributive": bad and _first_violation(left_dist, range(bad[0], len(add))),
+        "abelian_add": _first_asymmetry(add),
         "zero_symmetric": _first_hit(mul[:, 0] != 0),
-        "commutative_mul": _first_hit(mul != mul.T),
+        "commutative_mul": _first_asymmetry(mul),
     }
     flags = NearRingFlags(unital=ring.one is not None,
                           **{flag: w is None for flag, w in witnesses.items()})
@@ -417,12 +477,18 @@ def flag_scan(ring: NearRing) -> tuple[NearRingFlags, tuple[tuple[str, tuple[int
 def _row_classes(t: np.ndarray) -> np.ndarray:
     """``rep[i]``: the least index whose row of ``t`` equals row i.
 
-    Each row is viewed as one opaque byte string, so ``np.unique`` groups
-    equal rows exactly; its stable sort makes ``first`` the first
-    occurrence of each group."""
-    rows = np.ascontiguousarray(t).view(np.dtype((np.void, t.itemsize * t.shape[1])))
-    _, first, inv = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-    return first[inv]
+    Each row is viewed as one opaque byte string and sorted stably, so equal
+    rows are adjacent and in index order; sorted neighbours are compared in
+    row blocks, and each row takes the first index of its run."""
+    n, t = len(t), np.ascontiguousarray(t)
+    row_bytes = t.itemsize * t.shape[1]
+    order = t.view(np.dtype((np.void, row_bytes))).ravel().argsort(kind="stable")
+    starts = np.ones(n, dtype=bool)  # sorted position p starts a run of equal rows
+    for rows in _row_blocks(n - 1, row_bytes):
+        starts[1:][rows] = (t[order[1:][rows]] != t[order[:-1][rows]]).any(axis=1)
+    rep = np.empty(n, dtype=np.int64)
+    rep[order] = order[np.maximum.accumulate(np.where(starts, np.arange(n), 0))]
+    return rep
 
 
 def _first_rows(t: np.ndarray) -> list[int]:
@@ -447,15 +513,18 @@ def validate_group(add, labels=None) -> FiniteGroup:
     if not _holds(add_assoc, gens):
         raise AxiomViolation("add_assoc", _first_violation(add_assoc, _first_rows(add)))
     # neg[i] is the least j with i+j = j+i = 0
-    inverse = (add == 0) & (add.T == 0)
-    w = _first_hit(~inverse.any(axis=1))
-    if w is not None:
-        raise AxiomViolation("add_inverse", w)
+    neg = np.empty(n, dtype=np.int64)
+    for rows in _row_blocks(n, n):
+        inverse = (add[rows] == 0) & (add.T[rows] == 0)
+        w = _first_hit(~inverse.any(axis=1))
+        if w is not None:
+            raise AxiomViolation("add_inverse", (rows.start + w[0],))
+        neg[rows] = inverse.argmax(axis=1)
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise TableFormatError("labels: need n distinct strings")
-    group = FiniteGroup(order=n, add=add, neg=inverse.argmax(axis=1), labels=labels)
+    group = FiniteGroup(order=n, add=add, neg=_seal(neg), labels=labels)
     group_generators.keep(group, gens)
     return group
 
@@ -598,12 +667,47 @@ class RawTables:
 
 
 _MAX_DIGITS = len(str(DEFAULT_ORDER_CAP))
-# The class of each byte, for bytes.translate: 0 for a byte that cannot
-# occur in a table, then JSON whitespace, digit, bracket or comma.
-_SPACE, _DIGIT, _PUNCT = 1, 2, 3
-_BYTE_CLASS = bytes(_SPACE if c in b" \t\n\r" else _DIGIT if c in b"0123456789"
-                    else _PUNCT if c in b"[]," else 0 for c in range(256))
+# The most characters of table text that ``_read_table`` decodes as one
+# block, unless one row is longer.
+_BLOCK = 1 << 15
+_SPACES = b" \t\n\r"
+_SPACE_BYTES = tuple(bytes([c]) for c in _SPACES)  # a memchr each: cheaper than translate when absent
+_DIGITS = b"0123456789"
+_PAD = bytes(_MAX_DIGITS - 1)  # zero bytes, which are not digits
 _DECODER = json.JSONDecoder()
+
+
+def _block_numbers(chars: bytes, out: np.ndarray) -> bool:
+    """Decode the numbers of ``chars``, whole rows of table text without
+    whitespace whose brackets and commas ``_read_table`` has checked, into
+    ``out``, one per entry; False unless each has 1 to ``_MAX_DIGITS``
+    digits without a leading zero and sits alone between a row-[ or in-row
+    comma and the comma or ] after it.
+
+    The brackets and commas fix the gaps where a number may sit, and there
+    are ``len(out)`` of them.  Gaps hold no whitespace, so each holds at
+    most one run of digits.  A run in any other gap touches a ] before it
+    or a [ after it.  So ``len(out)`` runs, none touching such a bracket,
+    fill each gap exactly once."""
+    buf = np.frombuffer(_PAD + chars, dtype=np.uint8)
+    digit = buf - np.uint8(ord("0"))  # a digit's value; 10 or more for any other byte
+    is_digit = digit[len(_PAD):] < 10
+    last = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # the last digit of each run
+    if len(last) != len(out):
+        return False
+    before = np.flatnonzero(is_digit[1:] > is_digit[:-1])  # the byte before each run
+    width = last - before
+    widest = int(width.max())
+    text = buf[len(_PAD):]
+    if (widest > _MAX_DIGITS or (text[before] == ord("]")).any()
+            or (text[1:][last] == ord("[")).any()
+            or ((width > 1) & (text[1:][before] == ord("0"))).any()):
+        return False
+    number = digit[len(_PAD):][last].astype(np.uint16)
+    for k in range(1, widest):  # the digit k places left of the last, in runs that have one
+        number += (width > k) * digit[len(_PAD) - k:][last] * np.uint16(10 ** k)
+    out[...] = number
+    return True
 
 
 def _read_table(text: str, idx: int, n: int):
@@ -611,55 +715,61 @@ def _read_table(text: str, idx: int, n: int):
     read-only int64 array, and the index just past its closing ``]``; None
     unless the value is n rows of n unsigned integers of 1 to
     ``_MAX_DIGITS`` digits without a leading zero, with JSON whitespace
-    between tokens only.  Only the text up to the next ``"`` is encoded,
-    and a non-ASCII character in it raises ``UnicodeEncodeError``."""
-    stop = text.find('"', idx)
-    span = text[idx:stop if stop >= 0 else len(text)].encode("ascii")
-    b = np.frombuffer(span, dtype=np.uint8)
-    kind = np.frombuffer(span.translate(_BYTE_CLASS), dtype=np.uint8)
-    # The value's brackets and commas: [, then n rows of [ (n-1)x, ] joined
-    # by commas, then ]; that is (n+1)^2 of them.
-    m = (n + 1) ** 2
-    punct = np.flatnonzero(kind == _PUNCT)[:m].astype(np.int32)
+    between tokens only.
+
+    The rows are decoded block by block straight into the one output
+    array.  A block is as many rows as fit in ``_BLOCK`` characters (one
+    at least) and, at 8 bytes a number, in ``_TEMP_BYTES``; it ends at the
+    k-th ] after it starts, which must close its k-th row.  Each block is
+    checked on its own: ASCII, brackets and commas exactly those of k rows,
+    no whitespace inside a number (the runs of digits are the same with and
+    without whitespace), then ``_block_numbers``."""
+    table = np.empty((n, n), dtype=np.int64)
+    flat = table.reshape(-1)
     row = b"[" + b"," * (n - 1) + b"]"
-    if len(punct) < m or b[punct].tobytes() != b"[" + b",".join([row] * n) + b"]":
+    most = max(1, _TEMP_BYTES // (8 * n))  # rows per block
+    done, pos = 0, idx
+    while done < n:
+        end, k = pos, 0
+        while done + k < n and k < most and (not k or end - pos < _BLOCK):
+            end = text.find("]", end) + 1
+            if not end:
+                return None
+            k += 1
+        block = text[pos:end]
+        if not block.isascii():
+            return None
+        raw = block.encode("ascii")
+        chars = raw.translate(None, _SPACES) if any(c in raw for c in _SPACE_BYTES) else raw
+        opener = b"," if done else b"["
+        if chars[:1] != opener or chars.translate(None, _DIGITS) != opener + b",".join([row] * k):
+            return None
+        if len(chars) < len(raw):
+            is_digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0")) < 10
+            if np.count_nonzero(is_digit[1:] > is_digit[:-1]) != k * n:
+                return None
+        if not _block_numbers(chars, flat[done * n:(done + k) * n]):
+            return None
+        done, pos = done + k, end
+    pos = json.decoder.WHITESPACE.match(text, pos).end()
+    if text[pos:pos + 1] != "]":
         return None
-    end = int(punct[-1]) + 1
-    if not kind[:end].all():
-        return None
-    # Digit runs alternate start, stop.  Run k must sit alone between the
-    # k-th row-[ or in-row comma and the bracket or comma after it, so a
-    # run in any other gap, two runs in one gap (whitespace inside a
-    # number) or an empty gap is refused.
-    edges = np.flatnonzero(np.diff(kind[:end] == _DIGIT, prepend=False)).astype(np.int32)
-    starts, stops = edges[0::2], edges[1::2]
-    if len(starts) != n * n:
-        return None
-    width = stops - starts
-    before = (np.arange(n, dtype=np.int32)[:, None] * (n + 2)
-              + np.arange(1, n + 1, dtype=np.int32)).ravel()
-    if (width.max() > _MAX_DIGITS or ((width > 1) & (b[starts] == ord("0"))).any()
-            or not ((punct[before] < starts) & (stops <= punct[before + 1])).all()):
-        return None
-    # Place values: the k-th digit from the right of every run at once (for
-    # a run shorter than k+1 the index may reach -1, and counts 0 times).
-    last = stops - 1
-    values = (b[last] - ord("0")).astype(np.int64)
-    for k in range(1, int(width.max())):
-        values += (width > k) * (b[last - k] - ord("0")) * np.int64(10 ** k)
-    return _seal(values.reshape(n, n)), idx + end
+    return _seal(table), pos + 1
 
 
 def _read_document(text: str) -> Optional[dict]:
-    """The JSON object ``text`` as ``json.loads`` gives it, except that
-    ``add`` and ``mul`` are decoded by ``_read_table`` (so they must come
-    after a valid ``order``).  None for any other text, which ``json.loads``
-    then reads, or refuses with its own message."""
-    end = len(text)
-    while end and text[end - 1] in " \t\n\r":
-        end -= 1
-    if text[end - 1:end] != "}":  # truncated: bail out before any scan
-        return None
+    """The JSON object ``text`` as ``json.loads`` gives it, with ``add``
+    and ``mul`` decoded by ``_read_table`` where it accepts them; the
+    ``json`` scanner decodes every other member, and a table that
+    ``_read_table`` refuses.  None for text that ``json.loads`` must read:
+    a table before a valid ``order``, a member the scanner refuses with
+    anything but ``json.JSONDecodeError`` (an over-long int, deep nesting),
+    or anything but one object.
+
+    ``json.JSONDecodeError`` propagates: the walk has consumed every
+    character before the failing key or member as the scanner of
+    ``json.loads`` does, so the scanner's message is the one that
+    ``json.loads`` gives."""
     skip = json.decoder.WHITESPACE.match
     idx = skip(text, 0).end()
     if text[idx:idx + 1] != "{":
@@ -675,22 +785,24 @@ def _read_document(text: str) -> Optional[dict]:
             if text[idx:idx + 1] != ":":
                 return None
             idx = skip(text, idx + 1).end()
+            table = None
             if key in ("add", "mul"):
                 n = doc.get("order")
-                table = (_read_table(text, idx, n) if type(n) is int
-                         and 1 <= n <= DEFAULT_ORDER_CAP else None)
-                if table is None:
+                if type(n) is not int or not 1 <= n <= DEFAULT_ORDER_CAP:
                     return None
-                doc[key], idx = table
-            else:
-                doc[key], idx = _DECODER.raw_decode(text, idx)
+                table = _read_table(text, idx, n)
+            doc[key], idx = table or _DECODER.raw_decode(text, idx)
             idx = skip(text, idx).end()
             if text[idx:idx + 1] != ",":
                 break
             idx = skip(text, idx + 1).end()
+    except json.JSONDecodeError:
+        raise
     except (ValueError, RecursionError):
         return None
-    return doc if idx == end - 1 else None
+    if text[idx:idx + 1] != "}" or skip(text, idx + 1).end() != len(text):
+        return None
+    return doc
 
 
 def parse_table(data) -> RawTables:
@@ -698,19 +810,22 @@ def parse_table(data) -> RawTables:
 
     ``_read_document`` reads the usual document in one pass: each member
     but ``add`` and ``mul`` through the ``json`` scanner, and each table,
-    when it follows a valid ``order``, from its characters in numpy (about
-    10 ms for a whole order-256 document).  Any other document, and every
-    malformed one, goes through ``json.loads``, which is 2 to 3 times slower
-    since it builds a Python int per entry, and alone words the JSON errors.
-    Both feed the same field checks below."""
+    when it follows a valid ``order``, from its characters in numpy, in
+    blocks of whole rows (about 6 ms for a whole order-256 document and
+    13 ms at order 384).  A malformed member gets the scanner's error from
+    that member alone, the one ``json.loads`` gives.  A document with its
+    tables before ``order``, or that the scanner refuses with another error,
+    goes through ``json.loads``, which takes about 2.5 times as long since
+    it builds a Python int per entry.  Both feed the same field checks
+    below."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    doc = _read_document(data) if isinstance(data, str) else None
-    if doc is None:
-        try:
+    try:
+        doc = _read_document(data) if isinstance(data, str) else None
+        if doc is None:
             doc = json.loads(data)
-        except (ValueError, RecursionError) as exc:  # also an over-long int, deep nesting
-            raise TableFormatError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also an over-long int, deep nesting
+        raise TableFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TableFormatError("document must be a JSON object")
     if doc.get("format") != TABLE_FORMAT:
@@ -744,22 +859,39 @@ def parse_table(data) -> RawTables:
     return RawTables(name=name, order=n, labels=labels, add=add, mul=mul, one=one)
 
 
+def _put_first(t: np.ndarray, e: int) -> np.ndarray:
+    """``t`` re-indexed so that element e comes first: index e becomes 0
+    and each index below e moves up one.  This is ``new[t[old[:, None],
+    old]]`` with old = (e, 0, ..., e-1, e+1, ..., n-1) and new its inverse,
+    made by slice copies into one array and a relabel of that array in row
+    blocks."""
+    n = len(t)
+    out = np.empty_like(t)
+    moves = ((slice(0, 1), slice(e, e + 1)), (slice(1, e + 1), slice(0, e)),
+             (slice(e + 1, n), slice(e + 1, n)))  # (new rows, old rows)
+    for rows, old_rows in moves:
+        for cols, old_cols in moves:
+            out[rows, cols] = t[old_rows, old_cols]
+    new = np.arange(n)
+    new[:e] += 1
+    new[e] = 0
+    for rows in _row_blocks(n, 8 * n):
+        out[rows] = new[out[rows]]
+    return out
+
+
 def from_document(raw: RawTables) -> NearRing:
     """Validate parsed tables; re-indexes so the additive identity sits at 0."""
     add, mul, labels, one = raw.add, raw.mul, raw.labels, raw.one
     found = _first_hit(_identities(add))
     if found and found[0] != 0:
         e = found[0]
-        old = np.concatenate(([e], np.arange(e), np.arange(e + 1, raw.order)))  # new -> old
-        new = np.empty_like(old)                                                # old -> new
-        new[old] = np.arange(raw.order)
-        add = new[add[old[:, None], old]]
-        mul = new[mul[old[:, None], old]]
+        add, mul = _seal(_put_first(add, e)), _seal(_put_first(mul, e))
         if labels:
-            labels = tuple(labels[i] for i in old.tolist())
+            labels = (labels[e], *labels[:e], *labels[e + 1:])
         if one is not None:
-            one = int(new[one])
-    return validate_nearring(_seal(add), _seal(mul), one=one, labels=labels, name=raw.name)
+            one = 0 if one == e else one + (one < e)
+    return validate_nearring(add, mul, one=one, labels=labels, name=raw.name)
 
 
 def load_nearring(path) -> NearRing:

@@ -413,9 +413,16 @@ class Quotient:
 
 
 def quotient_module(module: NModule, subset) -> Quotient:
+    """N/L for an N-ideal L; raises ValueError, with the first witness, for
+    a subset that ``is_N_ideal`` refuses."""
     verdict = is_N_ideal(module, subset)
     if not verdict:
         raise ValueError(f"subset is not an N-ideal: {verdict.kind} at {verdict.witness}")
+    return _quotient(module, subset)
+
+
+def _quotient(module: NModule, subset) -> Quotient:
+    """N/L for a subset L that ``is_N_ideal`` has already accepted."""
     members = np.flatnonzero(_index_mask(module.carrier.order, subset))
     madd, act = module.carrier.add, module.action
     rep_of = madd[:, members].min(axis=1)   # least member of the coset x + L

@@ -278,6 +278,24 @@ def test_is_N_ideal_runs_only_for_failing_orbits(monkeypatch):
     assert (len(failing), len(distinct)) == (30, 7) and calls == distinct
 
 
+@pytest.mark.parametrize("name", ["klein4_ring", "zn_ring(6)", "zn_ring(8)", "klein4_x_f2", "ext_f2_f2"])
+def test_algorithm_I_tests_each_orbit_once(name, monkeypatch):
+    # The quotient of the brute-force side of lemma1_equiv is built from the
+    # Na that _algorithm_I has just accepted, without a second N-ideal test.
+    ring = builtin(name)
+    calls = []
+
+    def counting(module, subset):
+        calls.append(subset)
+        return is_N_ideal(module, subset)
+
+    monkeypatch.setattr(classify, "is_N_ideal", counting)
+    monkeypatch.setattr(nmodules, "is_N_ideal", counting)
+    for a in range(ring.order):
+        classify._algorithm_I(ring, a)
+    assert calls == [orbit(ring, "left", a) for a in range(ring.order)]
+
+
 
 def test_morphic_vector_checks_the_batch_N_ideal_test(monkeypatch):
     # A batch test that wrongly rejects an orbit must surface through the

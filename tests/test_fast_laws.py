@@ -6,13 +6,17 @@ oracle: validation must return the same verdict and the same first witness
 as running them in validation order.  The associativity scan over the first
 of each set of equal rows must agree with ``reference_assoc_witness`` on its
 own as well, and ``_holds`` over a generating set with the exhaustive scans.
+Every reference test runs a second time with the scans in one-row blocks
+(``core._TEMP_BYTES`` patched to one byte).
 """
 import json
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearrings import AxiomViolation, builtin, emit_table, validate_nearring
+from nearrings import AxiomViolation, builtin, core, emit_table, validate_nearring
 from nearrings.core import (
     _additive,
     _assoc,
@@ -20,6 +24,7 @@ from nearrings.core import (
     _first_violation,
     _generators,
     _holds,
+    _identities,
     _left_dist_bad_rows,
     _row_classes,
 )
@@ -352,3 +357,75 @@ def test_right_projection_outcomes_up_to_order_64(add, data):
     if data.draw(st.booleans()):
         mul = data.draw(hit(mul))
     assert_agrees(add, mul)
+
+
+def reference_flag_witnesses(add, mul):
+    """The first witness of each failing flag, by exhaustive loops."""
+    n = len(add)
+    asymmetry = lambda t: next(((i, j) for i in range(n) for j in range(n)
+                                if t[i][j] != t[j][i]), None)
+    witnesses = {"left_distributive": reference_left_dist_witness(np.array(add), np.array(mul)),
+                 "abelian_add": asymmetry(add),
+                 "zero_symmetric": next(((x,) for x in range(n) if mul[x][0]), None),
+                 "commutative_mul": asymmetry(mul)}
+    return {flag: w for flag, w in witnesses.items() if w is not None}
+
+
+@st.composite
+def relabelled_near_rings(draw):
+    """A near-ring that validates: a projection ring, or x*y = c_y x on Z_n,
+    with the non-zero elements relabelled so that witnesses move."""
+    if draw(st.booleans()):
+        add = draw(groups)
+        mul = projection(add)
+    else:
+        n = draw(st.integers(2, 12))
+        add, mul = cyclic(n), ring_mul(n)
+    n = len(add)
+    p = np.array([0] + draw(st.permutations(range(1, n))))
+    a, m = (np.empty((n, n), dtype=np.int64) for _ in range(2))
+    a[p[:, None], p] = p[np.array(add)]
+    m[p[:, None], p] = p[np.array(mul)]
+    return a.tolist(), m.tolist()
+
+
+@given(tables=relabelled_near_rings())
+@settings(max_examples=200, deadline=None)
+def test_flag_witnesses_match_the_exhaustive_scans(tables):
+    add, mul = tables
+    ring = validate_nearring(add, mul)
+    assert dict(ring.flag_witnesses) == reference_flag_witnesses(add, mul)
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), e=st.integers(0, 11),
+       sides=st.sampled_from(("left", "right", "both")))
+@settings(max_examples=200, deadline=None)
+def test_identities_are_two_sided(n, seed, e, sides):
+    # Plant a left identity (row e is 0..n-1), a right one (column e is),
+    # or both: only the last is reported.
+    t = np.random.default_rng(seed).integers(0, n, (n, n))
+    if sides != "right":
+        t[e % n] = np.arange(n)
+    if sides != "left":
+        t[:, e % n] = np.arange(n)
+    expected = [all(t[e][x] == x and t[x][e] == x for x in range(n)) for e in range(n)]
+    assert _identities(t).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# the same references with every row scan, the left-distributivity rows, the
+# inverse table and the row classes computed one row per block
+
+
+@pytest.mark.parametrize("test", [
+    test_corrupted_builtins, test_dihedral_projection,
+    test_right_projection_fails_only_right_distributivity, test_non_associative_addition,
+    test_column_endomorphisms_on_cyclic_groups, test_reduced_predicates_on_arbitrary_products,
+    test_failures_only_later_generators_see, test_greedy_generators_generate,
+    test_row_classes_name_the_first_equal_row, test_row_class_scan_matches_the_exhaustive_scan,
+    test_right_projection_outcomes_up_to_order_64, test_flag_witnesses_match_the_exhaustive_scans,
+    test_identities_are_two_sided,
+], ids=lambda test: test.__name__)
+def test_references_in_one_row_blocks(test):
+    with mock.patch.object(core, "_TEMP_BYTES", 1):
+        test()

@@ -7,16 +7,20 @@ exception type and message.  Generated documents vary the order, the
 separators, the key order, the optional fields and non-ASCII strings, and
 take up to three edits: replace a number, insert text next to a bracket,
 comma, colon, brace or quote, right after a table or at the start of a key,
-or move a comma past the next number.
+or move a comma past the next number.  The same documents are read again in
+blocks of a few characters (``core._BLOCK`` patched), so that every table
+spans several blocks.
 """
 import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearrings import parse_table
+from nearrings import core, load_nearring, parse_table
 from nearrings.core import (
     DEFAULT_ORDER_CAP,
     TABLE_FORMAT,
@@ -24,6 +28,7 @@ from nearrings.core import (
     RawTables,
     TableFormatError,
     _check_table,
+    _put_first,
     _read_document,
 )
 
@@ -140,9 +145,61 @@ def test_reader_matches_the_json_parser(data):
     assert outcome(parse_table, data) == outcome(reference_parse_table, data)
 
 
+# ``_BLOCK`` values under which each block is one row (no row closes within a
+# single character), one or two rows of a few characters, or a few rows.
+SMALL_BLOCKS = (1, 8, 64)
+
+
+@given(documents(), st.sampled_from(SMALL_BLOCKS))
+@settings(max_examples=1500, deadline=None)
+def test_reader_matches_the_json_parser_in_small_blocks(data, block):
+    with mock.patch.object(core, "_BLOCK", block):
+        assert outcome(parse_table, data) == outcome(reference_parse_table, data)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("style", range(len(STYLES)))
+def test_tables_span_many_blocks(style, block, monkeypatch):
+    n = 40
+    text = document(n, 3, labels=True, one=5, name="né環", style=style, ensure_ascii=False)
+    blocks = []
+    decode = core._block_numbers
+    monkeypatch.setattr(core, "_block_numbers", lambda chars, out: blocks.append(len(out))
+                        or decode(chars, out))
+    monkeypatch.setattr(core, "_BLOCK", block)
+    doc = _read_document(text)
+    for key in ("add", "mul"):
+        assert isinstance(doc[key], np.ndarray) and doc[key].tolist() == json.loads(text)[key]
+    assert sum(blocks) == 2 * n * n and len(blocks) >= (2 * n if block < 64 else 4)
+    assert outcome(parse_table, text) == outcome(reference_parse_table, text)
+
+
+def truncated_in_mul(text):
+    start = text.index('"mul"')
+    return text[:start + (len(text) - start) // 2]
+
+
+@pytest.mark.parametrize("block", [core._BLOCK, 1])
+@pytest.mark.parametrize("style", range(len(STYLES)))
+@pytest.mark.parametrize("edit", [truncated_in_mul, lambda text: with_entry(text, "1.5")],
+                         ids=["truncated inside mul", "1.5 inside add"])
+def test_member_errors_need_no_second_parse(edit, style, block, monkeypatch):
+    # The error at a table the reader refuses comes from scanning that
+    # member alone; json.loads never reads the document again.
+    text = edit(document(30, 4, style=style))
+    expected = outcome(reference_parse_table, text)
+    assert expected[0] is TableFormatError
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.loads called")
+    monkeypatch.setattr(json, "loads", forbidden)
+    monkeypatch.setattr(core, "_BLOCK", block)
+    assert outcome(parse_table, text) == expected
+
+
 def with_entry(text, entry):
     """``text`` with its first ``add`` entry replaced by ``entry``."""
-    return re.sub(r'("add":\[\[)\d+', lambda m: m[1] + entry, text, count=1)
+    return re.sub(r'("add":\s*\[\s*\[\s*)\d+', lambda m: m[1] + entry, text, count=1)
 
 
 # Documents that a reader missing one of its checks would get wrong.
@@ -160,6 +217,11 @@ KNOWN = {
     "duplicate table": document(2, 1).replace("{", '{"add":[[0]],', 1),
     "trailing comma": document(1, 1)[:-1] + ",}",
     "truncated": document(8, 1)[:100],
+    # A number in a gap where none may sit, with an empty gap to balance the
+    # count: before a row's [, after a row's ], after the table's [.
+    "number before a row": document(2, 1).replace('"add":[[', '"add":[[0,1],7[,1]],"x":[[', 1),
+    "number after a row": document(2, 1).replace('"add":[[', '"add":[[0,1]7,[,1]],"x":[[', 1),
+    "number after the table bracket": document(2, 1).replace('"add":[[', '"add":[7[,1],[1,0]],"x":[[', 1),
 }
 
 
@@ -192,3 +254,41 @@ def test_documents_with_order_first_take_the_reader(style, ensure_ascii):
 ], ids=["order after the tables", "deep nesting", "5000-digit order", "5000-digit entry"])
 def test_other_documents_fall_back(text):
     assert _read_document(text) is None
+
+
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data(),
+       row_blocks=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_put_first_matches_the_fancy_index(n, seed, data, row_blocks):
+    e = data.draw(st.sampled_from(sorted({min(1, n - 1), n - 1})) | st.integers(0, n - 1))
+    t = np.random.default_rng(seed).integers(0, n, (n, n))
+    old = np.concatenate(([e], np.arange(e), np.arange(e + 1, n)))  # new -> old
+    new = np.empty_like(old)                                        # old -> new
+    new[old] = np.arange(n)
+    with mock.patch.object(core, "_TEMP_BYTES", 1 if row_blocks else core._TEMP_BYTES):
+        assert np.array_equal(_put_first(t, e), new[t[old[:, None], old]])
+
+
+def test_loading_stays_within_its_memory_budget(tmp_path):
+    # Z_384 relabelled so that its identity is not at index 0: reading,
+    # re-indexing and validation all run.
+    n = 384
+    p = np.random.default_rng(2).permutation(n)  # element x of Z_n has index p[x]
+    assert p[0] != 0
+    x = np.arange(n)
+    tables = {}
+    for key, op in (("add", np.add), ("mul", np.multiply)):
+        tables[key] = np.empty((n, n), dtype=np.int64)
+        tables[key][p[:, None], p] = p[op.outer(x, x) % n]
+    text = json.dumps({"format": TABLE_FORMAT, "name": "z384", "order": n,
+                       **{k: t.tolist() for k, t in tables.items()}}, separators=(",", ":"))
+    path = tmp_path / "z384.json"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        ring = load_nearring(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.one is not None and ring.is_ring()
+    assert peak < 2 * tables["add"].nbytes + 2 * len(text) + (1 << 20)
