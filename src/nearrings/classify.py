@@ -35,8 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (CapExceeded, InvariantError, NearRing, _first_hit, _first_rows, _row_classes,
-                   _seal, memoized)
+from .core import (TABLE_DTYPE, CapExceeded, InvariantError, NearRing, _first_hit, _first_rows,
+                   _row_classes, _seal, memoized)
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
@@ -69,7 +69,7 @@ def first_true(hits: np.ndarray) -> np.ndarray:
 
 def _least_solution(table: np.ndarray) -> np.ndarray:
     """Per row a of a square table, the least x with table[a, x] == a, or -1."""
-    return first_true(table == np.arange(len(table))[:, None])
+    return first_true(table == np.arange(len(table), dtype=table.dtype)[:, None])
 
 
 def _or_none(column: np.ndarray) -> list[Optional[int]]:
@@ -163,13 +163,15 @@ def _inverses(ring: NearRing) -> np.ndarray:
 
 def _nilpotency(ring: NearRing) -> np.ndarray:
     """Per a, the least k <= n with a^k = 0, else 0."""
-    n, mul = ring.order, ring.mul
+    n = ring.order
     idx = np.arange(n)
+    by_column = ring.mul.T.ravel()  # entry a*n + x is x*a
+    column = idx * n                # an intp offset, so each step is a plain 1-d gather
     nilpotency = np.zeros(n, dtype=np.int64)
     power = idx
     for k in range(1, n + 1):
         nilpotency[(power == 0) & (nilpotency == 0)] = k
-        power = mul[power, idx]
+        power = by_column[column + power]  # a^k * a
     return nilpotency
 
 
@@ -203,7 +205,7 @@ def _left_morphic(ring: NearRing) -> np.ndarray:
 
 _COLUMNS: dict[str, Callable[[NearRing], np.ndarray]] = {
     "inverse": _inverses,
-    "idempotent": lambda ring: ring.mul.diagonal() == np.arange(ring.order),
+    "idempotent": lambda ring: ring.mul.diagonal() == np.arange(ring.order, dtype=TABLE_DTYPE),
     "central": lambda ring: (ring.mul == ring.mul.T).all(axis=1),
     "nilpotency": _nilpotency,
     "regular": lambda ring: _least_solution(inner_products(ring)),        # (a*x)*a == a

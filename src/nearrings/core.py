@@ -51,9 +51,25 @@ equal rows (``_first_rows``), since equal rows have the same check; with k
 distinct rows a scan costs O(k n^2 + n^2), and O(n^3) when all rows differ.
 
 Every table (``FiniteGroup.add``/``neg``, ``NearRing.mul``, ``NModule.action``)
-is stored once, as a read-only int64 array, converted on construction (also
-by ``dataclasses.replace``); ``.tolist()`` gives nested lists.  Equality of
-these dataclasses is identity; compare tables with ``np.array_equal``.
+is stored once, as a read-only ``TABLE_DTYPE`` (int16) array, converted on
+construction (also by ``dataclasses.replace``); ``.tolist()`` gives nested
+lists.  Equality of these dataclasses is identity; compare tables with
+``np.array_equal``.  Every entry is an index below the order, and the order
+is at most ``DEFAULT_ORDER_CAP`` = 4096 < 2^15, so int16 holds every entry
+at a quarter of the bytes of int64: an order-4096 table takes 33.5 MB, an
+order-1024 one 2.1 MB.  A value int16 cannot hold is refused
+(``_as_table``), never wrapped.
+
+Under NumPy 2 promotion an int16 array times or plus a Python int, or plus
+another int16 array, stays int16 and wraps silently on overflow, so each
+construction that computes entries keeps them below its order: in
+``build_product`` the entry of x is the sum over factors of (component <
+o_k) * stride_k, at most total - 1; in ``build_M0`` it is the sum over x of
+(value < n) * n^(n-1-x), at most n^(n-1) - 1; in ``build_extension`` it is
+a * |M| + m with a < |R| and m < |M|, at most |R||M| - 1; every factor and
+stride is a Python int at most the order.  ``_block_numbers`` decodes at
+most ``_MAX_DIGITS`` = 4 digits, below 10^4 < 2^15, and ``_put_first``
+only relabels indices below n.
 
 ``parse_table`` reads a table document in one of two ways, with the same
 field checks after either.  ``_read_document`` walks the top-level object
@@ -67,16 +83,25 @@ that the scanner refuses otherwise (deep nesting, an over-long int), goes
 through ``json.loads``.
 
 No loop over rows or blocks, in the reader, the re-indexing of
-``from_document``, or the law, flag and group scans, allocates a temporary
-of more than ``_TEMP_BYTES`` (64 KiB): the scans work on row blocks
-(``_row_blocks``), a row function fills one bool table that its scan
-allocates once, and the reader decodes about 32 KiB of text at a time
-(one row at least, which is longer only for indented tables of order in
-the thousands).  So loading and validating a table touches little memory
-beyond the tables themselves, and few fresh pages.
+``from_document``, the range check of ``_check_table``, or the law, flag
+and group scans, allocates a temporary of more than ``_TEMP_BYTES`` (64
+KiB): the scans work on row blocks (``_row_blocks``), a row function fills
+one bool table that its scan allocates once, and the reader decodes about
+32 KiB of text at a time (one row at least, which is longer only for
+indented tables of order in the thousands).  A block is sized by the
+bytes per row of its largest temporary: one byte an entry for a bool mask,
+two for an int16 gather, and eight where a block is cast to intp to index
+with.  numpy casts an int16 fancy index itself through a small buffer, with
+no temporary, but in about twice the time of ``astype(np.intp)``; so a loop
+that indexes with table blocks casts each block once itself (or gathers
+with ``take``, which casts too), inside that 8-byte budget, while a
+one-off gather over a whole table leaves the cast to numpy.  So loading
+and validating a table touches little memory beyond the tables
+themselves, and few fresh pages.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -89,6 +114,9 @@ import numpy as np
 
 # Construction refuses anything larger than this.
 DEFAULT_ORDER_CAP = 4096
+# The one dtype of every table: it holds every index below the cap.
+TABLE_DTYPE = np.int16
+_TABLE_MIN, _TABLE_MAX = int(np.iinfo(TABLE_DTYPE).min), int(np.iinfo(TABLE_DTYPE).max)
 
 # The most bytes that one temporary of a loop over rows or blocks may take.
 _TEMP_BYTES = 1 << 16
@@ -129,17 +157,24 @@ def _seal(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_table(table) -> np.ndarray:
-    """``table`` as a read-only int64 array.  One that already is that is
-    kept; anything else, a caller's writable array included, is copied."""
-    if isinstance(table, np.ndarray) and table.dtype == np.int64 and not table.flags.writeable:
+    """``table`` as a read-only ``TABLE_DTYPE`` array.  One that already is
+    that is kept; anything else, a caller's writable array included, is
+    copied.  An entry that ``TABLE_DTYPE`` cannot hold raises
+    ``TableFormatError`` instead of wrapping."""
+    if isinstance(table, np.ndarray) and table.dtype == TABLE_DTYPE and not table.flags.writeable:
         return table
-    return _seal(np.array(table, dtype=np.int64))
+    arr = np.asarray(table)
+    if (arr.size and not np.can_cast(arr.dtype, TABLE_DTYPE)
+            and (arr.min() < _TABLE_MIN or arr.max() > _TABLE_MAX)):
+        raise TableFormatError(f"table entry out of the {np.dtype(TABLE_DTYPE)} range "
+                               f"[{_TABLE_MIN},{_TABLE_MAX}]")
+    return _seal(arr.astype(TABLE_DTYPE))
 
 
 class _Tables:
     """Base of the dataclasses that hold tables: on construction, including
     ``dataclasses.replace``, each field named in ``_TABLES`` becomes a
-    read-only int64 array."""
+    read-only ``TABLE_DTYPE`` array (``_as_table``)."""
 
     _TABLES: tuple[str, ...] = ()
 
@@ -258,13 +293,15 @@ def memoized(fn):
 
 
 def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
-    """``table`` as a read-only int64 ``rows`` x ``cols`` array of indices
-    in [0, cols).  Fast path: an integer array, or nested lists of exactly
-    ``int`` (not ``bool``), of the right shape, is range-checked as an
-    array, which names the first out-of-range entry in row-major order.
-    Anything else takes the loop below, which names the first offending row
-    or entry; a table or row that is not a list (a number, null, a JSON
-    object) is refused as such."""
+    """``table`` as a read-only ``TABLE_DTYPE`` ``rows`` x ``cols`` array of
+    indices in [0, cols).  Fast path: an integer array, or nested lists of
+    exactly ``int`` (not ``bool``), of the right shape, is range-checked as
+    it is given (lists as int64), before any conversion, so an entry that
+    ``TABLE_DTYPE`` cannot hold is named like any other; a failing check is
+    rescanned in row blocks for the first out-of-range entry in row-major
+    order.  Anything else takes the loop below, which names the first
+    offending row or entry; a table or row that is not a list (a number,
+    null, a JSON object) is refused as such."""
     arr = None
     if isinstance(table, np.ndarray):
         if np.issubdtype(table.dtype, np.integer) and table.shape == (rows, cols):
@@ -273,15 +310,18 @@ def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
           and all(isinstance(row, (list, tuple)) and len(row) == cols for row in table)
           and set(map(type, itertools.chain.from_iterable(table))) <= {int}):
         try:
-            arr = _seal(np.array(table, dtype=np.int64))
+            arr = np.array(table, dtype=np.int64)
         except OverflowError:  # an entry beyond int64; the loop reports it
             pass
     if arr is not None:
         if arr.min() >= 0 and arr.max() < cols:
             return _as_table(arr)
-        i, j = _first_hit((arr < 0) | (arr >= cols))
-        raise TableFormatError(
-            f"{field}: entry {int(arr[i, j])!r} in row {i} out of range [0,{cols})")
+        for block in _row_blocks(rows, cols):
+            hit = _first_hit((arr[block] < 0) | (arr[block] >= cols))
+            if hit:
+                i, j = block.start + hit[0], hit[1]
+                raise TableFormatError(
+                    f"{field}: entry {int(arr[i, j])!r} in row {i} out of range [0,{cols})")
     if isinstance(table, np.ndarray):
         table = table.tolist()
     if not isinstance(table, (list, tuple)):
@@ -310,7 +350,7 @@ def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
 def _identities(t: np.ndarray) -> np.ndarray:
     """Bool vector: entry e says whether e is a two-sided identity of ``t``."""
     n = len(t)
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=t.dtype)
     left, right = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
     for rows in _row_blocks(n, n):
         left[rows] = (t[rows] == idx).all(axis=1)
@@ -339,7 +379,7 @@ def _first_hit(mask: np.ndarray) -> Optional[tuple[int, ...]]:
 
 def _first_non_identity(t: np.ndarray, e: int) -> Optional[tuple[int]]:
     """(x,) for the least x with t[e][x] != x or t[x][e] != x, or None."""
-    idx = np.arange(len(t))
+    idx = np.arange(len(t), dtype=t.dtype)
     return _first_hit((t[e] != idx) | (t[:, e] != idx))
 
 
@@ -350,14 +390,14 @@ def _extend_closure(add: np.ndarray, reached: np.ndarray, s: int) -> None:
     reached[s] = True
     frontier = np.array([s])
     while len(frontier):
-        members = np.flatnonzero(reached)
+        members = reached.nonzero()[0]
         new = np.zeros(len(add), dtype=bool)
         for rows in _row_blocks(len(frontier), 8 * len(members)):
-            new[add[frontier[rows, None], members]] = True
-            new[add[members[:, None], frontier[rows]]] = True
-        new &= ~reached
+            new[add[frontier[rows, None], members].astype(np.intp, copy=False)] = True
+            new[add[members[:, None], frontier[rows]].astype(np.intp, copy=False)] = True
+        new[members] = False
         reached |= new
-        frontier = np.flatnonzero(new)
+        frontier = new.nonzero()[0]
 
 
 def _generators(add: np.ndarray) -> list[int]:
@@ -387,7 +427,8 @@ def _law(fill, shape):
     """A row function from ``fill(r, rows, out)``, which writes into
     ``out`` the bool table of row r over a block of rows of s.  Each call
     fills one table of ``shape``, allocated here once per scan, block by
-    block, so that no int64 temporary exceeds ``_TEMP_BYTES``; the next call
+    block, so that no temporary exceeds ``_TEMP_BYTES``: the fills index
+    with table blocks cast to intp, 8 bytes an entry; the next call
     overwrites it."""
     table = np.empty(shape, dtype=bool)
     blocks = _row_blocks(shape[0], 8 * shape[1])
@@ -402,15 +443,16 @@ def _law(fill, shape):
 def _assoc(rmul: np.ndarray, act: np.ndarray):
     """Row function of (r.s).m = r.(s.m): row r gives the bool table over
     (s, m) that is True where the law fails."""
-    return _law(lambda r, s, out: np.not_equal(act[rmul[r, s]], act[r][act[s]], out=out),
-                act.shape)
+    return _law(lambda r, s, out: np.not_equal(act.take(rmul[r, s], axis=0),
+                                                act[r].take(act[s]), out=out), act.shape)
 
 
 def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
     """Row function of (r+s).m = r.m + s.m: row r gives the bool table over
     (s, m) that is True where the law fails."""
-    return _law(lambda r, s, out: np.not_equal(act[radd[r, s]], madd[act[r], act[s]], out=out),
-                act.shape)
+    return _law(lambda r, s, out: np.not_equal(act.take(radd[r, s], axis=0),
+                                                madd[act[r].astype(np.intp), act[s].astype(np.intp)],
+                                                out=out), act.shape)
 
 
 def _holds(bad, rows) -> bool:
@@ -434,7 +476,7 @@ def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
     x*(y+s) != x*y + x*s for some y and generator s."""
     bad = np.zeros(len(add), dtype=bool)
     for rows in _row_blocks(len(add), 8 * len(add)):
-        x = mul[rows]
+        x = mul[rows].astype(np.intp)  # an index below: cast once per block
         for s in gens:
             bad[rows] |= (x[:, add[:, s]] != add[x, x[:, s, None]]).any(axis=1)
     return bad
@@ -513,7 +555,7 @@ def validate_group(add, labels=None) -> FiniteGroup:
     if not _holds(add_assoc, gens):
         raise AxiomViolation("add_assoc", _first_violation(add_assoc, _first_rows(add)))
     # neg[i] is the least j with i+j = j+i = 0
-    neg = np.empty(n, dtype=np.int64)
+    neg = np.empty(n, dtype=TABLE_DTYPE)
     for rows in _row_blocks(n, n):
         inverse = (add[rows] == 0) & (add.T[rows] == 0)
         w = _first_hit(~inverse.any(axis=1))
@@ -584,9 +626,9 @@ def build_M0(g: FiniteGroup, name=None) -> NearRing:
     if order > DEFAULT_ORDER_CAP:
         raise CapExceeded(f"|M0(G)| = {order} exceeds cap {DEFAULT_ORDER_CAP}")
     # vals[f, x] = f(x): f(0) = 0, then the base-n digits of the index f
-    weights = n ** np.arange(n - 2, -1, -1)
-    vals = np.zeros((order, n), dtype=np.int64)
-    vals[:, 1:] = np.arange(order)[:, None] // weights % n
+    weights = [n ** k for k in range(n - 2, -1, -1)]
+    vals = np.zeros((order, n), dtype=TABLE_DTYPE)
+    vals[:, 1:] = np.arange(order)[:, None] // np.array(weights) % n
     digits = list(zip(range(1, n), weights))
     add = sum(g.add[vals[:, x, None], vals[:, x]] * w for x, w in digits)  # f(x) + h(x)
     mul = sum(vals[:, vals[:, x]] * w for x, w in digits)                   # f(h(x))
@@ -703,39 +745,45 @@ def _block_numbers(chars: bytes, out: np.ndarray) -> bool:
             or (text[1:][last] == ord("[")).any()
             or ((width > 1) & (text[1:][before] == ord("0"))).any()):
         return False
-    number = digit[len(_PAD):][last].astype(np.uint16)
+    out[...] = digit[len(_PAD):][last]
     for k in range(1, widest):  # the digit k places left of the last, in runs that have one
-        number += (width > k) * digit[len(_PAD) - k:][last] * np.uint16(10 ** k)
-    out[...] = number
+        out += (width > k) * digit[len(_PAD) - k:][last] * TABLE_DTYPE(10 ** k)
     return True
 
 
 def _read_table(text: str, idx: int, n: int):
     """The n x n table whose JSON value starts at ``text[idx]``, as a
-    read-only int64 array, and the index just past its closing ``]``; None
-    unless the value is n rows of n unsigned integers of 1 to
+    read-only ``TABLE_DTYPE`` array, and the index just past its closing
+    ``]``; None unless the value is n rows of n unsigned integers of 1 to
     ``_MAX_DIGITS`` digits without a leading zero, with JSON whitespace
-    between tokens only.
+    between tokens only.  Such a number is below 10^4, which
+    ``TABLE_DTYPE`` holds.
 
-    The rows are decoded block by block straight into the one output
-    array.  A block is as many rows as fit in ``_BLOCK`` characters (one
-    at least) and, at 8 bytes a number, in ``_TEMP_BYTES``; it ends at the
-    k-th ] after it starts, which must close its k-th row.  Each block is
-    checked on its own: ASCII, brackets and commas exactly those of k rows,
-    no whitespace inside a number (the runs of digits are the same with and
-    without whitespace), then ``_block_numbers``."""
-    table = np.empty((n, n), dtype=np.int64)
+    The end of each row, the first n ] after ``idx``, is located before any
+    row is decoded, so a table cut short returns None at once.  The rows
+    are then decoded block by block straight into the one output array.  A
+    block is as many rows as fit in ``_BLOCK`` characters (one at least)
+    and, at 8 bytes a number for the intp positions of ``_block_numbers``,
+    in ``_TEMP_BYTES``; it ends at the k-th ] after it starts, which must
+    close its k-th row.  Each block is checked on its own: ASCII, brackets
+    and commas exactly those of k rows, no whitespace inside a number (the
+    runs of digits are the same with and without whitespace), then
+    ``_block_numbers``."""
+    ends, end = [], idx
+    for _ in range(n):
+        end = text.find("]", end) + 1
+        if not end:
+            return None
+        ends.append(end)
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
     flat = table.reshape(-1)
     row = b"[" + b"," * (n - 1) + b"]"
     most = max(1, _TEMP_BYTES // (8 * n))  # rows per block
     done, pos = 0, idx
     while done < n:
-        end, k = pos, 0
-        while done + k < n and k < most and (not k or end - pos < _BLOCK):
-            end = text.find("]", end) + 1
-            if not end:
-                return None
-            k += 1
+        # one row, and each next one while the rows so far end within _BLOCK
+        k = min(1 + bisect.bisect_left(ends, pos + _BLOCK, done) - done, most, n - done)
+        end = ends[done + k - 1]
         block = text[pos:end]
         if not block.isascii():
             return None
@@ -811,13 +859,16 @@ def parse_table(data) -> RawTables:
     ``_read_document`` reads the usual document in one pass: each member
     but ``add`` and ``mul`` through the ``json`` scanner, and each table,
     when it follows a valid ``order``, from its characters in numpy, in
-    blocks of whole rows (about 6 ms for a whole order-256 document and
-    13 ms at order 384).  A malformed member gets the scanner's error from
-    that member alone, the one ``json.loads`` gives.  A document with its
-    tables before ``order``, or that the scanner refuses with another error,
-    goes through ``json.loads``, which takes about 2.5 times as long since
-    it builds a Python int per entry.  Both feed the same field checks
-    below."""
+    blocks of whole rows straight into a ``TABLE_DTYPE`` array (about 5 ms
+    for a whole order-256 document and 8 ms at order 384).  A malformed
+    member gets the scanner's error from that member alone, the one
+    ``json.loads`` gives; a table cut short is refused before any of it is
+    decoded.  A document with its tables before ``order``, or that the
+    scanner refuses with another error, goes through ``json.loads``, which
+    takes about 2.5 times as long since it builds a Python int per entry.
+    Both feed the same field checks below, ``_check_table``, which range-
+    checks each table as it comes, so a decoded table and a list give the
+    same message, and returns it as a read-only ``TABLE_DTYPE`` array."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -872,11 +923,11 @@ def _put_first(t: np.ndarray, e: int) -> np.ndarray:
     for rows, old_rows in moves:
         for cols, old_cols in moves:
             out[rows, cols] = t[old_rows, old_cols]
-    new = np.arange(n)
+    new = np.arange(n, dtype=t.dtype)
     new[:e] += 1
     new[e] = 0
-    for rows in _row_blocks(n, 8 * n):
-        out[rows] = new[out[rows]]
+    for rows in _row_blocks(n, 8 * n):  # out[rows] is cast to intp to index new
+        out[rows] = new.take(out[rows])
     return out
 
 

@@ -77,7 +77,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
+from .core import (TABLE_DTYPE, CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
                    _check_table, _extend_closure, _first_hit, _first_violation, _generators,
                    _row_classes, _seal, _Tables, endomorphism_rows, group_generators, laws_hold,
                    memoized, validate_group)
@@ -225,17 +225,20 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
         return ok
     orbits = orbit_masks(ring, "left")
     cols = np.arange(ring.order)
-    gens = np.array(group_generators(ring.group), dtype=np.int64)
-    gens_l = mul[gens, :]  # row s holds s*a for every a: generators of each Na
-    conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
+    neg = neg.astype(np.intp)  # table entries that index are cast once, not by numpy per use
+    gens = np.array(group_generators(ring.group), dtype=np.intp)
+    gens_l = mul[gens].astype(np.intp)  # row s holds s*a for every a: generators of each Na
+    x_sa = add[gens[:, None, None], gens_l].astype(np.intp)  # [x, s, a]: x + s*a
+    conj = add[x_sa, neg[gens][:, None, None]].astype(np.intp)  # x + s*a - x
     ok = orbits[cols, conj].all(axis=(0, 1))
     movers = gens[~endomorphism_rows(ring)[gens]]
     # One (l, r) pair of generators at a time, so temporaries stay n x n.
     for row in gens_l if len(movers) else ():
-        shifted = add[row[:, None], cols]                       # [a, m]: s*a + m
+        shifted = add[row[:, None], cols].astype(np.intp)       # [a, m]: s*a + m
         for r in movers:
-            diff = add[mul[r][shifted], neg[mul[r]]]            # r(l+m) - rm
-            ok &= orbits[cols[:, None], diff].all(axis=1)
+            rm = mul[r].astype(np.intp)
+            diff = add[rm[shifted], neg[rm]]                    # r(l+m) - rm
+            ok &= orbits[cols[:, None], diff.astype(np.intp)].all(axis=1)
     ok.setflags(write=False)
     return ok
 
@@ -273,10 +276,10 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
             raise InvariantError("normality fails on generators but on no pair (x, l)")
         x, i = bad
         return IdealVerdict("not_normal", (x, members[i]))
-    act = module.action
-    minus_rm = mneg[act]                                        # (n, m): -rm
+    act = module.action.astype(np.intp)  # an index below: cast once
+    minus_rm = mneg.astype(np.intp)[act]                        # (n, m): -rm
     shifted = act[:, madd[gens_l, :]]                           # (n, |S_L|, m): r(l+m)
-    if in_l[madd[shifted, minus_rm[:, None, :]]].all():
+    if in_l[madd[shifted, minus_rm[:, None, :]].astype(np.intp)].all():
         return IdealVerdict("N_ideal")
     w = _first_violation(lambda r: ~in_l[madd[act[r, madd[mem]], minus_rm[r]]],  # r(l+m) - rm
                          range(module.ring.order))
@@ -310,9 +313,10 @@ def _ideal_closure(ring: NearRing, seed: np.ndarray) -> np.ndarray:
     The set is kept closed under + (``core._extend_closure``), so it is a
     subgroup, and only the elements added as its generators go through the
     conjugate and r(l+m) - rm rules: the reductions of ``is_N_ideal`` make
-    that enough.
+    that enough.  The loop indexes with the tables, so they are cast to
+    intp once here rather than by numpy on every step.
     """
-    add, neg, mul = ring.add, ring.neg, ring.mul
+    add, neg, mul = (t.astype(np.intp) for t in (ring.add, ring.neg, ring.mul))
     minus_rm = neg[mul]
     reached = np.zeros(ring.order, dtype=bool)
     reached[0] = True
@@ -370,7 +374,7 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
     """
     if ring.order > IDEAL_ENUM_ORDER_CAP:
         raise CapExceeded(f"ideal enumeration limited to order {IDEAL_ENUM_ORDER_CAP}")
-    add = ring.add
+    add = ring.add.astype(np.intp)  # an index in the loop: cast once, not on every step
     found: dict[bytes, np.ndarray] = {}
 
     def insert(mask: np.ndarray) -> bool:
@@ -425,14 +429,15 @@ def _quotient(module: NModule, subset) -> Quotient:
     """N/L for a subset L that ``is_N_ideal`` has already accepted."""
     members = np.flatnonzero(_index_mask(module.carrier.order, subset))
     madd, act = module.carrier.add, module.action
-    rep_of = madd[:, members].min(axis=1)   # least member of the coset x + L
+    rep_of = madd[:, members].min(axis=1).astype(np.intp)  # least member of the coset x + L
     is_rep = rep_of == np.arange(len(madd))  # r is the least member of r + L
-    reps, proj = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep_of]
+    reps = np.flatnonzero(is_rep)
+    proj = (np.cumsum(is_rep) - 1).astype(TABLE_DTYPE)[rep_of]  # entries of the quotient tables
     qlabels = None
     if module.carrier.labels:
         qlabels = tuple(f"{module.carrier.label(r)}+L" for r in reps.tolist())
-    carrier = validate_group(proj[madd[reps[:, None], reps]], labels=qlabels)
-    qact = proj[act[:, reps]]
+    carrier = validate_group(_seal(proj[madd[reps[:, None], reps]]), labels=qlabels)
+    qact = _seal(proj[act[:, reps]])
     # Well-definedness: the action must not depend on the representative.
     bad = _first_hit(proj[act] != qact[:, proj])
     if bad:
@@ -584,14 +589,14 @@ def _iso_bruteforce(module: NModule, target) -> IsoResult:
         return IsoResult(False)
     if m_n > BRUTEFORCE_ISO_CAP:
         raise CapExceeded(f"bruteforce isomorphism limited to |M| <= {BRUTEFORCE_ISO_CAP}")
+    m_add, m_act = (t.astype(np.intp) for t in (module.carrier.add, module.action))  # indices
     perms = itertools.permutations(np.flatnonzero(members)[1:].tolist())
     while block := list(itertools.islice(perms, 120)):
-        homs = np.array([(0,) + perm for perm in block], dtype=np.int64).reshape(-1, m_n)
+        homs = np.array([(0,) + perm for perm in block], dtype=np.intp).reshape(-1, m_n)
         # [p, x, y]: hom(x) + hom(y) == hom(x + y) under permutation p
-        additive = (t_add[homs[:, :, None], homs[:, None, :]]
-                    == homs[:, module.carrier.add]).all(axis=(1, 2))
+        additive = (t_add[homs[:, :, None], homs[:, None, :]] == homs[:, m_add]).all(axis=(1, 2))
         for hom in homs[additive]:
-            if (t_act[:, hom] == hom[module.action]).all():
+            if (t_act[:, hom] == hom[m_act]).all():
                 return IsoResult(True, tuple(hom.tolist()))
     return IsoResult(False)
 

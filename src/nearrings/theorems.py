@@ -317,12 +317,12 @@ def _check_prop_ff_morphic(ring: NearRing, tid: str) -> TheoremReport:
 
 
 def _check_lemma_this_thm217(ring: NearRing, tid: str) -> TheoremReport:
-    mul, add, neg, one = ring.mul, ring.add, ring.neg, ring.one
+    mul, add, neg, one = ring.mul, ring.add, ring.neg.astype(np.intp), ring.one
     anns, orbits = annihilator_masks(ring, "left"), orbit_masks(ring, "left")
     morphic, idx = element_column(ring, "morphic"), np.arange(ring.order)
     # entry i of each vector is about the i-th idempotent e and ce = 1 - e
     es = np.flatnonzero(element_column(ring, "idempotent"))
-    ce = add[one, neg[es]]
+    ce = add[one, neg[es]].astype(np.intp)  # an index six times below: cast once
     xe, xce = mul[:, es], mul[:, ce]  # [x, i]: xe and x(1-e)
     orthogonal = mul[es, ce] == 0
     statements = np.stack([

@@ -197,6 +197,20 @@ def test_member_errors_need_no_second_parse(edit, style, block, monkeypatch):
     assert outcome(parse_table, text) == expected
 
 
+@pytest.mark.parametrize("block", [core._BLOCK, 1])
+@pytest.mark.parametrize("style", range(len(STYLES)))
+def test_a_table_cut_short_decodes_no_block(style, block, monkeypatch):
+    # The row ends are located before the first block is decoded, so a
+    # table cut inside its rows is refused without decoding any of them.
+    text = truncated_in_mul(document(40, 5, style=style))
+    calls = []
+    monkeypatch.setattr(core, "_block_numbers", lambda chars, out: calls.append(len(out)))
+    monkeypatch.setattr(core, "_BLOCK", block)
+    start = re.search(r'"mul":\s*', text).end()
+    assert core._read_table(text, start, 40) is None
+    assert calls == []
+
+
 def with_entry(text, entry):
     """``text`` with its first ``add`` entry replaced by ``entry``."""
     return re.sub(r'("add":\s*\[\s*\[\s*)\d+', lambda m: m[1] + entry, text, count=1)
@@ -291,4 +305,6 @@ def test_loading_stays_within_its_memory_budget(tmp_path):
     finally:
         tracemalloc.stop()
     assert ring.one is not None and ring.is_ring()
-    assert peak < 2 * tables["add"].nbytes + 2 * len(text) + (1 << 20)
+    # The text and its decode, four n x n tables at two bytes an entry (read
+    # and re-indexed), and 512 KiB for the rest: a wider dtype fails.
+    assert peak < 2 * len(text) + 4 * n * n * 2 + (1 << 19)

@@ -1,4 +1,5 @@
-"""One table representation: every Cayley table is a read-only int64 array.
+"""One table representation: every Cayley table is a read-only
+``core.TABLE_DTYPE`` (int16) array.
 
 Checks that every way of making a group, near-ring or module stores its
 tables in that form, that the table checker still names the first bad entry
@@ -10,6 +11,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,12 +53,14 @@ from nearrings.catalog import (_KLEIN4_ADD, _KLEIN4_MUL, _f2_module, _f2sq_group
 from nearrings.classify import all_element_profiles
 import nearrings.cli as cli
 from nearrings.cli import main
-from nearrings.core import DEFAULT_ORDER_CAP, NearRing, _check_table, same_tables
+from nearrings.core import (_MAX_DIGITS, DEFAULT_ORDER_CAP, TABLE_DTYPE, NearRing, _check_table,
+                            same_tables)
 from nearrings.nmodules import right_escape
 
 
-def assert_frozen_int64(table):
-    assert isinstance(table, np.ndarray) and table.dtype == np.int64
+def assert_frozen_table(table):
+    assert TABLE_DTYPE is np.int16
+    assert isinstance(table, np.ndarray) and table.dtype == TABLE_DTYPE
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table.flat[0] = 0
@@ -110,10 +114,28 @@ def constructions(tmp_path):
     yield "quotient_module", (quotient.action, quotient.carrier.add, quotient.carrier.neg)
 
 
-def test_every_construction_path_yields_read_only_int64(tmp_path):
+def test_every_construction_path_yields_read_only_table_dtype(tmp_path):
     for name, tables in constructions(tmp_path):
         for table in tables:
-            assert_frozen_int64(table)
+            assert_frozen_table(table)
+
+
+def test_table_dtype_holds_every_index_and_every_decoded_number():
+    limits = np.iinfo(TABLE_DTYPE)
+    assert limits.min <= 0 and DEFAULT_ORDER_CAP - 1 <= limits.max
+    assert 10 ** _MAX_DIGITS - 1 <= limits.max
+
+
+@pytest.mark.parametrize("entry", [2 ** 15, 70000, -(2 ** 15) - 1])
+def test_an_entry_beyond_the_table_dtype_raises_rather_than_wraps(entry):
+    ring = builtin("klein4_ring")
+    mul = [list(row) for row in _KLEIN4_MUL]
+    mul[1][2] = entry
+    for table in (mul, np.array(mul)):
+        with pytest.raises(TableFormatError, match="out of the int16 range"):
+            dataclasses.replace(ring, mul=table)
+        with pytest.raises(TableFormatError, match="out of the int16 range"):
+            NModule(ring=ring, carrier=ring.group, action=table)
 
 
 def test_a_writable_array_is_copied_not_frozen_in_place():
@@ -214,13 +236,13 @@ class TestOrderCap:
 
 def numpy_leaks(value, path="value"):
     """Paths inside ``value`` that hold a numpy scalar or array, or a string
-    with the repr of one (numpy 2 prints ``np.True_``, ``np.int64(3)``).
-    Groups, near-rings and modules hold their tables as arrays by design and
-    are not entered."""
+    with the repr of one (numpy 2 prints ``np.True_``, ``np.int16(3)``,
+    ``np.uint8(3)``).  Groups, near-rings and modules hold their tables as
+    arrays by design and are not entered."""
     if isinstance(value, (np.generic, np.ndarray)):
         yield f"{path}: {type(value).__name__}"
     elif isinstance(value, str):
-        if any(r in value for r in ("np.True_", "np.False_", "np.int64(")):
+        if re.search(r"np\.(True_|False_|u?int\d+\()", value):
             yield f"{path}: {value!r}"
     elif isinstance(value, (FiniteGroup, NearRing, NModule)):
         return
