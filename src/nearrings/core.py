@@ -443,16 +443,16 @@ def _law(fill, shape):
 def _assoc(rmul: np.ndarray, act: np.ndarray):
     """Row function of (r.s).m = r.(s.m): row r gives the bool table over
     (s, m) that is True where the law fails."""
-    return _law(lambda r, s, out: np.not_equal(act.take(rmul[r, s], axis=0),
-                                                act[r].take(act[s]), out=out), act.shape)
+    return _law(lambda r, s, out: np.not_equal(
+        act.take(rmul[r, s], axis=0), act[r].take(act[s]), out=out), act.shape)
 
 
 def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
     """Row function of (r+s).m = r.m + s.m: row r gives the bool table over
     (s, m) that is True where the law fails."""
-    return _law(lambda r, s, out: np.not_equal(act.take(radd[r, s], axis=0),
-                                                madd[act[r].astype(np.intp), act[s].astype(np.intp)],
-                                                out=out), act.shape)
+    return _law(lambda r, s, out: np.not_equal(
+        act.take(radd[r, s], axis=0), madd[act[r].astype(np.intp), act[s].astype(np.intp)],
+        out=out), act.shape)
 
 
 def _holds(bad, rows) -> bool:

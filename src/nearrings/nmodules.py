@@ -77,10 +77,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (TABLE_DTYPE, CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
-                   _check_table, _extend_closure, _first_hit, _first_violation, _generators,
-                   _row_classes, _seal, _Tables, endomorphism_rows, group_generators, laws_hold,
-                   memoized, validate_group)
+from .core import (TABLE_DTYPE, CapExceeded, FiniteGroup, InvariantError, NearRing, _additive,
+                   _assoc, _check_table, _extend_closure, _first_hit, _first_violation,
+                   _generators, _row_classes, _seal, _Tables, endomorphism_rows, group_generators,
+                   laws_hold, memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -225,20 +225,19 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
         return ok
     orbits = orbit_masks(ring, "left")
     cols = np.arange(ring.order)
-    neg = neg.astype(np.intp)  # table entries that index are cast once, not by numpy per use
-    gens = np.array(group_generators(ring.group), dtype=np.intp)
-    gens_l = mul[gens].astype(np.intp)  # row s holds s*a for every a: generators of each Na
-    x_sa = add[gens[:, None, None], gens_l].astype(np.intp)  # [x, s, a]: x + s*a
-    conj = add[x_sa, neg[gens][:, None, None]].astype(np.intp)  # x + s*a - x
+    gens = np.array(group_generators(ring.group), dtype=np.int64)
+    gens_l = mul[gens, :]  # row s holds s*a for every a: generators of each Na
+    conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
     ok = orbits[cols, conj].all(axis=(0, 1))
     movers = gens[~endomorphism_rows(ring)[gens]]
     # One (l, r) pair of generators at a time, so temporaries stay n x n.
+    # The indices reused across the inner loop are cast to intp once.
     for row in gens_l if len(movers) else ():
         shifted = add[row[:, None], cols].astype(np.intp)       # [a, m]: s*a + m
         for r in movers:
             rm = mul[r].astype(np.intp)
             diff = add[rm[shifted], neg[rm]]                    # r(l+m) - rm
-            ok &= orbits[cols[:, None], diff.astype(np.intp)].all(axis=1)
+            ok &= orbits[cols[:, None], diff].all(axis=1)
     ok.setflags(write=False)
     return ok
 
@@ -279,7 +278,7 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     act = module.action.astype(np.intp)  # an index below: cast once
     minus_rm = mneg.astype(np.intp)[act]                        # (n, m): -rm
     shifted = act[:, madd[gens_l, :]]                           # (n, |S_L|, m): r(l+m)
-    if in_l[madd[shifted, minus_rm[:, None, :]].astype(np.intp)].all():
+    if in_l[madd[shifted, minus_rm[:, None, :]]].all():
         return IdealVerdict("N_ideal")
     w = _first_violation(lambda r: ~in_l[madd[act[r, madd[mem]], minus_rm[r]]],  # r(l+m) - rm
                          range(module.ring.order))
@@ -374,7 +373,7 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
     """
     if ring.order > IDEAL_ENUM_ORDER_CAP:
         raise CapExceeded(f"ideal enumeration limited to order {IDEAL_ENUM_ORDER_CAP}")
-    add = ring.add.astype(np.intp)  # an index in the loop: cast once, not on every step
+    add = ring.add.astype(np.intp)  # its sums index the masks below: cast once, not per step
     found: dict[bytes, np.ndarray] = {}
 
     def insert(mask: np.ndarray) -> bool:
