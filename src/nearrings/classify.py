@@ -35,8 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (TABLE_DTYPE, CapExceeded, InvariantError, NearRing, _first_hit, _first_rows,
-                   _row_classes, _seal, memoized)
+from .core import (CapExceeded, InvariantError, NearRing, _first_hit, _first_rows, _row_classes,
+                   _seal, memoized)
 from .nmodules import (
     BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
@@ -205,7 +205,7 @@ def _left_morphic(ring: NearRing) -> np.ndarray:
 
 _COLUMNS: dict[str, Callable[[NearRing], np.ndarray]] = {
     "inverse": _inverses,
-    "idempotent": lambda ring: ring.mul.diagonal() == np.arange(ring.order, dtype=TABLE_DTYPE),
+    "idempotent": lambda ring: ring.mul.diagonal() == np.arange(ring.order, dtype=ring.mul.dtype),
     "central": lambda ring: (ring.mul == ring.mul.T).all(axis=1),
     "nilpotency": _nilpotency,
     "regular": lambda ring: _least_solution(inner_products(ring)),        # (a*x)*a == a

@@ -77,10 +77,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (TABLE_DTYPE, CapExceeded, FiniteGroup, InvariantError, NearRing, _additive,
-                   _assoc, _check_table, _extend_closure, _first_hit, _first_violation,
-                   _generators, _row_classes, _seal, _Tables, endomorphism_rows, group_generators,
-                   laws_hold, memoized, validate_group)
+from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
+                   _check_table, _extend_closure, _first_hit, _first_violation, _generators,
+                   _row_classes, _seal, _Tables, endomorphism_rows, group_generators, laws_hold,
+                   memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -431,7 +431,7 @@ def _quotient(module: NModule, subset) -> Quotient:
     rep_of = madd[:, members].min(axis=1).astype(np.intp)  # least member of the coset x + L
     is_rep = rep_of == np.arange(len(madd))  # r is the least member of r + L
     reps = np.flatnonzero(is_rep)
-    proj = (np.cumsum(is_rep) - 1).astype(TABLE_DTYPE)[rep_of]  # entries of the quotient tables
+    proj = (np.cumsum(is_rep) - 1).astype(madd.dtype)[rep_of]  # entries of the quotient tables
     qlabels = None
     if module.carrier.labels:
         qlabels = tuple(f"{module.carrier.label(r)}+L" for r in reps.tolist())
