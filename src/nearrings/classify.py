@@ -1,9 +1,9 @@
 """Element and structure classification with explicit witnesses.
 
 Witness tie-breaking is always the least element index, so every report is
-reproducible.  The left-morphic decision has two routes: the witness scan
-(find b with Na = (0:b) and Nb = (0:a)) and, as a cross-check on small
-instances, a brute-force isomorphism search between N/Na and (0:a).
+reproducible.  Left morphic is decided by the witness scan (b with Na = (0:b)
+and Nb = (0:a)); the brute-force isomorphism search between N/Na and (0:a),
+``_algorithm_I``, runs only in the ``lemma1_equiv`` cell, which compares them.
 
 The scans run over whole-ring n x n bool tables from ``nmodules``: rows of
 Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
@@ -12,10 +12,10 @@ Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
 its own when the table breaks them).  The morphic witness scan,
 subcommutativity (Na = aN), weak divisibility (b in Na or a in Nb) and IFP
 (ab = 0 implies aN in (0:b)) compare rows of these tables; each still
-reports the first witness in ascending scan order.  An Na that the batch test rejects goes
-through ``is_N_ideal`` for its first witness, once per distinct orbit
-(``orbit_classes``), and the verdict is shared by every element with that
-orbit; ``is_N_ideal`` accepting such an orbit raises ``InvariantError``.
+reports the first witness in ascending scan order.  An Na that the batch test
+rejects gets its first witness from the stage scans of ``nmodules`` alone, once
+per distinct orbit (``orbit_classes``), shared by every element with that
+orbit; stage scans that find no witness there raise ``InvariantError``.
 Left duo is decided on the distinct principal ideals
 (``nmodules.principal_ideals``, one closure per distinct seed set, none
 where P(a) = Na); the comment in ``structure_profile`` shows why the first
@@ -38,7 +38,6 @@ import numpy as np
 from .core import (CapExceeded, InvariantError, NearRing, _first_hit, _first_rows, _row_classes,
                    _seal, memoized)
 from .nmodules import (
-    BRUTEFORCE_ISO_CAP,
     IDEAL_ENUM_ORDER_CAP,
     IdealVerdict,
     annihilator,
@@ -52,7 +51,9 @@ from .nmodules import (
     principal_ideals,
     regular_representation,
     right_escape,
+    _index,
     _quotient,
+    _stage_scans,
 )
 
 CLASSIFY_ORDER_CAP = 256
@@ -94,7 +95,6 @@ class MorphicVerdict:
     status: str  # morphic | na_not_ideal | no_witness
     witness: Optional[int] = None
     ideal_verdict: Optional[IdealVerdict] = None
-    cross_checked: bool = False
 
     def __bool__(self) -> bool:
         return self.status == "morphic"
@@ -120,38 +120,30 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
 
 @memoized
 def _rejected_orbit_verdict(ring: NearRing, first: int) -> IdealVerdict:
-    """``is_N_ideal`` on Na for the first element a of an orbit that
-    ``orbit_is_N_ideal`` rejected, shared by every element with that orbit;
-    raises if it accepts."""
-    verdict = is_N_ideal(regular_representation(ring), orbit(ring, "left", first))
-    if verdict:
+    """The stage scans' first witness on Na, for the first element a of an
+    orbit that ``orbit_is_N_ideal`` rejected, shared by every element with
+    that orbit; raises if they find none."""
+    verdict = _stage_scans(regular_representation(ring), orbit_masks(ring, "left")[first])
+    if verdict is None:
         raise InvariantError(f"batch N-ideal test disagrees at element {first}")
     return verdict
 
 
-@memoized
-def is_left_morphic(ring: NearRing, a: int, cross_check: bool = False) -> MorphicVerdict:
+def is_left_morphic(ring: NearRing, a: int) -> MorphicVerdict:
     """Witness scan: Na must be an N-ideal and some b must satisfy
     Na = (0:b) and Nb = (0:a); first such b wins.
 
     Both are read off whole-ring tables (``orbit_is_N_ideal``, the
-    "morphic_witness" column); only an Na that is not an N-ideal goes
-    through ``is_N_ideal``, for its first witness, once per distinct orbit."""
+    "morphic_witness" column); an Na that is not an N-ideal gets its first
+    witness from ``_rejected_orbit_verdict``, once per distinct orbit."""
+    a = _index(ring.order, a)
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
-    do_cross = cross_check and ring.order <= BRUTEFORCE_ISO_CAP
     if not orbit_is_N_ideal(ring)[a]:
         verdict = _rejected_orbit_verdict(ring, int(orbit_classes(ring)[a]))
-        result = MorphicVerdict("na_not_ideal", ideal_verdict=verdict,
-                                cross_checked=do_cross)
-    else:
-        b = int(element_column(ring, "morphic_witness")[a])
-        result = MorphicVerdict("no_witness" if b < 0 else "morphic",
-                                witness=None if b < 0 else b, cross_checked=do_cross)
-    if do_cross:
-        if _algorithm_I(ring, a) != bool(result):
-            raise InvariantError(f"morphic cross-check disagrees at element {a}")
-    return result
+        return MorphicVerdict("na_not_ideal", ideal_verdict=verdict)
+    b = int(element_column(ring, "morphic_witness")[a])
+    return MorphicVerdict("no_witness" if b < 0 else "morphic", witness=None if b < 0 else b)
 
 
 def _inverses(ring: NearRing) -> np.ndarray:
@@ -193,8 +185,8 @@ def _morphic_witnesses(ring: NearRing) -> np.ndarray:
 
 def _left_morphic(ring: NearRing) -> np.ndarray:
     """Per a: Na is an N-ideal and a has a morphic witness.  Each distinct
-    Na that the batch N-ideal test rejected is checked against
-    ``is_N_ideal`` once, as ``is_left_morphic`` would."""
+    Na that the batch N-ideal test rejected is confirmed by the stage scans
+    once (``_rejected_orbit_verdict``), as through ``is_left_morphic``."""
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
     ideal = orbit_is_N_ideal(ring)
@@ -251,7 +243,7 @@ class ElementProfile:
 
 
 def element_profile(ring: NearRing, a: int) -> ElementProfile:
-    return all_element_profiles(ring)[a]
+    return all_element_profiles(ring)[_index(ring.order, a)]
 
 
 @memoized

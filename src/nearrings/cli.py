@@ -182,7 +182,7 @@ def _collect_inputs(paths, out) -> tuple[list[tuple[str, NearRing]], int]:
 
 def cmd_verify(args, out) -> int:
     ids = None
-    if args.theorems and args.theorems != "all":
+    if args.theorems != "all":
         ids = args.theorems.split(",")
         unknown = [t for t in ids if t not in theorem_catalog()]
         if unknown:

@@ -19,8 +19,9 @@ The N-ideal layer works over generating sets, with exact reductions:
   x that normalise L form a subgroup.  The N-ideal condition needs only
   l in S_L, since the l that satisfy it are closed under +:
   r((l1+l2)+m) - rm = [r(l1+(l2+m)) - r(l2+m)] + [r(l2+m) - rm].
-  When a reduced check fails, that stage's exhaustive scan runs for the
-  first witness in ascending scan order.
+  When a check fails, ``_stage_scans`` runs the three exhaustive scans in
+  order for the first witness; ``classify`` runs them alone on each orbit
+  that ``orbit_is_N_ideal`` has already rejected.
 - ``_ideal_closure`` closes a seed set to the smallest N-ideal containing
   it.  It keeps its set closed under + semi-naively and sends only the
   generators it adds through the conjugate and r(l+m) - rm rules, which
@@ -149,8 +150,7 @@ def orbit_masks(ring: NearRing, side: str) -> np.ndarray:
         masks[idx[None, :], mul] = True     # row a gets n*a for every n
     else:
         masks[idx[:, None], mul] = True     # row a gets a*n for every n
-    masks.setflags(write=False)
-    return masks
+    return _seal(masks)
 
 
 @memoized
@@ -167,8 +167,7 @@ def annihilator_masks(ring: NearRing, side: str) -> np.ndarray:
     _check_side(side)
     zero = ring.mul == 0
     masks = np.ascontiguousarray(zero.T) if side == "left" else zero
-    masks.setflags(write=False)
-    return masks
+    return _seal(masks)
 
 
 def _members(mask: np.ndarray) -> frozenset[int]:
@@ -221,8 +220,7 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
         ok = np.zeros(ring.order, dtype=bool)
         for first in sorted(set(classes.tolist())):
             ok[classes == first] = bool(is_N_ideal(rep, orbit(ring, "left", first)))
-        ok.setflags(write=False)
-        return ok
+        return _seal(ok)
     orbits = orbit_masks(ring, "left")
     cols = np.arange(ring.order)
     gens = np.array(group_generators(ring.group), dtype=np.int64)
@@ -238,8 +236,7 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
             rm = mul[r].astype(np.intp)
             diff = add[rm[shifted], neg[rm]]                    # r(l+m) - rm
             ok &= orbits[cols[:, None], diff].all(axis=1)
-    ok.setflags(write=False)
-    return ok
+    return _seal(ok)
 
 
 def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -253,39 +250,50 @@ def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:
 def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     """Decide the three conditions in order: subgroup, normal, N-ideal.
 
-    The witness is the first failure in ascending scan order.  Normality and
-    the N-ideal condition are checked over generators (module docstring);
-    when a reduced check fails, that stage's full scan finds the witness.
+    Closure under + is checked on all pairs, normality and the N-ideal
+    condition over generators (module docstring); when a check fails,
+    ``_stage_scans`` finds the first witness in ascending scan order.
     """
     in_l = _index_mask(module.carrier.order, subset)
+    madd, mneg, mem = module.carrier.add, module.carrier.neg, np.flatnonzero(in_l)
+    if in_l[0] and in_l[madd[mem[:, None], mem]].all():
+        gens_l = _subgroup_generators(madd, mem)
+        gens_m = np.array(group_generators(module.carrier), dtype=np.int64)
+        act = module.action.astype(np.intp)  # an index below: cast once
+        normal = in_l[madd[madd[gens_m[:, None], gens_l], mneg[gens_m][:, None]]].all()  # x+l-x
+        if normal and in_l[madd[act[:, madd[gens_l]], mneg[act][:, None]]].all():  # r(l+m) - rm
+            return IdealVerdict("N_ideal")
+    verdict = _stage_scans(module, in_l)
+    if verdict is None:
+        raise InvariantError("N-ideal test fails on generators but no exhaustive scan fails")
+    return verdict
+
+
+def _stage_scans(module: NModule, in_l: np.ndarray) -> Optional[IdealVerdict]:
+    """The exhaustive scans of the bool mask ``in_l``, in order: 0 and
+    L + L in L, x + l - x in L for every x, r(l+m) - rm in L for every r.
+    The first failing stage's first witness in ascending scan order, or None
+    when L is an N-ideal."""
     if not in_l[0]:
         return IdealVerdict("not_subgroup", (0,))
-    madd, mneg = module.carrier.add, module.carrier.neg
-    mem = np.flatnonzero(in_l)
+    madd, mneg, mem = module.carrier.add, module.carrier.neg, np.flatnonzero(in_l)
     members = mem.tolist()
     bad = _first_hit(~in_l[madd[mem[:, None], mem]])
     if bad:
         i, j = bad
         return IdealVerdict("not_subgroup", (members[i], members[j]))
-    gens_l = _subgroup_generators(madd, mem)
-    gens_m = np.array(group_generators(module.carrier), dtype=np.int64)
-    if not in_l[madd[madd[gens_m[:, None], gens_l], mneg[gens_m][:, None]]].all():
-        bad = _first_hit(~in_l[madd[madd[:, mem], mneg[:, None]]])  # x + l - x
-        if not bad:
-            raise InvariantError("normality fails on generators but on no pair (x, l)")
+    bad = _first_hit(~in_l[madd[madd[:, mem], mneg[:, None]]])  # x + l - x
+    if bad:
         x, i = bad
         return IdealVerdict("not_normal", (x, members[i]))
     act = module.action.astype(np.intp)  # an index below: cast once
     minus_rm = mneg.astype(np.intp)[act]                        # (n, m): -rm
-    shifted = act[:, madd[gens_l, :]]                           # (n, |S_L|, m): r(l+m)
-    if in_l[madd[shifted, minus_rm[:, None, :]]].all():
-        return IdealVerdict("N_ideal")
     w = _first_violation(lambda r: ~in_l[madd[act[r, madd[mem]], minus_rm[r]]],  # r(l+m) - rm
                          range(module.ring.order))
     if w is not None:
         r, li, x = w
         return IdealVerdict("not_N_ideal", (r, members[li], x))
-    raise InvariantError("N-ideal condition fails on generators but on no (r, l, m)")
+    return None
 
 
 def right_escape(ring: NearRing, subset) -> Optional[tuple[int, int]]:
@@ -358,8 +366,7 @@ def principal_ideals(ring: NearRing) -> np.ndarray:
             table[todo & (classes == first)] = _ideal_closure(ring, seeds[first])
     for a in np.flatnonzero(own).tolist():
         table[a] = _ideal_closure(ring, idx == a)
-    table.setflags(write=False)
-    return table
+    return _seal(table)
 
 
 def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[frozenset[int]]:

@@ -46,6 +46,7 @@ import nearrings.theorems as theorems
 from nearrings.classify import all_element_profiles, units
 from nearrings.core import (_additive, _generators, _holds, _laws_hold, build_M0, build_product,
                             group_generators)
+from test_fast_ideals import reference_is_N_ideal, subgroup
 from nearrings.nmodules import (IDEAL_ENUM_ORDER_CAP, NModule, _cyclic_generator,
                                 generated_submodule, orbit_is_N_ideal)
 
@@ -261,15 +262,19 @@ def test_retract_orbits_fail_normality_only():
     assert orbit_is_N_ideal(ring).tolist() == [a < 3 for a in range(6)]
 
 
+def counting_stage_scans(calls):
+    """``nmodules._stage_scans``, recording each scanned subset as a frozenset."""
+    def counting(module, in_l):
+        calls.append(frozenset(np.flatnonzero(in_l).tolist()))
+        return nmodules._stage_scans(module, in_l)
+    return counting
+
+
 def test_is_N_ideal_runs_only_for_failing_orbits(monkeypatch):
+    # The exhaustive stage scans of is_N_ideal, alone, give the first witness.
     ring = build_M0(_zn_group(4))
     calls = []
-
-    def counting(module, subset):
-        calls.append(subset)
-        return is_N_ideal(module, subset)
-
-    monkeypatch.setattr(classify, "is_N_ideal", counting)
+    monkeypatch.setattr(classify, "_stage_scans", counting_stage_scans(calls))
     for a in range(ring.order):
         is_left_morphic(ring, a)
     failing = [orbit(ring, "left", a) for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
@@ -301,7 +306,7 @@ def test_morphic_vector_checks_the_batch_N_ideal_test(monkeypatch):
     # A batch test that wrongly rejects an orbit must surface through the
     # left morphic vector, as through ``is_left_morphic``.
     ring = build_M0(_zn_group(4))
-    monkeypatch.setattr(classify, "is_N_ideal", lambda module, subset: IdealVerdict("N_ideal"))
+    monkeypatch.setattr(classify, "_stage_scans", lambda module, in_l: None)
     with pytest.raises(InvariantError, match="batch N-ideal test disagrees at element"):
         check(ring, "prop2")
 
@@ -1027,18 +1032,90 @@ def test_shared_orbit_verdicts_match_per_element_test(name, seed):
 def test_morphic_vector_runs_is_N_ideal_once_per_distinct_failing_orbit(monkeypatch):
     ring = build_M0(_zn_group(4))
     calls = []
-
-    def counting(module, subset):
-        calls.append(subset)
-        return is_N_ideal(module, subset)
-
-    monkeypatch.setattr(classify, "is_N_ideal", counting)
+    monkeypatch.setattr(classify, "_stage_scans", counting_stage_scans(calls))
     classify.element_column(ring, "morphic")
     failing = [orbit(ring, "left", a) for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
     assert calls == list(dict.fromkeys(failing))
     for a in range(ring.order):  # the per-element verdicts reuse them
         is_left_morphic(ring, a)
     assert len(calls) == 7
+
+
+def with_other_generators(ring, rng):
+    """A copy of ``ring`` on a copy of its group whose stored generating set
+    of (N,+) is greedy over a random order of the elements, not ascending,
+    so that a first witness that is not a generator can be told apart."""
+    add = ring.add.tolist()
+    rest = list(range(1, ring.order))
+    rng.shuffle(rest)
+    reached, gens = {0}, []
+    for x in rest:
+        if x not in reached:
+            gens.append(x)
+            reached = subgroup(add, reached | {x})
+    group = dataclasses.replace(ring.group)
+    group_generators.keep(group, gens)
+    return dataclasses.replace(ring, group=group)
+
+
+STAGE_SCAN_SUBSETS = ("random", "closed under +", "left orbit", "sum of two left orbits")
+
+
+# Normality can fail only where (N,+) is not abelian, so half the draws
+# take one of these.
+NON_ABELIAN = ("dproj_3", "dproj_4", "dretract_3", "dretract_4", "dretract_6", "zero_d3")
+
+
+@given(name=st.one_of(st.sampled_from(RING_NAMES), st.sampled_from(NON_ABELIAN)),
+       seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_stage_scans_match_is_N_ideal(name, seed, data):
+    # The exhaustive stage scans alone return is_N_ideal's verdict wherever
+    # it rejects and None exactly where it accepts; both match the
+    # element-by-element oracle, also over a generating set of (N,+) that is
+    # not the ascending greedy one.  Scrambled copies (built without
+    # validation) often change row 0, the only row where r = 0 can fail.
+    ring = relabelled(ring_named(name), seed)
+    n = ring.order
+    rng = random.Random(seed)
+    if data.draw(st.booleans()):
+        for _ in range(data.draw(st.integers(1, 3))):
+            x, y, v = (data.draw(st.one_of(st.just(0), st.integers(0, n - 1))),
+                       data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+            ring = with_entry(ring, x, y, v)
+    add = ring.add.tolist()
+    kind = data.draw(st.sampled_from(STAGE_SCAN_SUBSETS))
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if kind == "random":
+        subset = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    elif kind == "closed under +":
+        subset = set(subgroup(add, data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                           max_size=2))))
+    else:
+        subset = set(orbit(ring, "left", a))
+        if kind == "sum of two left orbits":
+            subset = {add[x][y] for x in subset for y in orbit(ring, "left", b)}
+    zero = data.draw(st.sampled_from(("as drawn", "with 0", "without 0")))
+    if zero == "with 0":
+        subset.add(0)
+    elif zero == "without 0":
+        subset.discard(0)
+    rep = regular_representation(ring)
+    expected, in_l = reference_is_N_ideal(rep, subset), np.isin(np.arange(n), list(subset))
+    for module in (rep, regular_representation(with_other_generators(ring, rng))):
+        verdict = is_N_ideal(module, subset)
+        assert (verdict.kind, verdict.witness) == expected
+        assert nmodules._stage_scans(module, in_l) == (None if verdict else verdict)
+    if kind == "left orbit" and not orbit_is_N_ideal(ring)[a]:
+        # The morphic path reads the same scans, and refuses a rejected
+        # orbit on which they find nothing.
+        first = int(nmodules.orbit_classes(ring)[a])
+        assert classify._rejected_orbit_verdict(ring, first) == \
+            is_N_ideal(rep, orbit(ring, "left", a))
+        fresh = dataclasses.replace(ring)
+        with mock.patch.object(classify, "_stage_scans", lambda module, in_l: None), \
+                pytest.raises(InvariantError, match="batch N-ideal test disagrees"):
+            classify._rejected_orbit_verdict(fresh, first)
 
 
 # ---------------------------------------------------------------------------

@@ -174,8 +174,9 @@ class TestVerify:
         assert "not_applicable" in text
 
     def test_unknown_theorem_exits_3(self, m0_file):
-        code, _ = run(["verify", m0_file, "--theorems", "nope"])
-        assert code == 3
+        for ids in ("nope", ""):  # an empty list names no theorem, so it is no "all"
+            code, text = run(["verify", m0_file, "--theorems", ids])
+            assert (code, text) == (3, f"unknown theorem ids: {ids}\n"), ids
 
     def test_corrupted_input_exits_1_before_theorems(self, tmp_path):
         doc = json.loads(emit_table(builtin("klein4_ring")))

@@ -353,25 +353,39 @@ class TestSerialization:
 
 
 # Each snippet breaks one internal invariant on purpose.  Under -O the check
-# must still raise InvariantError instead of vanishing like an assert.
+# must still raise InvariantError, with the message given, instead of
+# vanishing like an assert.
 INVARIANT_BREAKS = {
     "zero_annihilates": (
         "import nearrings.core as core\n"
         "core._holds = lambda *args: True\n"
-        "core.validate_nearring([[0, 1], [1, 0]], [[0, 1], [0, 1]])\n"),
-    "morphic_cross_check": (
+        "core.validate_nearring([[0, 1], [1, 0]], [[0, 1], [0, 1]])\n",
+        "0*x != 0 in a table that passed right distributivity"),
+    # The next two stub the exhaustive N-ideal stage scans to find nothing,
+    # for an orbit the batch test rejects (M0(Z4)) and for a subset whose
+    # reduced check fails (Na with a = 4 in m0_z3).
+    "morphic_batch_N_ideal": (
         "import nearrings.classify as classify\n"
-        "real = classify._algorithm_I\n"
-        "classify._algorithm_I = lambda ring, a: not real(ring, a)\n"
-        "classify.is_left_morphic(nearrings.builtin('klein4_ring'), 1, cross_check=True)\n"),
+        "from nearrings.catalog import _zn_group\n"
+        "classify._stage_scans = lambda module, in_l: None\n"
+        "nearrings.check(nearrings.build_M0(_zn_group(4)), 'prop2')\n",
+        "batch N-ideal test disagrees at element"),
+    "is_N_ideal_stage_scans": (
+        "import nearrings.nmodules as nmodules\n"
+        "nmodules._stage_scans = lambda module, in_l: None\n"
+        "ring = nearrings.builtin('m0_z3')\n"
+        "nmodules.is_N_ideal(nmodules.regular_representation(ring),"
+        " nmodules.orbit(ring, 'left', 4))\n",
+        "N-ideal test fails on generators but no exhaustive scan fails"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(INVARIANT_BREAKS))
 def test_invariants_survive_optimize(name):
+    snippet, message = INVARIANT_BREAKS[name]
     prog = ("import nearrings\n"
             "assert False, 'assert statements are live'\n"
-            "try:\n" + textwrap.indent(INVARIANT_BREAKS[name], "    ")
+            "try:\n" + textwrap.indent(snippet, "    ")
             + "except nearrings.InvariantError as exc:\n    print('raised', exc)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -379,7 +393,7 @@ def test_invariants_survive_optimize(name):
     out = subprocess.run([sys.executable, "-O", "-c", prog], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised ")
+    assert out.stdout.startswith(f"raised {message}")
 
 
 def test_package_has_no_assert_statements():

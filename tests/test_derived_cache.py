@@ -17,7 +17,6 @@ from nearrings import (
     builtin,
     check,
     emit_table,
-    is_left_morphic,
     regular_representation,
     run_suite,
     structure_profile,
@@ -44,16 +43,6 @@ def test_fresh_ring_is_collected_after_classification():
     del ring
     gc.collect()
     assert ref() is None
-
-
-def test_cross_check_is_its_own_entry():
-    ring = fresh_klein4()
-    plain = is_left_morphic(ring, 1)
-    assert not plain.cross_checked
-    checked = is_left_morphic(ring, 1, cross_check=True)
-    assert checked.cross_checked
-    assert checked.status == plain.status and checked.witness == plain.witness
-    assert is_left_morphic(ring, 1) is plain
 
 
 def test_validation_arrays_are_the_cached_views():

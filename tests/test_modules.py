@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from nearrings import (
     annihilator,
     builtin,
+    element_profile,
     enumerate_left_ideals,
     hom_from_cyclic_generator,
     is_ideal,
+    is_left_morphic,
     is_N_ideal,
     modules_isomorphic,
     orbit,
@@ -357,6 +359,8 @@ INDEX_ENTRY_POINTS = {
     "iso_target": lambda bad: modules_isomorphic(
         regular_representation(z4()), frozenset({0, bad}), mode="generator"),
     "generated_submodule": lambda bad: generated_submodule(regular_representation(z4()), bad),
+    "is_left_morphic": lambda bad: is_left_morphic(z4(), bad),
+    "element_profile": lambda bad: element_profile(z4(), bad),
 }
 
 
