@@ -14,8 +14,9 @@ subcommutativity (Na = aN), weak divisibility (b in Na or a in Nb) and IFP
 (ab = 0 implies aN in (0:b)) compare rows of these tables; each still
 reports the first witness in ascending scan order.  An Na that the batch test
 rejects gets its first witness from the stage scans of ``nmodules`` alone, once
-per distinct orbit (``orbit_classes``), shared by every element with that
-orbit; stage scans that find no witness there raise ``InvariantError``.
+per distinct orbit (``orbit_classes``, ``nmodules._rejected_orbit_verdict``),
+shared by every element with that orbit; stage scans that find no witness
+there raise ``InvariantError``.
 Left duo is decided on the distinct principal ideals
 (``nmodules.principal_ideals``, one closure per distinct seed set, none
 where P(a) = Na); the comment in ``structure_profile`` shows why the first
@@ -35,8 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (CapExceeded, InvariantError, NearRing, _first_hit, _first_rows, _row_classes,
-                   _seal, memoized)
+from .core import (CapExceeded, NearRing, _first_hit, _first_rows, _row_classes, _seal,
+                   memoized)
 from .nmodules import (
     IDEAL_ENUM_ORDER_CAP,
     IdealVerdict,
@@ -53,7 +54,7 @@ from .nmodules import (
     right_escape,
     _index,
     _quotient,
-    _stage_scans,
+    _rejected_orbit_verdict,
 )
 
 CLASSIFY_ORDER_CAP = 256
@@ -116,17 +117,6 @@ def _algorithm_I(ring: NearRing, a: int) -> bool:
         return False
     quot = _quotient(regular_representation(ring), na)  # Na passed is_N_ideal above
     return bool(modules_isomorphic(quot.module, ann, mode="bruteforce"))
-
-
-@memoized
-def _rejected_orbit_verdict(ring: NearRing, first: int) -> IdealVerdict:
-    """The stage scans' first witness on Na, for the first element a of an
-    orbit that ``orbit_is_N_ideal`` rejected, shared by every element with
-    that orbit; raises if they find none."""
-    verdict = _stage_scans(regular_representation(ring), orbit_masks(ring, "left")[first])
-    if verdict is None:
-        raise InvariantError(f"batch N-ideal test disagrees at element {first}")
-    return verdict
 
 
 def is_left_morphic(ring: NearRing, a: int) -> MorphicVerdict:

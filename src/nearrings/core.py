@@ -72,23 +72,30 @@ most ``_MAX_DIGITS`` = 4 digits, below 10^4 < 2^15, and ``_put_first``
 only relabels indices below n.
 
 ``parse_table`` reads a table document in one of two ways, with the same
-field checks after either.  ``_read_document`` walks the top-level object
-with the ``json`` scanner and decodes ``add`` and ``mul`` from their
-characters in numpy, a block of whole rows at a time, when they follow a
-valid ``order`` and hold n rows of n unsigned integers without leading
-zeros.  The scanner decodes every other member and any table the reader
-refuses; a ``json.JSONDecodeError`` it raises there is the error
-``json.loads`` would raise.  A document with a table before ``order``, or
-that the scanner refuses otherwise (deep nesting, an over-long int), goes
-through ``json.loads``.
+field checks after either.  ``_read_document`` streams it from a seekable
+binary file (bytes and str are wrapped as one, a pipe is read whole first):
+it walks the top-level object with the ``json`` scanner on a window of
+decoded text, and decodes ``add`` and ``mul`` from their bytes in numpy, a
+block of whole rows at a time, when they follow a valid ``order`` and hold
+n rows of n unsigned integers without leading zeros.  The scanner decodes
+every other member and any table the reader refuses, from that table's
+start; a ``json.JSONDecodeError`` it raises there is the error
+``json.loads`` would raise, at the same line, column and character of the
+whole document, and text that is not UTF-8 raises the whole document's
+``UnicodeDecodeError``.  A document with a table before ``order``, or that
+the scanner refuses otherwise (deep nesting, an over-long int), is read
+whole and goes through ``json.loads``.
 
-No loop over rows or blocks, in the reader, the re-indexing of
-``from_document``, the range check of ``_check_table``, or the law, flag
-and group scans, allocates a temporary of more than ``_TEMP_BYTES`` (64
-KiB): the scans work on row blocks (``_row_blocks``), a row function fills
-one bool table that its scan allocates once, and the reader decodes about
-32 KiB of text at a time (one row at least, which is longer only for
-indented tables of order in the thousands).  A block is sized by the
+Loading a table holds the final tables and buffers of O(``_BLOCK``) bytes:
+the reader reads at most ``_BLOCK`` = 32 KiB of the file at a time (one
+row at least, which is longer only for indented tables of order in the
+thousands), and never the whole text; ``load_nearring`` re-indexes the
+reader's own tables in place (``_put_first``), while ``from_document``
+copies a caller's first.  No loop over rows or blocks, in the reader, the
+re-indexing, the range check of ``_check_table``, or the law, flag and
+group scans, allocates a temporary of more than ``_TEMP_BYTES`` (64 KiB):
+the scans work on row blocks (``_row_blocks``), and a row function fills
+one n x n bool table that its scan allocates once.  A block is sized by the
 bytes per row of its largest temporary: one byte an entry for a bool mask,
 two for an int16 gather, and eight where a block is cast to intp to index
 with.  numpy casts an int16 fancy index itself through a small buffer, with
@@ -97,18 +104,22 @@ that indexes with table blocks casts each block once itself (or gathers
 with ``take``, which casts too), inside that 8-byte budget, while a
 one-off gather over a whole table leaves the cast to numpy.  So loading
 and validating a table touches little memory beyond the tables
-themselves, and few fresh pages.
+themselves, and few fresh pages: at order 1024 (an 8.2 MB document) the
+peak RSS of the ``validate`` command is 5.7 MB above that of the import,
+4 MB of it the two tables (Linux, numpy 2.4).
 """
 from __future__ import annotations
 
 import bisect
+import codecs
 import functools
+import io
 import itertools
 import json
 import json.decoder
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import BinaryIO, Optional
 
 import numpy as np
 
@@ -709,8 +720,10 @@ class RawTables:
 
 
 _MAX_DIGITS = len(str(DEFAULT_ORDER_CAP))
-# The most characters of table text that ``_read_table`` decodes as one
-# block, unless one row is longer.
+# The most bytes of a document that the reader reads at a time, and of
+# table text that ``_read_table`` decodes as one block, unless one row is
+# longer; the ``json`` scanner's window grows past it only for a member
+# that does not fit.
 _BLOCK = 1 << 15
 _SPACES = b" \t\n\r"
 _SPACE_BYTES = tuple(bytes([c]) for c in _SPACES)  # a memchr each: cheaper than translate when absent
@@ -751,43 +764,154 @@ def _block_numbers(chars: bytes, out: np.ndarray) -> bool:
     return True
 
 
-def _read_table(text: str, idx: int, n: int):
-    """The n x n table whose JSON value starts at ``text[idx]``, as a
-    read-only ``TABLE_DTYPE`` array, and the index just past its closing
-    ``]``; None unless the value is n rows of n unsigned integers of 1 to
-    ``_MAX_DIGITS`` digits without a leading zero, with JSON whitespace
-    between tokens only.  Such a number is below 10^4, which
-    ``TABLE_DTYPE`` holds.
+def _open(data) -> tuple[BinaryIO, str]:
+    """``data`` as a seekable binary file, and the UTF-8 error handler that
+    its text decodes with.  Bytes are wrapped as they are (``io.BytesIO``
+    shares them until written to); a str is encoded once, with
+    "surrogatepass" both ways so that its text decodes to itself; a binary
+    file that cannot seek (a pipe) is read whole."""
+    if isinstance(data, str):
+        return io.BytesIO(data.encode("utf-8", "surrogatepass")), "surrogatepass"
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return io.BytesIO(data), "strict"
+    if not hasattr(data, "read"):
+        raise TypeError(f"a table document is a str, bytes or a binary file, "
+                        f"not {type(data).__name__}")
+    return (data if data.seekable() else io.BytesIO(data.read())), "strict"
 
-    The end of each row, the first n ] after ``idx``, is located before any
-    row is decoded, so a table cut short returns None at once.  The rows
-    are then decoded block by block straight into the one output array.  A
-    block is as many rows as fit in ``_BLOCK`` characters (one at least)
-    and, at 8 bytes a number for the intp positions of ``_block_numbers``,
-    in ``_TEMP_BYTES``; it ends at the k-th ] after it starts, which must
-    close its k-th row.  Each block is checked on its own: ASCII, brackets
-    and commas exactly those of k rows, no whitespace inside a number (the
-    runs of digits are the same with and without whitespace), then
-    ``_block_numbers``."""
-    ends, end = [], idx
-    for _ in range(n):
-        end = text.find("]", end) + 1
-        if not end:
+
+def _decoded(fh: BinaryIO, errors: str) -> str:
+    """The whole document as text, in one decode: the text ``json.loads``
+    reads, and the whole document's ``UnicodeDecodeError``."""
+    fh.seek(0)
+    return fh.read().decode("utf-8", errors)
+
+
+class _Text:
+    """The text of a document from byte ``start`` on, decoded as far as it
+    has been read.  ``more`` reads about as much again as ``text`` holds
+    (``_BLOCK`` bytes at least), so a ``json`` scanner step that runs into
+    the end of ``text`` is retried on a longer window (``scan``)."""
+
+    def __init__(self, fh: BinaryIO, errors: str, start: int):
+        self.fh, self.errors, self.start = fh, errors, start
+        self.text, self.eof, self._read = "", False, start
+        self._decoder = codecs.getincrementaldecoder("utf-8")(errors)
+
+    def more(self, least: int = 0) -> bool:
+        """Decode the next bytes, ``least`` of them at least, onto ``text``;
+        False, with nothing more to decode, at the end of input.  A byte
+        that is not UTF-8 raises the whole document's ``UnicodeDecodeError``
+        (``_decoded``)."""
+        if self.eof:
+            return False
+        self.fh.seek(self._read)
+        chunk = self.fh.read(max(_BLOCK, len(self.text), least))
+        self._read += len(chunk)
+        self.eof = not chunk
+        try:
+            self.text += self._decoder.decode(chunk, final=self.eof)
+        except UnicodeDecodeError:
+            _decoded(self.fh, self.errors)
+            raise
+        return not self.eof
+
+    def skip(self, idx: int) -> int:
+        """The index of the first character from ``idx`` on that is not JSON
+        whitespace, or ``len(text)`` at the end of input."""
+        while True:
+            idx = json.decoder.WHITESPACE.match(self.text, idx).end()
+            if idx < len(self.text) or not self.more():
+                return idx
+
+    def scan(self, step, idx: int):
+        """``step(text, idx)``, a ``json`` scanner step that returns a value
+        and the index past it, on a window long enough to decide it.  The
+        scanner reads left to right, so only a step that fails or ends at
+        the end of input is final; while input remains, it is retried after
+        ``more``.  A final ``json.JSONDecodeError`` is raised at its place
+        in the whole document."""
+        while True:
+            try:
+                value, end = step(self.text, idx)
+            except json.JSONDecodeError as exc:
+                if not self.more():
+                    raise self._relocated(exc) from None
+                continue
+            if end < len(self.text) or not self.more():
+                return value, end
+
+    def offset(self, idx: int) -> int:
+        """The byte offset in the document of ``text[idx]``."""
+        return self.start + len(self.text[:idx].encode("utf-8", self.errors))
+
+    def _before(self):
+        """The text before ``start``, decoded again a ``_BLOCK`` at a time."""
+        decoder = codecs.getincrementaldecoder("utf-8")(self.errors)
+        self.fh.seek(0)
+        left = self.start
+        while left > 0 and (chunk := self.fh.read(min(_BLOCK, left))):
+            left -= len(chunk)
+            yield decoder.decode(chunk)
+
+    def _relocated(self, exc: json.JSONDecodeError) -> json.JSONDecodeError:
+        """``exc`` with the character position, line and column that
+        ``json.loads`` reports for it over the whole document."""
+        chars, lines, last = 0, 0, -1  # last: the position of the last newline
+        for text in itertools.chain(self._before(), [self.text[:exc.pos]]):
+            if "\n" in text:
+                last = chars + text.rindex("\n")
+                lines += text.count("\n")
+            chars += len(text)
+        err = json.JSONDecodeError(exc.msg, exc.doc, exc.pos)
+        err.pos, err.lineno, err.colno = chars, lines + 1, chars - last
+        err.args = (f"{exc.msg}: line {err.lineno} column {err.colno} (char {err.pos})",)
+        return err
+
+
+def _read_table(fh: BinaryIO, start: int, n: int):
+    """The n x n table whose JSON value starts at byte ``start`` of the
+    document ``fh``, as a read-only ``TABLE_DTYPE`` array, and the byte
+    offset just past its closing ``]``; None unless the value is n rows of
+    n unsigned integers of 1 to ``_MAX_DIGITS`` digits without a leading
+    zero, with JSON whitespace between tokens only.  Such a number is below
+    10^4, which ``TABLE_DTYPE`` holds.
+
+    The end of each row, the first n ] after ``start``, is located first,
+    reading ``_BLOCK`` bytes at a time, so a table cut short returns None
+    before any row is decoded.  The reader then seeks back and decodes the
+    rows block by block, from the bytes it reads, straight into the one
+    output array.  A block is as many rows as fit in ``_BLOCK`` bytes (one
+    at least) and, at 8 bytes a number for the intp positions of
+    ``_block_numbers``, in ``_TEMP_BYTES``; it ends at the k-th ] after it
+    starts, which must close its k-th row.  Each block is checked on its
+    own: ASCII, brackets and commas exactly those of k rows, no whitespace
+    inside a number (the runs of digits are the same with and without
+    whitespace), then ``_block_numbers``."""
+    fh.seek(start)
+    ends, pos = [], start
+    while len(ends) < n:
+        chunk = fh.read(_BLOCK)
+        if not chunk:
             return None
-        ends.append(end)
+        end = chunk.find(b"]") + 1
+        while end and len(ends) < n:
+            ends.append(pos + end)
+            end = chunk.find(b"]", end) + 1
+        pos += len(chunk)
+    fh.seek(start)
     table = np.empty((n, n), dtype=TABLE_DTYPE)
     flat = table.reshape(-1)
     row = b"[" + b"," * (n - 1) + b"]"
     most = max(1, _TEMP_BYTES // (8 * n))  # rows per block
-    done, pos = 0, idx
+    done, pos = 0, start
     while done < n:
         # one row, and each next one while the rows so far end within _BLOCK
         k = min(1 + bisect.bisect_left(ends, pos + _BLOCK, done) - done, most, n - done)
         end = ends[done + k - 1]
-        block = text[pos:end]
-        if not block.isascii():
+        raw = fh.read(end - pos)
+        if not raw.isascii():
             return None
-        raw = block.encode("ascii")
         chars = raw.translate(None, _SPACES) if any(c in raw for c in _SPACE_BYTES) else raw
         opener = b"," if done else b"["
         if chars[:1] != opener or chars.translate(None, _DIGITS) != opener + b",".join([row] * k):
@@ -799,82 +923,100 @@ def _read_table(text: str, idx: int, n: int):
         if not _block_numbers(chars, flat[done * n:(done + k) * n]):
             return None
         done, pos = done + k, end
-    pos = json.decoder.WHITESPACE.match(text, pos).end()
-    if text[pos:pos + 1] != "]":
-        return None
-    return _seal(table), pos + 1
+    while True:  # JSON whitespace, then the table's own ]
+        rest = fh.read(_BLOCK)
+        tail = rest.lstrip(_SPACES)
+        if tail or not rest:
+            return (_seal(table), pos + len(rest) - len(tail) + 1) if tail[:1] == b"]" else None
+        pos += len(rest)
 
 
-def _read_document(text: str) -> Optional[dict]:
-    """The JSON object ``text`` as ``json.loads`` gives it, with ``add``
-    and ``mul`` decoded by ``_read_table`` where it accepts them; the
-    ``json`` scanner decodes every other member, and a table that
-    ``_read_table`` refuses.  None for text that ``json.loads`` must read:
-    a table before a valid ``order``, a member the scanner refuses with
-    anything but ``json.JSONDecodeError`` (an over-long int, deep nesting),
-    or anything but one object.
+def _read_document(fh: BinaryIO, errors: str) -> Optional[dict]:
+    """The JSON object of the document ``fh`` (see ``_open``) as
+    ``json.loads`` gives it, with ``add`` and ``mul`` decoded by
+    ``_read_table`` where it accepts them.  The ``json`` scanner decodes
+    every other member, on a window of decoded text (``_Text``) that starts
+    again after each member, and a table that ``_read_table`` refuses, from
+    the table's own start.  None for a document that ``json.loads`` must
+    read: a table before a valid ``order``, a member the scanner refuses
+    with anything but ``json.JSONDecodeError`` (an over-long int, deep
+    nesting), or anything but one object.
 
     ``json.JSONDecodeError`` propagates: the walk has consumed every
     character before the failing key or member as the scanner of
-    ``json.loads`` does, so the scanner's message is the one that
-    ``json.loads`` gives."""
-    skip = json.decoder.WHITESPACE.match
-    idx = skip(text, 0).end()
-    if text[idx:idx + 1] != "{":
+    ``json.loads`` does, and ``_Text.scan`` decides each step on enough
+    text and places its error in the whole document, so the error is the
+    one ``json.loads`` gives."""
+    win = _Text(fh, errors, 0)
+    idx = win.skip(0)
+    if win.text[idx:idx + 1] != "{":
         return None
-    idx = skip(text, idx + 1).end()
+    idx = win.skip(idx + 1)
     doc: dict = {}
     try:
         while True:
-            if text[idx:idx + 1] != '"':
+            if win.text[idx:idx + 1] != '"':
                 return None
-            key, idx = json.decoder.scanstring(text, idx + 1)
-            idx = skip(text, idx).end()
-            if text[idx:idx + 1] != ":":
+            key, idx = win.scan(json.decoder.scanstring, idx + 1)
+            idx = win.skip(idx)
+            if win.text[idx:idx + 1] != ":":
                 return None
-            idx = skip(text, idx + 1).end()
+            idx = win.skip(idx + 1)
             table = None
             if key in ("add", "mul"):
                 n = doc.get("order")
                 if type(n) is not int or not 1 <= n <= DEFAULT_ORDER_CAP:
                     return None
-                table = _read_table(text, idx, n)
-            doc[key], idx = table or _DECODER.raw_decode(text, idx)
-            idx = skip(text, idx).end()
-            if text[idx:idx + 1] != ",":
+                start = win.offset(idx)
+                table = _read_table(fh, start, n)
+                if table:
+                    doc[key], end = table
+                    win, idx = _Text(fh, errors, end), 0
+                else:  # the scanner reads the table again, at least as far as the reader did
+                    win, idx = _Text(fh, errors, start), 0
+                    win.more(fh.tell() - start)
+            if not table:
+                doc[key], idx = win.scan(_DECODER.raw_decode, idx)
+            idx = win.skip(idx)
+            if win.text[idx:idx + 1] != ",":
                 break
-            idx = skip(text, idx + 1).end()
-    except json.JSONDecodeError:
+            win = _Text(fh, errors, win.offset(idx + 1))  # drop the text read so far
+            idx = win.skip(0)
+    except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except (ValueError, RecursionError):
         return None
-    if text[idx:idx + 1] != "}" or skip(text, idx + 1).end() != len(text):
+    if win.text[idx:idx + 1] != "}" or win.skip(idx + 1) != len(win.text):
         return None
     return doc
 
 
 def parse_table(data) -> RawTables:
-    """Parse a NearRing Table Format v1 document; shape checks only.
+    """Parse a NearRing Table Format v1 document, given as a str, bytes or
+    a binary file; shape checks only.
 
-    ``_read_document`` reads the usual document in one pass: each member
-    but ``add`` and ``mul`` through the ``json`` scanner, and each table,
-    when it follows a valid ``order``, from its characters in numpy, in
-    blocks of whole rows straight into a ``TABLE_DTYPE`` array (about 5 ms
-    for a whole order-256 document and 8 ms at order 384).  A malformed
-    member gets the scanner's error from that member alone, the one
-    ``json.loads`` gives; a table cut short is refused before any of it is
-    decoded.  A document with its tables before ``order``, or that the
-    scanner refuses with another error, goes through ``json.loads``, which
-    takes about 2.5 times as long since it builds a Python int per entry.
-    Both feed the same field checks below, ``_check_table``, which range-
-    checks each table as it comes, so a decoded table and a list give the
-    same message, and returns it as a read-only ``TABLE_DTYPE`` array."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    ``_read_document`` reads the usual document in one pass, at most
+    ``_BLOCK`` bytes at a time: each member but ``add`` and ``mul`` through
+    the ``json`` scanner, and each table, when it follows a valid
+    ``order``, from its bytes in numpy, in blocks of whole rows straight
+    into a ``TABLE_DTYPE`` array.  A malformed member gets the scanner's
+    error from that member alone, the one ``json.loads`` gives, at the same
+    line, column and character; a table cut short is refused before any of
+    it is decoded.  Text that is not UTF-8 raises the ``UnicodeDecodeError``
+    of decoding the whole document.  A document with its tables before
+    ``order``, or that the scanner refuses with another error, is read
+    whole and goes through ``json.loads``, which builds a Python int per
+    entry.  Both feed the same field checks below, ``_check_table``, which
+    range-checks each table as it comes, so a decoded table and a list give
+    the same message, and returns it as a read-only ``TABLE_DTYPE``
+    array."""
+    fh, errors = _open(data)
     try:
-        doc = _read_document(data) if isinstance(data, str) else None
+        doc = _read_document(fh, errors)
         if doc is None:
-            doc = json.loads(data)
+            doc = json.loads(_decoded(fh, errors))
+    except UnicodeDecodeError:  # a ValueError, but raised as decoding the text raises it
+        raise
     except (ValueError, RecursionError) as exc:  # also an over-long int, deep nesting
         raise TableFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -911,33 +1053,49 @@ def parse_table(data) -> RawTables:
 
 
 def _put_first(t: np.ndarray, e: int) -> np.ndarray:
-    """``t`` re-indexed so that element e comes first: index e becomes 0
-    and each index below e moves up one.  This is ``new[t[old[:, None],
-    old]]`` with old = (e, 0, ..., e-1, e+1, ..., n-1) and new its inverse,
-    made by slice copies into one array and a relabel of that array in row
-    blocks."""
+    """Re-index the writable table ``t`` in place so that element e comes
+    first, and return it: index e becomes 0 and each index below e moves up
+    one.  This is ``t[...] = new[t[old[:, None], old]]`` with old = (e, 0,
+    ..., e-1, e+1, ..., n-1) and new its inverse: rows 0..e rotate down by
+    one, then in each block of rows columns 0..e rotate right by one and the
+    entries are relabelled.  Each move is a block at most, which is also all
+    that numpy buffers for an overlapping copy."""
     n = len(t)
-    out = np.empty_like(t)
-    moves = ((slice(0, 1), slice(e, e + 1)), (slice(1, e + 1), slice(0, e)),
-             (slice(e + 1, n), slice(e + 1, n)))  # (new rows, old rows)
-    for rows, old_rows in moves:
-        for cols, old_cols in moves:
-            out[rows, cols] = t[old_rows, old_cols]
+    step = max(1, _TEMP_BYTES // (t.itemsize * n))
+    row_e = t[e].copy()
+    for stop in range(e, 0, -step):  # rows 0..e-1 move down one, the last block first
+        lo = max(0, stop - step)
+        t[lo + 1:stop + 1] = t[lo:stop]
+    t[0] = row_e
     new = np.arange(n, dtype=t.dtype)
     new[:e] += 1
     new[e] = 0
-    for rows in _row_blocks(n, 8 * n):  # out[rows] is cast to intp to index new
-        out[rows] = new.take(out[rows])
-    return out
+    for rows in _row_blocks(n, 8 * n):  # t[rows] is cast to intp to index new
+        block = t[rows]
+        col_e = block[:, e].copy()
+        block[:, 1:e + 1] = block[:, :e]
+        block[:, 0] = col_e
+        block[...] = new.take(block)
+    return t
 
 
 def from_document(raw: RawTables) -> NearRing:
-    """Validate parsed tables; re-indexes so the additive identity sits at 0."""
+    """Validate parsed tables, re-indexed so that the additive identity sits
+    at 0.  ``raw`` is left as it is: tables to re-index are copied first."""
+    return _validated(raw, copy=True)
+
+
+def _validated(raw: RawTables, copy: bool) -> NearRing:
+    """``from_document``; without ``copy`` the tables are re-indexed in
+    place, for a caller that holds the only reference to them."""
     add, mul, labels, one = raw.add, raw.mul, raw.labels, raw.one
     found = _first_hit(_identities(add))
     if found and found[0] != 0:
         e = found[0]
-        add, mul = _seal(_put_first(add, e)), _seal(_put_first(mul, e))
+        tables = (add.copy(), mul.copy()) if copy else (add, mul)
+        for t in tables:
+            t.setflags(write=True)  # parse_table sealed its own fresh tables
+        add, mul = (_seal(_put_first(t, e)) for t in tables)
         if labels:
             labels = (labels[e], *labels[:e], *labels[e + 1:])
         if one is not None:
@@ -946,8 +1104,13 @@ def from_document(raw: RawTables) -> NearRing:
 
 
 def load_nearring(path) -> NearRing:
+    """Read and validate the table document at ``path``.  ``parse_table``
+    streams it from the file, and nothing else holds the tables it returns,
+    so they are re-indexed in place: the load holds the two tables and
+    buffers of about ``_BLOCK`` bytes."""
     with open(path, "rb") as fh:
-        return from_document(parse_table(fh.read()))
+        raw = parse_table(fh)
+    return _validated(raw, copy=False)
 
 
 def to_document(ring: NearRing) -> dict:

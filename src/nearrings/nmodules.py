@@ -20,8 +20,8 @@ The N-ideal layer works over generating sets, with exact reductions:
   l in S_L, since the l that satisfy it are closed under +:
   r((l1+l2)+m) - rm = [r(l1+(l2+m)) - r(l2+m)] + [r(l2+m) - rm].
   When a check fails, ``_stage_scans`` runs the three exhaustive scans in
-  order for the first witness; ``classify`` runs them alone on each orbit
-  that ``orbit_is_N_ideal`` has already rejected.
+  order for the first witness; ``_rejected_orbit_verdict`` runs them alone,
+  once, on each orbit that ``orbit_is_N_ideal`` has already rejected.
 - ``_ideal_closure`` closes a seed set to the smallest N-ideal containing
   it.  It keeps its set closed under + semi-naively and sends only the
   generators it adds through the conjugate and r(l+m) - rm rules, which
@@ -210,7 +210,8 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     The reductions (module docstring) need the near-ring laws.  A
     ``NearRing`` built without validation may break them, so the check
     reads ``core.laws_hold`` first and falls back to ``is_N_ideal``, once
-    per distinct orbit, when they fail.  Otherwise r ranges over the
+    per distinct orbit, when they fail; the verdict of each orbit it rejects
+    is kept as ``_rejected_orbit_verdict``.  Otherwise r ranges over the
     generators whose row is not an endomorphism: for the others
     r(l+m) - rm = rl = (r*s)*a, in Na.
     """
@@ -219,7 +220,10 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
         rep, classes = regular_representation(ring), orbit_classes(ring)
         ok = np.zeros(ring.order, dtype=bool)
         for first in sorted(set(classes.tolist())):
-            ok[classes == first] = bool(is_N_ideal(rep, orbit(ring, "left", first)))
+            verdict = is_N_ideal(rep, orbit(ring, "left", first))
+            ok[classes == first] = bool(verdict)
+            if not verdict:  # the stage scans' verdict: keep it for the orbit
+                _rejected_orbit_verdict.keep(ring, verdict, first)
         return _seal(ok)
     orbits = orbit_masks(ring, "left")
     cols = np.arange(ring.order)
@@ -237,6 +241,17 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
             diff = add[rm[shifted], neg[rm]]                    # r(l+m) - rm
             ok &= orbits[cols[:, None], diff].all(axis=1)
     return _seal(ok)
+
+
+@memoized
+def _rejected_orbit_verdict(ring: NearRing, first: int) -> IdealVerdict:
+    """The stage scans' first witness on Na, for the first element a of an
+    orbit that ``orbit_is_N_ideal`` rejected, shared by every element with
+    that orbit; raises if they find none."""
+    verdict = _stage_scans(regular_representation(ring), orbit_masks(ring, "left")[first])
+    if verdict is None:
+        raise InvariantError(f"batch N-ideal test disagrees at element {first}")
+    return verdict
 
 
 def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:

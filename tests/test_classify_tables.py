@@ -264,9 +264,11 @@ def test_retract_orbits_fail_normality_only():
 
 def counting_stage_scans(calls):
     """``nmodules._stage_scans``, recording each scanned subset as a frozenset."""
+    scans = nmodules._stage_scans
+
     def counting(module, in_l):
         calls.append(frozenset(np.flatnonzero(in_l).tolist()))
-        return nmodules._stage_scans(module, in_l)
+        return scans(module, in_l)
     return counting
 
 
@@ -274,7 +276,7 @@ def test_is_N_ideal_runs_only_for_failing_orbits(monkeypatch):
     # The exhaustive stage scans of is_N_ideal, alone, give the first witness.
     ring = build_M0(_zn_group(4))
     calls = []
-    monkeypatch.setattr(classify, "_stage_scans", counting_stage_scans(calls))
+    monkeypatch.setattr(nmodules, "_stage_scans", counting_stage_scans(calls))
     for a in range(ring.order):
         is_left_morphic(ring, a)
     failing = [orbit(ring, "left", a) for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
@@ -306,7 +308,7 @@ def test_morphic_vector_checks_the_batch_N_ideal_test(monkeypatch):
     # A batch test that wrongly rejects an orbit must surface through the
     # left morphic vector, as through ``is_left_morphic``.
     ring = build_M0(_zn_group(4))
-    monkeypatch.setattr(classify, "_stage_scans", lambda module, in_l: None)
+    monkeypatch.setattr(nmodules, "_stage_scans", lambda module, in_l: None)
     with pytest.raises(InvariantError, match="batch N-ideal test disagrees at element"):
         check(ring, "prop2")
 
@@ -1032,13 +1034,36 @@ def test_shared_orbit_verdicts_match_per_element_test(name, seed):
 def test_morphic_vector_runs_is_N_ideal_once_per_distinct_failing_orbit(monkeypatch):
     ring = build_M0(_zn_group(4))
     calls = []
-    monkeypatch.setattr(classify, "_stage_scans", counting_stage_scans(calls))
+    monkeypatch.setattr(nmodules, "_stage_scans", counting_stage_scans(calls))
     classify.element_column(ring, "morphic")
     failing = [orbit(ring, "left", a) for a in np.flatnonzero(~orbit_is_N_ideal(ring))]
     assert calls == list(dict.fromkeys(failing))
     for a in range(ring.order):  # the per-element verdicts reuse them
         is_left_morphic(ring, a)
     assert len(calls) == 7
+
+
+def test_law_broken_copy_scans_each_rejected_orbit_once(monkeypatch):
+    # On a copy that breaks the laws, orbit_is_N_ideal's per-orbit fallback
+    # keeps the stage scans' verdict of each orbit it rejects, and the
+    # morphic column and the per-element verdicts reuse it.  Every binding
+    # of _stage_scans is counted.
+    ring = build_M0(_zn_group(4))
+    mul = ring.mul.copy()
+    mul[5, 7] = 3
+    ring = dataclasses.replace(ring, mul=mul)
+    calls = []
+    counting = counting_stage_scans(calls)
+    monkeypatch.setattr(nmodules, "_stage_scans", counting)
+    monkeypatch.setattr(classify, "_stage_scans", counting, raising=False)
+    column = classify.element_column(ring, "morphic")
+    verdicts = [is_left_morphic(ring, a) for a in range(ring.order)]
+    rejected = np.flatnonzero(~orbit_is_N_ideal(ring))
+    assert len(set(orbit(ring, "left", a) for a in rejected)) == len(calls) == 10
+    assert [bool(v) for v in verdicts] == column.tolist()
+    rep = regular_representation(ring)
+    for a in rejected:
+        assert verdicts[a].ideal_verdict == is_N_ideal(rep, orbit(ring, "left", a))
 
 
 def with_other_generators(ring, rng):
@@ -1110,12 +1135,12 @@ def test_stage_scans_match_is_N_ideal(name, seed, data):
         # The morphic path reads the same scans, and refuses a rejected
         # orbit on which they find nothing.
         first = int(nmodules.orbit_classes(ring)[a])
-        assert classify._rejected_orbit_verdict(ring, first) == \
+        assert nmodules._rejected_orbit_verdict(ring, first) == \
             is_N_ideal(rep, orbit(ring, "left", a))
         fresh = dataclasses.replace(ring)
-        with mock.patch.object(classify, "_stage_scans", lambda module, in_l: None), \
+        with mock.patch.object(nmodules, "_stage_scans", lambda module, in_l: None), \
                 pytest.raises(InvariantError, match="batch N-ideal test disagrees"):
-            classify._rejected_orbit_verdict(fresh, first)
+            nmodules._rejected_orbit_verdict(fresh, first)
 
 
 # ---------------------------------------------------------------------------

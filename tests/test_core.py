@@ -365,9 +365,9 @@ INVARIANT_BREAKS = {
     # for an orbit the batch test rejects (M0(Z4)) and for a subset whose
     # reduced check fails (Na with a = 4 in m0_z3).
     "morphic_batch_N_ideal": (
-        "import nearrings.classify as classify\n"
+        "import nearrings.nmodules as nmodules\n"
         "from nearrings.catalog import _zn_group\n"
-        "classify._stage_scans = lambda module, in_l: None\n"
+        "nmodules._stage_scans = lambda module, in_l: None\n"
         "nearrings.check(nearrings.build_M0(_zn_group(4)), 'prop2')\n",
         "batch N-ideal test disagrees at element"),
     "is_N_ideal_stage_scans": (

@@ -8,9 +8,11 @@ separators, the key order, the optional fields and non-ASCII strings, and
 take up to three edits: replace a number, insert text next to a bracket,
 comma, colon, brace or quote, right after a table or at the start of a key,
 or move a comma past the next number.  The same documents are read again in
-blocks of a few characters (``core._BLOCK`` patched), so that every table
-spans several blocks.
+blocks of a few bytes (``core._BLOCK`` patched), also through a file object
+that can or cannot seek and with an invalid UTF-8 sequence put in, so that
+every table, key and multi-byte character spans several blocks.
 """
+import io
 import json
 import re
 import tracemalloc
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearrings import core, load_nearring, parse_table
+from nearrings import core, from_document, load_nearring, parse_table
 from nearrings.core import (
     DEFAULT_ORDER_CAP,
     TABLE_FORMAT,
@@ -122,9 +124,11 @@ def documents(draw):
     text = document(n, draw(st.integers(0, 2**32 - 1)),
                     keys=draw(st.one_of(st.just(keys), st.permutations(keys))), labels=labels,
                     one=draw(st.integers(0, n)) if with_one else None,
-                    name=draw(st.sampled_from(("z", "né", "環"))),
+                    name=draw(st.sampled_from(("z", "né", "環", "𝔽"))),
                     style=draw(st.integers(0, len(STYLES) - 1)),
                     ensure_ascii=draw(st.booleans()))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(sorted(SITES) + ["shift"]))
         pairs = list(re.finditer(r"(\d+)[ \t\n\r]*,[ \t\n\r]*(\d+)", text))
@@ -157,6 +161,83 @@ def test_reader_matches_the_json_parser_in_small_blocks(data, block):
         assert outcome(parse_table, data) == outcome(reference_parse_table, data)
 
 
+class Pipe(io.BytesIO):
+    """A binary file that cannot seek, like a pipe or ``/dev/stdin``."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+# Invalid UTF-8: a stray continuation byte, a lead byte without its
+# continuation, a cut 3-byte sequence (at the end, unexpected end of data),
+# and an encoded surrogate.
+BAD_UTF8 = (b"\x80", b"\xc3", b"\xe6\x97", b"\xed\xa0\x80")
+
+
+@given(documents(), st.integers(1, 7), st.sampled_from((io.BytesIO, Pipe)),
+       st.one_of(st.none(), st.tuples(st.sampled_from(BAD_UTF8), st.floats(0, 1))))
+@settings(max_examples=1500, deadline=None)
+def test_reader_matches_the_json_parser_through_a_file(data, block, kind, bad):
+    # Read a few bytes at a time, every multi-byte character, key and row
+    # spans blocks; an error has the same line, column and position.
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    if bad:
+        at = int(bad[1] * len(raw))
+        raw = raw[:at] + bad[0] + raw[at:]
+    with mock.patch.object(core, "_BLOCK", block):
+        assert outcome(parse_table, kind(raw)) == outcome(reference_parse_table, raw)
+
+
+def crlf_document(n=6, keys=("format", "name", "order", "add", "mul", "labels", "one")):
+    """An indent=1 document with CRLF line ends, a name of one-, two-,
+    three- and four-byte characters, and ``labels`` after both tables."""
+    text = document(n, 9, keys=list(keys), labels=True, one=1, name="zé環𝔽", style=2,
+                    ensure_ascii=False)
+    return text.replace("\n", "\r\n")
+
+
+# Errors after both tables, from the json scanner on a member or a key (the
+# error is placed in the whole document) and from json.loads (a document
+# that the walk hands over whole).
+AFTER_THE_TABLES = {
+    "control character in a label": lambda text: text.replace('"zé環𝔽1"', '"zé環\x01𝔽1"'),
+    "invalid escape in a key": lambda text: text.replace('"one"', '"o\\qe"'),
+    "cut inside labels": lambda text: text[:text.index('"zé環𝔽3"')],
+    "bad token for one": lambda text: text.replace('"one": 1', '"one": tru'),
+    "text after the object": lambda text: text + " x",
+}
+
+
+@pytest.mark.parametrize("block", range(1, 8))
+@pytest.mark.parametrize("edit", AFTER_THE_TABLES.values(), ids=AFTER_THE_TABLES.keys())
+def test_errors_after_the_tables_keep_line_and_column(edit, block, monkeypatch):
+    text = edit(crlf_document())
+    expected = outcome(reference_parse_table, text)
+    assert expected[0] is TableFormatError and re.search(r"line \d+ column \d+", expected[1])
+    assert int(re.search(r"line (\d+)", expected[1])[1]) > 6 * 2  # past both tables
+    monkeypatch.setattr(core, "_BLOCK", block)
+    for data in (text, text.encode("utf-8"), io.BytesIO(text.encode("utf-8")),
+                 Pipe(text.encode("utf-8"))):
+        assert outcome(parse_table, data) == expected
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, core._BLOCK])
+@pytest.mark.parametrize("where", ["name", "labels"], ids=["before the tables", "after the tables"])
+@pytest.mark.parametrize("bad", BAD_UTF8)
+def test_invalid_utf8_gives_the_whole_documents_error(bad, where, block, monkeypatch):
+    raw = crlf_document().encode("utf-8")
+    at = raw.index("環".encode("utf-8"), raw.index(b'"labels"') if where == "labels" else 0)
+    raw = raw[:at] + bad + raw[at:]
+    expected = outcome(reference_parse_table, raw)
+    assert expected[0] is UnicodeDecodeError
+    monkeypatch.setattr(core, "_BLOCK", block)
+    for data in (raw, io.BytesIO(raw), Pipe(raw)):
+        assert outcome(parse_table, data) == expected
+
+
 @pytest.mark.parametrize("block", SMALL_BLOCKS)
 @pytest.mark.parametrize("style", range(len(STYLES)))
 def test_tables_span_many_blocks(style, block, monkeypatch):
@@ -167,7 +248,7 @@ def test_tables_span_many_blocks(style, block, monkeypatch):
     monkeypatch.setattr(core, "_block_numbers", lambda chars, out: blocks.append(len(out))
                         or decode(chars, out))
     monkeypatch.setattr(core, "_BLOCK", block)
-    doc = _read_document(text)
+    doc = _read_document(*core._open(text))
     for key in ("add", "mul"):
         assert isinstance(doc[key], np.ndarray) and doc[key].tolist() == json.loads(text)[key]
     assert sum(blocks) == 2 * n * n and len(blocks) >= (2 * n if block < 64 else 4)
@@ -207,7 +288,7 @@ def test_a_table_cut_short_decodes_no_block(style, block, monkeypatch):
     monkeypatch.setattr(core, "_block_numbers", lambda chars, out: calls.append(len(out)))
     monkeypatch.setattr(core, "_BLOCK", block)
     start = re.search(r'"mul":\s*', text).end()
-    assert core._read_table(text, start, 40) is None
+    assert core._read_table(io.BytesIO(text.encode()), start, 40) is None
     assert calls == []
 
 
@@ -250,11 +331,26 @@ def test_documents_with_order_first_take_the_reader(style, ensure_ascii):
     # Non-ASCII names and labels must not send a document to json.loads.
     text = document(12, 7, labels=True, one=3, name="né環", style=style,
                     ensure_ascii=ensure_ascii)
-    doc = _read_document(text)
+    doc = _read_document(*core._open(text))
     assert doc is not None and doc == {**json.loads(text), "add": doc["add"], "mul": doc["mul"]}
     for key in ("add", "mul"):
         assert isinstance(doc[key], np.ndarray) and not doc[key].flags.writeable
         assert doc[key].tolist() == json.loads(text)[key]
+
+
+@pytest.mark.parametrize("block", range(1, 8))
+@pytest.mark.parametrize("style", range(len(STYLES)))
+def test_documents_in_small_blocks_take_the_reader(style, block, monkeypatch):
+    # A number, key or multi-byte character cut at the end of the scanner's
+    # window is read again on a longer one, not handed to json.loads.
+    for keys in (None, ["format", "one", "order", "name", "labels", "add", "mul"]):
+        text = document(12, 7, keys=keys, labels=True, one=11, name="zé環𝔽", style=style,
+                        ensure_ascii=False).replace("\n", "\r\n")
+        monkeypatch.setattr(core, "_BLOCK", block)
+        for data in (text, Pipe(text.encode("utf-8"))):
+            doc = _read_document(*core._open(data))
+            assert doc is not None
+            assert doc == {**json.loads(text), "add": doc["add"], "mul": doc["mul"]}
 
 
 @pytest.mark.parametrize("text", [
@@ -267,7 +363,7 @@ def test_documents_with_order_first_take_the_reader(style, ensure_ascii):
     % ("1" * 5000),
 ], ids=["order after the tables", "deep nesting", "5000-digit order", "5000-digit entry"])
 def test_other_documents_fall_back(text):
-    assert _read_document(text) is None
+    assert _read_document(*core._open(text)) is None
 
 
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data(),
@@ -279,14 +375,15 @@ def test_put_first_matches_the_fancy_index(n, seed, data, row_blocks):
     old = np.concatenate(([e], np.arange(e), np.arange(e + 1, n)))  # new -> old
     new = np.empty_like(old)                                        # old -> new
     new[old] = np.arange(n)
+    expected = new[t[old[:, None], old]]
     with mock.patch.object(core, "_TEMP_BYTES", 1 if row_blocks else core._TEMP_BYTES):
-        assert np.array_equal(_put_first(t, e), new[t[old[:, None], old]])
+        assert _put_first(t, e) is t  # in place
+    assert np.array_equal(t, expected)
 
 
-def test_loading_stays_within_its_memory_budget(tmp_path):
-    # Z_384 relabelled so that its identity is not at index 0: reading,
-    # re-indexing and validation all run.
-    n = 384
+def relabelled_zn_document(n: int) -> str:
+    """Z_n relabelled so that its identity is not at index 0, as a compact
+    document: reading, re-indexing and validation all run."""
     p = np.random.default_rng(2).permutation(n)  # element x of Z_n has index p[x]
     assert p[0] != 0
     x = np.arange(n)
@@ -294,17 +391,32 @@ def test_loading_stays_within_its_memory_budget(tmp_path):
     for key, op in (("add", np.add), ("mul", np.multiply)):
         tables[key] = np.empty((n, n), dtype=np.int64)
         tables[key][p[:, None], p] = p[op.outer(x, x) % n]
-    text = json.dumps({"format": TABLE_FORMAT, "name": "z384", "order": n,
+    return json.dumps({"format": TABLE_FORMAT, "name": f"z{n}", "order": n,
                        **{k: t.tolist() for k, t in tables.items()}}, separators=(",", ":"))
-    path = tmp_path / "z384.json"
-    path.write_text(text)
-    tracemalloc.start()
-    try:
-        ring = load_nearring(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ring.one is not None and ring.is_ring()
-    # The text and its decode, four n x n tables at two bytes an entry (read
-    # and re-indexed), and 512 KiB for the rest: a wider dtype fails.
-    assert peak < 2 * len(text) + 4 * n * n * 2 + (1 << 19)
+
+
+def test_loading_stays_within_its_memory_budget(tmp_path):
+    for n in (384, 1024):
+        path = tmp_path / f"z{n}.json"
+        path.write_text(relabelled_zn_document(n))
+        tracemalloc.start()
+        try:
+            ring = load_nearring(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ring.one is not None and ring.is_ring()
+        # The two n x n tables at two bytes an entry, re-indexed in place,
+        # the n x n bool table of one law scan, and 512 KiB for the rest
+        # (the reader's and the scans' blocks), whatever the length of the
+        # text: a wider dtype, a copy of the tables or the text held fails.
+        assert peak < 2 * n * n * 2 + n * n + (1 << 19), n
+
+
+def test_from_document_leaves_its_input_unchanged():
+    raw = parse_table(relabelled_zn_document(12))
+    add, mul = raw.add.copy(), raw.mul.copy()
+    ring = from_document(raw)
+    assert ring.one is not None and ring.is_ring() and not np.array_equal(ring.add, add)
+    for t, before in ((raw.add, add), (raw.mul, mul)):
+        assert np.array_equal(t, before) and not t.flags.writeable
