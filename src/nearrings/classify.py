@@ -11,12 +11,12 @@ Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
 ``core.laws_hold``, stored by validation, and tests each distinct orbit on
 its own when the table breaks them).  The morphic witness scan,
 subcommutativity (Na = aN), weak divisibility (b in Na or a in Nb) and IFP
-(ab = 0 implies aN in (0:b)) compare rows of these tables; each still
-reports the first witness in ascending scan order.  An Na that the batch test
-rejects gets its first witness from the stage scans of ``nmodules`` alone, once
-per distinct orbit (``orbit_classes``, ``nmodules._rejected_orbit_verdict``),
-shared by every element with that orbit; stage scans that find no witness
-there raise ``InvariantError``.
+(ab = 0 implies aN in (0:b), once per pair of distinct rows) compare rows of
+these tables; each still reports the first witness in ascending scan order.
+An Na that the batch test rejects gets its first witness from the stage
+scans of ``nmodules``, once per distinct orbit (``orbit_classes``,
+``nmodules._rejected_orbit_verdict``), shared by every element with that
+orbit; stage scans that find no witness there raise ``InvariantError``.
 Left duo is decided on the distinct principal ideals
 (``nmodules.principal_ideals``, one closure per distinct seed set, none
 where P(a) = Na); the comment in ``structure_profile`` shows why the first
@@ -24,9 +24,9 @@ ideal that is not two-sided is a principal one.
 
 Each per-element fact is one read-only vector over the whole ring,
 ``element_column(ring, name)``, computed on first read, kept in the ring's
-``derived`` cache and not capped by order; a witness vector holds the least
-witness, or -1 where there is none.  The profiles and the theorem cells
-read these vectors.
+``derived`` cache; no column or profile is capped by order.  A witness
+vector holds the least witness, or -1 where there is none.  The profiles and
+the theorem cells read these vectors.
 """
 from __future__ import annotations
 
@@ -36,8 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (CapExceeded, NearRing, _first_hit, _first_rows, _row_classes, _seal,
-                   memoized)
+from .core import NearRing, _first_hit, _first_rows, _row_blocks, _row_classes, _seal, memoized
 from .nmodules import (
     IDEAL_ENUM_ORDER_CAP,
     IdealVerdict,
@@ -56,9 +55,6 @@ from .nmodules import (
     _quotient,
     _rejected_orbit_verdict,
 )
-
-CLASSIFY_ORDER_CAP = 256
-
 
 class NonUnitalError(ValueError):
     """Operation needs a unity and the near-ring has none."""
@@ -157,6 +153,21 @@ def _nilpotency(ring: NearRing) -> np.ndarray:
     return nilpotency
 
 
+def _meets(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """n x n bool table: [a, b] says whether row a of ``rows`` and row b of
+    ``cols`` (n x n bool) share a True column.  It is decided once per pair of
+    distinct rows (``_row_classes``), packed to bits and ANDed in row blocks:
+    O(R*C*n/8 + n^2) for R and C distinct rows."""
+    packed_rows, packed_cols = np.packbits(rows, axis=1), np.packbits(cols, axis=1)
+    firsts_r, at_r = np.unique(_row_classes(packed_rows), return_inverse=True)
+    firsts_c, at_c = np.unique(_row_classes(packed_cols), return_inverse=True)
+    packed_rows, packed_cols = packed_rows[firsts_r], packed_cols[firsts_c]
+    meets = np.empty((len(firsts_r), len(firsts_c)), dtype=bool)
+    for block in _row_blocks(len(firsts_r), packed_cols.size):
+        meets[block] = (packed_rows[block, None] & packed_cols).any(axis=2)
+    return meets[at_r[:, None], at_c]
+
+
 def _morphic_witnesses(ring: NearRing) -> np.ndarray:
     """Per a, the least b with Na = (0:b) and Nb = (0:a), or -1.
 
@@ -238,8 +249,6 @@ def element_profile(ring: NearRing, a: int) -> ElementProfile:
 
 @memoized
 def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
-    if ring.order > CLASSIFY_ORDER_CAP:
-        raise CapExceeded(f"classification limited to order {CLASSIFY_ORDER_CAP}")
     n, unital = ring.order, ring.one is not None
     col = functools.partial(element_column, ring)
     inv = _or_none(col("inverse")) if unital else [None] * n
@@ -305,8 +314,6 @@ class StructureProfile:
 
 @memoized
 def structure_profile(ring: NearRing) -> StructureProfile:
-    if ring.order > CLASSIFY_ORDER_CAP:
-        raise CapExceeded(f"classification limited to order {CLASSIFY_ORDER_CAP}")
     n, mul = ring.order, ring.mul
     unital = ring.one is not None
     col = functools.partial(element_column, ring)
@@ -330,8 +337,7 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     left, right = orbit_masks(ring, "left"), orbit_masks(ring, "right")
     # IFP: ab = 0 implies aNb = 0, i.e. aN lies in (0:b).  The first (a, b)
     # in row-major order that breaks it, then the least x with (ax)b != 0.
-    outside = right.astype(np.int32) @ (~annihilator_masks(ring, "left")).T.astype(np.int32)
-    bad = _first_hit((mul == 0) & (outside > 0))
+    bad = _first_hit((mul == 0) & _meets(right, ~annihilator_masks(ring, "left")))
     if bad is not None:
         a, b = bad
         x, = _first_hit(mul[mul[a], b] != 0)

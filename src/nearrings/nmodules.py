@@ -12,16 +12,16 @@ modules are small and the scan stays exact for any ring.
 
 The N-ideal layer works over generating sets, with exact reductions:
 
-- ``is_N_ideal`` checks L + L in L on all pairs, then normality and the
-  N-ideal condition over a greedy generating set S_L of the subgroup L.
-  Normality needs only x in gens(M) and l in S_L: conjugation by x is an
+- ``is_N_ideal`` runs the stage scans (``_stage_scans``): L + L in L on
+  all pairs, then normality over every x of M and the N-ideal condition
+  over every r of N, row by row with l over a greedy generating set S_L of
+  L only.  A row passes on S_L iff it passes on L: conjugation by x is an
   endomorphism, so it maps L = <S_L> into L once it maps S_L there, and the
-  x that normalise L form a subgroup.  The N-ideal condition needs only
-  l in S_L, since the l that satisfy it are closed under +:
+  l that satisfy the N-ideal condition for one r are closed under +:
   r((l1+l2)+m) - rm = [r(l1+(l2+m)) - r(l2+m)] + [r(l2+m) - rm].
-  When a check fails, ``_stage_scans`` runs the three exhaustive scans in
-  order for the first witness; ``_rejected_orbit_verdict`` runs them alone,
-  once, on each orbit that ``orbit_is_N_ideal`` has already rejected.
+  So the first failing row is the exhaustive scan's; its first witness is
+  read over all of L.  ``_rejected_orbit_verdict`` runs the scans once on
+  each orbit that ``orbit_is_N_ideal`` has already rejected.
 - ``_ideal_closure`` closes a seed set to the smallest N-ideal containing
   it.  It keeps its set closed under + semi-naively and sends only the
   generators it adds through the conjugate and r(l+m) - rm rules, which
@@ -68,7 +68,7 @@ A near-ring built without validation need not satisfy the laws, so
 laws fail, ``orbit_is_N_ideal`` runs ``is_N_ideal`` once per distinct
 orbit (``orbit_classes``) and ``principal_ideals`` closes every element on
 its own.  ``is_N_ideal`` takes arbitrary actions, so it keeps r over all
-of N.
+of N; its reductions over S_L need only the group laws of M.
 """
 from __future__ import annotations
 
@@ -80,8 +80,8 @@ import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
                    _check_table, _extend_closure, _first_hit, _first_violation, _generators,
-                   _row_classes, _seal, _Tables, endomorphism_rows, group_generators, laws_hold,
-                   memoized, validate_group)
+                   _row_blocks, _row_classes, _seal, _Tables, endomorphism_rows,
+                   group_generators, laws_hold, memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -263,32 +263,29 @@ def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 def is_N_ideal(module: NModule, subset) -> IdealVerdict:
-    """Decide the three conditions in order: subgroup, normal, N-ideal.
+    """Decide the three conditions in order: subgroup, normal, N-ideal, with
+    the first witness of the first that fails (``_stage_scans``)."""
+    verdict = _stage_scans(module, _index_mask(module.carrier.order, subset))
+    return IdealVerdict("N_ideal") if verdict is None else verdict
 
-    Closure under + is checked on all pairs, normality and the N-ideal
-    condition over generators (module docstring); when a check fails,
-    ``_stage_scans`` finds the first witness in ascending scan order.
-    """
-    in_l = _index_mask(module.carrier.order, subset)
-    madd, mneg, mem = module.carrier.add, module.carrier.neg, np.flatnonzero(in_l)
-    if in_l[0] and in_l[madd[mem[:, None], mem]].all():
-        gens_l = _subgroup_generators(madd, mem)
-        gens_m = np.array(group_generators(module.carrier), dtype=np.int64)
-        act = module.action.astype(np.intp)  # an index below: cast once
-        normal = in_l[madd[madd[gens_m[:, None], gens_l], mneg[gens_m][:, None]]].all()  # x+l-x
-        if normal and in_l[madd[act[:, madd[gens_l]], mneg[act][:, None]]].all():  # r(l+m) - rm
-            return IdealVerdict("N_ideal")
-    verdict = _stage_scans(module, in_l)
-    if verdict is None:
-        raise InvariantError("N-ideal test fails on generators but no exhaustive scan fails")
-    return verdict
+
+def _first_hit_in_blocks(bad, rows: int, row_bytes: int) -> Optional[tuple[int, ...]]:
+    """``_first_hit`` over ``rows`` rows, one block at a time: ``bad(idx)``
+    gives the bool table of the rows ``idx``, ``row_bytes`` bytes a row of
+    its largest temporary (``core._row_blocks``; none for an empty table)."""
+    for block in _row_blocks(rows, max(row_bytes, 1)):
+        idx = np.arange(block.start, min(block.stop, rows))
+        hit = _first_hit(bad(idx))
+        if hit:
+            return (int(idx[hit[0]]), *hit[1:])
+    return None
 
 
 def _stage_scans(module: NModule, in_l: np.ndarray) -> Optional[IdealVerdict]:
-    """The exhaustive scans of the bool mask ``in_l``, in order: 0 and
-    L + L in L, x + l - x in L for every x, r(l+m) - rm in L for every r.
-    The first failing stage's first witness in ascending scan order, or None
-    when L is an N-ideal."""
+    """The scans of the bool mask ``in_l``, in order: 0 and L + L in L,
+    x + l - x in L for every x, r(l+m) - rm in L for every r, the last two
+    row by row over S_L (module docstring).  The first failing stage's first
+    witness in ascending scan order, or None when L is an N-ideal."""
     if not in_l[0]:
         return IdealVerdict("not_subgroup", (0,))
     madd, mneg, mem = module.carrier.add, module.carrier.neg, np.flatnonzero(in_l)
@@ -297,18 +294,29 @@ def _stage_scans(module: NModule, in_l: np.ndarray) -> Optional[IdealVerdict]:
     if bad:
         i, j = bad
         return IdealVerdict("not_subgroup", (members[i], members[j]))
-    bad = _first_hit(~in_l[madd[madd[:, mem], mneg[:, None]]])  # x + l - x
-    if bad:
-        x, i = bad
-        return IdealVerdict("not_normal", (x, members[i]))
-    act = module.action.astype(np.intp)  # an index below: cast once
-    minus_rm = mneg.astype(np.intp)[act]                        # (n, m): -rm
-    w = _first_violation(lambda r: ~in_l[madd[act[r, madd[mem]], minus_rm[r]]],  # r(l+m) - rm
-                         range(module.ring.order))
-    if w is not None:
-        r, li, x = w
-        return IdealVerdict("not_N_ideal", (r, members[li], x))
-    return None
+    gens_l = _subgroup_generators(madd, mem)
+
+    def first_witness(bad, rows: int, width: int) -> Optional[tuple[int, ...]]:
+        # The first row that fails over S_L, then its first witness over L.
+        hit = _first_hit_in_blocks(lambda idx: bad(idx, gens_l), rows, 8 * len(gens_l) * width)
+        if hit is None:
+            return None
+        row = np.array(hit[:1])
+        li, *rest = _first_hit_in_blocks(lambda ls: bad(row, mem[ls])[0], len(mem), 8 * width)
+        return (hit[0], members[li], *rest)
+
+    w = first_witness(lambda xs, ls: ~in_l[madd[madd[xs[:, None], ls], mneg[xs][:, None]]],
+                      len(madd), 1)                                     # x + l - x
+    if w:
+        return IdealVerdict("not_normal", w)
+    neg = mneg.astype(np.intp)
+
+    def stage(rs, ls):  # r(l+m) - rm, the block of rows cast to intp once
+        act = module.action[rs].astype(np.intp)
+        return ~in_l[madd[act[:, madd[ls]], neg[act][:, None]]]
+
+    w = first_witness(stage, module.ring.order, len(madd))
+    return None if w is None else IdealVerdict("not_N_ideal", w)
 
 
 def right_escape(ring: NearRing, subset) -> Optional[tuple[int, int]]:
@@ -384,7 +392,7 @@ def principal_ideals(ring: NearRing) -> np.ndarray:
     return _seal(table)
 
 
-def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[frozenset[int]]:
+def enumerate_left_ideals(ring: NearRing) -> list[frozenset[int]]:
     """All N-ideals of the regular representation; ascending by size then
     lexicographic.
 
@@ -403,8 +411,6 @@ def enumerate_left_ideals(ring: NearRing, cap: Optional[int] = None) -> list[fro
         if key in found:
             return False
         found[key] = mask
-        if cap is not None and len(found) > cap:
-            raise CapExceeded(f"ideal count exceeds cap {cap} ({len(found)} found so far)")
         return True
 
     principal = []  # (a, members of the ideal a generates), one per distinct ideal

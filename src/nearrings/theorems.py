@@ -12,7 +12,8 @@ catalog entry declares that shared hypothesis as its gate (none, unity, the
 convention, or the convention and left strong regularity), and ``check``
 applies the gate before the entry runs: a ring that fails it is
 not_applicable with the gate's note.  Hypotheses of one entry alone stay in
-that entry.
+that entry, and so do size limits: ``lemma1_equiv`` and ``prop226`` are
+not_applicable above their own order limits, and no other cell has one.
 
 Entries read the whole-ring tables: rows of the orbit and annihilator masks
 and the per-element vectors of ``classify.element_column``.  A scan over the
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CapExceeded, NearRing, _first_hit, laws_hold, same_tables
+from .core import NearRing, _first_hit, laws_hold, same_tables
 from .catalog import builtin
 from .classify import element_column, inner_products, structure_profile, _algorithm_I
 from .nmodules import (
@@ -495,16 +496,12 @@ def theorem_description(theorem_id: str) -> str:
 
 
 def check(ring: NearRing, theorem_id: str) -> TheoremReport:
-    """Evaluate one entry: its gate, then its cell.  A size limit on the way
-    is not_applicable."""
+    """Evaluate one entry: its gate, then its cell."""
     if theorem_id not in _CATALOG:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     _, gate, cell = _CATALOG[theorem_id]
-    try:
-        note = gate(ring) if gate else None
-        return _na(theorem_id, note) if note else cell(ring, theorem_id)
-    except CapExceeded as exc:
-        return _na(theorem_id, str(exc))
+    note = gate(ring) if gate else None
+    return _na(theorem_id, note) if note else cell(ring, theorem_id)
 
 
 @dataclass(frozen=True)
@@ -558,10 +555,7 @@ def run_suite(corpus, ids=None) -> SuiteReport:
                                                   ((), f"{type(exc).__name__}: {exc}"))))
     lsr, lmr, ur = [], [], []
     for name, ring in corpus:
-        try:
-            sp = structure_profile(ring)
-        except CapExceeded:
-            continue
+        sp = structure_profile(ring)
         if sp.left_strongly_regular:
             lsr.append(name)
         if sp.left_morphic and sp.regular:

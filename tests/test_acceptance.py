@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end criteria with explicit runtime bounds.
+"""Acceptance gate: nine end-to-end criteria with explicit runtime bounds.
 
 Each test prints a single summary line so a verbose run doubles as an
 acceptance report.  Timing bounds are wall-clock on the current process
@@ -11,6 +11,7 @@ import time
 
 from nearrings import (
     annihilator,
+    build_product,
     builtin,
     default_corpus,
     is_N_ideal,
@@ -25,7 +26,9 @@ from nearrings.classify import (
     structure_profile,
     units,
 )
+from nearrings.catalog import _zn_group
 from nearrings.cli import main
+from nearrings.core import build_M0
 from nearrings.nmodules import enumerate_left_ideals, is_ideal
 from nearrings.theorems import check, _algorithm_I
 
@@ -218,3 +221,21 @@ def test_criterion_8_deterministic_verify():
     assert json.loads(runs[0])["aggregate"] == "pass"
     elapsed = time.perf_counter() - t0
     report(8, elapsed)
+
+
+def test_criterion_9_classify_order_1024():
+    # Tables of order 1024, above the ideal-enumeration limit of 64: every
+    # profile and every theorem cell gives a verdict.
+    corpus = [("m0_z4 x z16", build_product((build_M0(_zn_group(4)), builtin("zn_ring(16)")))),
+              ("z32 x z32", build_product((builtin("zn_ring(32)"),) * 2))]
+    t0 = time.perf_counter()
+    for name, ring in corpus:
+        assert len(all_element_profiles(ring)) == 1024
+        sp = structure_profile(ring)
+        assert (sp.is_ring, sp.left_duo, sp.verdict()) == (name == "z32 x z32", None, "not regular")
+    suite = run_suite(corpus)
+    assert {cell.status for _, cell in suite.cells} <= {"pass", "not_applicable"}
+    assert suite.aggregate == "pass"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 15.0
+    report(9, elapsed)

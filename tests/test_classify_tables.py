@@ -15,7 +15,7 @@ import random
 import re
 import types
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from unittest import mock
 
 import numpy as np
@@ -44,8 +44,8 @@ import nearrings.classify as classify
 import nearrings.nmodules as nmodules
 import nearrings.theorems as theorems
 from nearrings.classify import all_element_profiles, units
-from nearrings.core import (_additive, _generators, _holds, _laws_hold, build_M0, build_product,
-                            group_generators)
+from nearrings.core import (_additive, _first_hit, _generators, _holds, _laws_hold, build_M0,
+                            build_product, group_generators)
 from test_fast_ideals import reference_is_N_ideal, subgroup
 from nearrings.nmodules import (IDEAL_ENUM_ORDER_CAP, NModule, _cyclic_generator,
                                 generated_submodule, orbit_is_N_ideal)
@@ -226,6 +226,54 @@ def test_structure_flags_and_witnesses(name, seed):
         tuple(key not in ref for key in TABLE_KEYS)
     others = {k: v for k, v in sp.witnesses.items() if k not in TABLE_KEYS}
     assert sp.witnesses == {**others, **ref}
+
+
+def reference_ifp(ring):
+    """The first IFP witness (a, x, b), or None, by an int32 matmul:
+    outside[a, b] counts the members of aN outside (0:b)."""
+    mul = ring.mul
+    right = nmodules.orbit_masks(ring, "right")
+    outside = right.astype(np.int32) @ (~nmodules.annihilator_masks(ring, "left")).T.astype(np.int32)
+    bad = _first_hit((mul == 0) & (outside > 0))
+    if bad is not None:
+        a, b = bad
+        x, = _first_hit(mul[mul[a], b] != 0)
+        bad = (a, x, b)
+    return bad
+
+
+# Every aN is distinct in the projection products (R = n, two annihilators),
+# and every aN and every (0:b) in F2^8, whose pairs fill many row blocks.
+IFP_EXTRA = {"dproj_32": lambda: dihedral_projection(32),
+             "f2^8": lambda: build_product([builtin("zn_ring(2)")] * 8)}
+
+
+@lru_cache(maxsize=None)
+def ifp_ring(name):
+    return IFP_EXTRA[name]() if name in IFP_EXTRA else ring_named(name)
+
+
+def test_ifp_family_has_only_distinct_rows():
+    for name in ("dproj_3", "dproj_4", "dproj_32", "f2^8"):
+        ring = ifp_ring(name)
+        right = np.packbits(nmodules.orbit_masks(ring, "right"), axis=1)
+        assert len(np.unique(right, axis=0)) == ring.order, name
+    anns = np.packbits(nmodules.annihilator_masks(ifp_ring("f2^8"), "left"), axis=1)
+    assert len(np.unique(anns, axis=0)) == 256
+
+
+@given(name=st.sampled_from(RING_NAMES + tuple(IFP_EXTRA)),
+       seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ifp_matches_the_matmul(name, seed, data):
+    # Relabelled rings, and copies with up to three ``mul`` entries
+    # overwritten without validation.
+    ring = relabelled(ifp_ring(name), seed)
+    n = ring.order
+    for _ in range(data.draw(st.integers(0, 3))):
+        ring = with_entry(ring, *(data.draw(st.integers(0, n - 1)) for _ in range(3)))
+    sp, bad = structure_profile(ring), reference_ifp(ring)
+    assert (sp.has_ifp, sp.witnesses.get("has_ifp")) == (bad is None, bad)
 
 
 @ring_and_seed
@@ -1045,9 +1093,10 @@ def test_morphic_vector_runs_is_N_ideal_once_per_distinct_failing_orbit(monkeypa
 
 def test_law_broken_copy_scans_each_rejected_orbit_once(monkeypatch):
     # On a copy that breaks the laws, orbit_is_N_ideal's per-orbit fallback
-    # keeps the stage scans' verdict of each orbit it rejects, and the
-    # morphic column and the per-element verdicts reuse it.  Every binding
-    # of _stage_scans is counted.
+    # runs the stage scans once on each distinct orbit, accepted or
+    # rejected, and keeps the verdict of each orbit it rejects; the morphic
+    # column and the per-element verdicts reuse it.  Every binding of
+    # _stage_scans is counted.
     ring = build_M0(_zn_group(4))
     mul = ring.mul.copy()
     mul[5, 7] = 3
@@ -1059,27 +1108,37 @@ def test_law_broken_copy_scans_each_rejected_orbit_once(monkeypatch):
     column = classify.element_column(ring, "morphic")
     verdicts = [is_left_morphic(ring, a) for a in range(ring.order)]
     rejected = np.flatnonzero(~orbit_is_N_ideal(ring))
-    assert len(set(orbit(ring, "left", a) for a in rejected)) == len(calls) == 10
+    assert len(set(orbit(ring, "left", a) for a in rejected)) == 10
+    distinct = set(orbit(ring, "left", a) for a in range(ring.order))
+    assert len(calls) == len(set(calls)) == len(distinct) == 15
+    assert set(calls) == distinct
     assert [bool(v) for v in verdicts] == column.tolist()
     rep = regular_representation(ring)
     for a in rejected:
         assert verdicts[a].ideal_verdict == is_N_ideal(rep, orbit(ring, "left", a))
 
 
-def with_other_generators(ring, rng):
-    """A copy of ``ring`` on a copy of its group whose stored generating set
-    of (N,+) is greedy over a random order of the elements, not ascending,
-    so that a first witness that is not a generator can be told apart."""
-    add = ring.add.tolist()
-    rest = list(range(1, ring.order))
+def random_greedy_generators(add, members, rng):
+    """A generating set of the subgroup ``members`` of the group with the
+    addition table ``add``, greedy over a random order of the members, not
+    ascending, so that a first witness that is not a generator can be told
+    apart."""
+    add, rest = add.tolist(), [x for x in members.tolist() if x]
     rng.shuffle(rest)
     reached, gens = {0}, []
     for x in rest:
         if x not in reached:
             gens.append(x)
             reached = subgroup(add, reached | {x})
+    return np.array(gens, dtype=np.int64)
+
+
+def with_other_generators(ring, rng):
+    """A copy of ``ring`` on a copy of its group whose stored generating set
+    of (N,+) is ``random_greedy_generators``."""
     group = dataclasses.replace(ring.group)
-    group_generators.keep(group, gens)
+    group_generators.keep(group, random_greedy_generators(ring.add, np.arange(ring.order),
+                                                          rng).tolist())
     return dataclasses.replace(ring, group=group)
 
 
@@ -1095,11 +1154,12 @@ NON_ABELIAN = ("dproj_3", "dproj_4", "dretract_3", "dretract_4", "dretract_6", "
        seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_stage_scans_match_is_N_ideal(name, seed, data):
-    # The exhaustive stage scans alone return is_N_ideal's verdict wherever
-    # it rejects and None exactly where it accepts; both match the
-    # element-by-element oracle, also over a generating set of (N,+) that is
-    # not the ascending greedy one.  Scrambled copies (built without
-    # validation) often change row 0, the only row where r = 0 can fail.
+    # The stage scans return is_N_ideal's verdict wherever it rejects and
+    # None exactly where it accepts; both match the element-by-element
+    # oracle, also over generating sets of (N,+) and of L that are not the
+    # ascending greedy ones (over those, the first failing l of a row is
+    # always a generator).  Scrambled copies (built without validation)
+    # often change row 0, the only row where r = 0 can fail.
     ring = relabelled(ring_named(name), seed)
     n = ring.order
     rng = random.Random(seed)
@@ -1127,10 +1187,13 @@ def test_stage_scans_match_is_N_ideal(name, seed, data):
         subset.discard(0)
     rep = regular_representation(ring)
     expected, in_l = reference_is_N_ideal(rep, subset), np.isin(np.arange(n), list(subset))
-    for module in (rep, regular_representation(with_other_generators(ring, rng))):
-        verdict = is_N_ideal(module, subset)
-        assert (verdict.kind, verdict.witness) == expected
-        assert nmodules._stage_scans(module, in_l) == (None if verdict else verdict)
+    other = regular_representation(with_other_generators(ring, rng))
+    shuffled = partial(random_greedy_generators, rng=rng)
+    for module, gens_l in ((rep, nmodules._subgroup_generators), (other, shuffled)):
+        with mock.patch.object(nmodules, "_subgroup_generators", gens_l):
+            verdict = is_N_ideal(module, subset)
+            assert (verdict.kind, verdict.witness) == expected
+            assert nmodules._stage_scans(module, in_l) == (None if verdict else verdict)
     if kind == "left orbit" and not orbit_is_N_ideal(ring)[a]:
         # The morphic path reads the same scans, and refuses a rejected
         # orbit on which they find nothing.
@@ -1141,6 +1204,18 @@ def test_stage_scans_match_is_N_ideal(name, seed, data):
         with mock.patch.object(nmodules, "_stage_scans", lambda module, in_l: None), \
                 pytest.raises(InvariantError, match="batch N-ideal test disagrees"):
             nmodules._rejected_orbit_verdict(fresh, first)
+
+
+def test_stage_scans_read_the_normality_witness_over_L():
+    # In D6, L = {0, r^3, s, sr^3} (indices 0, 3, 6, 9) is not normal:
+    # conjugation by r fixes r^3 and moves s and sr^3.  Over the generating
+    # set [9, 3] of L, the first failing generator of row x = r is sr^3,
+    # but the first witness is (r, s).
+    rep = regular_representation(ring_named("dretract_6"))
+    assert reference_is_N_ideal(rep, {0, 3, 6, 9}) == ("not_normal", (1, 6))
+    with mock.patch.object(nmodules, "_subgroup_generators",
+                           lambda add, members: np.array([9, 3])):
+        assert is_N_ideal(rep, {0, 3, 6, 9}) == IdealVerdict("not_normal", (1, 6))
 
 
 # ---------------------------------------------------------------------------

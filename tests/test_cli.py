@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from nearrings import TableFormatError, build_product, builtin, emit_table, validate_module
+from nearrings import (TableFormatError, build_product, builtin, emit_table, load_nearring,
+                       structure_profile, validate_module)
 from nearrings.cli import main
 from nearrings.core import DEFAULT_ORDER_CAP
 
@@ -24,16 +25,15 @@ def klein4_file(tmp_path):
 
 @pytest.fixture(scope="module")
 def z272_dir(tmp_path_factory):
-    """A directory holding one unital ring of order 272, above the
-    classification cap of 256."""
+    """A directory holding one unital ring of order 272, Z16 x Z17."""
     path = tmp_path_factory.mktemp("z272")
     ring = build_product((builtin("zn_ring(16)"), builtin("zn_ring(17)")), name="z16xz17")
     (path / "z272.json").write_text(emit_table(ring))
     return path
 
 
-# The entries that reach the classification cap on an order-272 ring.
-CAPPED_THEOREMS = ("ccc_decomposition,wsw_morphic,lemma213,lemma_hdt,lemma13,lemma_ffff,"
+# The entries that read the structure or element profiles on an order-272 ring.
+PROFILE_THEOREMS = ("ccc_decomposition,wsw_morphic,lemma213,lemma_hdt,lemma13,lemma_ffff,"
                    "prop_ff_square,prop_ff_morphic,prop_cccxi,thm62,prop_tttt,ehrlich_T")
 
 
@@ -138,11 +138,15 @@ class TestClassify:
         _, b = run(["classify", klein4_file, "--format", "json"])
         assert a == b
 
-    def test_over_cap_exits_3_with_one_line(self, z272_dir):
+    def test_order_272_classifies(self, z272_dir):
         path = str(z272_dir / "z272.json")
         code, text = run(["classify", path, "--format", "json"])
-        assert code == 3
-        assert text == f"{path}: over cap: classification limited to order 256\n"
+        assert code == 0
+        sp = structure_profile(load_nearring(path))
+        expected = {k: v for k, v in vars(sp).items() if k != "witnesses"}
+        doc = json.loads(text)
+        assert doc["structure"] == expected
+        assert (doc["order"], len(doc["elements"])) == (272, 272)
 
     @pytest.mark.parametrize("argv", [["--bogus"], ["--allow-nonunital"]])
     def test_usage_error_exits_3(self, klein4_file, argv, capsys):
@@ -187,17 +191,20 @@ class TestVerify:
         assert code == 1
         assert "aggregate" not in text
 
-    def test_cap_is_not_applicable_not_error(self, z272_dir):
-        code, text = run(["verify", str(z272_dir), "--theorems", CAPPED_THEOREMS,
-                          "--format", "json"])
+    def test_order_272_cells_run(self, z272_dir):
+        code, text = run(["verify", str(z272_dir), "--theorems", PROFILE_THEOREMS,
+                          "--format", "json", "--notes"])
         assert code == 0
         doc = json.loads(text)
-        assert [c["status"] for c in doc["cells"]] == ["not_applicable"] * 12
+        assert len(doc["cells"]) == 12
+        assert {c["status"] for c in doc["cells"]} <= {"pass", "not_applicable"}
+        notes = [c.get("hypothesis_note", "") for c in doc["cells"]]
+        assert not any("limit" in note or "cap" in note for note in notes), notes
         assert doc["aggregate"] == "pass"
-        assert doc["inclusion_chain"]["unit_regular"] == []
+        assert doc["inclusion_chain"]["unit_regular"] == []  # Z16 is not regular
 
-    def test_notes_show_the_cap(self, z272_dir):
-        note = "classification limited to order 256"
+    def test_notes_on_order_272_name_the_hypothesis(self, z272_dir):
+        note = "not a left morphic regular near-ring"
         code, text = run(["verify", str(z272_dir), "--theorems", "thm62", "--notes"])
         assert code == 0
         assert text.splitlines()[0].endswith(f"not_applicable (0)  note: {note}")
@@ -289,15 +296,16 @@ class TestCorpus:
         assert "ERROR" in text
         assert "klein4_ring" in text
 
-    def test_over_cap_flagged_others_classified(self, z272_dir, tmp_path):
+    def test_order_272_gets_a_row(self, z272_dir, tmp_path):
         (tmp_path / "z272.json").write_text((z272_dir / "z272.json").read_text())
         (tmp_path / "klein4.json").write_text(emit_table(builtin("klein4_ring")))
-        code, text = run(["corpus", str(tmp_path)])
-        assert code == 3
-        over, good, bad = text.splitlines()
-        assert over == f"{tmp_path / 'z272.json'}: over cap: classification limited to order 256"
-        assert good.startswith("klein4.json ") and "klein4_ring" in good
-        assert bad == "z272.json: ERROR"
+        code, text = run(["corpus", str(tmp_path), "--format", "json"])
+        assert code == 0
+        good, big = json.loads(text)["rows"]
+        assert (good["file"], good["name"]) == ("klein4.json", "klein4_ring")
+        verdict = structure_profile(load_nearring(tmp_path / "z272.json")).verdict()
+        assert (big["file"], big["name"], big["order"], big["verdict"]) == \
+            ("z272.json", "z16xz17", 272, verdict)
 
     def test_not_a_directory_exits_3(self):
         code, _ = run(["corpus", "/no/such/dir"])

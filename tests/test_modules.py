@@ -233,10 +233,6 @@ class TestNIdeals:
         assert kinds.count("left_ideal") == 3
         assert kinds.count("two_sided_ideal") == 2
 
-    def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_left_ideals(builtin("m0_z3"), cap=1)
-
 
 class TestQuotients:
     def test_quotient_by_orbit(self):

@@ -30,11 +30,15 @@ def test_unknown_id():
         check(builtin("klein4_ring"), "no_such_result")
 
 
-def test_cap_reports_not_applicable_with_the_limit():
+def test_order_272_cells_run():
+    # Z16 x Z17: every cell gives a verdict; a cell that does not apply
+    # names its hypothesis or its own limit, never a classification limit.
     ring = build_product((builtin("zn_ring(16)"), builtin("zn_ring(17)")))
-    report = check(ring, "thm62")
-    assert report.status == "not_applicable"
-    assert report.hypothesis_note == "classification limited to order 256"
+    reports = {tid: check(ring, tid) for tid in theorem_catalog()}
+    assert {r.status for r in reports.values()} <= {"pass", "not_applicable"}
+    assert not any("classification" in (r.hypothesis_note or "") for r in reports.values())
+    assert reports["thm62"].hypothesis_note == "not a left morphic regular near-ring"
+    assert reports["ehrlich_T"].status == "pass"
 
 
 def test_master_regression_all_builtins():
