@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearrings import (
+    CapExceeded,
     annihilator,
+    build_product,
     builtin,
     element_profile,
     enumerate_left_ideals,
@@ -232,6 +234,13 @@ class TestNIdeals:
         kinds = [is_ideal(ring, s) for s in ideals]
         assert kinds.count("left_ideal") == 3
         assert kinds.count("two_sided_ideal") == 2
+
+    def test_enumeration_cap(self):
+        # The order cap is the one limit left: 64 enumerates, 65 raises.
+        assert len(enumerate_left_ideals(builtin("zn_ring(64)"))) == 7
+        z65 = build_product((builtin("zn_ring(5)"), builtin("zn_ring(13)")))
+        with pytest.raises(CapExceeded, match="ideal enumeration limited to order 64"):
+            enumerate_left_ideals(z65)
 
 
 class TestQuotients:

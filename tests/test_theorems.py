@@ -30,6 +30,17 @@ def test_unknown_id():
         check(builtin("klein4_ring"), "no_such_result")
 
 
+def test_cap_reports_not_applicable_with_the_limit():
+    # lemma1_equiv and prop226 keep their own order limits and name them.
+    z65 = build_product((builtin("zn_ring(5)"), builtin("zn_ring(13)")))
+    assert check(builtin("zn_ring(8)"), "lemma1_equiv").status == "pass"
+    for ring, tid, note in ((builtin("zn_ring(9)"), "lemma1_equiv", "order 9 exceeds brute-force cap 8"),
+                            (z65, "prop226", "order 65 exceeds ideal enumeration cap")):
+        report = check(ring, tid)
+        assert report.status == "not_applicable"
+        assert report.hypothesis_note == note
+
+
 def test_order_272_cells_run():
     # Z16 x Z17: every cell gives a verdict; a cell that does not apply
     # names its hypothesis or its own limit, never a classification limit.
