@@ -153,17 +153,22 @@ def _nilpotency(ring: NearRing) -> np.ndarray:
     return nilpotency
 
 
+def _words(packed: np.ndarray) -> np.ndarray:
+    """Rows packed to bits, zero-padded to whole 64-bit words, as uint64."""
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
+
 def _meets(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """n x n bool table: [a, b] says whether row a of ``rows`` and row b of
     ``cols`` (n x n bool) share a True column.  It is decided once per pair of
-    distinct rows (``_row_classes``), packed to bits and ANDed in row blocks:
-    O(R*C*n/8 + n^2) for R and C distinct rows."""
+    distinct rows (``_row_classes``), packed to 64-bit words and ANDed in row
+    blocks: O(R*C*n/64 + n^2) for R and C distinct rows."""
     packed_rows, packed_cols = np.packbits(rows, axis=1), np.packbits(cols, axis=1)
     firsts_r, at_r = np.unique(_row_classes(packed_rows), return_inverse=True)
     firsts_c, at_c = np.unique(_row_classes(packed_cols), return_inverse=True)
-    packed_rows, packed_cols = packed_rows[firsts_r], packed_cols[firsts_c]
+    packed_rows, packed_cols = _words(packed_rows[firsts_r]), _words(packed_cols[firsts_c])
     meets = np.empty((len(firsts_r), len(firsts_c)), dtype=bool)
-    for block in _row_blocks(len(firsts_r), packed_cols.size):
+    for block in _row_blocks(len(firsts_r), packed_cols.nbytes):
         meets[block] = (packed_rows[block, None] & packed_cols).any(axis=2)
     return meets[at_r[:, None], at_c]
 

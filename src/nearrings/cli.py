@@ -167,6 +167,9 @@ def _collect_inputs(paths, out) -> tuple[list[tuple[str, NearRing]], int]:
             files.extend(str(f) for f in sorted(path.glob("*.json")))
         else:
             files.append(p)
+    if not files:
+        print(f"{' '.join(paths)}: no table files (*.json) to verify", file=out)
+        return corpus, EXIT_IO
     for f in files:
         ring, code = _load(f, out)
         if ring is None:

@@ -25,20 +25,28 @@ they contain S.  The closure, for r1, r2 in that set:
 - right distributivity, given associative +:
   ((r1+r2)+s)*m = r1*m + (r2+s)*m = r1*m + r2*m + s*m = (r1+r2)*m + s*m;
 - associativity of *, given right distributivity:
-  ((r1+r2)*s)*m = (r1*s)*m + (r2*s)*m = r1*(s*m) + r2*(s*m) = (r1+r2)*(s*m).
+  ((r1+r2)*s)*m = (r1*s)*m + (r2*s)*m = r1*(s*m) + r2*(s*m) = (r1+r2)*(s*m);
+- left distributivity of row r, i.e. y -> r*y an endomorphism of (N,+),
+  given right distributivity and abelian + (Froehlich, *Distributively
+  generated near-rings I*, Proc. LMS (3) 8, 1958):
+  (r1+r2)*(y+z) = r1*y + r1*z + r2*y + r2*z = r1*y + r2*y + r1*z + r2*z
+                = (r1+r2)*y + (r1+r2)*z.
 
 ``_laws_hold`` checks right distributivity, then associativity, over S: the
 one law predicate, exact for any table over a group.  ``validate_nearring``
-calls it on the raw tables; every other caller reads ``laws_hold(ring)``,
-its verdict on a ring's own tables, memoised in the ring's ``derived``
-cache like ``endomorphism_rows(ring)``, the vector of rows x for which
-y -> x*y is an endomorphism of (N,+), tested for all rows at once over S.
-Validation stores both (``True`` and the vector); the flags and their
-witnesses (``flag_scan``, read through ``ring.flags`` and
-``ring.flag_witnesses``) are computed from the ring's own tables on first
-read.  A ``dataclasses.replace`` copy starts with an empty cache and
-computes all of them from its own tables, so no caller needs to know how a
-ring was made.
+calls it on the raw tables and stores its verdict, ``True``, as
+``laws_hold(ring)`` in the ring's ``derived`` cache; every other caller
+reads that.  The flags and their witnesses (``flag_scan``, read through
+``ring.flags`` and ``ring.flag_witnesses``) are computed from the ring's
+own tables on first read.  Left distributivity needs no whole-ring scan
+when (N,+) is abelian and ``laws_hold``: then no S row failing, checked in
+O(|S|^2 n), proves that no row fails.  Otherwise (a non-abelian group, a
+law-broken copy, a failing S row) the rows are scanned in ascending blocks
+up to the first block that holds a failing row.  ``_left_dist_bad_rows``
+tests any rows, over S, for that scan and for the N-ideal test's movers.
+A ``dataclasses.replace`` copy starts with an empty cache and computes all
+of these from its own tables, so no caller needs to know how a ring was
+made.
 
 Validation keeps S as the group's ``group_generators``, which the N-ideal
 test reuses.  Every first witness is the first True entry of a bool table
@@ -232,8 +240,8 @@ class NearRing(_Tables):
 
     A ``dataclasses.replace`` copy keeps ``one`` as given, unchecked
     against its tables.  Its ``derived`` cache starts empty, so what is
-    memoised there (``laws_hold``, ``endomorphism_rows`` and the ``flags``
-    with their ``flag_witnesses`` included) is computed from its own tables.
+    memoised there (``laws_hold`` and the ``flags`` with their
+    ``flag_witnesses`` included) is computed from its own tables.
     """
 
     _TABLES = ("mul",)
@@ -482,14 +490,28 @@ def _first_violation(bad, rows) -> Optional[tuple[int, ...]]:
     return next(((int(i), *hit) for i in rows if (hit := _first_hit(bad(i)))), None)
 
 
-def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens) -> np.ndarray:
-    """Rows x where y -> x*y is not an endomorphism of the group (N,+):
-    x*(y+s) != x*y + x*s for some y and generator s."""
-    bad = np.zeros(len(add), dtype=bool)
-    for rows in _row_blocks(len(add), 8 * len(add)):
-        x = mul[rows].astype(np.intp)  # an index below: cast once per block
+def _first_hit_in_blocks(bad, rows: int, row_bytes: int) -> Optional[tuple[int, ...]]:
+    """``_first_hit`` over ``rows`` rows, one block at a time: ``bad(idx)``
+    gives the bool table of the rows ``idx``, ``row_bytes`` bytes a row of
+    its largest temporary (``_row_blocks``; none for an empty table)."""
+    for block in _row_blocks(rows, max(row_bytes, 1)):
+        idx = np.arange(block.start, min(block.stop, rows))
+        hit = _first_hit(bad(idx))
+        if hit:
+            return (int(idx[hit[0]]), *hit[1:])
+    return None
+
+
+def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens, rows) -> np.ndarray:
+    """Bool vector over the index array ``rows``: whether y -> x*y is not an
+    endomorphism of the group (N,+) for x = rows[i], i.e. x*(y+s) != x*y +
+    x*s for some y and generator s."""
+    rows = np.asarray(rows, dtype=np.intp)
+    bad = np.zeros(len(rows), dtype=bool)
+    for block in _row_blocks(len(rows), 8 * len(add)):
+        x = mul[rows[block]].astype(np.intp)  # an index below: cast once per block
         for s in gens:
-            bad[rows] |= (x[:, add[:, s]] != add[x, x[:, s, None]]).any(axis=1)
+            bad[block] |= (x[:, add[:, s]] != add[x, x[:, s, None]]).any(axis=1)
     return bad
 
 
@@ -499,11 +521,17 @@ def laws_hold(ring: NearRing) -> bool:
     return _laws_hold(ring.add, ring.mul, group_generators(ring.group))
 
 
-@memoized
-def endomorphism_rows(ring: NearRing) -> np.ndarray:
-    """Read-only bool vector: entry x says whether y -> x*y is an
-    endomorphism of (N,+)."""
-    return _seal(~_left_dist_bad_rows(ring.add, ring.mul, group_generators(ring.group)))
+def _first_bad_row(ring: NearRing, abelian: bool) -> Optional[tuple[int]]:
+    """(x,) for the least x for which y -> x*y is not an endomorphism of
+    (N,+), or None.  Over abelian + under the laws, no generator row failing proves
+    that none does (module docstring); otherwise the rows are scanned in
+    ascending blocks, up to the first block that holds a failing row."""
+    add, mul = ring.add, ring.mul
+    gens = group_generators(ring.group)
+    if abelian and laws_hold(ring) and not _left_dist_bad_rows(add, mul, gens, gens).any():
+        return None
+    return _first_hit_in_blocks(lambda rows: _left_dist_bad_rows(add, mul, gens, rows),
+                                len(add), 8 * len(add))
 
 
 @memoized
@@ -511,14 +539,15 @@ def flag_scan(ring: NearRing) -> tuple[NearRingFlags, tuple[tuple[str, tuple[int
     """Exact flag scans on the ring's own tables: the flags, and the first
     witness of each flag that fails (``NearRing.flag_witnesses``)."""
     add, mul = ring.add, ring.mul
+    abelian = _first_asymmetry(add)
     # Rows before the first bad one are endomorphisms, so the exhaustive
     # scan's first witness lies in that row.
-    bad = _first_hit(~endomorphism_rows(ring))
+    bad = _first_bad_row(ring, abelian is None)
     left_dist = _law(lambda x, y, out: np.not_equal(
         mul[x, add[y]], add[mul[x, y][:, None], mul[x]], out=out), add.shape)
     witnesses = {
         "left_distributive": bad and _first_violation(left_dist, range(bad[0], len(add))),
-        "abelian_add": _first_asymmetry(add),
+        "abelian_add": abelian,
         "zero_symmetric": _first_hit(mul[:, 0] != 0),
         "commutative_mul": _first_asymmetry(mul),
     }
@@ -616,7 +645,6 @@ def validate_nearring(add, mul, one=None, labels=None, name=None,
         one = found[0] if found else None
     ring = NearRing(group=group, mul=mul, one=one, name=name, **provenance)
     laws_hold.keep(ring, True)
-    endomorphism_rows.keep(ring, _seal(~_left_dist_bad_rows(add, mul, gens)))
     return ring
 
 

@@ -47,8 +47,9 @@ do, i.e. for the regular representation of a near-ring:
   under +: (r1+r2)(l+m) - (r1+r2)m = [r1(l+m) - r1m] + [r1m + t - r1m]
   with t = r2(l+m) - r2m, so r needs to range over S only;
 - a generator r whose row is an endomorphism of (N,+) needs no check:
-  r(l+m) - rm = rl = r(s*a) = (r*s)*a, in Na.  On a ring every row is
-  one, so only the normality check is left.
+  r(l+m) - rm = rl = r(s*a) = (r*s)*a, in Na.  So only the S rows are
+  tested (``core._left_dist_bad_rows``, O(|S|^2 n)); on a ring every row
+  is an endomorphism, and only the normality check is left.
 
 A principal ideal P(a) depends, under the laws, only on the set N0*a,
 N0 = {x : x*0 = 0}.  In a right near-ring 0*z = 0, so for any r the
@@ -63,9 +64,8 @@ closure of its own.
 
 A near-ring built without validation need not satisfy the laws, so
 ``orbit_is_N_ideal`` and ``principal_ideals`` read ``core.laws_hold``
-(stored by validation, computed in O(|S| n^2) on any other ring), and
-``orbit_is_N_ideal`` the rows from ``core.endomorphism_rows``.  When the
-laws fail, ``orbit_is_N_ideal`` runs ``is_N_ideal`` once per distinct
+(stored by validation, computed in O(|S| n^2) on any other ring).  When
+the laws fail, ``orbit_is_N_ideal`` runs ``is_N_ideal`` once per distinct
 orbit (``orbit_classes``) and ``principal_ideals`` closes every element on
 its own.  ``is_N_ideal`` takes arbitrary actions, so it keeps r over all
 of N; its reductions over S_L need only the group laws of M.
@@ -79,9 +79,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
-                   _check_table, _extend_closure, _first_hit, _first_violation, _generators,
-                   _row_blocks, _row_classes, _seal, _Tables, endomorphism_rows,
-                   group_generators, laws_hold, memoized, validate_group)
+                   _check_table, _extend_closure, _first_hit, _first_hit_in_blocks,
+                   _first_violation, _generators, _left_dist_bad_rows, _row_classes, _seal,
+                   _Tables, group_generators, laws_hold, memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -212,8 +212,8 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     reads ``core.laws_hold`` first and falls back to ``is_N_ideal``, once
     per distinct orbit, when they fail; the verdict of each orbit it rejects
     is kept as ``_rejected_orbit_verdict``.  Otherwise r ranges over the
-    generators whose row is not an endomorphism: for the others
-    r(l+m) - rm = rl = (r*s)*a, in Na.
+    generators whose row is not an endomorphism, tested on those rows
+    alone: for the others r(l+m) - rm = rl = (r*s)*a, in Na.
     """
     add, neg, mul = ring.add, ring.neg, ring.mul
     if not laws_hold(ring):
@@ -231,7 +231,7 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     gens_l = mul[gens, :]  # row s holds s*a for every a: generators of each Na
     conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
     ok = orbits[cols, conj].all(axis=(0, 1))
-    movers = gens[~endomorphism_rows(ring)[gens]]
+    movers = gens[_left_dist_bad_rows(add, mul, gens, gens)]
     # One (l, r) pair of generators at a time, so temporaries stay n x n.
     # The indices reused across the inner loop are cast to intp once.
     for row in gens_l if len(movers) else ():
@@ -267,18 +267,6 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
     the first witness of the first that fails (``_stage_scans``)."""
     verdict = _stage_scans(module, _index_mask(module.carrier.order, subset))
     return IdealVerdict("N_ideal") if verdict is None else verdict
-
-
-def _first_hit_in_blocks(bad, rows: int, row_bytes: int) -> Optional[tuple[int, ...]]:
-    """``_first_hit`` over ``rows`` rows, one block at a time: ``bad(idx)``
-    gives the bool table of the rows ``idx``, ``row_bytes`` bytes a row of
-    its largest temporary (``core._row_blocks``; none for an empty table)."""
-    for block in _row_blocks(rows, max(row_bytes, 1)):
-        idx = np.arange(block.start, min(block.stop, rows))
-        hit = _first_hit(bad(idx))
-        if hit:
-            return (int(idx[hit[0]]), *hit[1:])
-    return None
 
 
 def _stage_scans(module: NModule, in_l: np.ndarray) -> Optional[IdealVerdict]:

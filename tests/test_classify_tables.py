@@ -243,8 +243,12 @@ def reference_ifp(ring):
 
 
 # Every aN is distinct in the projection products (R = n, two annihilators),
-# and every aN and every (0:b) in F2^8, whose pairs fill many row blocks.
+# and every aN and every (0:b) in the Boolean rings F2^k (R = C = n), whose
+# pairs fill many row blocks in F2^8.  Rows of 96 and 32 bits (D48 and F2^5)
+# are padded to whole 64-bit words.
 IFP_EXTRA = {"dproj_32": lambda: dihedral_projection(32),
+             "dproj_48": lambda: dihedral_projection(48),
+             "f2^5": lambda: build_product([builtin("zn_ring(2)")] * 5),
              "f2^8": lambda: build_product([builtin("zn_ring(2)")] * 8)}
 
 
@@ -254,12 +258,14 @@ def ifp_ring(name):
 
 
 def test_ifp_family_has_only_distinct_rows():
-    for name in ("dproj_3", "dproj_4", "dproj_32", "f2^8"):
+    for name in ("dproj_3", "dproj_4", "dproj_32", "dproj_48", "f2^5", "f2^8"):
         ring = ifp_ring(name)
         right = np.packbits(nmodules.orbit_masks(ring, "right"), axis=1)
         assert len(np.unique(right, axis=0)) == ring.order, name
-    anns = np.packbits(nmodules.annihilator_masks(ifp_ring("f2^8"), "left"), axis=1)
-    assert len(np.unique(anns, axis=0)) == 256
+    for name in ("f2^5", "f2^8"):
+        ring = ifp_ring(name)
+        anns = np.packbits(nmodules.annihilator_masks(ring, "left"), axis=1)
+        assert len(np.unique(anns, axis=0)) == ring.order, name
 
 
 @given(name=st.sampled_from(RING_NAMES + tuple(IFP_EXTRA)),

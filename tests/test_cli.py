@@ -191,6 +191,16 @@ class TestVerify:
         assert code == 1
         assert "aggregate" not in text
 
+    def test_paths_without_tables_exit_3(self, tmp_path):
+        empty, other = tmp_path / "empty", tmp_path / "other"
+        empty.mkdir()
+        other.mkdir()
+        (other / "notes.txt").write_text("no table here\n")
+        for paths in ([empty], [other], [empty, other]):
+            code, text = run(["verify", *map(str, paths)])
+            names = " ".join(map(str, paths))
+            assert (code, text) == (3, f"{names}: no table files (*.json) to verify\n")
+
     def test_order_272_cells_run(self, z272_dir):
         code, text = run(["verify", str(z272_dir), "--theorems", PROFILE_THEOREMS,
                           "--format", "json", "--notes"])
