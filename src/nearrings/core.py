@@ -75,24 +75,45 @@ construction that computes entries keeps them below its order: in
 o_k) * stride_k, at most total - 1; in ``build_M0`` it is the sum over x of
 (value < n) * n^(n-1-x), at most n^(n-1) - 1; in ``build_extension`` it is
 a * |M| + m with a < |R| and m < |M|, at most |R||M| - 1; every factor and
-stride is a Python int at most the order.  ``_block_numbers`` decodes at
+stride is a Python int at most the order.  ``_decode_rows`` decodes at
 most ``_MAX_DIGITS`` = 4 digits, below 10^4 < 2^15, and ``_put_first``
 only relabels indices below n.
+
+The same rule holds for an index.  The hot gathers of the law, flag and
+closure scans read a table t of order n as one flat array, with
+``t.reshape(-1).take(a * n + b)`` for ``t[a, b]``: one 1-D gather instead
+of a 2-D fancy index.  That flat index reaches n^2 - 1, which int16 holds
+only up to n = 181, so it is always built in intp: ``a`` is cast with
+``astype(np.intp)`` (or is an intp index already) before it is multiplied,
+never after; an int16 ``a * n`` wraps from n = 182 on.
 
 ``parse_table`` reads a table document in one of two ways, with the same
 field checks after either.  ``_read_document`` streams it from a seekable
 binary file (bytes and str are wrapped as one, a pipe is read whole first):
 it walks the top-level object with the ``json`` scanner on a window of
 decoded text, and decodes ``add`` and ``mul`` from their bytes in numpy, a
-block of whole rows at a time, when they follow a valid ``order`` and hold
-n rows of n unsigned integers without leading zeros.  The scanner decodes
-every other member and any table the reader refuses, from that table's
-start; a ``json.JSONDecodeError`` it raises there is the error
-``json.loads`` would raise, at the same line, column and character of the
-whole document, and text that is not UTF-8 raises the whole document's
-``UnicodeDecodeError``.  A document with a table before ``order``, or that
-the scanner refuses otherwise (deep nesting, an over-long int), is read
-whole and goes through ``json.loads``.
+block of whole rows at a time, when they hold n rows of n unsigned
+integers without leading zeros, n being the ``order`` before them or,
+for a table before ``order``, the entry count of its first row.  The
+scanner decodes every other member and any table the reader refuses, from
+that table's start; a ``json.JSONDecodeError`` it raises there is the
+error ``json.loads`` would raise, at the same line, column and character
+of the whole document, and text that is not UTF-8 raises the whole
+document's ``UnicodeDecodeError``.  A document with an ``order``, or a
+first row before it, outside [1, ``DEFAULT_ORDER_CAP``], or that the
+scanner refuses otherwise (deep nesting, an over-long int), is read whole
+and goes through ``json.loads``.
+
+The reader decodes a block from the positions of its separators
+(``_decode_rows``): one ``flatnonzero`` finds the bytes that are not
+digits, which must be exactly the brackets and commas of the block's
+rows; the gaps between them, the differences of successive positions,
+must hold 1 to 4 digits where a number sits and none elsewhere; and each
+number is one unaligned little-endian 4-byte gather that ends at its last
+digit, masked to its width and summed in two SWAR steps (pairs of digits,
+then pairs of pairs), a leading zero being a value below 10^(w-1) for
+width w > 1.  So the work per block is a fixed number of numpy calls over
+its bytes and numbers, with no loop over digit places.
 
 Loading a table holds the final tables and buffers of O(``_BLOCK``) bytes:
 the reader reads at most ``_BLOCK`` = 32 KiB of the file at a time (one
@@ -106,8 +127,9 @@ the scans work on row blocks (``_row_blocks``), and a row function fills
 one n x n bool table that its scan allocates once.  A block is sized by the
 bytes per row of its largest temporary: one byte an entry for a bool mask,
 two for an int16 gather, and eight where a block is cast to intp to index
-with.  numpy casts an int16 fancy index itself through a small buffer, with
-no temporary, but in about twice the time of ``astype(np.intp)``; so a loop
+with, and for a flat index a * n + b, which is intp like the casts it
+replaces.  numpy casts an int16 fancy index itself through a small buffer,
+with no temporary, but in about twice the time of ``astype(np.intp)``; so a loop
 that indexes with table blocks casts each block once itself (or gathers
 with ``take``, which casts too), inside that 8-byte budget, while a
 one-off gather over a whole table leaves the cast to numpy.  So loading
@@ -176,18 +198,20 @@ def _seal(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_table(table) -> np.ndarray:
-    """``table`` as a read-only ``TABLE_DTYPE`` array.  One that already is
-    that is kept; anything else, a caller's writable array included, is
-    copied.  An entry that ``TABLE_DTYPE`` cannot hold raises
-    ``TableFormatError`` instead of wrapping."""
-    if isinstance(table, np.ndarray) and table.dtype == TABLE_DTYPE and not table.flags.writeable:
+    """``table`` as a read-only, C-contiguous ``TABLE_DTYPE`` array, so
+    that ``reshape(-1)`` is a view of it.  One that already is that is kept;
+    anything else, a caller's writable array included, is copied.  An entry
+    that ``TABLE_DTYPE`` cannot hold raises ``TableFormatError`` instead of
+    wrapping."""
+    if (isinstance(table, np.ndarray) and table.dtype == TABLE_DTYPE
+            and not table.flags.writeable and table.flags.c_contiguous):
         return table
     arr = np.asarray(table)
     if (arr.size and not np.can_cast(arr.dtype, TABLE_DTYPE)
             and (arr.min() < _TABLE_MIN or arr.max() > _TABLE_MAX)):
         raise TableFormatError(f"table entry out of the {np.dtype(TABLE_DTYPE)} range "
                                f"[{_TABLE_MIN},{_TABLE_MAX}]")
-    return _seal(arr.astype(TABLE_DTYPE))
+    return _seal(arr.astype(TABLE_DTYPE, order="C"))
 
 
 class _Tables:
@@ -406,14 +430,16 @@ def _extend_closure(add: np.ndarray, reached: np.ndarray, s: int) -> None:
     """Add ``s`` to the +-closed bool mask ``reached`` and close it again,
     in place.  Semi-naive: only sums with a newly reached element can be new.
     """
+    n, flat = len(add), add.reshape(-1)
     reached[s] = True
-    frontier = np.array([s])
+    frontier = np.array([s], dtype=np.intp)
     while len(frontier):
         members = reached.nonzero()[0]
-        new = np.zeros(len(add), dtype=bool)
+        new = np.zeros(n, dtype=bool)
         for rows in _row_blocks(len(frontier), 8 * len(members)):
-            new[add[frontier[rows, None], members].astype(np.intp, copy=False)] = True
-            new[add[members[:, None], frontier[rows]].astype(np.intp, copy=False)] = True
+            f = frontier[rows]
+            new[flat.take(f[:, None] * n + members).astype(np.intp, copy=False)] = True
+            new[flat.take(members[:, None] * n + f).astype(np.intp, copy=False)] = True
         new[members] = False
         reached |= new
         frontier = new.nonzero()[0]
@@ -446,8 +472,8 @@ def _law(fill, shape):
     """A row function from ``fill(r, rows, out)``, which writes into
     ``out`` the bool table of row r over a block of rows of s.  Each call
     fills one table of ``shape``, allocated here once per scan, block by
-    block, so that no temporary exceeds ``_TEMP_BYTES``: the fills index
-    with table blocks cast to intp, 8 bytes an entry; the next call
+    block, so that no temporary exceeds ``_TEMP_BYTES``: the fills gather
+    with flat intp indices of a block, 8 bytes an entry; the next call
     overwrites it."""
     table = np.empty(shape, dtype=bool)
     blocks = _row_blocks(shape[0], 8 * shape[1])
@@ -469,9 +495,19 @@ def _assoc(rmul: np.ndarray, act: np.ndarray):
 def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
     """Row function of (r+s).m = r.m + s.m: row r gives the bool table over
     (s, m) that is True where the law fails."""
+    m, flat = len(madd), madd.reshape(-1)
     return _law(lambda r, s, out: np.not_equal(
-        act.take(radd[r, s], axis=0), madd[act[r].astype(np.intp), act[s].astype(np.intp)],
+        act.take(radd[r, s], axis=0), flat.take(act[r].astype(np.intp) * m + act[s]),
         out=out), act.shape)
+
+
+def _left_dist(add: np.ndarray, mul: np.ndarray):
+    """Row function of x*(y+z) = x*y + x*z: row x gives the bool table over
+    (y, z) that is True where the law fails."""
+    n, flat = len(add), add.reshape(-1)
+    return _law(lambda x, y, out: np.not_equal(
+        mul[x].take(add[y]), flat.take(mul[x, y].astype(np.intp)[:, None] * n + mul[x]),
+        out=out), add.shape)
 
 
 def _holds(bad, rows) -> bool:
@@ -507,11 +543,13 @@ def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens, rows) -> np.ndar
     endomorphism of the group (N,+) for x = rows[i], i.e. x*(y+s) != x*y +
     x*s for some y and generator s."""
     rows = np.asarray(rows, dtype=np.intp)
+    n, flat = len(add), add.reshape(-1)
     bad = np.zeros(len(rows), dtype=bool)
-    for block in _row_blocks(len(rows), 8 * len(add)):
+    for block in _row_blocks(len(rows), 8 * n):
         x = mul[rows[block]].astype(np.intp)  # an index below: cast once per block
-        for s in gens:
-            bad[block] |= (x[:, add[:, s]] != add[x, x[:, s, None]]).any(axis=1)
+        xn = x * n
+        for s in gens:  # x*(y+s) against x*y + x*s, the latter a flat index into add
+            bad[block] |= (x.take(add[:, s], axis=1) != flat.take(xn + x[:, s, None])).any(axis=1)
     return bad
 
 
@@ -543,10 +581,9 @@ def flag_scan(ring: NearRing) -> tuple[NearRingFlags, tuple[tuple[str, tuple[int
     # Rows before the first bad one are endomorphisms, so the exhaustive
     # scan's first witness lies in that row.
     bad = _first_bad_row(ring, abelian is None)
-    left_dist = _law(lambda x, y, out: np.not_equal(
-        mul[x, add[y]], add[mul[x, y][:, None], mul[x]], out=out), add.shape)
     witnesses = {
-        "left_distributive": bad and _first_violation(left_dist, range(bad[0], len(add))),
+        "left_distributive": bad and _first_violation(_left_dist(add, mul),
+                                                      range(bad[0], len(add))),
         "abelian_add": abelian,
         "zero_symmetric": _first_hit(mul[:, 0] != 0),
         "commutative_mul": _first_asymmetry(mul),
@@ -755,40 +792,66 @@ _MAX_DIGITS = len(str(DEFAULT_ORDER_CAP))
 _BLOCK = 1 << 15
 _SPACES = b" \t\n\r"
 _SPACE_BYTES = tuple(bytes([c]) for c in _SPACES)  # a memchr each: cheaper than translate when absent
-_DIGITS = b"0123456789"
-_PAD = bytes(_MAX_DIGITS - 1)  # zero bytes, which are not digits
+_PAD = bytes(_MAX_DIGITS - 1)  # zero bytes before a block, for the word of its first number
+# Indexed by one more than a number's width w (clipped to 6): the top w
+# bytes of a 4-byte word, 0 for no digits or more than 4; and the least
+# w-digit number without a leading zero.
+_WIDTH_MASK = np.array([0, 0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF, 0], dtype=np.uint32)
+_LEAST = np.array([0, 0, 0, 10, 100, 1000, 0], dtype=np.uint32)
 _DECODER = json.JSONDecoder()
 
 
-def _block_numbers(chars: bytes, out: np.ndarray) -> bool:
-    """Decode the numbers of ``chars``, whole rows of table text without
-    whitespace whose brackets and commas ``_read_table`` has checked, into
-    ``out``, one per entry; False unless each has 1 to ``_MAX_DIGITS``
-    digits without a leading zero and sits alone between a row-[ or in-row
-    comma and the comma or ] after it.
+def _decode_rows(raw: bytes, opener: bytes, n: int, out: np.ndarray) -> bool:
+    """Decode ``raw``, the text of k = ``len(out) // n`` whole rows of an
+    order-n table from the byte before the first row's [ through the k-th
+    row's ], into ``out``, one entry per number; False unless that byte is
+    ``opener`` (the table's [, or the comma before a later row) and the
+    text is k rows of n unsigned integers of 1 to ``_MAX_DIGITS`` digits
+    without a leading zero, with JSON whitespace between tokens only.
 
-    The brackets and commas fix the gaps where a number may sit, and there
-    are ``len(out)`` of them.  Gaps hold no whitespace, so each holds at
-    most one run of digits.  A run in any other gap touches a ] before it
-    or a [ after it.  So ``len(out)`` runs, none touching such a bracket,
-    fill each gap exactly once."""
-    buf = np.frombuffer(_PAD + chars, dtype=np.uint8)
-    digit = buf - np.uint8(ord("0"))  # a digit's value; 10 or more for any other byte
-    is_digit = digit[len(_PAD):] < 10
-    last = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # the last digit of each run
-    if len(last) != len(out):
+    A number has no whitespace inside it when the text has as many runs of
+    digits with its whitespace as without.  Without it, the non-digit bytes
+    (``flatnonzero``) must be exactly the brackets and commas of k rows.
+    They fix the gaps where numbers sit: the one after a row's [ and after
+    each comma inside a row hold 1 to ``_MAX_DIGITS`` digits, every other
+    gap none.  A number that ends at byte e is then the little-endian
+    4-byte word of bytes e-3..e (``_MAX_DIGITS`` = 4), of which its width w
+    keeps the top w bytes (``_WIDTH_MASK``); xor 0x30 per byte gives its
+    digits, the least significant in the top byte, and two SWAR steps sum
+    the byte pairs, then the 16-bit halves.  It has a leading zero when w >
+    1 and it is below 10^(w-1)."""
+    text = raw.translate(None, _SPACES) if any(c in raw for c in _SPACE_BYTES) else raw
+    if len(text) < len(raw):
+        is_digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0")) < 10
+        if np.count_nonzero(is_digit[1:] > is_digit[:-1]) != len(out):
+            return False
+    buf = _PAD + text
+    chars = np.frombuffer(buf, dtype=np.uint8)[len(_PAD):]
+    sep = np.flatnonzero(chars - np.uint8(ord("0")) >= 10)  # wraps below "0"
+    row = b"[" + b"," * (n - 1) + b"]"
+    k = len(out) // n
+    if (len(sep) != k * (n + 2) or sep[0]
+            or chars[sep].tobytes() != opener + b",".join([row] * k)):
         return False
-    before = np.flatnonzero(is_digit[1:] > is_digit[:-1])  # the byte before each run
-    width = last - before
-    widest = int(width.max())
-    text = buf[len(_PAD):]
-    if (widest > _MAX_DIGITS or (text[before] == ord("]")).any()
-            or (text[1:][last] == ord("[")).any()
-            or ((width > 1) & (text[1:][before] == ord("0"))).any()):
+    # gap[r, c]: one more than the digits after the c-th separator of row r,
+    # the separator before its [ the 0-th; the text ends at the last ]
+    gap = np.empty(len(sep), dtype=np.intp)
+    np.subtract(sep[1:], sep[:-1], out=gap[:-1])
+    gap[-1] = len(chars) - sep[-1]
+    gap = gap.reshape(k, n + 2)
+    numbers = gap[:, 1:-1]  # the gaps where a number sits
+    mask = _WIDTH_MASK.take(numbers, mode="clip")
+    if (gap[:, ::n + 1] != 1).any() or not mask.all():
         return False
-    out[...] = digit[len(_PAD):][last]
-    for k in range(1, widest):  # the digit k places left of the last, in runs that have one
-        out += (width > k) * digit[len(_PAD) - k:][last] * TABLE_DTYPE(10 ** k)
+    words = np.ndarray((len(chars),), dtype="<u4", buffer=buf, strides=(1,))  # bytes e-3..e
+    value = words.take(sep.reshape(k, n + 2)[:, 2:] - 1)
+    value ^= np.uint32(0x30303030)
+    value &= mask
+    value = (value * np.uint32(10) + (value >> np.uint32(8))) & np.uint32(0x00FF00FF)
+    value = (value * np.uint32(100) + (value >> np.uint32(16))) & np.uint32(0xFFFF)
+    if (value < _LEAST.take(numbers, mode="clip")).any():
+        return False
+    out[...] = value.reshape(-1)
     return True
 
 
@@ -910,12 +973,10 @@ def _read_table(fh: BinaryIO, start: int, n: int):
     before any row is decoded.  The reader then seeks back and decodes the
     rows block by block, from the bytes it reads, straight into the one
     output array.  A block is as many rows as fit in ``_BLOCK`` bytes (one
-    at least) and, at 8 bytes a number for the intp positions of
-    ``_block_numbers``, in ``_TEMP_BYTES``; it ends at the k-th ] after it
-    starts, which must close its k-th row.  Each block is checked on its
-    own: ASCII, brackets and commas exactly those of k rows, no whitespace
-    inside a number (the runs of digits are the same with and without
-    whitespace), then ``_block_numbers``."""
+    at least) and, at 8 bytes a separator for the intp positions of
+    ``_decode_rows``, in ``_TEMP_BYTES``; it ends at the k-th ] after it
+    starts, which must close its k-th row, and ``_decode_rows`` checks and
+    decodes it on its own."""
     fh.seek(start)
     ends, pos = [], start
     while len(ends) < n:
@@ -930,25 +991,14 @@ def _read_table(fh: BinaryIO, start: int, n: int):
     fh.seek(start)
     table = np.empty((n, n), dtype=TABLE_DTYPE)
     flat = table.reshape(-1)
-    row = b"[" + b"," * (n - 1) + b"]"
-    most = max(1, _TEMP_BYTES // (8 * n))  # rows per block
+    most = max(1, _TEMP_BYTES // (8 * (n + 2)))  # rows per block
     done, pos = 0, start
     while done < n:
         # one row, and each next one while the rows so far end within _BLOCK
         k = min(1 + bisect.bisect_left(ends, pos + _BLOCK, done) - done, most, n - done)
         end = ends[done + k - 1]
-        raw = fh.read(end - pos)
-        if not raw.isascii():
-            return None
-        chars = raw.translate(None, _SPACES) if any(c in raw for c in _SPACE_BYTES) else raw
-        opener = b"," if done else b"["
-        if chars[:1] != opener or chars.translate(None, _DIGITS) != opener + b",".join([row] * k):
-            return None
-        if len(chars) < len(raw):
-            is_digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0")) < 10
-            if np.count_nonzero(is_digit[1:] > is_digit[:-1]) != k * n:
-                return None
-        if not _block_numbers(chars, flat[done * n:(done + k) * n]):
+        if not _decode_rows(fh.read(end - pos), b"," if done else b"[", n,
+                            flat[done * n:(done + k) * n]):
             return None
         done, pos = done + k, end
     while True:  # JSON whitespace, then the table's own ]
@@ -959,14 +1009,33 @@ def _read_table(fh: BinaryIO, start: int, n: int):
         pos += len(rest)
 
 
+def _first_row_length(fh: BinaryIO, start: int) -> int:
+    """One more than the commas between byte ``start`` of ``fh`` and the
+    first ] after it: the entry count of the first row of a table that
+    starts there, which ``_read_table`` then checks; 0 when there is no ]
+    within ``DEFAULT_ORDER_CAP`` commas."""
+    fh.seek(start)
+    commas = 0
+    while commas < DEFAULT_ORDER_CAP and (chunk := fh.read(_BLOCK)):
+        end = chunk.find(b"]")
+        if end >= 0:
+            return commas + chunk.count(b",", 0, end) + 1
+        commas += chunk.count(b",")
+    return 0
+
+
 def _read_document(fh: BinaryIO, errors: str) -> Optional[dict]:
     """The JSON object of the document ``fh`` (see ``_open``) as
     ``json.loads`` gives it, with ``add`` and ``mul`` decoded by
     ``_read_table`` where it accepts them.  The ``json`` scanner decodes
     every other member, on a window of decoded text (``_Text``) that starts
     again after each member, and a table that ``_read_table`` refuses, from
-    the table's own start.  None for a document that ``json.loads`` must
-    read: a table before a valid ``order``, a member the scanner refuses
+    the table's own start.  A table read before ``order`` is taken to have
+    as many rows as its first row has entries (``_first_row_length``); the
+    field checks of ``parse_table`` compare it with ``order`` later.  None
+    for a document that ``json.loads`` must read: a table after an
+    ``order`` that is not an int in [1, ``DEFAULT_ORDER_CAP``], or before
+    ``order`` with a first row that is not, a member the scanner refuses
     with anything but ``json.JSONDecodeError`` (an over-long int, deep
     nesting), or anything but one object.
 
@@ -992,10 +1061,10 @@ def _read_document(fh: BinaryIO, errors: str) -> Optional[dict]:
             idx = win.skip(idx + 1)
             table = None
             if key in ("add", "mul"):
-                n = doc.get("order")
+                start = win.offset(idx)
+                n = doc["order"] if "order" in doc else _first_row_length(fh, start)
                 if type(n) is not int or not 1 <= n <= DEFAULT_ORDER_CAP:
                     return None
-                start = win.offset(idx)
                 table = _read_table(fh, start, n)
                 if table:
                     doc[key], end = table
@@ -1025,19 +1094,20 @@ def parse_table(data) -> RawTables:
 
     ``_read_document`` reads the usual document in one pass, at most
     ``_BLOCK`` bytes at a time: each member but ``add`` and ``mul`` through
-    the ``json`` scanner, and each table, when it follows a valid
-    ``order``, from its bytes in numpy, in blocks of whole rows straight
-    into a ``TABLE_DTYPE`` array.  A malformed member gets the scanner's
-    error from that member alone, the one ``json.loads`` gives, at the same
-    line, column and character; a table cut short is refused before any of
-    it is decoded.  Text that is not UTF-8 raises the ``UnicodeDecodeError``
-    of decoding the whole document.  A document with its tables before
-    ``order``, or that the scanner refuses with another error, is read
-    whole and goes through ``json.loads``, which builds a Python int per
-    entry.  Both feed the same field checks below, ``_check_table``, which
-    range-checks each table as it comes, so a decoded table and a list give
-    the same message, and returns it as a read-only ``TABLE_DTYPE``
-    array."""
+    the ``json`` scanner, and each table from its bytes in numpy, in blocks
+    of whole rows straight into a ``TABLE_DTYPE`` array: n x n for the
+    ``order`` n before it or, before ``order``, for the entry count n of
+    its first row.  A malformed member gets the scanner's error from that
+    member alone, the one ``json.loads`` gives, at the same line, column
+    and character; a table cut short is refused before any of it is
+    decoded.  Text that is not UTF-8 raises the ``UnicodeDecodeError`` of
+    decoding the whole document.  A document that the walk hands back (an
+    ``order`` or a first row out of range, or a member the scanner refuses
+    with another error) is read whole and goes through ``json.loads``,
+    which builds a Python int per entry.  Both feed the same field checks
+    below, ``_check_table``, which compares each table with ``order`` and
+    range-checks it as it comes, so a decoded table and a list give the
+    same message, and returns it as a read-only ``TABLE_DTYPE`` array."""
     fh, errors = _open(data)
     try:
         doc = _read_document(fh, errors)

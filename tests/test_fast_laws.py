@@ -8,6 +8,12 @@ of each set of equal rows must agree with ``reference_assoc_witness`` on its
 own as well, and ``_holds`` over a generating set with the exhaustive scans.
 Every reference test runs a second time with the scans in one-row blocks
 (``core._TEMP_BYTES`` patched to one byte).
+
+The flat gathers of ``_additive``, ``_left_dist``, ``_left_dist_bad_rows``
+and ``_extend_closure`` (``t.reshape(-1).take(a * n + b)``) are compared
+with the 2-D fancy indexing ``t[a, b]`` they replace, kept below as
+references, on int16 tables of orders up to 256, where an index built in
+int16 would wrap.
 """
 import json
 from unittest import mock
@@ -19,13 +25,18 @@ from hypothesis import given, settings, strategies as st
 from nearrings import AxiomViolation, builtin, core, emit_table, validate_nearring
 from nearrings.core import (
     _additive,
+    _as_table,
     _assoc,
+    _extend_closure,
     _first_rows,
     _first_violation,
     _generators,
     _holds,
     _identities,
+    _law,
+    _left_dist,
     _left_dist_bad_rows,
+    _row_blocks,
     _row_classes,
 )
 
@@ -431,3 +442,95 @@ def test_identities_are_two_sided(n, seed, e, sides):
 def test_references_in_one_row_blocks(test):
     with mock.patch.object(core, "_TEMP_BYTES", 1):
         test()
+
+
+# ---------------------------------------------------------------------------
+# the flat gathers, t.reshape(-1).take(a * n + b), against the 2-D fancy
+# indexing t[a, b] that they replace, kept here as the references
+
+
+def reference_additive(radd, act, madd):
+    return _law(lambda r, s, out: np.not_equal(
+        act.take(radd[r, s], axis=0), madd[act[r].astype(np.intp), act[s].astype(np.intp)],
+        out=out), act.shape)
+
+
+def reference_left_dist(add, mul):
+    return _law(lambda x, y, out: np.not_equal(
+        mul[x, add[y]], add[mul[x, y][:, None], mul[x]], out=out), add.shape)
+
+
+def reference_left_dist_bad_rows(add, mul, gens, rows):
+    rows = np.asarray(rows, dtype=np.intp)
+    bad = np.zeros(len(rows), dtype=bool)
+    for block in _row_blocks(len(rows), 8 * len(add)):
+        x = mul[rows[block]].astype(np.intp)  # an index below: cast once per block
+        for s in gens:
+            bad[block] |= (x[:, add[:, s]] != add[x, x[:, s, None]]).any(axis=1)
+    return bad
+
+
+def reference_extend_closure(add, reached, s):
+    reached[s] = True
+    frontier = np.array([s])
+    while len(frontier):
+        members = reached.nonzero()[0]
+        new = np.zeros(len(add), dtype=bool)
+        for rows in _row_blocks(len(frontier), 8 * len(members)):
+            new[add[frontier[rows, None], members].astype(np.intp, copy=False)] = True
+            new[add[members[:, None], frontier[rows]].astype(np.intp, copy=False)] = True
+        new[members] = False
+        reached |= new
+        frontier = new.nonzero()[0]
+
+
+def boolean_tables(k):
+    """The Boolean ring on 2^k elements: + is xor, * is and."""
+    x = np.arange(2 ** k)
+    return x[:, None] ^ x, x[:, None] & x
+
+
+# Orders from 182 on: an index a * n + b built in int16 wraps there.
+FLAT_FAMILIES = {
+    "Z12": lambda: (cyclic(12), ring_mul(12)),
+    "Z182": lambda: (cyclic(182), ring_mul(182)),
+    "Z256": lambda: (cyclic(256), ring_mul(256)),
+    "Z16xZ16": lambda: (product(cyclic(16), cyclic(16)), product(ring_mul(16), ring_mul(16))),
+    "Z2^8": lambda: boolean_tables(8),
+    "D128 projection": lambda: (dihedral(128), projection(dihedral(128))),
+}
+
+
+@pytest.mark.parametrize("corrupted", [False, True], ids=["relabelled", "corrupted"])
+@pytest.mark.parametrize("family", FLAT_FAMILIES)
+def test_flat_gathers_match_the_fancy_index(family, corrupted):
+    rng = np.random.default_rng(25)
+    add, mul = (np.array(t) for t in FLAT_FAMILIES[family]())
+    n = len(add)
+    p = rng.permutation(n)
+    tables = []
+    for t in (add, mul):
+        out = np.empty((n, n), dtype=np.int64)
+        out[p[:, None], p] = p[t]
+        if corrupted:
+            out[rng.integers(0, n, 3), rng.integers(0, n, 3)] = rng.integers(0, n, 3)
+        tables.append(_as_table(out))  # int16, as a loaded table is
+    add, mul = tables
+    m = n // 2 + 1  # an action on a group of another order
+    act, madd = _as_table(rng.integers(0, m, (n, m))), _as_table(cyclic(m))
+    rows = sorted({0, n - 1, *rng.choice(n, min(n, 16), replace=False).tolist()})
+    for new, ref in ((_additive(add, mul, add), reference_additive(add, mul, add)),
+                     (_additive(add, act, madd), reference_additive(add, act, madd)),
+                     (_left_dist(add, mul), reference_left_dist(add, mul))):
+        for r in rows:
+            assert np.array_equal(new(r), ref(r)), r
+    gens = _generators(add)
+    assert np.array_equal(_left_dist_bad_rows(add, mul, gens, range(n)),
+                          reference_left_dist_bad_rows(add, mul, gens, range(n)))
+    for t in (add, add.astype(np.intp)):  # a table, and the intp copy that closures index
+        got, expected = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        got[0] = expected[0] = True
+        for s in rng.integers(0, n, 3).tolist():
+            _extend_closure(t, got, s)
+            reference_extend_closure(t, expected, s)
+            assert np.array_equal(got, expected)

@@ -11,6 +11,12 @@ or move a comma past the next number.  The same documents are read again in
 blocks of a few bytes (``core._BLOCK`` patched), also through a file object
 that can or cannot seek and with an invalid UTF-8 sequence put in, so that
 every table, key and multi-byte character spans several blocks.
+
+``reference_decode_rows`` keeps, verbatim, the block checks and the digit
+decoding (``reference_block_numbers``) that the reader had before its
+separator decoder ``core._decode_rows``: every block of random tables of
+orders 1 to 200, with up to three edits, must be accepted or refused alike
+by both, with the same values.
 """
 import io
 import json
@@ -20,11 +26,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nearrings import core, from_document, load_nearring, parse_table
 from nearrings.core import (
+    _MAX_DIGITS,
+    _PAD,
+    _SPACE_BYTES,
+    _SPACES,
     DEFAULT_ORDER_CAP,
+    TABLE_DTYPE,
     TABLE_FORMAT,
     CapExceeded,
     RawTables,
@@ -244,9 +255,9 @@ def test_tables_span_many_blocks(style, block, monkeypatch):
     n = 40
     text = document(n, 3, labels=True, one=5, name="né環", style=style, ensure_ascii=False)
     blocks = []
-    decode = core._block_numbers
-    monkeypatch.setattr(core, "_block_numbers", lambda chars, out: blocks.append(len(out))
-                        or decode(chars, out))
+    decode = core._decode_rows
+    monkeypatch.setattr(core, "_decode_rows", lambda raw, opener, n, out: blocks.append(len(out))
+                        or decode(raw, opener, n, out))
     monkeypatch.setattr(core, "_BLOCK", block)
     doc = _read_document(*core._open(text))
     for key in ("add", "mul"):
@@ -285,11 +296,133 @@ def test_a_table_cut_short_decodes_no_block(style, block, monkeypatch):
     # table cut inside its rows is refused without decoding any of them.
     text = truncated_in_mul(document(40, 5, style=style))
     calls = []
-    monkeypatch.setattr(core, "_block_numbers", lambda chars, out: calls.append(len(out)))
+    monkeypatch.setattr(core, "_decode_rows", lambda raw, opener, n, out: calls.append(len(out)))
     monkeypatch.setattr(core, "_BLOCK", block)
     start = re.search(r'"mul":\s*', text).end()
     assert core._read_table(io.BytesIO(text.encode()), start, 40) is None
     assert calls == []
+
+
+# The block checks of ``_read_table`` and its ``_block_numbers`` before the
+# separator decoder, kept verbatim: ``reference_decode_rows`` is the
+# reference of ``core._decode_rows``.
+_DIGITS = b"0123456789"
+
+
+def reference_block_numbers(chars: bytes, out: np.ndarray) -> bool:
+    """Decode the numbers of ``chars``, whole rows of table text without
+    whitespace whose brackets and commas ``_read_table`` has checked, into
+    ``out``, one per entry; False unless each has 1 to ``_MAX_DIGITS``
+    digits without a leading zero and sits alone between a row-[ or in-row
+    comma and the comma or ] after it.
+
+    The brackets and commas fix the gaps where a number may sit, and there
+    are ``len(out)`` of them.  Gaps hold no whitespace, so each holds at
+    most one run of digits.  A run in any other gap touches a ] before it
+    or a [ after it.  So ``len(out)`` runs, none touching such a bracket,
+    fill each gap exactly once."""
+    buf = np.frombuffer(_PAD + chars, dtype=np.uint8)
+    digit = buf - np.uint8(ord("0"))  # a digit's value; 10 or more for any other byte
+    is_digit = digit[len(_PAD):] < 10
+    last = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # the last digit of each run
+    if len(last) != len(out):
+        return False
+    before = np.flatnonzero(is_digit[1:] > is_digit[:-1])  # the byte before each run
+    width = last - before
+    widest = int(width.max())
+    text = buf[len(_PAD):]
+    if (widest > _MAX_DIGITS or (text[before] == ord("]")).any()
+            or (text[1:][last] == ord("[")).any()
+            or ((width > 1) & (text[1:][before] == ord("0"))).any()):
+        return False
+    out[...] = digit[len(_PAD):][last]
+    for k in range(1, widest):  # the digit k places left of the last, in runs that have one
+        out += (width > k) * digit[len(_PAD) - k:][last] * TABLE_DTYPE(10 ** k)
+    return True
+
+
+def reference_decode_rows(raw: bytes, opener: bytes, n: int, out: np.ndarray) -> bool:
+    k = len(out) // n
+    row = b"[" + b"," * (n - 1) + b"]"
+    if not raw.isascii():
+        return False
+    chars = raw.translate(None, _SPACES) if any(c in raw for c in _SPACE_BYTES) else raw
+    if chars[:1] != opener or chars.translate(None, _DIGITS) != opener + b",".join([row] * k):
+        return False
+    if len(chars) < len(raw):
+        is_digit = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0")) < 10
+        if np.count_nonzero(is_digit[1:] > is_digit[:-1]) != k * n:
+            return False
+    return reference_block_numbers(chars, out)
+
+
+# A number replaced by none, by itself with a leading zero, or by 5 digits.
+NUMBER_EDITS = (lambda m: "", lambda m: "0" + m, lambda m: "1" + m.zfill(4))
+
+
+@st.composite
+def table_texts(draw):
+    """An order n and the text of an n x n table in one of the styles, with
+    up to three edits: a number replaced, text put next to a bracket or a
+    comma (the table's own [ included), or a bracket or comma replaced."""
+    n = draw(st.one_of(st.integers(1, 16), st.integers(17, 200)))
+    table = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, n, (n, n))
+    text = json.dumps(table.tolist(), **STYLES[draw(st.integers(0, len(STYLES) - 1))])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("number", "next to", "separator")))
+        if kind == "number":
+            spans = [m.span() for m in re.finditer(r"\d+", text)]
+        elif kind == "next to":
+            c, d = draw(st.sampled_from("[],")), draw(st.sampled_from((0, 1)))
+            spans = [(i + d, i + d) for i, ch in enumerate(text) if ch == c]
+        else:
+            spans = [m.span() for m in re.finditer(r"[\[\],]", text)]
+        if not spans:
+            continue
+        first = st.just(0) if kind == "separator" else st.nothing()  # the table's own [
+        start, stop = spans[draw(first | st.integers(0, len(spans) - 1))]
+        if kind == "number" and draw(st.booleans()):
+            new = draw(st.sampled_from(NUMBER_EDITS))(text[start:stop])
+        else:
+            new = draw(st.sampled_from(MUTATIONS))
+        text = text[:start] + new + text[stop:]
+    return n, text.encode("utf-8")
+
+
+def assert_decoders_agree(n, text):
+    """``_read_table`` on ``text``, with each block decoded by
+    ``_decode_rows`` and by the reference: the same accept or refuse, and
+    the same values."""
+    decode = core._decode_rows
+
+    def both(raw, opener, n, out):
+        expected = np.full_like(out, -1)
+        accepted = decode(raw, opener, n, out)
+        assert accepted == reference_decode_rows(raw, opener, n, expected)
+        assert not accepted or np.array_equal(out, expected)
+        return accepted
+    with mock.patch.object(core, "_decode_rows", both):
+        result = core._read_table(io.BytesIO(text), 0, n)
+    if result is not None:
+        assert result[0].tolist() == json.loads(text[:result[1]])
+
+
+@given(table_texts())
+@example((2, b"[[0,01],[1,0]]"))      # a leading zero
+@example((2, b"[[0,10001],[1,0]]"))   # five digits
+@example((2, b"[[0,1]7,[1,0]]"))      # a digit between ] and ,
+@example((2, b",[0,1],[1,0]]"))       # another opener than the table's [
+@example((2, b"[[0,1 0],[1,0]]"))     # whitespace inside a number
+@example((200, json.dumps([[(7 * i + 13 * j) % 200 for j in range(200)]
+                           for i in range(200)]).encode()))  # numbers of 1 to 3 digits
+@settings(max_examples=300, deadline=None)
+def test_separator_decoder_matches_the_reference(case):
+    assert_decoders_agree(*case)
+
+
+def test_separator_decoder_matches_the_reference_in_one_row_blocks():
+    with mock.patch.object(core, "_BLOCK", 1), mock.patch.object(core, "_TEMP_BYTES", 1):
+        test_separator_decoder_matches_the_reference()
 
 
 def with_entry(text, entry):
@@ -353,15 +486,42 @@ def test_documents_in_small_blocks_take_the_reader(style, block, monkeypatch):
             assert doc == {**json.loads(text), "add": doc["add"], "mul": doc["mul"]}
 
 
+TABLES_FIRST = {
+    "order after the tables": ["format", "name", "add", "mul", "order"],
+    "sorted keys": sorted(["format", "name", "order", "add", "mul", "labels", "one"]),
+}
+
+
+@pytest.mark.parametrize("style", range(len(STYLES)))
+@pytest.mark.parametrize("keys", TABLES_FIRST.values(), ids=TABLES_FIRST.keys())
+def test_documents_with_tables_first_take_the_reader(keys, style):
+    # Before order, a table is read as n x n for the n entries of its first
+    # row; parse_table compares it with order as it would a list.
+    text = document(3, 1, keys=keys, labels="labels" in keys, one=1 if "one" in keys else None,
+                    style=style)
+    doc = _read_document(*core._open(text))
+    assert doc is not None and doc == {**json.loads(text), "add": doc["add"], "mul": doc["mul"]}
+    for key in ("add", "mul"):
+        assert isinstance(doc[key], np.ndarray) and doc[key].tolist() == json.loads(text)[key]
+    for order in (3, 2, 4):
+        edited = text.replace('"order": 3', f'"order": {order}').replace('"order":3',
+                                                                           f'"order":{order}')
+        assert outcome(parse_table, edited) == outcome(reference_parse_table, edited)
+
+
 @pytest.mark.parametrize("text", [
-    document(3, 1, keys=["format", "name", "add", "mul", "order"]),
+    '{"format": "nearring-table/1", "name": "x", "add": [[%s]], "mul": [[0]], "order": 1}'
+    % ",".join(["0"] * (DEFAULT_ORDER_CAP + 1)),
+    '{"format": "nearring-table/1", "name": "x", "add": [[0, 0',
+    '{"format": "nearring-table/1", "name": "x", "order": 0, "add": [[0]], "mul": [[0]]}',
     '{"format": "nearring-table/1", "name": "x", "order": 1, "add": %s, "mul": [[0]]}'
     % ("[" * 100_000 + "]" * 100_000),
     '{"format": "nearring-table/1", "name": "x", "order": %s, "add": [[0]], "mul": [[0]]}'
     % ("1" * 5000),
     '{"format": "nearring-table/1", "name": "x", "order": 1, "add": [[%s]], "mul": [[0]]}'
     % ("1" * 5000),
-], ids=["order after the tables", "deep nesting", "5000-digit order", "5000-digit entry"])
+], ids=["first row over the cap before order", "no row end before order", "order 0",
+        "deep nesting", "5000-digit order", "5000-digit entry"])
 def test_other_documents_fall_back(text):
     assert _read_document(*core._open(text)) is None
 
