@@ -11,13 +11,13 @@ Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
 ``core.laws_hold``, stored by validation, and tests each distinct orbit on
 its own when the table breaks them).  The morphic witness scan,
 subcommutativity (Na = aN), weak divisibility (b in Na or a in Nb) and IFP
-(ab = 0 implies aN in (0:b), once per pair of distinct rows) compare rows of
-these tables; each still reports the first witness in ascending scan order.
+(ab = 0 implies aN in (0:b), once per distinct (aN, {x : ax = 0})) read rows
+of these tables; each still reports the first witness in ascending scan order.
 An Na that the batch test rejects gets its first witness from the stage
 scans of ``nmodules``, once per distinct orbit (``orbit_classes``,
 ``nmodules._rejected_orbit_verdict``), shared by every element with that
 orbit; stage scans that find no witness there raise ``InvariantError``.
-Left duo is decided on the distinct principal ideals
+Left duo is decided by ``right_escape`` on the distinct principal ideals
 (``nmodules.principal_ideals``, one closure per distinct seed set, none
 where P(a) = Na); the comment in ``structure_profile`` shows why the first
 ideal that is not two-sided is a principal one.
@@ -36,7 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NearRing, _first_hit, _first_rows, _row_blocks, _row_classes, _seal, memoized
+from .core import (NearRing, _first_hit, _first_hit_in_blocks, _first_rows, _row_classes,
+                   _seal, memoized)
 from .nmodules import (
     IDEAL_ENUM_ORDER_CAP,
     IdealVerdict,
@@ -153,24 +154,31 @@ def _nilpotency(ring: NearRing) -> np.ndarray:
     return nilpotency
 
 
-def _words(packed: np.ndarray) -> np.ndarray:
-    """Rows packed to bits, zero-padded to whole 64-bit words, as uint64."""
-    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+def _ifp_witness(ring: NearRing) -> Optional[tuple[int, int, int]]:
+    """The first IFP witness (a, x, b): ab = 0 but (ax)b != 0, or None.
 
-
-def _meets(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """n x n bool table: [a, b] says whether row a of ``rows`` and row b of
-    ``cols`` (n x n bool) share a True column.  It is decided once per pair of
-    distinct rows (``_row_classes``), packed to 64-bit words and ANDed in row
-    blocks: O(R*C*n/64 + n^2) for R and C distinct rows."""
-    packed_rows, packed_cols = np.packbits(rows, axis=1), np.packbits(cols, axis=1)
-    firsts_r, at_r = np.unique(_row_classes(packed_rows), return_inverse=True)
-    firsts_c, at_c = np.unique(_row_classes(packed_cols), return_inverse=True)
-    packed_rows, packed_cols = _words(packed_rows[firsts_r]), _words(packed_cols[firsts_c])
-    meets = np.empty((len(firsts_r), len(firsts_c)), dtype=bool)
-    for block in _row_blocks(len(firsts_r), packed_cols.nbytes):
-        meets[block] = (packed_rows[block, None] & packed_cols).any(axis=2)
-    return meets[at_r[:, None], at_c]
+    With r(a) = {b : ab = 0}, row a of ``annihilator_masks(ring, "right")``,
+    a fails iff mul[aN, r(a)] has a non-zero entry: a fact of the pair
+    (aN, r(a)) alone.  So each distinct pair is tested once on its least
+    element, in ascending order (``_first_rows`` over both packed rows), in
+    blocks over b.  A class fails as a whole, so the first failing class
+    starts with the least failing a; the blocks give its least b, and x is
+    read from that b: the row-major first witness.  A pair gathers
+    |aN| * |r(a)| entries.  On a ring x -> ax is an endomorphism of (N,+)
+    with image aN and kernel r(a), so that is n (first isomorphism theorem)
+    and O(n^2) in all; on other tables it is at most n^2, O(n^3) in all.
+    """
+    mul = ring.mul
+    right, kernel = orbit_masks(ring, "right"), annihilator_masks(ring, "right")
+    pairs = np.concatenate([np.packbits(right, axis=1), np.packbits(kernel, axis=1)], axis=1)
+    for a in _first_rows(pairs):
+        ys, bs = np.flatnonzero(right[a]), np.flatnonzero(kernel[a])
+        hit = _first_hit_in_blocks(lambda i: mul[ys, bs[i, None]] != 0, len(bs), 8 * len(ys))
+        if hit is not None:
+            b = int(bs[hit[0]])
+            x, = _first_hit(mul[mul[a], b] != 0)
+            return a, x, b
+    return None
 
 
 def _morphic_witnesses(ring: NearRing) -> np.ndarray:
@@ -340,14 +348,7 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     reduced = holds("reduced", _first_hit((col("nilpotency") > 0) & nonzero))
 
     left, right = orbit_masks(ring, "left"), orbit_masks(ring, "right")
-    # IFP: ab = 0 implies aNb = 0, i.e. aN lies in (0:b).  The first (a, b)
-    # in row-major order that breaks it, then the least x with (ax)b != 0.
-    bad = _first_hit((mul == 0) & _meets(right, ~annihilator_masks(ring, "left")))
-    if bad is not None:
-        a, b = bad
-        x, = _first_hit(mul[mul[a], b] != 0)
-        bad = (a, x, b)
-    ifp = holds("has_ifp", bad)
+    ifp = holds("has_ifp", _ifp_witness(ring))  # ab = 0 implies aNb = 0
     subcommutative = holds("subcommutative", _first_hit((left != right).any(axis=1)))
     boolean = holds("boolean", _first_hit(~col("idempotent")))
     # Weakly divisible: b in Na or a in Nb for every pair (a, b).
@@ -358,21 +359,20 @@ def structure_profile(ring: NearRing) -> StructureProfile:
     # P(l), which lies in L; so a smallest failing L contains a failing
     # P(l), and |P(l)| <= |L| forces P(l) = L.  The first failing ideal in
     # (size, members) order is therefore the first failing principal one,
-    # found among the distinct rows of ``nmodules.principal_ideals``.
+    # found by ``right_escape`` on the distinct rows of ``principal_ideals``.
     # The order gate stays: perfbench/oracle.py and the recorded seed-1
     # digests expect left_duo to be null above it, so lifting it is an
     # output change of its own.
     left_duo: Optional[bool] = None
     if n <= IDEAL_ENUM_ORDER_CAP:
         principal = principal_ideals(ring)
-        ideals = principal[_first_rows(np.packbits(principal, axis=1))]
-        escapes = (ideals[:, :, None] & ~ideals[:, mul]).any(axis=(1, 2))  # [P, l, x]
-        failing = min((tuple(np.flatnonzero(p).tolist()) for p in ideals[escapes]),
-                      key=lambda p: (len(p), p), default=None)
-        left_duo = failing is None
-        if not left_duo:
-            witnesses["left_duo"] = right_escape(ring, failing)
-            witnesses["left_duo_ideal"] = failing
+        ideals = sorted((tuple(np.flatnonzero(principal[a]).tolist())
+                         for a in _first_rows(np.packbits(principal, axis=1))),
+                        key=lambda p: (len(p), p))
+        escape = next(((w, p) for p in ideals if (w := right_escape(ring, p))), None)
+        left_duo = escape is None
+        if escape:
+            witnesses["left_duo"], witnesses["left_duo_ideal"] = escape
 
     bad = _first_hit(col("idempotent") & ~col("central"))
     if bad is not None:

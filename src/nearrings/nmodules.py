@@ -65,7 +65,7 @@ closure of its own.
 A near-ring built without validation need not satisfy the laws, so
 ``orbit_is_N_ideal`` and ``principal_ideals`` read ``core.laws_hold``
 (stored by validation, computed in O(|S| n^2) on any other ring).  When
-the laws fail, ``orbit_is_N_ideal`` runs ``is_N_ideal`` once per distinct
+the laws fail, ``orbit_is_N_ideal`` runs the stage scans once per distinct
 orbit (``orbit_classes``) and ``principal_ideals`` closes every element on
 its own.  ``is_N_ideal`` takes arbitrary actions, so it keeps r over all
 of N; its reductions over S_L need only the group laws of M.
@@ -209,23 +209,23 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
 
     The reductions (module docstring) need the near-ring laws.  A
     ``NearRing`` built without validation may break them, so the check
-    reads ``core.laws_hold`` first and falls back to ``is_N_ideal``, once
-    per distinct orbit, when they fail; the verdict of each orbit it rejects
+    reads ``core.laws_hold`` first and falls back to the stage scans, once
+    per distinct orbit, when they fail; the verdict of each orbit they reject
     is kept as ``_rejected_orbit_verdict``.  Otherwise r ranges over the
     generators whose row is not an endomorphism, tested on those rows
     alone: for the others r(l+m) - rm = rl = (r*s)*a, in Na.
     """
     add, neg, mul = ring.add, ring.neg, ring.mul
+    orbits = orbit_masks(ring, "left")
     if not laws_hold(ring):
         rep, classes = regular_representation(ring), orbit_classes(ring)
         ok = np.zeros(ring.order, dtype=bool)
         for first in sorted(set(classes.tolist())):
-            verdict = is_N_ideal(rep, orbit(ring, "left", first))
-            ok[classes == first] = bool(verdict)
-            if not verdict:  # the stage scans' verdict: keep it for the orbit
+            verdict = _stage_scans(rep, orbits[first])
+            ok[classes == first] = verdict is None
+            if verdict is not None:  # a rejected orbit: keep its verdict
                 _rejected_orbit_verdict.keep(ring, verdict, first)
         return _seal(ok)
-    orbits = orbit_masks(ring, "left")
     cols = np.arange(ring.order)
     gens = np.array(group_generators(ring.group), dtype=np.int64)
     gens_l = mul[gens, :]  # row s holds s*a for every a: generators of each Na

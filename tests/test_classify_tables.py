@@ -41,6 +41,7 @@ from nearrings import (
 )
 from nearrings.catalog import DEFAULT_CORPUS_NAMES, _zn_group
 import nearrings.classify as classify
+import nearrings.core as core
 import nearrings.nmodules as nmodules
 import nearrings.theorems as theorems
 from nearrings.classify import all_element_profiles, units
@@ -242,10 +243,11 @@ def reference_ifp(ring):
     return bad
 
 
-# Every aN is distinct in the projection products (R = n, two annihilators),
-# and every aN and every (0:b) in the Boolean rings F2^k (R = C = n), whose
-# pairs fill many row blocks in F2^8.  Rows of 96 and 32 bits (D48 and F2^5)
-# are padded to whole 64-bit words.
+# IFP tests each distinct pair (aN, r(a)), r(a) = {b : ab = 0}, once.  Every
+# aN, hence every pair, is distinct in the projection products, and every aN
+# and every r(a) in the Boolean rings F2^k: n pairs each.  A pair's gather
+# has |aN| * |r(a)| entries, n on a ring (first isomorphism theorem); M0(Z3)
+# and M0(Z4), which are not rings, have pairs above n.
 IFP_EXTRA = {"dproj_32": lambda: dihedral_projection(32),
              "dproj_48": lambda: dihedral_projection(48),
              "f2^5": lambda: build_product([builtin("zn_ring(2)")] * 5),
@@ -257,15 +259,33 @@ def ifp_ring(name):
     return IFP_EXTRA[name]() if name in IFP_EXTRA else ring_named(name)
 
 
+def ifp_pairs(ring):
+    """The packed rows aN and r(a) of every a, side by side."""
+    return np.concatenate([np.packbits(nmodules.orbit_masks(ring, "right"), axis=1),
+                           np.packbits(nmodules.annihilator_masks(ring, "right"), axis=1)],
+                          axis=1)
+
+
 def test_ifp_family_has_only_distinct_rows():
     for name in ("dproj_3", "dproj_4", "dproj_32", "dproj_48", "f2^5", "f2^8"):
         ring = ifp_ring(name)
         right = np.packbits(nmodules.orbit_masks(ring, "right"), axis=1)
         assert len(np.unique(right, axis=0)) == ring.order, name
+        assert len(np.unique(ifp_pairs(ring), axis=0)) == ring.order, name
     for name in ("f2^5", "f2^8"):
         ring = ifp_ring(name)
-        anns = np.packbits(nmodules.annihilator_masks(ring, "left"), axis=1)
-        assert len(np.unique(anns, axis=0)) == ring.order, name
+        kernels = np.packbits(nmodules.annihilator_masks(ring, "right"), axis=1)
+        assert len(np.unique(kernels, axis=0)) == ring.order, name
+    above = []
+    for name in RING_NAMES + tuple(IFP_EXTRA):
+        ring = ifp_ring(name)
+        sizes = (nmodules.orbit_masks(ring, "right").sum(axis=1)
+                 * nmodules.annihilator_masks(ring, "right").sum(axis=1))
+        if ring.is_ring():
+            assert (sizes == ring.order).all(), name
+        elif sizes.max() > ring.order:
+            above.append(name)
+    assert {"m0_z3", "m0_z4"} <= set(above)
 
 
 @given(name=st.sampled_from(RING_NAMES + tuple(IFP_EXTRA)),
@@ -280,6 +300,31 @@ def test_ifp_matches_the_matmul(name, seed, data):
         ring = with_entry(ring, *(data.draw(st.integers(0, n - 1)) for _ in range(3)))
     sp, bad = structure_profile(ring), reference_ifp(ring)
     assert (sp.has_ifp, sp.witnesses.get("has_ifp")) == (bad is None, bad)
+
+
+@pytest.mark.parametrize("name", RING_NAMES + tuple(IFP_EXTRA))
+def test_ifp_matches_the_matmul_one_b_per_block(name):
+    ring = relabelled(ifp_ring(name), 1)
+    with mock.patch.object(core, "_TEMP_BYTES", 1):
+        assert classify._ifp_witness(ring) == reference_ifp(ring)
+
+
+def test_ifp_witness_needs_the_pair_the_right_kernel_and_ascending_classes():
+    # M0(Z3) relabelled by seed 2 breaks IFP at a = 4, 5, 6 and 7, four
+    # distinct pairs, so an order that does not visit 4's class first finds
+    # another a.  1N = 4N, and 1 passes: a key on aN alone would test 4's
+    # class on 1 only.  r(4) = {b : 4b = 0} is not (0:4) = {x : x4 = 0}.
+    ring = relabelled(ring_named("m0_z3"), 2)
+    right, kernel = nmodules.orbit_masks(ring, "right"), nmodules.annihilator_masks(ring, "right")
+    fails = [bool((ring.mul[np.ix_(right[a], kernel[a])] != 0).any())
+             for a in range(ring.order)]
+    assert np.flatnonzero(fails).tolist() == [4, 5, 6, 7]
+    assert len(np.unique(ifp_pairs(ring)[fails], axis=0)) == 4
+    assert (right[1] == right[4]).all() and not fails[1]
+    assert np.flatnonzero(kernel[4]).tolist() == [0, 2, 5, 6]
+    assert np.flatnonzero(nmodules.annihilator_masks(ring, "left")[4]).tolist() == [0, 5, 7]
+    assert reference_ifp(ring) == (4, 1, 2)
+    assert structure_profile(ring).witnesses["has_ifp"] == (4, 1, 2)
 
 
 @ring_and_seed
