@@ -6,17 +6,14 @@ and Nb = (0:a)); the brute-force isomorphism search between N/Na and (0:a),
 ``_algorithm_I``, runs only in the ``lemma1_equiv`` cell, which compares them.
 
 The scans run over whole-ring n x n bool tables from ``nmodules``: rows of
-Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a at once
-(``orbit_is_N_ideal``, whose reductions need the near-ring laws; it reads
-``core.laws_hold``, stored by validation, and tests each distinct orbit on
-its own when the table breaks them).  The morphic witness scan,
-subcommutativity (Na = aN), weak divisibility (b in Na or a in Nb) and IFP
-(ab = 0 implies aN in (0:b), once per distinct (aN, {x : ax = 0})) read rows
-of these tables; each still reports the first witness in ascending scan order.
-An Na that the batch test rejects gets its first witness from the stage
-scans of ``nmodules``, once per distinct orbit (``orbit_classes``,
-``nmodules._rejected_orbit_verdict``), shared by every element with that
-orbit; stage scans that find no witness there raise ``InvariantError``.
+Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a
+(``orbit_is_N_ideal``, one pass over the distinct orbits; it keeps the
+stage scans' first witness of each orbit it rejects, which
+``is_left_morphic`` reads for every element with that orbit).  The
+morphic witness scan, subcommutativity (Na = aN), weak divisibility (b in
+Na or a in Nb) and IFP (ab = 0 implies aN in (0:b), once per distinct (aN,
+{x : ax = 0})) read rows of these tables; each still reports the first
+witness in ascending scan order.
 Left duo is decided by ``right_escape`` on the distinct principal ideals
 (``nmodules.principal_ideals``, one closure per distinct seed set, none
 where P(a) = Na); the comment in ``structure_profile`` shows why the first
@@ -46,15 +43,14 @@ from .nmodules import (
     is_N_ideal,
     modules_isomorphic,
     orbit,
-    orbit_classes,
     orbit_is_N_ideal,
     orbit_masks,
     principal_ideals,
     regular_representation,
     right_escape,
     _index,
+    _orbit_verdict,
     _quotient,
-    _rejected_orbit_verdict,
 )
 
 class NonUnitalError(ValueError):
@@ -121,13 +117,13 @@ def is_left_morphic(ring: NearRing, a: int) -> MorphicVerdict:
     Na = (0:b) and Nb = (0:a); first such b wins.
 
     Both are read off whole-ring tables (``orbit_is_N_ideal``, the
-    "morphic_witness" column); an Na that is not an N-ideal gets its first
-    witness from ``_rejected_orbit_verdict``, once per distinct orbit."""
+    "morphic_witness" column); an Na that is not an N-ideal gets the stage
+    scans' verdict that ``orbit_is_N_ideal`` stored for its class."""
     a = _index(ring.order, a)
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
-    if not orbit_is_N_ideal(ring)[a]:
-        verdict = _rejected_orbit_verdict(ring, int(orbit_classes(ring)[a]))
+    verdict = _orbit_verdict(ring, a)
+    if verdict is not None:
         return MorphicVerdict("na_not_ideal", ideal_verdict=verdict)
     b = int(element_column(ring, "morphic_witness")[a])
     return MorphicVerdict("no_witness" if b < 0 else "morphic", witness=None if b < 0 else b)
@@ -198,15 +194,10 @@ def _morphic_witnesses(ring: NearRing) -> np.ndarray:
 
 
 def _left_morphic(ring: NearRing) -> np.ndarray:
-    """Per a: Na is an N-ideal and a has a morphic witness.  Each distinct
-    Na that the batch N-ideal test rejected is confirmed by the stage scans
-    once (``_rejected_orbit_verdict``), as through ``is_left_morphic``."""
+    """Per a: Na is an N-ideal and a has a morphic witness."""
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
-    ideal = orbit_is_N_ideal(ring)
-    for first in sorted(set(orbit_classes(ring)[~ideal].tolist())):
-        _rejected_orbit_verdict(ring, first)
-    return ideal & (element_column(ring, "morphic_witness") >= 0)
+    return orbit_is_N_ideal(ring) & (element_column(ring, "morphic_witness") >= 0)
 
 
 _COLUMNS: dict[str, Callable[[NearRing], np.ndarray]] = {

@@ -20,8 +20,8 @@ The N-ideal layer works over generating sets, with exact reductions:
   l that satisfy the N-ideal condition for one r are closed under +:
   r((l1+l2)+m) - rm = [r(l1+(l2+m)) - r(l2+m)] + [r(l2+m) - rm].
   So the first failing row is the exhaustive scan's; its first witness is
-  read over all of L.  ``_rejected_orbit_verdict`` runs the scans once on
-  each orbit that ``orbit_is_N_ideal`` has already rejected.
+  read over all of L.  ``orbit_is_N_ideal`` runs them once on each
+  distinct orbit that its batch rules do not accept.
 - ``_ideal_closure`` closes a seed set to the smallest N-ideal containing
   it.  It keeps its set closed under + semi-naively and sends only the
   generators it adds through the conjugate and r(l+m) - rm rules, which
@@ -37,9 +37,11 @@ The N-ideal layer works over generating sets, with exact reductions:
 Orbits and annihilators of a near-ring are read off memoised n x n bool
 tables (``orbit_masks``, ``annihilator_masks``); a subset's annihilator is
 the AND of its members' rows.  ``orbit_is_N_ideal`` decides "Na is an
-N-ideal" for every a at once, in O(|S|^2 n^2) over a generating set S of
-(N,+), by three more reductions that hold only when the near-ring laws
-do, i.e. for the regular representation of a near-ring:
+N-ideal" once per distinct orbit, R of them, in O(|S| |movers| R n) over a
+generating set S of (N,+) plus one stage scan per rejected orbit, by three
+more reductions that hold only when the near-ring laws do, i.e. for the
+regular representation of a near-ring (the movers are the generators whose
+row is not an endomorphism):
 
 - Na = {n*a} is the subgroup generated by {s*a : s in S}, since
   n -> n*a is an endomorphism of (N,+);
@@ -65,10 +67,10 @@ closure of its own.
 A near-ring built without validation need not satisfy the laws, so
 ``orbit_is_N_ideal`` and ``principal_ideals`` read ``core.laws_hold``
 (stored by validation, computed in O(|S| n^2) on any other ring).  When
-the laws fail, ``orbit_is_N_ideal`` runs the stage scans once per distinct
-orbit (``orbit_classes``) and ``principal_ideals`` closes every element on
-its own.  ``is_N_ideal`` takes arbitrary actions, so it keeps r over all
-of N; its reductions over S_L need only the group laws of M.
+the laws fail, the batch rules accept no orbit, so the stage scans decide
+each one, and ``principal_ideals`` closes every element on its own.
+``is_N_ideal`` takes arbitrary actions, so it keeps r over all of N; its
+reductions over S_L need only the group laws of M.
 """
 from __future__ import annotations
 
@@ -202,56 +204,60 @@ def orbit(ring: NearRing, side: str, a: int) -> frozenset[int]:
     return _members(orbit_masks(ring, side)[_index(ring.order, a)])
 
 
+_ORBIT_VERDICTS = ("orbit_is_N_ideal", "verdicts")  # in a ring's ``derived`` cache
+
+
 @memoized
 def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     """Bool vector whose entry a says whether Na is an N-ideal of the regular
-    representation, decided for every a in one pass.
+    representation.  That depends only on the set Na, so one pass runs over
+    the first element of each class of ``orbit_classes``, its representative:
 
-    The reductions (module docstring) need the near-ring laws.  A
-    ``NearRing`` built without validation may break them, so the check
-    reads ``core.laws_hold`` first and falls back to the stage scans, once
-    per distinct orbit, when they fail; the verdict of each orbit they reject
-    is kept as ``_rejected_orbit_verdict``.  Otherwise r ranges over the
-    generators whose row is not an endomorphism, tested on those rows
-    alone: for the others r(l+m) - rm = rl = (r*s)*a, in Na.
+    1. Accept.  When ``core.laws_hold``, the batch rules (module docstring)
+       accept orbits on the R representative rows.  A representative a'
+       stands for every a with Na = Na': under the laws x -> x*a' is
+       additive, so {s*a' : s in S} generates Na' = Na.  On a table that
+       breaks the laws they accept nothing.
+    2. Reject.  Each representative not accepted goes through
+       ``_stage_scans`` once; ``_orbit_verdict`` reads the stored verdict.
+       Under the laws the rules are exact, so scans that find no witness
+       raise ``InvariantError``; on other tables they accept the orbit.
+    3. Spread.  The class labels carry the verdicts back to the elements.
     """
-    add, neg, mul = ring.add, ring.neg, ring.mul
-    orbits = orbit_masks(ring, "left")
-    if not laws_hold(ring):
-        rep, classes = regular_representation(ring), orbit_classes(ring)
-        ok = np.zeros(ring.order, dtype=bool)
-        for first in sorted(set(classes.tolist())):
-            verdict = _stage_scans(rep, orbits[first])
-            ok[classes == first] = verdict is None
-            if verdict is not None:  # a rejected orbit: keep its verdict
-                _rejected_orbit_verdict.keep(ring, verdict, first)
-        return _seal(ok)
-    cols = np.arange(ring.order)
-    gens = np.array(group_generators(ring.group), dtype=np.int64)
-    gens_l = mul[gens, :]  # row s holds s*a for every a: generators of each Na
-    conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
-    ok = orbits[cols, conj].all(axis=(0, 1))
-    movers = gens[_left_dist_bad_rows(add, mul, gens, gens)]
-    # One (l, r) pair of generators at a time, so temporaries stay n x n.
-    # The indices reused across the inner loop are cast to intp once.
-    for row in gens_l if len(movers) else ():
-        shifted = add[row[:, None], cols].astype(np.intp)       # [a, m]: s*a + m
-        for r in movers:
-            rm = mul[r].astype(np.intp)
-            diff = add[rm[shifted], neg[rm]]                    # r(l+m) - rm
-            ok &= orbits[cols[:, None], diff].all(axis=1)
-    return _seal(ok)
+    n, add, neg, mul = ring.order, ring.add, ring.neg, ring.mul
+    classes = orbit_classes(ring)
+    orbits, firsts = orbit_masks(ring, "left"), np.flatnonzero(classes == np.arange(n))
+    laws = laws_hold(ring)
+    ok = np.zeros(len(firsts), dtype=bool)
+    if laws:
+        gens = np.array(group_generators(ring.group), dtype=np.int64)
+        gens_l = mul[gens[:, None], firsts]  # [s, i]: s*a for the i-th representative a
+        conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
+        ok = orbits[firsts, conj].all(axis=(0, 1))
+        movers = gens[_left_dist_bad_rows(add, mul, gens, gens)]
+        # One (l, r) pair of generators at a time, so temporaries stay R x n.
+        for row in gens_l if len(movers) else ():
+            shifted = add[row].astype(np.intp)                  # [i, m]: s*a + m
+            for r in movers:
+                rm = mul[r].astype(np.intp)
+                diff = add[rm[shifted], neg[rm]]                # r(l+m) - rm
+                ok &= orbits[firsts[:, None], diff].all(axis=1)
+    rep, verdicts = regular_representation(ring), {}
+    for i in np.flatnonzero(~ok).tolist():
+        first = int(firsts[i])
+        verdict = _stage_scans(rep, orbits[first])
+        if verdict is None and laws:
+            raise InvariantError(f"batch N-ideal test disagrees at element {first}")
+        ok[i], verdicts[first] = verdict is None, verdict
+    ring.derived[_ORBIT_VERDICTS] = verdicts
+    return _seal(ok[np.searchsorted(firsts, classes)])
 
 
-@memoized
-def _rejected_orbit_verdict(ring: NearRing, first: int) -> IdealVerdict:
-    """The stage scans' first witness on Na, for the first element a of an
-    orbit that ``orbit_is_N_ideal`` rejected, shared by every element with
-    that orbit; raises if they find none."""
-    verdict = _stage_scans(regular_representation(ring), orbit_masks(ring, "left")[first])
-    if verdict is None:
-        raise InvariantError(f"batch N-ideal test disagrees at element {first}")
-    return verdict
+def _orbit_verdict(ring: NearRing, a: int) -> Optional[IdealVerdict]:
+    """The stage scans' verdict on Na that ``orbit_is_N_ideal`` stored for
+    the class of a, or None where Na is an N-ideal."""
+    orbit_is_N_ideal(ring)
+    return ring.derived[_ORBIT_VERDICTS].get(int(orbit_classes(ring)[a]))
 
 
 def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:

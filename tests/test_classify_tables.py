@@ -1246,15 +1246,15 @@ def test_stage_scans_match_is_N_ideal(name, seed, data):
             assert (verdict.kind, verdict.witness) == expected
             assert nmodules._stage_scans(module, in_l) == (None if verdict else verdict)
     if kind == "left orbit" and not orbit_is_N_ideal(ring)[a]:
-        # The morphic path reads the same scans, and refuses a rejected
-        # orbit on which they find nothing.
-        first = int(nmodules.orbit_classes(ring)[a])
-        assert nmodules._rejected_orbit_verdict(ring, first) == \
-            is_N_ideal(rep, orbit(ring, "left", a))
-        fresh = dataclasses.replace(ring)
-        with mock.patch.object(nmodules, "_stage_scans", lambda module, in_l: None), \
-                pytest.raises(InvariantError, match="batch N-ideal test disagrees"):
-            nmodules._rejected_orbit_verdict(fresh, first)
+        # The morphic path reads the verdict that the orbit pass stored for
+        # the class of a; on a law-keeping copy, the pass refuses a rejected
+        # orbit on which the scans find nothing.
+        assert nmodules._orbit_verdict(ring, a) == is_N_ideal(rep, orbit(ring, "left", a))
+        if core.laws_hold(ring):
+            fresh = dataclasses.replace(ring)
+            with mock.patch.object(nmodules, "_stage_scans", lambda module, in_l: None), \
+                    pytest.raises(InvariantError, match="batch N-ideal test disagrees"):
+                orbit_is_N_ideal(fresh)
 
 
 def test_stage_scans_read_the_normality_witness_over_L():

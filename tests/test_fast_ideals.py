@@ -5,6 +5,8 @@ every r against every l and m) and ``reference_enumerate`` (closure of every
 singleton, then closure of every pairwise union until nothing new appears)
 are the oracles: ``is_N_ideal`` must return the same verdict and the same
 first witness, and ``enumerate_left_ideals`` the same sorted list.
+``reference_batch_rules`` runs ``orbit_is_N_ideal``'s batch rules on every
+element, and the one pass over the distinct orbits must agree with it.
 """
 import dataclasses
 import random
@@ -23,8 +25,11 @@ from nearrings import (
     regular_representation,
     validate_nearring,
 )
-from nearrings.catalog import _f2_module, _f2sq_module
-from nearrings.nmodules import NModule, _subgroup_generators
+import nearrings.nmodules as nmodules
+from nearrings.catalog import _f2_module, _f2sq_module, _zn_group
+from nearrings.core import _seal, build_M0, build_product, group_generators, laws_hold
+from nearrings.nmodules import (NModule, _subgroup_generators, orbit_classes, orbit_is_N_ideal,
+                                orbit_masks)
 
 SMALL_BUILTINS = ("klein4_ring", "zn_ring(2)", "zn_ring(6)", "zn_ring(8)", "zn_ring(12)",
                   "m0_z3", "mat2_f2", "klein4_x_f2", "ext_f2_f2")
@@ -272,3 +277,100 @@ def test_subgroup_generators_generate():
         gens = _subgroup_generators(np.array(add), members).tolist()
         assert set(gens) <= set(members.tolist())
         assert subgroup(add, gens) == frozenset(members.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the orbit pass of orbit_is_N_ideal against its batch rules run per element
+#
+# test_classify_tables imports this module, so its ring families are
+# imported inside the tests.
+
+
+def reference_batch_rules(ring):
+    """Per a, ``orbit_is_N_ideal``'s batch rules on a itself, on a table
+    that keeps the near-ring laws: for every generator s of (N,+), the
+    conjugates x + s*a - x (x a generator) and r(s*a + m) - rm (every m, r
+    each generator whose row is not an endomorphism of (N,+), by the
+    exhaustive check) lie in Na."""
+    n, add, neg, mul = ring.order, ring.add, ring.neg, ring.mul
+    orbits, cols = orbit_masks(ring, "left"), np.arange(n)
+    gens = group_generators(ring.group)
+    movers = [r for r in gens if (mul[r][add] != add[mul[r][:, None], mul[r]]).any()]
+    ok = np.ones(n, dtype=bool)
+    for s in gens:
+        sa = mul[s]  # s*a for every a
+        for x in gens:
+            ok &= orbits[cols, add[add[x, sa], neg[x]]]
+        for r in movers:
+            ok &= orbits[cols[:, None], add[mul[r][add[sa]], neg[mul[r]]]].all(axis=1)
+    return ok
+
+
+M0_Z4_PRODUCTS = {
+    "m0_z4 x zn_ring(4)": lambda: build_product((build_M0(_zn_group(4)), builtin("zn_ring(4)"))),
+    "m0_z4 x m0_z3": lambda: build_product((build_M0(_zn_group(4)), builtin("m0_z3"))),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(M0_Z4_PRODUCTS))
+def test_orbit_pass_matches_the_per_element_rules(name, seed):
+    # Orders 256 and 576, with orbits shared by many elements, some of them
+    # N-ideals and some not.
+    from test_classify_tables import relabelled
+    ring = relabelled(M0_Z4_PRODUCTS[name](), seed)
+    expected = reference_batch_rules(ring)
+    assert expected.any() and not expected.all()
+    assert len(set(orbit_classes(ring).tolist())) < ring.order
+    assert orbit_is_N_ideal(ring).tolist() == expected.tolist()
+
+
+def test_orbit_pass_matches_the_per_element_rules_on_the_families():
+    from test_classify_tables import RING_NAMES, relabelled, ring_named
+    for name in RING_NAMES:
+        for seed in (0, 1):
+            ring = relabelled(ring_named(name), seed)
+            assert orbit_is_N_ideal(ring).tolist() == reference_batch_rules(ring).tolist(), name
+
+
+@pytest.mark.parametrize("law_broken", [False, True])
+def test_orbit_pass_reads_only_the_representative_rows(monkeypatch, law_broken):
+    # Every row of Na but that of the first element of its class is
+    # replaced by its complement, which lacks 0: a pass that tests any
+    # other row, or spreads a verdict by the wrong label, gets a wrong
+    # verdict somewhere, or sends a row without 0 to the stage scans.  A
+    # copy that breaks the laws tests each representative by the stage
+    # scans alone.
+    ring = M0_Z4_PRODUCTS["m0_z4 x zn_ring(4)"]()
+    if law_broken:
+        mul = ring.mul.copy()
+        mul[5, 7] = (mul[5, 7] + 1) % ring.order
+        ring = dataclasses.replace(ring, mul=mul)
+    assert laws_hold(ring) != law_broken
+    expected = orbit_is_N_ideal(ring)
+    assert expected.any() and not expected.all()
+    poisoned = dataclasses.replace(ring)
+    classes = orbit_classes(poisoned)
+    masks = orbit_masks(ring, "left").copy()
+    others = classes != np.arange(ring.order)
+    masks[others] = ~masks[others]
+    orbit_masks.keep(poisoned, _seal(masks), "left")
+    scanned = []
+    scans = nmodules._stage_scans
+    monkeypatch.setattr(nmodules, "_stage_scans",
+                        lambda module, in_l: scanned.append(in_l[0]) or scans(module, in_l))
+    assert orbit_is_N_ideal(poisoned).tolist() == expected.tolist()
+    rejected = set(classes[~expected].tolist())
+    assert scanned == [True] * len(set(classes.tolist()) if law_broken else rejected)
+
+
+def test_orbit_pass_takes_its_movers_from_the_generator_rows(monkeypatch):
+    # Only generator rows are tested as movers: a row that is not an
+    # endomorphism but no generator is covered by the closure under +.
+    ring = build_product((build_M0(_zn_group(4)), builtin("m0_z3")))
+    rows = []
+    bad_rows = nmodules._left_dist_bad_rows
+    monkeypatch.setattr(nmodules, "_left_dist_bad_rows",
+                        lambda add, mul, gens, r: rows.append(list(r)) or bad_rows(add, mul, gens, r))
+    orbit_is_N_ideal(ring)
+    assert rows == [group_generators(ring.group)]
