@@ -200,14 +200,31 @@ def _left_morphic(ring: NearRing) -> np.ndarray:
     return orbit_is_N_ideal(ring) & (element_column(ring, "morphic_witness") >= 0)
 
 
+@memoized
+def _regular_witnesses(ring: NearRing) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per a, the least x with (a*x)*a == a, and on a unital ring the least
+    unit x with it (None without unity): both from one n x n table
+    (a*x)*a, which is not kept."""
+    products = inner_products(ring)
+    units = None
+    if ring.one is not None:
+        units = _least_solution(np.where(element_column(ring, "inverse") >= 0, products, -1))
+    return _least_solution(products), units
+
+
+def _unit_regular(ring: NearRing) -> np.ndarray:
+    if ring.one is None:
+        raise NonUnitalError("units are defined only for unital near-rings")
+    return _regular_witnesses(ring)[1]
+
+
 _COLUMNS: dict[str, Callable[[NearRing], np.ndarray]] = {
     "inverse": _inverses,
     "idempotent": lambda ring: ring.mul.diagonal() == np.arange(ring.order, dtype=ring.mul.dtype),
     "central": lambda ring: (ring.mul == ring.mul.T).all(axis=1),
     "nilpotency": _nilpotency,
-    "regular": lambda ring: _least_solution(inner_products(ring)),        # (a*x)*a == a
-    "unit_regular": lambda ring: _least_solution(                         # the same, x a unit
-        np.where(element_column(ring, "inverse") >= 0, inner_products(ring), -1)),
+    "regular": lambda ring: _regular_witnesses(ring)[0],
+    "unit_regular": _unit_regular,
     "lsr": lambda ring: _least_solution(ring.mul[:, ring.mul.diagonal()].T),  # x*(a*a) == a
     "rsr": lambda ring: _least_solution(ring.mul[ring.mul.diagonal()]),       # (a*a)*x == a
     "morphic_witness": _morphic_witnesses,

@@ -3,16 +3,30 @@
 Exit codes: 0 clean, 1 axiom/validation failure, 2 theorem counterexample,
 3 I/O, format or usage error, or a table file over the construction cap.  Output is deterministic: identical
 inputs and flags produce byte-identical reports.
+
+The command line is read from one table, ``_COMMANDS``, which also gives
+``--help`` and the ``usage:`` line of a usage error; a call builds no
+parser object.  The reading is argparse's: a long option may be cut to a
+unique prefix and given its value as the next token or after ``=``; a
+value may start with ``-`` when it reads as a negative number or holds a
+space; the last of a repeated option wins; ``-h`` or ``--help`` prints the
+help of the command it follows and exits 0; after ``--`` every token is a
+positional.  Two readings differ from argparse's: a command's positionals,
+and the ``--`` before them, may come anywhere among its options (argparse
+takes them only from the first stretch without an option, and refuses
+``verify a.json --format json b.json``), and the two dashes of
+``--option=--`` are the value (argparse stores an empty list).
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import io
 import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .core import (
     AxiomViolation,
@@ -276,59 +290,201 @@ def cmd_corpus(args, out) -> int:
     return worst
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 3, not argparse's 2 (which means a counterexample)."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nearrings",
-        description="Finite near-ring validation, classification, and theorem checking.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a table file")
-    p.add_argument("file")
-
-    p = sub.add_parser("classify", help="classify elements and structure")
-    p.add_argument("file")
-    p.add_argument("--element", default=None, help="element index or label")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-
-    p = sub.add_parser("verify", help="run the theorem suite")
-    p.add_argument("paths", nargs="*", help="table files or directories; "
-                   "defaults to the builtin corpus")
-    p.add_argument("--theorems", default="all", help="all or comma-separated ids")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--notes", action="store_true",
-                   help="show why each not_applicable cell does not apply")
-
-    p = sub.add_parser("builtin", help="export a builtin near-ring")
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("corpus", help="classification digest for a directory")
-    p.add_argument("dir")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    return parser
-
-
+# The command table: name -> (handler, help, positional, options).  Every
+# command takes one positional, (dest, arity, help), where arity is "1"
+# (required), "?" (optional) or "*" (any number); options map "--name" to
+# (default, choices, help), and one whose default is False is a flag.  The
+# handlers read each value as ``args.<dest>`` or ``args.<name>``.
 _COMMANDS = {
-    "validate": cmd_validate,
-    "classify": cmd_classify,
-    "verify": cmd_verify,
-    "builtin": cmd_builtin,
-    "corpus": cmd_corpus,
+    "validate": (cmd_validate, "validate a table file", ("file", "1", ""), {}),
+    "classify": (cmd_classify, "classify elements and structure", ("file", "1", ""), {
+        "--element": (None, None, "element index or label"),
+        "--format": ("text", ("text", "json", "csv"), "")}),
+    "verify": (cmd_verify, "run the theorem suite",
+               ("paths", "*", "table files or directories; defaults to the builtin corpus"), {
+        "--theorems": ("all", None, "all or comma-separated ids"),
+        "--format": ("text", ("text", "json"), ""),
+        "--notes": (False, None, "show why each not_applicable cell does not apply")}),
+    "builtin": (cmd_builtin, "export a builtin near-ring", ("name", "?", ""), {
+        "--list": (False, None, ""),
+        "--out": (None, None, "")}),
+    "corpus": (cmd_corpus, "classification digest for a directory", ("dir", "1", ""), {
+        "--format": ("text", ("text", "json"), "")}),
 }
+_HELP = ("-h", "--help")
+# A token that reads as a negative number (-1, -0.5, -.5) is a positional
+# or a value, not an option.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: nearrings [-h] {%s} ..." % ",".join(_COMMANDS)
+    _, _, (dest, arity, _), options = _COMMANDS[command]
+    words = [f"[{_label(name, default, choices)}]"
+             for name, (default, choices, _) in options.items()]
+    positional = {"1": dest, "?": f"[{dest}]", "*": f"[{dest} ...]"}[arity]
+    return " ".join(["usage: nearrings", command, "[-h]", *words, positional])
+
+
+def _label(name: str, default, choices) -> str:
+    """An option as usage and help show it: a flag alone, else with its value."""
+    if default is False:
+        return name
+    return f"{name} {{{','.join(choices)}}}" if choices else f"{name} {name[2:].upper()}"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        about = "Finite near-ring validation, classification, and theorem checking."
+        positionals = [("{%s}" % ",".join(_COMMANDS), "")]
+        positionals += [(f"  {name}", spec[1]) for name, spec in _COMMANDS.items()]
+        options = {}
+    else:
+        _, about, (dest, _, text), options = _COMMANDS[command]
+        positionals = [(dest, text)]
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_label(name, default, choices), text)
+             for name, (default, choices, text) in options.items()]
+    lines = [_usage(command), "", about, "", "positional arguments:", *_rows(positionals),
+             "", "options:", *_rows(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _rows(rows):
+    """Labels indented by 2, their help text from column 24."""
+    for label, text in rows:
+        label = "  " + label
+        if not text:
+            yield label
+        elif len(label) < 23:
+            yield label.ljust(24) + text
+        else:
+            yield label
+            yield " " * 24 + text
+
+
+def _refuse(command: str | None, message: str):
+    """A usage error: the usage line and the message on stderr, exit 3
+    (exit 2 would read as a theorem counterexample)."""
+    prog = "nearrings" if command is None else f"nearrings {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_IO)
+
+
+def _option(token: str, names, command: str | None):
+    """How ``token`` reads among the option ``names``: None for a
+    positional, else (name, value), where name is None for an unknown
+    option and value is the text after ``=`` (or after ``-h``), None if
+    there is none.  A long option may be cut to any prefix that names one
+    option; a prefix that names more is refused."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        hits = [n for n in names if n.startswith(name)]
+        if len(hits) > 1:
+            _refuse(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help_or_refuse(command: str | None, name: str, value: str | None):
+    # "-hh" is -h twice; any other value given to -h or --help is refused
+    if value is not None and not (name == "-h" and set(value) == {"h"}):
+        _refuse(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(EXIT_OK)
+
+
+def _parse_command(command: str, argv: list[str]) -> tuple[dict, list[str]]:
+    """The values of ``command``'s arguments in ``argv``, and the tokens
+    left over.  Options and positionals may come in any order; after the
+    first ``--`` every token is a positional."""
+    _, _, (dest, arity, _), options = _COMMANDS[command]
+    names = (*_HELP, *options)
+    values = {"command": command}
+    values.update((name[2:], spec[0]) for name, spec in options.items())
+    cut = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(token, names, command) for token in argv[:cut]]
+    positionals, extra = [], []
+    at = 0
+    while at < cut:
+        token, kind = argv[at], kinds[at]
+        at += 1
+        if kind is None:
+            positionals.append(token)
+            continue
+        name, value = kind
+        if name is None:
+            extra.append(token)
+            continue
+        if name in _HELP:
+            _help_or_refuse(command, name, value)
+        default, choices, _ = options[name]
+        if default is False:
+            if value is not None:
+                _refuse(command, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if at == cut or kinds[at] is not None:
+                _refuse(command, f"argument {name}: expected one argument")
+            value = argv[at]
+            at += 1
+        if choices and value not in choices:
+            _refuse(command, f"argument {name}: invalid choice: {value!r} (choose from "
+                             + ", ".join(map(repr, choices)) + ")")
+        values[name[2:]] = value
+    positionals += argv[cut + 1:]
+    if arity == "*":
+        values[dest] = positionals
+    elif positionals:
+        values[dest] = positionals[0]
+        extra += positionals[1:]
+    elif arity == "1":
+        _refuse(command, f"the following arguments are required: {dest}")
+    else:
+        values[dest] = None
+    return values, extra
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its values, read from ``argv`` through ``_COMMANDS``.
+    ``-h`` or ``--help`` prints the help of the command it follows (of the
+    program, before a command) and exits 0; a usage error exits 3."""
+    extra = []
+    for at, token in enumerate(argv):
+        kind = None if token == "--" else _option(token, _HELP, None)
+        if kind is None:
+            break
+        if kind[0] is None:
+            extra.append(token)
+        else:
+            _help_or_refuse(None, *kind)
+    else:
+        _refuse(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        _refuse(None, f"argument command: invalid choice: {command!r} (choose from "
+                      + ", ".join(map(repr, _COMMANDS)) + ")")
+    values, rest = _parse_command(command, argv[at + 1:])
+    if extra or rest:
+        _refuse(None, f"unrecognized arguments: {' '.join(extra + rest)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out or sys.stdout)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    return _COMMANDS[args.command][0](args, out or sys.stdout)
 
 
 if __name__ == "__main__":

@@ -123,8 +123,9 @@ reader's own tables in place (``_put_first``), while ``from_document``
 copies a caller's first.  No loop over rows or blocks, in the reader, the
 re-indexing, the range check of ``_check_table``, or the law, flag and
 group scans, allocates a temporary of more than ``_TEMP_BYTES`` (64 KiB):
-the scans work on row blocks (``_row_blocks``), and a row function fills
-one n x n bool table that its scan allocates once.  A block is sized by the
+the scans work on row blocks (``_row_blocks``); ``_holds`` decides each
+row a block at a time, and a row function that ``_first_violation`` scans
+fills one n x n bool table that it allocates once.  A block is sized by the
 bytes per row of its largest temporary: one byte an entry for a bool mask,
 two for an int16 gather, and eight where a block is cast to intp to index
 with, and for a flat index a * n + b, which is intp like the casts it
@@ -470,18 +471,35 @@ def group_generators(group: FiniteGroup) -> list[int]:
 
 def _law(fill, shape):
     """A row function from ``fill(r, rows, out)``, which writes into
-    ``out`` the bool table of row r over a block of rows of s.  Each call
-    fills one table of ``shape``, allocated here once per scan, block by
-    block, so that no temporary exceeds ``_TEMP_BYTES``: the fills gather
-    with flat intp indices of a block, 8 bytes an entry; the next call
-    overwrites it."""
-    table = np.empty(shape, dtype=bool)
-    blocks = _row_blocks(shape[0], 8 * shape[1])
+    ``out`` the bool table of row r over a block of rows of s.  ``bad(r)``
+    fills one table of ``shape``, allocated on the first call and
+    overwritten by each next one, block by block, so that no temporary
+    exceeds ``_TEMP_BYTES``: the fills gather with flat intp indices of a
+    block, 8 bytes an entry.  ``bad.fails(r)`` says whether row r fails
+    anywhere: it fills one block at a time into a buffer of one block and
+    stops at the first block with a failure, so it allocates no table."""
+    n = shape[0]
+    blocks = _row_blocks(n, 8 * shape[1])
+    block = np.empty((min(blocks[0].stop, n), shape[1]), dtype=bool)
+    views = [(rows, block[:len(range(n)[rows])]) for rows in blocks]
+    table = None
 
     def bad(r):
+        nonlocal table
+        if table is None:
+            table = np.empty(shape, dtype=bool)
         for rows in blocks:
             fill(r, rows, table[rows])
         return table
+
+    def fails(r):
+        for rows, out in views:
+            fill(r, rows, out)
+            if out.any():
+                return True
+        return False
+
+    bad.fails = fails
     return bad
 
 
@@ -511,8 +529,9 @@ def _left_dist(add: np.ndarray, mul: np.ndarray):
 
 
 def _holds(bad, rows) -> bool:
-    """No row in ``rows`` has a failure of the row function ``bad``."""
-    return not any(bad(r).any() for r in rows)
+    """No row in ``rows`` has a failure of the ``_law`` row function
+    ``bad``, decided a row block at a time (``bad.fails``)."""
+    return not any(bad.fails(r) for r in rows)
 
 
 def _laws_hold(add: np.ndarray, mul: np.ndarray, gens) -> bool:

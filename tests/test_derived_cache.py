@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import nearrings.classify as classify
 import nearrings.core as core
 from nearrings import (
+    NonUnitalError,
     build_product,
     builtin,
     check,
@@ -331,3 +332,36 @@ def test_prop2_computes_no_regularity_column(computed_columns):
     ring = fresh_klein4()
     assert check(ring, "prop2").status == "pass"
     assert {name for _, name in computed_columns} == {"inverse", "morphic", "morphic_witness"}
+
+
+@pytest.mark.parametrize("name", ["mat2_f2", "m0_z3", "ext_f2_f2"])
+@pytest.mark.parametrize("first", ["profiles", "regular", "unit_regular"])
+def test_inner_products_is_built_once_per_ring(monkeypatch, name, first):
+    # the regular and unit-regular columns read one table (a*x)*a, whichever
+    # is asked for first; ext_f2_f2 has no unity, so only the first
+    built = []
+    build = classify.inner_products
+
+    def counted(ring):
+        built.append(ring)
+        return build(ring)
+
+    monkeypatch.setattr(classify, "inner_products", counted)
+    ring = dataclasses.replace(builtin(name), name="copy")  # empty cache
+    unital = ring.one is not None
+    if first != "profiles" and (unital or first == "regular"):
+        classify.element_column(ring, first)
+    profiles = classify.all_element_profiles(ring)
+    assert built == [ring]
+    products = build(ring)
+    n = ring.order
+    regular = [next((x for x in range(n) if products[a, x] == a), None) for a in range(n)]
+    assert [p.regular_witness for p in profiles] == regular
+    if unital:
+        inverse = [p.inverse for p in profiles]
+        assert [p.unit_witness for p in profiles] == [
+            next((x for x in range(n) if products[a, x] == a and inverse[x] is not None), None)
+            for a in range(n)]
+    else:
+        with pytest.raises(NonUnitalError):
+            classify.element_column(ring, "unit_regular")

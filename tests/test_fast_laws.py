@@ -16,6 +16,7 @@ references, on int16 tables of orders up to 256, where an index built in
 int16 would wrap.
 """
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -534,3 +535,37 @@ def test_flat_gathers_match_the_fancy_index(family, corrupted):
             _extend_closure(t, got, s)
             reference_extend_closure(t, expected, s)
             assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# _holds decides each row a block at a time, without the n x n table
+
+
+def test_holds_stops_at_the_first_block_with_a_failure():
+    n, filled = 64, []
+
+    def fill(r, rows, out):
+        filled.append((r, rows.start))
+        out[...] = r == 1 and rows.start == 8
+
+    with mock.patch.object(core, "_TEMP_BYTES", 8 * n * 8):  # blocks of 8 rows
+        bad = _law(fill, (n, n))
+        assert not _holds(bad, [1, 2])
+    assert filled == [(1, 0), (1, 8)]
+    assert _first_violation(bad, [0, 1, 2]) == (1, 8, 0)
+
+
+def test_holds_allocates_no_n_by_n_table():
+    n = 1024
+    x = np.arange(n)
+    add, mul = (_as_table(t % n) for t in (np.add.outer(x, x), np.multiply.outer(x, x)))
+    gens = _generators(add)
+    for law in (lambda: _additive(add, mul, add), lambda: _assoc(mul, mul),
+                lambda: _left_dist(add, mul)):
+        tracemalloc.start()
+        try:
+            assert _holds(law(), gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 2, peak
