@@ -567,11 +567,11 @@ def test_loading_stays_within_its_memory_budget(tmp_path):
             tracemalloc.stop()
         assert ring.one is not None and ring.is_ring()
         # The two n x n tables at two bytes an entry, re-indexed in place,
-        # and 768 KiB for the rest (the reader's and the scans' blocks),
+        # and 640 KiB for the rest (the reader's and the scans' blocks),
         # whatever the length of the text: a wider dtype, a copy of the
         # tables or the text held, or an n x n bool table per law scan at
         # order 1024, fails.
-        assert peak < 2 * n * n * 2 + (3 << 18), n
+        assert peak < 2 * n * n * 2 + (5 << 17), n
 
 
 def test_from_document_leaves_its_input_unchanged():
