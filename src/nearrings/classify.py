@@ -9,11 +9,11 @@ The scans run over whole-ring n x n bool tables from ``nmodules``: rows of
 Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a
 (``orbit_is_N_ideal``, one pass over the distinct orbits; it keeps the
 stage scans' first witness of each orbit it rejects, which
-``is_left_morphic`` reads for every element with that orbit).  The
-morphic witness scan, subcommutativity (Na = aN), weak divisibility (b in
-Na or a in Nb) and IFP (ab = 0 implies aN in (0:b), once per distinct (aN,
-{x : ax = 0})) read rows of these tables; each still reports the first
-witness in ascending scan order.
+``is_left_morphic`` and the profiles read for every element with that
+orbit).  The morphic witness scan, subcommutativity (Na = aN), weak
+divisibility (b in Na or a in Nb) and IFP (ab = 0 implies aN in (0:b), once
+per distinct (aN, {x : ax = 0})) read rows of these tables; each still
+reports the first witness in ascending scan order.
 Left duo is decided by ``right_escape`` on the distinct principal ideals
 (``nmodules.principal_ideals``, one closure per distinct seed set, none
 where P(a) = Na); the comment in ``structure_profile`` shows why the first
@@ -23,13 +23,23 @@ Each per-element fact is one read-only vector over the whole ring,
 ``element_column(ring, name)``, computed on first read, kept in the ring's
 ``derived`` cache; no column or profile is capped by order.  A witness
 vector holds the least witness, or -1 where there is none.  The profiles and
-the theorem cells read these vectors.
+the theorem cells read these vectors: ``all_element_profiles`` builds each
+profile field from one ``.tolist()`` of a column, and each morphic verdict
+from the stored stage-scan verdicts and the "morphic_witness" column, the
+same ``MorphicVerdict`` that ``is_left_morphic`` returns.
+
+``MorphicVerdict``, ``ElementProfile`` and ``StructureProfile`` are
+``typing.NamedTuple``s: equality is tuple equality over every field,
+``StructureProfile.witnesses`` included; ``_fields`` gives the field order
+(the JSON "structure" keys) and ``_replace`` a changed copy.  A verdict's
+truth value is its verdict, not the tuple's: ``bool(MorphicVerdict(
+"no_witness"))`` is False.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +53,7 @@ from .nmodules import (
     is_N_ideal,
     modules_isomorphic,
     orbit,
+    orbit_classes,
     orbit_is_N_ideal,
     orbit_masks,
     principal_ideals,
@@ -50,6 +61,7 @@ from .nmodules import (
     right_escape,
     _index,
     _orbit_verdict,
+    _orbit_verdicts,
     _quotient,
 )
 
@@ -84,8 +96,7 @@ def units(ring: NearRing) -> tuple[frozenset[int], tuple[Optional[int], ...]]:
     return frozenset(a for a, v in enumerate(inv) if v is not None), inv
 
 
-@dataclass(frozen=True)
-class MorphicVerdict:
+class MorphicVerdict(NamedTuple):
     status: str  # morphic | na_not_ideal | no_witness
     witness: Optional[int] = None
     ideal_verdict: Optional[IdealVerdict] = None
@@ -240,8 +251,7 @@ def element_column(ring: NearRing, name: str) -> np.ndarray:
     return _seal(_COLUMNS[name](ring))
 
 
-@dataclass(frozen=True)
-class ElementProfile:
+class ElementProfile(NamedTuple):
     index: int
     label: str
     is_unit: Optional[bool]
@@ -270,37 +280,44 @@ def element_profile(ring: NearRing, a: int) -> ElementProfile:
 
 @memoized
 def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
+    """Every element's profile, built from the columns' values; the morphic
+    verdicts are ``is_left_morphic``'s (``_morphic_verdicts``)."""
     n, unital = ring.order, ring.one is not None
     col = functools.partial(element_column, ring)
-    inv = _or_none(col("inverse")) if unital else [None] * n
-    ureg = _or_none(col("unit_regular")) if unital else [None] * n
-    reg, lsr, rsr = (_or_none(col(name)) for name in ("regular", "lsr", "rsr"))
-    idempotent, central, nilpotency = (col(name).tolist()
-                                       for name in ("idempotent", "central", "nilpotency"))
-    orbit_left, orbit_right, ann_left, ann_right = (
-        table.sum(axis=1).tolist()
-        for table in (orbit_masks(ring, "left"), orbit_masks(ring, "right"),
-                      annihilator_masks(ring, "left"), annihilator_masks(ring, "right")))
-    return tuple(
-        ElementProfile(
-            index=a, label=ring.label(a),
-            is_unit=inv[a] is not None if unital else None, inverse=inv[a],
-            is_idempotent=idempotent[a], is_central=central[a],
-            nilpotency_index=nilpotency[a],
-            is_regular=reg[a] is not None, regular_witness=reg[a],
-            is_unit_regular=ureg[a] is not None if unital else None, unit_witness=ureg[a],
-            is_left_strongly_regular=lsr[a] is not None, lsr_witness=lsr[a],
-            is_right_strongly_regular=rsr[a] is not None, rsr_witness=rsr[a],
-            morphic=is_left_morphic(ring, a) if unital else None,
-            orbit_left_size=orbit_left[a],
-            orbit_right_size=orbit_right[a],
-            ann_left_size=ann_left[a],
-            ann_right_size=ann_right[a],
-        ) for a in range(n))
+    none = [None] * n
+
+    def witnessed(name: str) -> tuple[list, list]:
+        """Per element: whether column ``name`` has a witness, and the witness or None."""
+        return (col(name) >= 0).tolist(), _or_none(col(name))
+
+    is_unit, inverse = witnessed("inverse") if unital else (none, none)
+    is_ureg, unit_witness = witnessed("unit_regular") if unital else (none, none)
+    (is_reg, reg), (is_lsr, lsr), (is_rsr, rsr) = map(witnessed, ("regular", "lsr", "rsr"))
+    sizes = (table.sum(axis=1).tolist()
+             for table in (orbit_masks(ring, "left"), orbit_masks(ring, "right"),
+                           annihilator_masks(ring, "left"), annihilator_masks(ring, "right")))
+    # One list per field, in the field order of ``ElementProfile``.
+    return tuple(map(ElementProfile, range(n), ring.group.labels or map(str, range(n)),
+                     is_unit, inverse, col("idempotent").tolist(), col("central").tolist(),
+                     col("nilpotency").tolist(), is_reg, reg, is_ureg, unit_witness,
+                     is_lsr, lsr, is_rsr, rsr,
+                     _morphic_verdicts(ring) if unital else none, *sizes))
 
 
-@dataclass(frozen=True)
-class StructureProfile:
+def _morphic_verdicts(ring: NearRing) -> list[MorphicVerdict]:
+    """``is_left_morphic(ring, a)`` for every a, from the same whole-ring
+    data: the stage scans' verdict stored for a's orbit class where Na is not
+    an N-ideal, else a's entry of the "morphic_witness" column."""
+    rejected = {first: MorphicVerdict("na_not_ideal", ideal_verdict=verdict)
+                for first, verdict in _orbit_verdicts(ring).items() if verdict is not None}
+    no_witness = MorphicVerdict("no_witness")
+    return [rejected[c] if c in rejected else
+            MorphicVerdict("morphic", b) if b >= 0 else no_witness
+            for c, b in zip(orbit_classes(ring).tolist(),
+                            element_column(ring, "morphic_witness").tolist())]
+
+
+class StructureProfile(NamedTuple):
     zero_symmetric: bool
     abelian_add: bool
     is_ring: bool
@@ -318,7 +335,7 @@ class StructureProfile:
     right_strongly_regular: bool
     left_morphic: Optional[bool]
     generalised_near_field: bool
-    witnesses: dict = field(default_factory=dict, compare=False)
+    witnesses: dict = MappingProxyType({})  # a shared default, so read-only
 
     def verdict(self) -> str:
         """One-line class membership summary."""

@@ -19,14 +19,15 @@ takes them only from the first stretch without an option, and refuses
 """
 from __future__ import annotations
 
-import csv
-import dataclasses
+import functools
 import io
 import json
 import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 from .core import (
     AxiomViolation,
@@ -37,7 +38,7 @@ from .core import (
     load_nearring,
 )
 from .catalog import builtin, catalog_names, default_corpus
-from .classify import all_element_profiles, structure_profile
+from .classify import all_element_profiles, element_column, structure_profile
 from .theorems import run_suite, theorem_catalog
 
 EXIT_OK = 0
@@ -114,8 +115,8 @@ def _classify_json(ring: NearRing, profiles) -> dict:
         "name": ring.name,
         "order": ring.order,
         "flags": _flag_tokens(ring),
-        "structure": {f.name: getattr(sp, f.name) for f in dataclasses.fields(sp)
-                      if f.name != "witnesses"},
+        "structure": {name: value for name, value in zip(sp._fields, sp)
+                      if name != "witnesses"},
         "verdict": sp.verdict(),
         "elements": [dict(zip(CSV_COLUMNS, _profile_row(ring, p))) for p in profiles],
     }
@@ -150,6 +151,8 @@ def cmd_classify(args, out) -> int:
         print(json.dumps(_classify_json(ring, profiles), sort_keys=False), file=out)
         return EXIT_OK
     if args.format == "csv":
+        import csv  # here, so that no other command pays for its import
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -263,18 +266,18 @@ def cmd_corpus(args, out) -> int:
             worst = max(worst, code)
             rows.append({"file": f.name, "error": True})
             continue
-        profiles = all_element_profiles(ring)
         sp = structure_profile(ring)
+        col, unital = functools.partial(element_column, ring), ring.one is not None
         rows.append({
             "file": f.name,
             "name": ring.name,
             "order": ring.order,
             "verdict": sp.verdict(),
-            "units": sum(1 for p in profiles if p.is_unit),
-            "idempotents": sum(1 for p in profiles if p.is_idempotent),
-            "regular": sum(1 for p in profiles if p.is_regular),
-            "unit_regular": sum(1 for p in profiles if p.is_unit_regular),
-            "left_morphic": sum(1 for p in profiles if p.morphic),
+            "units": int(np.count_nonzero(col("inverse") >= 0)) if unital else 0,
+            "idempotents": int(np.count_nonzero(col("idempotent"))),
+            "regular": int(np.count_nonzero(col("regular") >= 0)),
+            "unit_regular": int(np.count_nonzero(col("unit_regular") >= 0)) if unital else 0,
+            "left_morphic": int(np.count_nonzero(col("morphic"))) if unital else 0,
         })
     if args.format == "json":
         print(json.dumps({"rows": rows}, sort_keys=False), file=out)

@@ -68,6 +68,14 @@ at a quarter of the bytes of int64: an order-4096 table takes 33.5 MB, an
 order-1024 one 2.1 MB.  A value int16 cannot hold is refused
 (``_as_table``), never wrapped.
 
+The table holders stay dataclasses, since ``dataclasses.replace`` is their
+copy path.  The package's value records (``NearRingFlags`` and ``RawTables``
+here; ``IdealVerdict``, ``Quotient``, ``HomResult`` and ``IsoResult`` in
+``nmodules``; the verdicts and profiles of ``classify``; the reports of
+``theorems``) are ``typing.NamedTuple``s, which take a fraction of a
+dataclass's time to define at import: tuple equality, ``_fields`` and
+``_replace``.  ``RawTables`` holds arrays, so its equality stays identity.
+
 Under NumPy 2 promotion an int16 array times or plus a Python int, or plus
 another int16 array, stays int16 and wraps silently on overflow, so each
 construction that computes entries keeps them below its order: in
@@ -150,7 +158,7 @@ import json
 import json.decoder
 import math
 from dataclasses import dataclass, field
-from typing import BinaryIO, Optional
+from typing import BinaryIO, NamedTuple, Optional
 
 import numpy as np
 
@@ -246,8 +254,7 @@ class FiniteGroup(_Tables):
         return self.labels[i] if self.labels else str(i)
 
 
-@dataclass(frozen=True)
-class NearRingFlags:
+class NearRingFlags(NamedTuple):
     left_distributive: bool
     abelian_add: bool
     zero_symmetric: bool
@@ -793,14 +800,18 @@ def build_extension(ring: NearRing, module, name=None) -> NearRing:
 # NearRing Table Format v1
 
 
-@dataclass(frozen=True, eq=False)
-class RawTables:
+class RawTables(NamedTuple):
+    """A parsed document's fields, before validation.  It holds arrays, so
+    its equality is identity, as for the table dataclasses."""
+
     name: str
     order: int
     labels: Optional[tuple[str, ...]]
     add: np.ndarray
     mul: np.ndarray
     one: Optional[int]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 _MAX_DIGITS = len(str(DEFAULT_ORDER_CAP))

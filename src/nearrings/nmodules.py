@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class NModule(_Tables):
     action: np.ndarray
 
 
-@dataclass(frozen=True)
-class IdealVerdict:
+class IdealVerdict(NamedTuple):
     kind: str  # not_subgroup | not_normal | not_N_ideal | N_ideal
     witness: tuple[int, ...] = ()
 
@@ -219,7 +218,7 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
        additive, so {s*a' : s in S} generates Na' = Na.  On a table that
        breaks the laws they accept nothing.
     2. Reject.  Each representative not accepted goes through
-       ``_stage_scans`` once; ``_orbit_verdict`` reads the stored verdict.
+       ``_stage_scans`` once; ``_orbit_verdicts`` reads the stored verdicts.
        Under the laws the rules are exact, so scans that find no witness
        raise ``InvariantError``; on other tables they accept the orbit.
     3. Spread.  The class labels carry the verdicts back to the elements.
@@ -253,11 +252,17 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     return _seal(ok[np.searchsorted(firsts, classes)])
 
 
-def _orbit_verdict(ring: NearRing, a: int) -> Optional[IdealVerdict]:
-    """The stage scans' verdict on Na that ``orbit_is_N_ideal`` stored for
-    the class of a, or None where Na is an N-ideal."""
+def _orbit_verdicts(ring: NearRing) -> dict[int, Optional[IdealVerdict]]:
+    """The stage scans' verdicts that ``orbit_is_N_ideal`` stored, keyed by
+    the representative (``orbit_classes``) of each orbit that its batch
+    rules did not accept: None where the scans accept the orbit."""
     orbit_is_N_ideal(ring)
-    return ring.derived[_ORBIT_VERDICTS].get(int(orbit_classes(ring)[a]))
+    return ring.derived[_ORBIT_VERDICTS]
+
+
+def _orbit_verdict(ring: NearRing, a: int) -> Optional[IdealVerdict]:
+    """The stage scans' verdict on Na, or None where Na is an N-ideal."""
+    return _orbit_verdicts(ring).get(int(orbit_classes(ring)[a]))
 
 
 def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -428,8 +433,7 @@ def enumerate_left_ideals(ring: NearRing) -> list[frozenset[int]]:
     return sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """Factor module M/L with coset representatives = least member index."""
 
     module: NModule
@@ -493,8 +497,7 @@ def _target(ring: NearRing, obj: Union[NModule, frozenset, set]):
     return ring.add, ring.mul, members
 
 
-@dataclass(frozen=True)
-class HomResult:
+class HomResult(NamedTuple):
     hom: Optional[tuple[int, ...]]  # M1 index -> target element, or None
     failure: Optional[str] = None
     failure_elements: tuple[int, ...] = ()
@@ -575,8 +578,7 @@ def _extend_hom(tables: tuple[list, ...], g: int, b: int) -> HomResult:
     return HomResult(hom=tuple(image[x] for x in range(len(madd))))
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     isomorphic: bool
     witness: Optional[tuple[int, ...]] = None  # M1 index -> target element
 

@@ -24,8 +24,7 @@ element) is the ascending loop's first failing element and clause;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,8 +40,7 @@ from .nmodules import (
 )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem_id: str
     status: str  # pass | fail | not_applicable | error
     instantiations: int = 0
@@ -504,8 +502,7 @@ def check(ring: NearRing, theorem_id: str) -> TheoremReport:
     return _na(theorem_id, note) if note else cell(ring, theorem_id)
 
 
-@dataclass(frozen=True)
-class ChainSummary:
+class ChainSummary(NamedTuple):
     """Regular-class membership per corpus member (by name)."""
 
     left_strongly_regular: tuple[str, ...]
@@ -520,8 +517,7 @@ class ChainSummary:
         }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     cells: tuple[tuple[str, TheoremReport], ...]  # (nearring name, report)
     chain: ChainSummary
 

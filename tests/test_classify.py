@@ -1,18 +1,35 @@
 """Element and structure classification, including the cross-check of the
 morphic witness scan against the quotient isomorphism search."""
+import dataclasses
+import io
+import json
+
 import pytest
 
 from nearrings import (
+    ElementProfile,
+    IdealVerdict,
+    MorphicVerdict,
     NonUnitalError,
+    StructureProfile,
     all_element_profiles,
+    build_M0,
     builtin,
     check,
+    default_corpus,
     element_profile,
+    emit_table,
     is_left_morphic,
+    load_nearring,
+    parse_table,
     structure_profile,
     units,
     validate_nearring,
 )
+from nearrings.catalog import _zn_group
+from nearrings.cli import main
+from nearrings.nmodules import HomResult, IsoResult
+from test_tables import swapped
 
 
 def klein4():
@@ -193,3 +210,97 @@ class TestStructureProfiles:
     def test_generalised_near_field(self):
         assert structure_profile(builtin("zn_ring(6)")).generalised_near_field
         assert not structure_profile(builtin("mat2_f2")).generalised_near_field
+
+
+# ---------------------------------------------------------------------------
+# the profiles and corpus counts built from the whole-ring columns, against
+# the per-element ``is_left_morphic`` and the profiles they replace
+
+
+def profile_corpus():
+    """The default corpus (m0_z3 has elements whose Na is not an N-ideal),
+    M0(Z4), a table without unity and law-broken copies made with
+    ``dataclasses.replace``."""
+    corpus = list(default_corpus())
+    corpus.append(("m0_z4", build_M0(_zn_group(4), name="m0_z4")))
+    corpus.append(("zero z2", validate_nearring([[0, 1], [1, 0]], [[0, 0], [0, 0]],
+                                                name="zero z2")))
+    corpus.append(("z5 swapped", swapped(builtin("zn_ring(5)"), 2, 1, 4)))
+    corpus.append(("k4 swapped", swapped(builtin("klein4_ring"), 2, 1, 3)))
+    corpus.append(("m0_z3 swapped", swapped(builtin("m0_z3"), 5, 1, 2)))
+    return corpus
+
+
+class TestProfilesFromColumns:
+    @pytest.mark.parametrize("ring", [pytest.param(ring, id=name)
+                                      for name, ring in profile_corpus()])
+    def test_morphic_verdicts_match_is_left_morphic_on_a_fresh_copy(self, ring):
+        profiles = all_element_profiles(ring)
+        fresh = dataclasses.replace(ring)  # an empty cache: the oracle computes its own
+        if ring.one is None:
+            assert all(p.morphic is None for p in profiles)
+            with pytest.raises(NonUnitalError):
+                is_left_morphic(fresh, 0)
+            return
+        for a, p in enumerate(profiles):
+            expected = is_left_morphic(fresh, a)
+            assert p.morphic == expected, (ring.name, a)
+            if expected.ideal_verdict is not None:
+                assert p.morphic.ideal_verdict.witness == expected.ideal_verdict.witness
+
+    def test_corpus_reaches_every_morphic_status(self):
+        statuses = {p.morphic.status for _, ring in profile_corpus() if ring.one is not None
+                    for p in all_element_profiles(ring)}
+        assert statuses == {"morphic", "no_witness", "na_not_ideal"}
+
+    def test_corpus_counts_are_the_profile_sums(self, tmp_path):
+        rings = [ring for _, ring in profile_corpus() if "swapped" not in ring.name]
+        for i, ring in enumerate(rings):
+            (tmp_path / f"{i:02}.json").write_text(emit_table(ring))
+        out = io.StringIO()
+        assert main(["corpus", str(tmp_path), "--format", "json"], out=out) == 0
+        rows = json.loads(out.getvalue())["rows"]
+        assert len(rows) == len(rings)
+        for row, ring in zip(rows, rings):
+            profiles = all_element_profiles(load_nearring(str(tmp_path / row["file"])))
+            assert row["units"] == sum(1 for p in profiles if p.is_unit), ring.name
+            assert row["idempotents"] == sum(1 for p in profiles if p.is_idempotent)
+            assert row["regular"] == sum(1 for p in profiles if p.is_regular)
+            assert row["unit_regular"] == sum(1 for p in profiles if p.is_unit_regular)
+            assert row["left_morphic"] == sum(1 for p in profiles if p.morphic)
+
+
+class TestRecords:
+    def test_profile_field_order(self):
+        # all_element_profiles fills the profile fields by position, and the
+        # JSON "structure" keys of classify follow the structure fields.
+        assert ElementProfile._fields == (
+            "index", "label", "is_unit", "inverse", "is_idempotent", "is_central",
+            "nilpotency_index", "is_regular", "regular_witness", "is_unit_regular",
+            "unit_witness", "is_left_strongly_regular", "lsr_witness",
+            "is_right_strongly_regular", "rsr_witness", "morphic", "orbit_left_size",
+            "orbit_right_size", "ann_left_size", "ann_right_size")
+        assert StructureProfile._fields == (
+            "zero_symmetric", "abelian_add", "is_ring", "is_near_field", "reduced",
+            "has_ifp", "subcommutative", "boolean", "weakly_divisible", "left_duo",
+            "idempotents_central", "regular", "unit_regular", "left_strongly_regular",
+            "right_strongly_regular", "left_morphic", "generalised_near_field", "witnesses")
+
+    def test_truthiness_is_the_verdict_not_the_tuple(self):
+        assert not IsoResult(False) and IsoResult(True, (0, 1))
+        assert not HomResult(None, "zero_relation", (0,)) and HomResult((0, 1))
+        assert not IdealVerdict("not_normal", (1, 2)) and IdealVerdict("N_ideal")
+        assert not MorphicVerdict("na_not_ideal", ideal_verdict=IdealVerdict("not_subgroup"))
+        assert not MorphicVerdict("no_witness") and MorphicVerdict("morphic", 0)
+
+    def test_raw_tables_compare_by_identity(self):
+        text = emit_table(builtin("klein4_ring"))
+        first, second = parse_table(text), parse_table(text)
+        assert first == first and first != second and len({first, second}) == 2
+
+    def test_structure_witnesses_take_part_in_equality(self):
+        sp = structure_profile(builtin("zn_ring(6)"))
+        assert sp == sp._replace(witnesses=dict(sp.witnesses))
+        assert sp != sp._replace(witnesses={})
+        with pytest.raises(TypeError):
+            StructureProfile(*sp[:-1]).witnesses["x"] = 1  # the shared default is read-only

@@ -814,6 +814,29 @@ def test_rewritten_scans_match_the_loops_unvalidated(name, data):
     assert_rewritten_scans_agree(scrambled(name, data))
 
 
+def assert_profile_verdicts_are_is_left_morphics(ring):
+    """``all_element_profiles`` builds every morphic verdict from the
+    whole-ring data; ``is_left_morphic`` on a copy with an empty cache is
+    its oracle, element by element."""
+    if ring.one is None:
+        return
+    fresh = dataclasses.replace(ring)
+    expected = [is_left_morphic(fresh, a) for a in range(ring.order)]
+    assert [p.morphic for p in all_element_profiles(ring)] == expected
+
+
+@ring_and_seed
+@settings(max_examples=40, deadline=None)
+def test_profile_morphic_verdicts_match_is_left_morphic(name, seed):
+    assert_profile_verdicts_are_is_left_morphics(relabelled(ring_named(name), seed))
+
+
+@given(name=st.sampled_from(UNVALIDATED_BASES), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_profile_morphic_verdicts_match_is_left_morphic_unvalidated(name, data):
+    assert_profile_verdicts_are_is_left_morphics(scrambled(name, data))
+
+
 def reference_flag_scan(ring):
     """The flags and their first witnesses, by exhaustive scans: x*(y+z) =
     x*y + x*z over (x, y, z), x+y = y+x, x*0 = 0 and xy = yx."""

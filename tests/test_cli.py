@@ -156,7 +156,7 @@ class TestClassify:
         code, text = run(["classify", path, "--format", "json"])
         assert code == 0
         sp = structure_profile(load_nearring(path))
-        expected = {k: v for k, v in vars(sp).items() if k != "witnesses"}
+        expected = {k: v for k, v in sp._asdict().items() if k != "witnesses"}
         doc = json.loads(text)
         assert doc["structure"] == expected
         assert (doc["order"], len(doc["elements"])) == (272, 272)

@@ -246,9 +246,9 @@ def numpy_leaks(value, path="value"):
             yield f"{path}: {value!r}"
     elif isinstance(value, (FiniteGroup, NearRing, NModule)):
         return
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for f in dataclasses.fields(value):
-            yield from numpy_leaks(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple record
+        for name, field in zip(value._fields, value):
+            yield from numpy_leaks(field, f"{path}.{name}")
     elif isinstance(value, dict):
         for k, v in value.items():
             yield from numpy_leaks(k, f"{path} key {k!r}")
