@@ -45,6 +45,7 @@ from .classify import (
     NonUnitalError,
     StructureProfile,
     all_element_profiles,
+    class_verdict,
     element_profile,
     is_left_morphic,
     structure_profile,
@@ -69,7 +70,7 @@ __all__ = [
     "hom_from_cyclic_generator", "is_ideal", "is_N_ideal", "modules_isomorphic",
     "orbit", "quotient_module", "regular_representation", "validate_module",
     "ElementProfile", "MorphicVerdict", "NonUnitalError", "StructureProfile",
-    "all_element_profiles", "element_profile", "is_left_morphic",
+    "all_element_profiles", "class_verdict", "element_profile", "is_left_morphic",
     "structure_profile", "units",
     "SuiteReport", "TheoremReport", "check", "run_suite", "theorem_catalog",
 ]

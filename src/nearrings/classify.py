@@ -28,6 +28,14 @@ profile field from one ``.tolist()`` of a column, and each morphic verdict
 from the stored stage-scan verdicts and the "morphic_witness" column, the
 same ``MorphicVerdict`` that ``is_left_morphic`` returns.
 
+The verdict, the ring's place in the paper's chain (left strongly regular
+within left morphic regular within unit regular), is a function of four
+whole-ring facts alone (``_chain_verdict``).  ``class_verdict`` reads them
+from the "lsr", "regular", "unit_regular" and "morphic" columns, so
+``corpus`` and text ``classify`` build no ``StructureProfile``; only
+``classify --format json`` and the theorem cells (``verify``) build one,
+and its ``verdict()`` is the same mapping.
+
 ``MorphicVerdict``, ``ElementProfile`` and ``StructureProfile`` are
 ``typing.NamedTuple``s: equality is tuple equality over every field,
 ``StructureProfile.witnesses`` included; ``_fields`` gives the field order
@@ -148,15 +156,33 @@ def _inverses(ring: NearRing) -> np.ndarray:
 
 
 def _nilpotency(ring: NearRing) -> np.ndarray:
-    """Per a, the least k <= n with a^k = 0, else 0."""
+    """Per a, the least k <= n with a^k = 0, else 0.
+
+    Step k holds the vector v_k = (a^k) over all a, and v_{k+1} = F(v_k) with
+    F(v)[a] = v[a]*a: a function of v_k alone.  So once v_j = v_i for some
+    i < j, the vectors from step i on repeat with period j - i, and every
+    value an entry takes at a step >= j it already took at a step in [i, j):
+    no entry reaches 0 for the first time after step j, and the loop stops
+    there, after recording step j's zeros.  The argument uses no near-ring
+    law (0*a = 0 need not hold), so it is exact on any table.  A repeat is
+    found by Brent's method: v_k is kept at k = 1, 2, 4, 8, ... and each
+    step's vector is compared with the kept one.  If the vectors repeat with
+    period L from step m on, the first kept step p >= max(m, L) is below
+    2 max(m, L), and v_{p+L} = v_p stops the loop there.  n stays the cap.
+    """
     n = ring.order
-    idx = np.arange(n)
     by_column = ring.mul.T.ravel()  # entry a*n + x is x*a
-    column = idx * n                # an intp offset, so each step is a plain 1-d gather
+    column = np.arange(n) * n       # an intp offset, so each step is a plain 1-d gather
     nilpotency = np.zeros(n, dtype=np.int64)
-    power = idx
+    power = np.arange(n, dtype=by_column.dtype)
+    kept, keep_at = None, 1
     for k in range(1, n + 1):
         nilpotency[(power == 0) & (nilpotency == 0)] = k
+        seen = power.tobytes()
+        if seen == kept:
+            break
+        if k == keep_at:
+            kept, keep_at = seen, 2 * k
         power = by_column[column + power]  # a^k * a
     return nilpotency
 
@@ -338,16 +364,35 @@ class StructureProfile(NamedTuple):
     witnesses: dict = MappingProxyType({})  # a shared default, so read-only
 
     def verdict(self) -> str:
-        """One-line class membership summary."""
-        if self.left_strongly_regular:
-            return "left strongly regular"
-        if self.left_morphic and self.regular:
-            return "left morphic regular"
-        if self.unit_regular:
-            return "unit-regular but not left morphic"
-        if self.regular:
-            return "regular"
-        return "not regular"
+        """One-line class membership summary (``_chain_verdict``)."""
+        return _chain_verdict(self.left_strongly_regular, self.regular, self.unit_regular,
+                              self.left_morphic)
+
+
+def _chain_verdict(left_strongly_regular: bool, regular: bool, unit_regular: Optional[bool],
+                   left_morphic: Optional[bool]) -> str:
+    """The place of a near-ring in the paper's chain, left strongly regular
+    within left morphic regular within unit regular, from the four whole-ring
+    facts (the last two None without unity)."""
+    if left_strongly_regular:
+        return "left strongly regular"
+    if left_morphic and regular:
+        return "left morphic regular"
+    if unit_regular:
+        return "unit-regular but not left morphic"
+    if regular:
+        return "regular"
+    return "not regular"
+
+
+def class_verdict(ring: NearRing) -> str:
+    """``structure_profile(ring).verdict()``, read from the "lsr", "regular",
+    "unit_regular" and "morphic" columns alone: no other structure fact is
+    computed."""
+    col, unital = functools.partial(element_column, ring), ring.one is not None
+    return _chain_verdict(bool((col("lsr") >= 0).all()), bool((col("regular") >= 0).all()),
+                          bool((col("unit_regular") >= 0).all()) if unital else None,
+                          bool(col("morphic").all()) if unital else None)
 
 
 @memoized

@@ -38,7 +38,7 @@ from .core import (
     load_nearring,
 )
 from .catalog import builtin, catalog_names, default_corpus
-from .classify import all_element_profiles, element_column, structure_profile
+from .classify import all_element_profiles, class_verdict, element_column, structure_profile
 from .theorems import run_suite, theorem_catalog
 
 EXIT_OK = 0
@@ -160,11 +160,10 @@ def cmd_classify(args, out) -> int:
             writer.writerow(_profile_row(ring, p))
         out.write(buf.getvalue())
         return EXIT_OK
-    sp = structure_profile(ring)
     print(f"name: {ring.name}", file=out)
     print(f"order: {ring.order}", file=out)
     print(f"flags: {' '.join(_flag_tokens(ring))}", file=out)
-    print(f"verdict: {sp.verdict()}", file=out)
+    print(f"verdict: {class_verdict(ring)}", file=out)
     header = " ".join(f"{c:>10}" for c in CSV_COLUMNS)
     print(header, file=out)
     for p in profiles:
@@ -266,13 +265,12 @@ def cmd_corpus(args, out) -> int:
             worst = max(worst, code)
             rows.append({"file": f.name, "error": True})
             continue
-        sp = structure_profile(ring)
         col, unital = functools.partial(element_column, ring), ring.one is not None
         rows.append({
             "file": f.name,
             "name": ring.name,
             "order": ring.order,
-            "verdict": sp.verdict(),
+            "verdict": class_verdict(ring),
             "units": int(np.count_nonzero(col("inverse") >= 0)) if unital else 0,
             "idempotents": int(np.count_nonzero(col("idempotent"))),
             "regular": int(np.count_nonzero(col("regular") >= 0)),

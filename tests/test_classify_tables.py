@@ -31,6 +31,7 @@ from nearrings import (
     annihilator,
     builtin,
     check,
+    class_verdict,
     enumerate_left_ideals,
     is_left_morphic,
     is_N_ideal,
@@ -39,7 +40,7 @@ from nearrings import (
     structure_profile,
     validate_nearring,
 )
-from nearrings.catalog import DEFAULT_CORPUS_NAMES, _zn_group
+from nearrings.catalog import DEFAULT_CORPUS_NAMES, _zn_group, default_corpus
 import nearrings.classify as classify
 import nearrings.core as core
 import nearrings.nmodules as nmodules
@@ -835,6 +836,130 @@ def test_profile_morphic_verdicts_match_is_left_morphic(name, seed):
 @settings(max_examples=60, deadline=None)
 def test_profile_morphic_verdicts_match_is_left_morphic_unvalidated(name, data):
     assert_profile_verdicts_are_is_left_morphics(scrambled(name, data))
+
+
+# ---------------------------------------------------------------------------
+# the class verdict read from four element columns, against the verdict of
+# the whole structure profile
+
+
+VERDICT_RINGS = {name: partial(ring_named, name) for name in RING_NAMES}
+# regular but not left strongly regular, without unity: the one class the
+# families above do not reach
+VERDICT_RINGS["m0_z3 x dproj_3"] = lru_cache(maxsize=None)(
+    lambda: build_product((builtin("m0_z3"), dihedral_projection(3))))
+
+
+def assert_column_verdict_is_the_profiles(ring):
+    """``class_verdict`` reads the "lsr", "regular", "unit_regular" and
+    "morphic" columns; ``structure_profile`` on a copy with an empty cache
+    is its oracle."""
+    verdict = class_verdict(ring)
+    assert verdict == structure_profile(dataclasses.replace(ring)).verdict()
+    return verdict
+
+
+def test_column_verdict_on_the_default_corpus():
+    for _, ring in default_corpus():
+        assert_column_verdict_is_the_profiles(dataclasses.replace(ring))
+
+
+def test_column_verdict_reaches_every_class_with_and_without_unity():
+    reached = {(assert_column_verdict_is_the_profiles(make()), make().one is not None)
+               for make in VERDICT_RINGS.values()}
+    assert {verdict for verdict, _ in reached} == {
+        "left strongly regular", "left morphic regular", "unit-regular but not left morphic",
+        "regular", "not regular"}
+    # without unity the chain stops at left strongly regular, regular or neither
+    assert {verdict for verdict, unital in reached if not unital} == {
+        "left strongly regular", "regular", "not regular"}
+
+
+@given(name=st.sampled_from(tuple(VERDICT_RINGS)),
+       seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1)))
+@settings(max_examples=40, deadline=None)
+def test_column_verdict_matches_the_profile(name, seed):
+    assert_column_verdict_is_the_profiles(relabelled(VERDICT_RINGS[name](), seed))
+
+
+@given(name=st.sampled_from(UNVALIDATED_BASES), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_verdict_matches_the_profile_unvalidated(name, data):
+    assert_column_verdict_is_the_profiles(scrambled(name, data))
+
+
+# ---------------------------------------------------------------------------
+# the nilpotency column, which stops once the vector of powers repeats,
+# against the loop that runs all n steps
+
+
+def reference_nilpotency(ring):
+    """Per a, the least k <= n with a^k = 0, else 0: all n steps, each a
+    gather of (a^k)*a over every a."""
+    n = ring.order
+    by_column = ring.mul.T.ravel()
+    column = np.arange(n) * n
+    nilpotency = np.zeros(n, dtype=np.int64)
+    power = np.arange(n)
+    for k in range(1, n + 1):
+        nilpotency[(power == 0) & (nilpotency == 0)] = k
+        power = by_column[column + power]
+    return nilpotency
+
+
+def stops_without_a_new_zero(ring):
+    """A mutant: stops when the nilpotency vector is the same at two
+    consecutive steps, that is at the first step where no a^k is 0 for the
+    first time."""
+    n = ring.order
+    by_column = ring.mul.T.ravel()
+    column = np.arange(n) * n
+    nilpotency = np.zeros(n, dtype=np.int64)
+    power = np.arange(n)
+    for k in range(1, n + 1):
+        before = nilpotency.copy()
+        nilpotency[(power == 0) & (nilpotency == 0)] = k
+        if k > 1 and np.array_equal(before, nilpotency):
+            break
+        power = by_column[column + power]
+    return nilpotency
+
+
+def assert_nilpotency_is_the_loops(ring, nilpotency=classify._nilpotency):
+    assert nilpotency(ring).tolist() == reference_nilpotency(ring).tolist()
+
+
+# Z_p: the vectors repeat with period p - 1, so none repeats before the cap
+# and the loop runs all n steps; Z_{2^k}: the nilpotent elements take up to
+# k steps before the units' cycle shows
+NILPOTENCY_RINGS = (tuple(f"zn_ring({p})" for p in (2, 3, 31, 61))
+                    + tuple(f"zn_ring({2 ** k})" for k in range(2, 7))
+                    + ("zn_ring(8) x zn_ring(8)", "zn_ring(4) x zn_ring(6)", "m0_z4"))
+
+
+@pytest.mark.parametrize("name", NILPOTENCY_RINGS)
+def test_nilpotency_matches_the_loop_on_fixed_rings(name):
+    assert_nilpotency_is_the_loops(ring_named(name))
+
+
+@ring_and_seed
+@settings(max_examples=40, deadline=None)
+def test_nilpotency_matches_the_loop(name, seed):
+    assert_nilpotency_is_the_loops(relabelled(ring_named(name), seed))
+
+
+@given(name=st.sampled_from(UNVALIDATED_BASES), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_nilpotency_matches_the_loop_unvalidated(name, data):
+    # 0*a = 0 may fail here, so a^k can leave 0 again
+    assert_nilpotency_is_the_loops(scrambled(name, data))
+
+
+def test_nilpotency_inputs_catch_a_stop_without_a_new_zero():
+    # in Z_64 no element is first nilpotent at step 4 (a^4 = 0 iff 4 | a,
+    # as for a^3), but 2 is at step 6
+    with pytest.raises(AssertionError):
+        assert_nilpotency_is_the_loops(ring_named("zn_ring(64)"), stops_without_a_new_zero)
 
 
 def reference_flag_scan(ring):

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nearrings.classify as classify
+import nearrings.cli as cli
 import nearrings.core as core
+import nearrings.nmodules as nmodules
 from nearrings import (
     NonUnitalError,
     build_product,
@@ -365,3 +367,32 @@ def test_inner_products_is_built_once_per_ring(monkeypatch, name, first):
     else:
         with pytest.raises(NonUnitalError):
             classify.element_column(ring, "unit_regular")
+
+
+def test_corpus_and_text_classify_build_no_structure_profile(monkeypatch, tmp_path):
+    # the verdict is read from four element columns; M0(Z4), of order 64,
+    # is within the enumeration cap, where the profile closes principal ideals
+    called = []
+    for module, name in ((cli, "structure_profile"), (classify, "structure_profile"),
+                         (classify, "_ifp_witness"), (classify, "principal_ideals"),
+                         (nmodules, "principal_ideals")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            called.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rings = [builtin(name) for name in ("m0_z3", "mat2_f2", "ext_f2_f2", "zn_ring(12)")]
+    rings.append(build_M0(_zn_group(4)))
+    for i, ring in enumerate(rings):
+        (tmp_path / f"{i}.json").write_text(emit_table(ring))
+    out = io.StringIO()
+    assert main(["corpus", str(tmp_path)], out=out) == 0
+    assert out.getvalue().count("\n") == len(rings)
+    for i in range(len(rings)):
+        assert main(["classify", str(tmp_path / f"{i}.json")], out=io.StringIO()) == 0
+    assert called == []
+    # the JSON form prints every structure field, so it builds the profile
+    assert main(["classify", str(tmp_path / "4.json"), "--format", "json"],
+                out=io.StringIO()) == 0
+    assert called.count("structure_profile") == 1
+    assert {"_ifp_witness", "principal_ideals"} <= set(called)
