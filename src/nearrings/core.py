@@ -4,14 +4,14 @@ Everything is an index table: a group of order n is an n-by-n addition table
 over element indices 0..n-1, and a near-ring adds an n-by-n multiplication
 table on top.
 
-Each table law is written once, as a row function: given a row r it returns
-the bool table over (s, m) that is True where the law fails (one table per
-row function, refilled by each call).  ``_assoc`` is
-(r.s).m = r.(s.m) and ``_additive`` is (r+s).m = r.m + s.m, for an action of
-a near-ring on a group; a near-ring's laws are ``_assoc(add, add)``,
-``_assoc(mul, mul)`` and ``_additive(add, mul, add)``, the two module laws
-of its regular representation plus associativity of +.  The same row
-functions serve ``nmodules.validate_module`` and ``is_N_ideal``.
+Each table law is written once, as a row function (``_law``): given a row r
+it returns the first (s, m), in row-major order, where the law fails, or
+None.  ``_assoc`` is (r.s).m = r.(s.m) and ``_additive`` is
+(r+s).m = r.m + s.m, for an action of a near-ring on a group; a near-ring's
+laws are ``_assoc(add, add)``, ``_assoc(mul, mul)`` and
+``_additive(add, mul, add)``, the two module laws of its regular
+representation plus associativity of +.  The same row functions serve
+``nmodules.validate_module``.
 
 Every verdict is exact, but the O(n^3) laws are decided in O(n^2 |S|) by
 ``_holds`` over the rows r in a generating set S of (N,+).  The rows where
@@ -131,14 +131,13 @@ reader's own tables in place (``_put_first``), while ``from_document``
 copies a caller's first.  No loop over rows or blocks, in the reader, the
 re-indexing, the range check of ``_check_table``, or the law, flag and
 group scans, allocates a temporary of more than ``_TEMP_BYTES`` (64 KiB):
-the scans work on row blocks (``_row_blocks``); ``_holds`` decides each
-row a block at a time, and a row function that ``_first_violation`` scans
-fills one n x n bool table that it allocates once.  A block is sized by the
-bytes per row of its largest temporary: one byte an entry for a bool mask,
-two for an int16 gather, and eight where a block is cast to intp to index
-with, and for a flat index a * n + b, which is intp like the casts it
-replaces.  numpy casts an int16 fancy index itself through a small buffer,
-with no temporary, but in about twice the time of ``astype(np.intp)``; so a loop
+the scans work on row blocks (``_row_blocks``), and a row function fills
+one reused block at a time.  A block is sized by the bytes per row of its
+largest temporary: one byte an entry for a bool mask, two for an int16
+gather, and eight where a block is cast to intp to index with, and for a
+flat index a * n + b, which is intp like the casts it replaces.  numpy
+casts an int16 fancy index itself through a small buffer, with no
+temporary, but in about twice the time of ``astype(np.intp)``; so a loop
 that indexes with table blocks casts each block once itself (or gathers
 with ``take``, which casts too), inside that 8-byte budget, while a
 one-off gather over a whole table leaves the cast to numpy.  So loading
@@ -478,48 +477,38 @@ def group_generators(group: FiniteGroup) -> list[int]:
 
 def _law(fill, shape):
     """A row function from ``fill(r, rows, out)``, which writes into
-    ``out`` the bool table of row r over a block of rows of s.  ``bad(r)``
-    fills one table of ``shape``, allocated on the first call and
-    overwritten by each next one, block by block, so that no temporary
-    exceeds ``_TEMP_BYTES``: the fills gather with flat intp indices of a
-    block, 8 bytes an entry.  ``bad.fails(r)`` says whether row r fails
-    anywhere: it fills one block at a time into a buffer of one block and
-    stops at the first block with a failure, so it allocates no table."""
+    ``out`` the bool table of row r over a block of rows of s, True where
+    the law fails.  ``first(r)`` gives the first failing (s, m) of row r in
+    row-major order, or None: it fills one block at a time into one reused
+    buffer, so that no temporary exceeds ``_TEMP_BYTES`` (the fills gather
+    with flat intp indices of a block, 8 bytes an entry), and stops at the
+    first block with a failure."""
     n = shape[0]
     blocks = _row_blocks(n, 8 * shape[1])
     block = np.empty((min(blocks[0].stop, n), shape[1]), dtype=bool)
     views = [(rows, block[:len(range(n)[rows])]) for rows in blocks]
-    table = None
 
-    def bad(r):
-        nonlocal table
-        if table is None:
-            table = np.empty(shape, dtype=bool)
-        for rows in blocks:
-            fill(r, rows, table[rows])
-        return table
-
-    def fails(r):
+    def first(r):
         for rows, out in views:
             fill(r, rows, out)
-            if out.any():
-                return True
-        return False
+            hit = _first_hit(out)
+            if hit:
+                return rows.start + hit[0], hit[1]
+        return None
 
-    bad.fails = fails
-    return bad
+    return first
 
 
 def _assoc(rmul: np.ndarray, act: np.ndarray):
-    """Row function of (r.s).m = r.(s.m): row r gives the bool table over
-    (s, m) that is True where the law fails."""
+    """Row function of (r.s).m = r.(s.m): row r gives its first failing
+    (s, m)."""
     return _law(lambda r, s, out: np.not_equal(
         act.take(rmul[r, s], axis=0), act[r].take(act[s]), out=out), act.shape)
 
 
 def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
-    """Row function of (r+s).m = r.m + s.m: row r gives the bool table over
-    (s, m) that is True where the law fails."""
+    """Row function of (r+s).m = r.m + s.m: row r gives its first failing
+    (s, m)."""
     m, flat = len(madd), madd.reshape(-1)
     return _law(lambda r, s, out: np.not_equal(
         act.take(radd[r, s], axis=0), flat.take(act[r].astype(np.intp) * m + act[s]),
@@ -527,18 +516,17 @@ def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
 
 
 def _left_dist(add: np.ndarray, mul: np.ndarray):
-    """Row function of x*(y+z) = x*y + x*z: row x gives the bool table over
-    (y, z) that is True where the law fails."""
+    """Row function of x*(y+z) = x*y + x*z: row x gives its first failing
+    (y, z)."""
     n, flat = len(add), add.reshape(-1)
     return _law(lambda x, y, out: np.not_equal(
         mul[x].take(add[y]), flat.take(mul[x, y].astype(np.intp)[:, None] * n + mul[x]),
         out=out), add.shape)
 
 
-def _holds(bad, rows) -> bool:
-    """No row in ``rows`` has a failure of the ``_law`` row function
-    ``bad``, decided a row block at a time (``bad.fails``)."""
-    return not any(bad.fails(r) for r in rows)
+def _holds(law, rows) -> bool:
+    """No row in ``rows`` has a failure of the ``_law`` row function ``law``."""
+    return not any(law(r) for r in rows)
 
 
 def _laws_hold(add: np.ndarray, mul: np.ndarray, gens) -> bool:
@@ -546,10 +534,9 @@ def _laws_hold(add: np.ndarray, mul: np.ndarray, gens) -> bool:
     return _holds(_additive(add, mul, add), gens) and _holds(_assoc(mul, mul), gens)
 
 
-def _first_violation(bad, rows) -> Optional[tuple[int, ...]]:
-    """The first (i, *rest) with ``bad(i)[rest]`` True, i ascending over
-    ``rows`` and rest in row-major order, or None."""
-    return next(((int(i), *hit) for i in rows if (hit := _first_hit(bad(i)))), None)
+def _first_violation(law, rows) -> Optional[tuple[int, ...]]:
+    """The first (r, *law(r)), r ascending over ``rows``, or None."""
+    return next(((int(r), *hit) for r in rows if (hit := law(r))), None)
 
 
 def _first_hit_in_blocks(bad, rows: int, row_bytes: int) -> Optional[tuple[int, ...]]:

@@ -82,7 +82,7 @@ import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
                    _check_table, _extend_closure, _first_hit, _first_hit_in_blocks,
-                   _first_violation, _generators, _left_dist_bad_rows, _row_classes, _seal,
+                   _generators, _left_dist_bad_rows, _row_classes, _seal,
                    _Tables, group_generators, laws_hold, memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
@@ -116,12 +116,13 @@ def validate_module(ring: NearRing, carrier: FiniteGroup, action) -> NModule:
     (r1, r2, m) in that order."""
     n, m = ring.order, carrier.order
     act = _check_table(action, n, m, "action table")
-    additive, assoc = _additive(ring.add, act, carrier.add), _assoc(ring.mul, act)
-    w = _first_violation(lambda r: np.stack([additive(r), assoc(r)]), range(n))
-    if w is not None:
-        r1, law, r2, x = w
-        raise ValueError(f"{('additivity', 'associativity')[law]} fails at "
-                         f"(r1,r2,m)=({r1},{r2},{x})")
+    laws = (("additivity", _additive(ring.add, act, carrier.add)),
+            ("associativity", _assoc(ring.mul, act)))
+    for r1 in range(n):
+        for law, first in laws:
+            hit = first(r1)
+            if hit:
+                raise ValueError(f"{law} fails at (r1,r2,m)=({r1},{hit[0]},{hit[1]})")
     if ring.one is not None:
         bad = _first_hit(act[ring.one] != np.arange(m))
         if bad:

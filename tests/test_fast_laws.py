@@ -29,6 +29,7 @@ from nearrings.core import (
     _as_table,
     _assoc,
     _extend_closure,
+    _first_hit,
     _first_rows,
     _first_violation,
     _generators,
@@ -451,14 +452,21 @@ def test_references_in_one_row_blocks(test):
 
 
 def reference_additive(radd, act, madd):
-    return _law(lambda r, s, out: np.not_equal(
+    return lambda r, s, out: np.not_equal(
         act.take(radd[r, s], axis=0), madd[act[r].astype(np.intp), act[s].astype(np.intp)],
-        out=out), act.shape)
+        out=out)
 
 
 def reference_left_dist(add, mul):
-    return _law(lambda x, y, out: np.not_equal(
-        mul[x, add[y]], add[mul[x, y][:, None], mul[x]], out=out), add.shape)
+    return lambda x, y, out: np.not_equal(
+        mul[x, add[y]], add[mul[x, y][:, None], mul[x]], out=out)
+
+
+def whole_table(fill, shape, r):
+    """The bool table of row r that a ``_law`` fill writes, over all rows at once."""
+    out = np.empty(shape, dtype=bool)
+    fill(r, slice(0, shape[0]), out)
+    return out
 
 
 def reference_left_dist_bad_rows(add, mul, gens, rows):
@@ -520,11 +528,16 @@ def test_flat_gathers_match_the_fancy_index(family, corrupted):
     m = n // 2 + 1  # an action on a group of another order
     act, madd = _as_table(rng.integers(0, m, (n, m))), _as_table(cyclic(m))
     rows = sorted({0, n - 1, *rng.choice(n, min(n, 16), replace=False).tolist()})
-    for new, ref in ((_additive(add, mul, add), reference_additive(add, mul, add)),
-                     (_additive(add, act, madd), reference_additive(add, act, madd)),
-                     (_left_dist(add, mul), reference_left_dist(add, mul))):
+    for make, ref in ((lambda: _additive(add, mul, add), reference_additive(add, mul, add)),
+                      (lambda: _additive(add, act, madd), reference_additive(add, act, madd)),
+                      (lambda: _left_dist(add, mul), reference_left_dist(add, mul))):
+        with mock.patch.object(core, "_law", lambda fill, shape: (fill, shape)):
+            fill, shape = make()  # the row function's own fill, unwrapped
+        first = make()
         for r in rows:
-            assert np.array_equal(new(r), ref(r)), r
+            expected = whole_table(ref, shape, r)
+            assert np.array_equal(whole_table(fill, shape, r), expected), r
+            assert first(r) == _first_hit(expected), r
     gens = _generators(add)
     assert np.array_equal(_left_dist_bad_rows(add, mul, gens, range(n)),
                           reference_left_dist_bad_rows(add, mul, gens, range(n)))
@@ -538,7 +551,8 @@ def test_flat_gathers_match_the_fancy_index(family, corrupted):
 
 
 # ---------------------------------------------------------------------------
-# _holds decides each row a block at a time, without the n x n table
+# _holds and _first_violation decide each row a block at a time, without the
+# n x n table
 
 
 def test_holds_stops_at_the_first_block_with_a_failure():
@@ -552,7 +566,9 @@ def test_holds_stops_at_the_first_block_with_a_failure():
         bad = _law(fill, (n, n))
         assert not _holds(bad, [1, 2])
     assert filled == [(1, 0), (1, 8)]
+    filled.clear()
     assert _first_violation(bad, [0, 1, 2]) == (1, 8, 0)
+    assert filled == [(0, lo) for lo in range(0, n, 8)] + [(1, 0), (1, 8)]
 
 
 def test_holds_allocates_no_n_by_n_table():
@@ -560,11 +576,21 @@ def test_holds_allocates_no_n_by_n_table():
     x = np.arange(n)
     add, mul = (_as_table(t % n) for t in (np.add.outer(x, x), np.multiply.outer(x, x)))
     gens = _generators(add)
-    for law in (lambda: _additive(add, mul, add), lambda: _assoc(mul, mul),
-                lambda: _left_dist(add, mul)):
+    broken = mul.copy()
+    broken[20, 700] += 1  # then two witnesses lie past the first block (8 rows) of s
+    scans = [(lambda: _holds(_additive(add, mul, add), gens), True),
+             (lambda: _holds(_assoc(mul, mul), gens), True),
+             (lambda: _holds(_left_dist(add, mul), gens), True),
+             (lambda: _first_violation(_additive(add, broken, add), range(n)),
+              reference_right_dist_witness(add, broken)),
+             (lambda: _first_violation(_assoc(broken, broken), _first_rows(broken)),
+              reference_assoc_witness(broken)),
+             (lambda: _first_violation(_left_dist(add, broken), range(n)),
+              reference_left_dist_witness(add, broken))]
+    for scan, expected in scans:
         tracemalloc.start()
         try:
-            assert _holds(law(), gens)
+            assert scan() == expected
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 """N-modules: annihilators, orbits, N-ideals, quotients, homs, isos."""
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nearrings import (
     regular_representation,
     validate_module,
 )
+from nearrings import core
 from nearrings.catalog import _f2sq_module, _zn_group
 from nearrings.core import _generators
 from nearrings.nmodules import IdealVerdict, NModule, generated_submodule, right_escape
@@ -154,11 +156,26 @@ class TestValidateModule:
         with pytest.raises(ValueError, match="additivity|unitary"):
             validate_module(ring, _zn_group(2), action)
 
+    def test_associativity_failure_before_a_later_additivity_failure(self):
+        # rows 0-2 are additive and row 3 is the first that is not; row 2
+        # breaks associativity, so the row-by-row scan reports it first
+        action = [[0, 0]] * 6 + [[0, 1]] * 3
+        assert module_outcome(validate_module, builtin("m0_z3"), _zn_group(2), action) == \
+            "associativity fails at (r1,r2,m)=(2,6,1)"
+
     @given(case=random_actions())
     @settings(max_examples=500, deadline=None)
     def test_first_failure_matches_the_per_row_loop(self, case):
         assert module_outcome(validate_module, *case) == \
             module_outcome(reference_validate_module, *case)
+
+    @given(case=random_actions())
+    @settings(max_examples=500, deadline=None)
+    def test_first_failure_in_one_row_blocks(self, case):
+        # every random action fits in one block; here each row of r2 is one
+        with mock.patch.object(core, "_TEMP_BYTES", 1):
+            assert module_outcome(validate_module, *case) == \
+                module_outcome(reference_validate_module, *case)
 
 
 class TestAnnihilatorsAndOrbits:
