@@ -32,6 +32,11 @@ they contain S.  The closure, for r1, r2 in that set:
   (r1+r2)*(y+z) = r1*y + r1*z + r2*y + r2*z = r1*y + r2*y + r1*z + r2*z
                 = (r1+r2)*y + (r1+r2)*z.
 
+In a row x, the y with x*(y+z) = x*y + x*z for all z are closed under +
+too, given associative +: x*((y1+y2)+z) = x*y1 + x*(y2+z) = x*(y1+y2) + x*z.
+So ``_first_witness`` reads the first witness of ``_left_dist`` as the
+first row failing with y in S, then its first (y, z) over N.
+
 ``_laws_hold`` checks right distributivity, then associativity, over S: the
 one law predicate, exact for any table over a group.  ``validate_nearring``
 calls it on the raw tables and stores its verdict, ``True``, as
@@ -40,13 +45,10 @@ reads that.  The flags and their witnesses (``flag_scan``, read through
 ``ring.flags`` and ``ring.flag_witnesses``) are computed from the ring's
 own tables on first read.  Left distributivity needs no whole-ring scan
 when (N,+) is abelian and ``laws_hold``: then no S row failing, checked in
-O(|S|^2 n), proves that no row fails.  Otherwise (a non-abelian group, a
-law-broken copy, a failing S row) the rows are scanned in ascending blocks
-up to the first block that holds a failing row.  ``_left_dist_bad_rows``
-tests any rows, over S, for that scan and for the N-ideal test's movers.
-A ``dataclasses.replace`` copy starts with an empty cache and computes all
-of these from its own tables, so no caller needs to know how a ring was
-made.
+O(|S|^2 n), proves that no row fails; otherwise ``_first_witness`` scans
+every row.  A ``dataclasses.replace`` copy starts with an empty cache and
+computes all of these from its own tables, so no caller needs to know how
+a ring was made.
 
 Validation keeps S as the group's ``group_generators``, which the N-ideal
 test reuses.  Every first witness is the first True entry of a bool table
@@ -124,27 +126,28 @@ width w > 1.  So the work per block is a fixed number of numpy calls over
 its bytes and numbers, with no loop over digit places.
 
 Loading a table holds the final tables and buffers of O(``_BLOCK``) bytes:
-the reader reads at most ``_BLOCK`` = 32 KiB of the file at a time (one
-row at least, which is longer only for indented tables of order in the
+the reader reads at most ``_BLOCK`` = 32 KiB of the file at a time (one row
+at least, which is longer only for indented tables of order in the
 thousands), and never the whole text; ``load_nearring`` re-indexes the
 reader's own tables in place (``_put_first``), while ``from_document``
 copies a caller's first.  No loop over rows or blocks, in the reader, the
 re-indexing, the range check of ``_check_table``, or the law, flag and
-group scans, allocates a temporary of more than ``_TEMP_BYTES`` (64 KiB):
-the scans work on row blocks (``_row_blocks``), and a row function fills
-one reused block at a time.  A block is sized by the bytes per row of its
-largest temporary: one byte an entry for a bool mask, two for an int16
-gather, and eight where a block is cast to intp to index with, and for a
-flat index a * n + b, which is intp like the casts it replaces.  numpy
-casts an int16 fancy index itself through a small buffer, with no
+group scans, allocates a temporary of more than ``_TEMP_BYTES`` (64 KiB),
+but one row of a reduced scan, 8 |S| n bytes (384 KiB at order 4096 with
+|S| = 12): the scans work on row blocks (``_row_blocks``), and a row
+function fills one reused block at a time.  A block is sized by the bytes
+per row of its largest temporary: one byte an entry for a bool mask, two
+for an int16 gather, and eight where a block is cast to intp to index with,
+and for a flat index a * n + b, which is intp like the casts it replaces.
+numpy casts an int16 fancy index itself through a small buffer, with no
 temporary, but in about twice the time of ``astype(np.intp)``; so a loop
 that indexes with table blocks casts each block once itself (or gathers
-with ``take``, which casts too), inside that 8-byte budget, while a
-one-off gather over a whole table leaves the cast to numpy.  So loading
-and validating a table touches little memory beyond the tables
-themselves, and few fresh pages: at order 1024 (an 8.2 MB document) the
-peak RSS of the ``validate`` command is 5.7 MB above that of the import,
-4 MB of it the two tables (Linux, numpy 2.4).
+with ``take``, which casts too), inside that 8-byte budget, while a one-off
+gather over a whole table leaves the cast to numpy.  So loading and
+validating a table touches little memory beyond the tables themselves, and
+few fresh pages: at order 1024 (an 8.2 MB document) the peak RSS of the
+``validate`` command is 5.7 MB above that of the import, 4 MB of it the two
+tables (Linux, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -366,12 +369,9 @@ def _check_table(table, rows: int, cols: int, field: str) -> np.ndarray:
     if arr is not None:
         if arr.min() >= 0 and arr.max() < cols:
             return _as_table(arr)
-        for block in _row_blocks(rows, cols):
-            hit = _first_hit((arr[block] < 0) | (arr[block] >= cols))
-            if hit:
-                i, j = block.start + hit[0], hit[1]
-                raise TableFormatError(
-                    f"{field}: entry {int(arr[i, j])!r} in row {i} out of range [0,{cols})")
+        i, j = _first_hit_in_blocks(lambda b: (arr[b] < 0) | (arr[b] >= cols), rows, cols)
+        raise TableFormatError(
+            f"{field}: entry {int(arr[i, j])!r} in row {i} out of range [0,{cols})")
     if isinstance(table, np.ndarray):
         table = table.tolist()
     if not isinstance(table, (list, tuple)):
@@ -410,11 +410,7 @@ def _identities(t: np.ndarray) -> np.ndarray:
 
 def _first_asymmetry(t: np.ndarray) -> Optional[tuple[int, int]]:
     """The first (i, j) in row-major order with t[i, j] != t[j, i], or None."""
-    for rows in _row_blocks(len(t), len(t)):
-        hit = _first_hit(t[rows] != t.T[rows])
-        if hit:
-            return rows.start + hit[0], hit[1]
-    return None
+    return _first_hit_in_blocks(lambda b: t[b] != t.T[b], len(t), len(t))
 
 
 def _first_hit(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -510,18 +506,26 @@ def _additive(radd: np.ndarray, act: np.ndarray, madd: np.ndarray):
     """Row function of (r+s).m = r.m + s.m: row r gives its first failing
     (s, m)."""
     m, flat = len(madd), madd.reshape(-1)
-    return _law(lambda r, s, out: np.not_equal(
-        act.take(radd[r, s], axis=0), flat.take(act[r].astype(np.intp) * m + act[s]),
-        out=out), act.shape)
+
+    def fill(r, s, out):  # the flat index built in place: one intp block
+        idx = act[s].astype(np.intp)
+        idx += act[r].astype(np.intp) * m
+        np.not_equal(act.take(radd[r, s], axis=0), flat.take(idx), out=out)
+
+    return _law(fill, act.shape)
 
 
 def _left_dist(add: np.ndarray, mul: np.ndarray):
-    """Row function of x*(y+z) = x*y + x*z: row x gives its first failing
-    (y, z)."""
+    """``bad(xs, ys)``: x*(y+z) != x*y + x*z over index arrays xs, ys and
+    every z (``_first_witness``)."""
     n, flat = len(add), add.reshape(-1)
-    return _law(lambda x, y, out: np.not_equal(
-        mul[x].take(add[y]), flat.take(mul[x, y].astype(np.intp)[:, None] * n + mul[x]),
-        out=out), add.shape)
+
+    def bad(xs, ys):
+        rows = mul[xs]
+        return flat.take((rows[:, ys].astype(np.intp) * n)[:, :, None] + rows[:, None, :]) \
+            != rows.take(add[ys], axis=1)
+
+    return bad
 
 
 def _holds(law, rows) -> bool:
@@ -540,30 +544,28 @@ def _first_violation(law, rows) -> Optional[tuple[int, ...]]:
 
 
 def _first_hit_in_blocks(bad, rows: int, row_bytes: int) -> Optional[tuple[int, ...]]:
-    """``_first_hit`` over ``rows`` rows, one block at a time: ``bad(idx)``
-    gives the bool table of the rows ``idx``, ``row_bytes`` bytes a row of
-    its largest temporary (``_row_blocks``; none for an empty table)."""
+    """``_first_hit`` over ``rows`` rows, one block at a time: ``bad(block)``
+    gives the bool table of the row slice ``block``, ``row_bytes`` bytes a
+    row of its largest temporary (``_row_blocks``; none for an empty table)."""
     for block in _row_blocks(rows, max(row_bytes, 1)):
-        idx = np.arange(block.start, min(block.stop, rows))
-        hit = _first_hit(bad(idx))
+        hit = _first_hit(bad(block))
         if hit:
-            return (int(idx[hit[0]]), *hit[1:])
+            return (block.start + hit[0], *hit[1:])
     return None
 
 
-def _left_dist_bad_rows(add: np.ndarray, mul: np.ndarray, gens, rows) -> np.ndarray:
-    """Bool vector over the index array ``rows``: whether y -> x*y is not an
-    endomorphism of the group (N,+) for x = rows[i], i.e. x*(y+s) != x*y +
-    x*s for some y and generator s."""
-    rows = np.asarray(rows, dtype=np.intp)
-    n, flat = len(add), add.reshape(-1)
-    bad = np.zeros(len(rows), dtype=bool)
-    for block in _row_blocks(len(rows), 8 * n):
-        x = mul[rows[block]].astype(np.intp)  # an index below: cast once per block
-        xn = x * n
-        for s in gens:  # x*(y+s) against x*y + x*s, the latter a flat index into add
-            bad[block] |= (x.take(add[:, s], axis=1) != flat.take(xn + x[:, s, None])).any(axis=1)
-    return bad
+def _first_witness(bad, rows: np.ndarray, gens, members: np.ndarray,
+                   width: int) -> Optional[tuple[int, ...]]:
+    """(r, l, *rest): the first r of ``rows`` whose row of ``bad(rs, ls)``
+    (bool, over index arrays, ``width`` entries of 8 bytes at most per (r, l))
+    fails with l over ``gens``, then its first (l, *rest), l over
+    ``members``, which must fail on the same rows; or None."""
+    hit = _first_hit_in_blocks(lambda b: bad(rows[b], gens), len(rows), 8 * len(gens) * width)
+    if hit is None:
+        return None
+    row = rows[hit[0]:hit[0] + 1]
+    li, *rest = _first_hit_in_blocks(lambda b: bad(row, members[b])[0], len(members), 8 * width)
+    return (int(row[0]), int(members[li]), *rest)
 
 
 @memoized
@@ -572,31 +574,19 @@ def laws_hold(ring: NearRing) -> bool:
     return _laws_hold(ring.add, ring.mul, group_generators(ring.group))
 
 
-def _first_bad_row(ring: NearRing, abelian: bool) -> Optional[tuple[int]]:
-    """(x,) for the least x for which y -> x*y is not an endomorphism of
-    (N,+), or None.  Over abelian + under the laws, no generator row failing proves
-    that none does (module docstring); otherwise the rows are scanned in
-    ascending blocks, up to the first block that holds a failing row."""
-    add, mul = ring.add, ring.mul
-    gens = group_generators(ring.group)
-    if abelian and laws_hold(ring) and not _left_dist_bad_rows(add, mul, gens, gens).any():
-        return None
-    return _first_hit_in_blocks(lambda rows: _left_dist_bad_rows(add, mul, gens, rows),
-                                len(add), 8 * len(add))
-
-
 @memoized
 def flag_scan(ring: NearRing) -> tuple[NearRingFlags, tuple[tuple[str, tuple[int, ...]], ...]]:
     """Exact flag scans on the ring's own tables: the flags, and the first
     witness of each flag that fails (``NearRing.flag_witnesses``)."""
-    add, mul = ring.add, ring.mul
+    add, mul, n = ring.add, ring.mul, ring.order
     abelian = _first_asymmetry(add)
-    # Rows before the first bad one are endomorphisms, so the exhaustive
-    # scan's first witness lies in that row.
-    bad = _first_bad_row(ring, abelian is None)
+    gens = np.array(group_generators(ring.group), dtype=np.intp)
+    left, rows = _left_dist(add, mul), np.arange(n)
+    # Froehlich (module docstring): no generator row failing proves that no row does.
+    froehlich = (abelian is None and laws_hold(ring)
+                 and _first_witness(left, gens, gens, rows, n) is None)
     witnesses = {
-        "left_distributive": bad and _first_violation(_left_dist(add, mul),
-                                                      range(bad[0], len(add))),
+        "left_distributive": None if froehlich else _first_witness(left, rows, gens, rows, n),
         "abelian_add": abelian,
         "zero_symmetric": _first_hit(mul[:, 0] != 0),
         "commutative_mul": _first_asymmetry(mul),

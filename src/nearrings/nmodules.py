@@ -50,7 +50,7 @@ row is not an endomorphism):
   with t = r2(l+m) - r2m, so r needs to range over S only;
 - a generator r whose row is an endomorphism of (N,+) needs no check:
   r(l+m) - rm = rl = r(s*a) = (r*s)*a, in Na.  So only the S rows are
-  tested (``core._left_dist_bad_rows``, O(|S|^2 n)); on a ring every row
+  tested, over S (``core._left_dist``, O(|S|^2 n)); on a ring every row
   is an endomorphism, and only the normality check is left.
 
 A principal ideal P(a) depends, under the laws, only on the set N0*a,
@@ -81,9 +81,9 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .core import (CapExceeded, FiniteGroup, InvariantError, NearRing, _additive, _assoc,
-                   _check_table, _extend_closure, _first_hit, _first_hit_in_blocks,
-                   _generators, _left_dist_bad_rows, _row_classes, _seal,
-                   _Tables, group_generators, laws_hold, memoized, validate_group)
+                   _check_table, _extend_closure, _first_hit, _first_witness, _generators,
+                   _left_dist, _row_classes, _seal, _Tables, group_generators, laws_hold,
+                   memoized, validate_group)
 
 BRUTEFORCE_ISO_CAP = 8
 IDEAL_ENUM_ORDER_CAP = 64
@@ -234,7 +234,8 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
         gens_l = mul[gens[:, None], firsts]  # [s, i]: s*a for the i-th representative a
         conj = add[add[gens[:, None, None], gens_l], neg[gens][:, None, None]]  # x + s*a - x
         ok = orbits[firsts, conj].all(axis=(0, 1))
-        movers = gens[_left_dist_bad_rows(add, mul, gens, gens)]
+        left = _left_dist(add, mul)
+        movers = gens[[left(gens[i:i + 1], gens).any() for i in range(len(gens))]]
         # One (l, r) pair of generators at a time, so temporaries stay R x n.
         for row in gens_l if len(movers) else ():
             shifted = add[row].astype(np.intp)                  # [i, m]: s*a + m
@@ -284,29 +285,19 @@ def is_N_ideal(module: NModule, subset) -> IdealVerdict:
 def _stage_scans(module: NModule, in_l: np.ndarray) -> Optional[IdealVerdict]:
     """The scans of the bool mask ``in_l``, in order: 0 and L + L in L,
     x + l - x in L for every x, r(l+m) - rm in L for every r, the last two
-    row by row over S_L (module docstring).  The first failing stage's first
-    witness in ascending scan order, or None when L is an N-ideal."""
+    row by row over S_L (``core._first_witness``).  The first failing
+    stage's first witness in ascending scan order, or None when L is an
+    N-ideal."""
     if not in_l[0]:
         return IdealVerdict("not_subgroup", (0,))
     madd, mneg, mem = module.carrier.add, module.carrier.neg, np.flatnonzero(in_l)
-    members = mem.tolist()
     bad = _first_hit(~in_l[madd[mem[:, None], mem]])
     if bad:
         i, j = bad
-        return IdealVerdict("not_subgroup", (members[i], members[j]))
+        return IdealVerdict("not_subgroup", (int(mem[i]), int(mem[j])))
     gens_l = _subgroup_generators(madd, mem)
-
-    def first_witness(bad, rows: int, width: int) -> Optional[tuple[int, ...]]:
-        # The first row that fails over S_L, then its first witness over L.
-        hit = _first_hit_in_blocks(lambda idx: bad(idx, gens_l), rows, 8 * len(gens_l) * width)
-        if hit is None:
-            return None
-        row = np.array(hit[:1])
-        li, *rest = _first_hit_in_blocks(lambda ls: bad(row, mem[ls])[0], len(mem), 8 * width)
-        return (hit[0], members[li], *rest)
-
-    w = first_witness(lambda xs, ls: ~in_l[madd[madd[xs[:, None], ls], mneg[xs][:, None]]],
-                      len(madd), 1)                                     # x + l - x
+    w = _first_witness(lambda xs, ls: ~in_l[madd[madd[xs[:, None], ls], mneg[xs][:, None]]],
+                       np.arange(len(madd)), gens_l, mem, 1)            # x + l - x
     if w:
         return IdealVerdict("not_normal", w)
     neg = mneg.astype(np.intp)
@@ -315,7 +306,7 @@ def _stage_scans(module: NModule, in_l: np.ndarray) -> Optional[IdealVerdict]:
         act = module.action[rs].astype(np.intp)
         return ~in_l[madd[act[:, madd[ls]], neg[act][:, None]]]
 
-    w = first_witness(stage, module.ring.order, len(madd))
+    w = _first_witness(stage, np.arange(module.ring.order), gens_l, mem, len(madd))
     return None if w is None else IdealVerdict("not_N_ideal", w)
 
 

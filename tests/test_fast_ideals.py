@@ -368,9 +368,14 @@ def test_orbit_pass_takes_its_movers_from_the_generator_rows(monkeypatch):
     # Only generator rows are tested as movers: a row that is not an
     # endomorphism but no generator is covered by the closure under +.
     ring = build_product((build_M0(_zn_group(4)), builtin("m0_z3")))
-    rows = []
-    bad_rows = nmodules._left_dist_bad_rows
-    monkeypatch.setattr(nmodules, "_left_dist_bad_rows",
-                        lambda add, mul, gens, r: rows.append(list(r)) or bad_rows(add, mul, gens, r))
+    rows, columns = [], []
+    left_dist = nmodules._left_dist
+
+    def spy(add, mul):
+        bad = left_dist(add, mul)
+        return lambda xs, ys: rows.extend(xs.tolist()) or columns.append(list(ys)) or bad(xs, ys)
+
+    monkeypatch.setattr(nmodules, "_left_dist", spy)
     orbit_is_N_ideal(ring)
-    assert rows == [group_generators(ring.group)]
+    gens = group_generators(ring.group)
+    assert rows == gens and columns == [gens] * len(gens)

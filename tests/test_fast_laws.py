@@ -5,15 +5,15 @@ The exhaustive scans below (``reference_assoc_witness``,
 oracle: validation must return the same verdict and the same first witness
 as running them in validation order.  The associativity scan over the first
 of each set of equal rows must agree with ``reference_assoc_witness`` on its
-own as well, and ``_holds`` over a generating set with the exhaustive scans.
-Every reference test runs a second time with the scans in one-row blocks
-(``core._TEMP_BYTES`` patched to one byte).
+own as well, ``_holds`` over a generating set with the exhaustive scans,
+and the rows of ``_left_dist`` that fail over generators with the rows that
+fail.  Every reference test runs a second time with the scans in one-row
+blocks (``core._TEMP_BYTES`` patched to one byte).
 
-The flat gathers of ``_additive``, ``_left_dist``, ``_left_dist_bad_rows``
-and ``_extend_closure`` (``t.reshape(-1).take(a * n + b)``) are compared
-with the 2-D fancy indexing ``t[a, b]`` they replace, kept below as
-references, on int16 tables of orders up to 256, where an index built in
-int16 would wrap.
+The flat gathers of ``_additive``, ``_left_dist`` and ``_extend_closure``
+(``t.reshape(-1).take(a * n + b)``) are compared with the 2-D fancy
+indexing ``t[a, b]`` they replace, kept below as references, on int16
+tables of orders up to 256, where an index built in int16 would wrap.
 """
 import json
 import tracemalloc
@@ -32,12 +32,12 @@ from nearrings.core import (
     _first_hit,
     _first_rows,
     _first_violation,
+    _first_witness,
     _generators,
     _holds,
     _identities,
     _law,
     _left_dist,
-    _left_dist_bad_rows,
     _row_blocks,
     _row_classes,
 )
@@ -234,7 +234,7 @@ def test_reduced_predicates_on_arbitrary_products(add, data):
     gens = _generators(a)
     assert _holds(_additive(a, m, a), gens) == (reference_right_dist_witness(a, m) is None)
     rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # any rows, any order
-    bad = _left_dist_bad_rows(a, m, gens, rows)
+    bad = _left_dist(a, m)(np.array(rows, dtype=np.intp), gens).any(axis=(1, 2))
     assert len(bad) == len(rows)
     for x, x_bad in zip(rows, bad):
         row_ok = np.array_equal(m[x][a], a[m[x][:, None], m[x][None, :]])
@@ -280,7 +280,7 @@ def test_failures_only_later_generators_see(a, b, broken_add, data):
         assert rd == (reference_right_dist_witness(ad, m) is None)
         if rd:
             assert _holds(_assoc(m, m), gens) == (reference_assoc_witness(m) is None)
-        bad = _left_dist_bad_rows(ad, m, gens, range(len(add)))
+        bad = _left_dist(ad, m)(np.arange(len(add)), gens).any(axis=(1, 2))
         for x in range(len(add)):
             assert bool(bad[x]) != np.array_equal(m[x][ad], ad[m[x][:, None], m[x][None, :]])
     assert_agrees(add, mul)
@@ -458,8 +458,8 @@ def reference_additive(radd, act, madd):
 
 
 def reference_left_dist(add, mul):
-    return lambda x, y, out: np.not_equal(
-        mul[x, add[y]], add[mul[x, y][:, None], mul[x]], out=out)
+    return lambda xs, ys: (mul[xs[:, None, None], add[ys]]
+                           != add[mul[xs[:, None], ys][:, :, None], mul[xs][:, None, :]])
 
 
 def whole_table(fill, shape, r):
@@ -467,16 +467,6 @@ def whole_table(fill, shape, r):
     out = np.empty(shape, dtype=bool)
     fill(r, slice(0, shape[0]), out)
     return out
-
-
-def reference_left_dist_bad_rows(add, mul, gens, rows):
-    rows = np.asarray(rows, dtype=np.intp)
-    bad = np.zeros(len(rows), dtype=bool)
-    for block in _row_blocks(len(rows), 8 * len(add)):
-        x = mul[rows[block]].astype(np.intp)  # an index below: cast once per block
-        for s in gens:
-            bad[block] |= (x[:, add[:, s]] != add[x, x[:, s, None]]).any(axis=1)
-    return bad
 
 
 def reference_extend_closure(add, reached, s):
@@ -529,8 +519,7 @@ def test_flat_gathers_match_the_fancy_index(family, corrupted):
     act, madd = _as_table(rng.integers(0, m, (n, m))), _as_table(cyclic(m))
     rows = sorted({0, n - 1, *rng.choice(n, min(n, 16), replace=False).tolist()})
     for make, ref in ((lambda: _additive(add, mul, add), reference_additive(add, mul, add)),
-                      (lambda: _additive(add, act, madd), reference_additive(add, act, madd)),
-                      (lambda: _left_dist(add, mul), reference_left_dist(add, mul))):
+                      (lambda: _additive(add, act, madd), reference_additive(add, act, madd))):
         with mock.patch.object(core, "_law", lambda fill, shape: (fill, shape)):
             fill, shape = make()  # the row function's own fill, unwrapped
         first = make()
@@ -538,9 +527,13 @@ def test_flat_gathers_match_the_fancy_index(family, corrupted):
             expected = whole_table(ref, shape, r)
             assert np.array_equal(whole_table(fill, shape, r), expected), r
             assert first(r) == _first_hit(expected), r
-    gens = _generators(add)
-    assert np.array_equal(_left_dist_bad_rows(add, mul, gens, range(n)),
-                          reference_left_dist_bad_rows(add, mul, gens, range(n)))
+    xs, everything = np.array(rows), np.arange(n)
+    expected = reference_left_dist(add, mul)(xs, everything)
+    assert np.array_equal(_left_dist(add, mul)(xs, everything), expected)
+    for i, r in enumerate(rows):
+        hit = _first_hit(expected[i])
+        assert _first_witness(_left_dist(add, mul), xs[i:i + 1], everything, everything, n) \
+            == (hit and (r, *hit)), r
     for t in (add, add.astype(np.intp)):  # a table, and the intp copy that closures index
         got, expected = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         got[0] = expected[0] = True
@@ -575,19 +568,19 @@ def test_holds_allocates_no_n_by_n_table():
     n = 1024
     x = np.arange(n)
     add, mul = (_as_table(t % n) for t in (np.add.outer(x, x), np.multiply.outer(x, x)))
-    gens = _generators(add)
+    gens = np.array(_generators(add))
     broken = mul.copy()
     broken[20, 700] += 1  # then two witnesses lie past the first block (8 rows) of s
-    scans = [(lambda: _holds(_additive(add, mul, add), gens), True),
-             (lambda: _holds(_assoc(mul, mul), gens), True),
-             (lambda: _holds(_left_dist(add, mul), gens), True),
+    scans = [(lambda: _holds(_additive(add, mul, add), gens), True, True),
+             (lambda: _holds(_assoc(mul, mul), gens), True, False),
+             (lambda: _first_witness(_left_dist(add, mul), gens, gens, x, n), None, False),
              (lambda: _first_violation(_additive(add, broken, add), range(n)),
-              reference_right_dist_witness(add, broken)),
+              reference_right_dist_witness(add, broken), True),
              (lambda: _first_violation(_assoc(broken, broken), _first_rows(broken)),
-              reference_assoc_witness(broken)),
-             (lambda: _first_violation(_left_dist(add, broken), range(n)),
-              reference_left_dist_witness(add, broken))]
-    for scan, expected in scans:
+              reference_assoc_witness(broken), False),
+             (lambda: _first_witness(_left_dist(add, broken), x, gens, x, n),
+              reference_left_dist_witness(add, broken), False)]
+    for scan, expected, additive in scans:
         tracemalloc.start()
         try:
             assert scan() == expected
@@ -595,3 +588,5 @@ def test_holds_allocates_no_n_by_n_table():
         finally:
             tracemalloc.stop()
         assert peak < n * n // 2, peak
+        if additive:  # one intp block: the flat index, built in place
+            assert peak < 3 * core._TEMP_BYTES, peak
