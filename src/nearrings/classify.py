@@ -7,13 +7,12 @@ and Nb = (0:a)); the brute-force isomorphism search between N/Na and (0:a),
 
 The scans run over whole-ring n x n bool tables from ``nmodules``: rows of
 Na, aN, (0:a) and {x : ax = 0}, plus "Na is an N-ideal" for every a
-(``orbit_is_N_ideal``, one pass over the distinct orbits; it keeps the
-stage scans' first witness of each orbit it rejects, which
-``is_left_morphic`` and the profiles read for every element with that
-orbit).  The morphic witness scan, subcommutativity (Na = aN), weak
-divisibility (b in Na or a in Nb) and IFP (ab = 0 implies aN in (0:b), once
-per distinct (aN, {x : ax = 0})) read rows of these tables; each still
-reports the first witness in ascending scan order.
+(``orbit_is_N_ideal``, one pass over the distinct orbits, with the
+memoised stage scans' first witness of each orbit it rejects).  The
+morphic witness scan, subcommutativity (Na = aN), weak divisibility (b in
+Na or a in Nb) and IFP (ab = 0 implies aN in (0:b), once per distinct
+(aN, {x : ax = 0})) read rows of these tables; each still reports the
+first witness in ascending scan order.
 Left duo is decided by ``right_escape`` on the distinct principal ideals
 (``nmodules.principal_ideals``, one closure per distinct seed set, none
 where P(a) = Na); the comment in ``structure_profile`` shows why the first
@@ -24,9 +23,8 @@ Each per-element fact is one read-only vector over the whole ring,
 ``derived`` cache; no column or profile is capped by order.  A witness
 vector holds the least witness, or -1 where there is none.  The profiles and
 the theorem cells read these vectors: ``all_element_profiles`` builds each
-profile field from one ``.tolist()`` of a column, and each morphic verdict
-from the stored stage-scan verdicts and the "morphic_witness" column, the
-same ``MorphicVerdict`` that ``is_left_morphic`` returns.
+profile field from one ``.tolist()`` of a column, and takes the morphic
+verdicts from ``_morphic_verdicts``, as ``is_left_morphic`` does.
 
 The verdict, the ring's place in the paper's chain (left strongly regular
 within left morphic regular within unit regular), is a function of four
@@ -69,7 +67,6 @@ from .nmodules import (
     right_escape,
     _index,
     _orbit_verdict,
-    _orbit_verdicts,
     _quotient,
 )
 
@@ -135,17 +132,11 @@ def is_left_morphic(ring: NearRing, a: int) -> MorphicVerdict:
     """Witness scan: Na must be an N-ideal and some b must satisfy
     Na = (0:b) and Nb = (0:a); first such b wins.
 
-    Both are read off whole-ring tables (``orbit_is_N_ideal``, the
-    "morphic_witness" column); an Na that is not an N-ideal gets the stage
-    scans' verdict that ``orbit_is_N_ideal`` stored for its class."""
+    The verdict is a's entry of ``_morphic_verdicts``."""
     a = _index(ring.order, a)
     if ring.one is None:
         raise NonUnitalError("left morphic is defined only for unital near-rings")
-    verdict = _orbit_verdict(ring, a)
-    if verdict is not None:
-        return MorphicVerdict("na_not_ideal", ideal_verdict=verdict)
-    b = int(element_column(ring, "morphic_witness")[a])
-    return MorphicVerdict("no_witness" if b < 0 else "morphic", witness=None if b < 0 else b)
+    return _morphic_verdicts(ring)[a]
 
 
 def _inverses(ring: NearRing) -> np.ndarray:
@@ -306,8 +297,8 @@ def element_profile(ring: NearRing, a: int) -> ElementProfile:
 
 @memoized
 def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
-    """Every element's profile, built from the columns' values; the morphic
-    verdicts are ``is_left_morphic``'s (``_morphic_verdicts``)."""
+    """Every element's profile, built from the columns' values and
+    ``_morphic_verdicts``."""
     n, unital = ring.order, ring.one is not None
     col = functools.partial(element_column, ring)
     none = [None] * n
@@ -330,17 +321,17 @@ def all_element_profiles(ring: NearRing) -> tuple[ElementProfile, ...]:
                      _morphic_verdicts(ring) if unital else none, *sizes))
 
 
-def _morphic_verdicts(ring: NearRing) -> list[MorphicVerdict]:
-    """``is_left_morphic(ring, a)`` for every a, from the same whole-ring
-    data: the stage scans' verdict stored for a's orbit class where Na is not
-    an N-ideal, else a's entry of the "morphic_witness" column."""
-    rejected = {first: MorphicVerdict("na_not_ideal", ideal_verdict=verdict)
-                for first, verdict in _orbit_verdicts(ring).items() if verdict is not None}
+@memoized
+def _morphic_verdicts(ring: NearRing) -> tuple[MorphicVerdict, ...]:
+    """The verdict of every a: the stage scans' verdict on a's orbit class
+    where Na is not an N-ideal, else a's entry of the "morphic_witness"
+    column."""
     no_witness = MorphicVerdict("no_witness")
-    return [rejected[c] if c in rejected else
-            MorphicVerdict("morphic", b) if b >= 0 else no_witness
-            for c, b in zip(orbit_classes(ring).tolist(),
-                            element_column(ring, "morphic_witness").tolist())]
+    return tuple(MorphicVerdict("na_not_ideal", ideal_verdict=_orbit_verdict(ring, c))
+                 if not ideal else MorphicVerdict("morphic", b) if b >= 0 else no_witness
+                 for ideal, c, b in zip(orbit_is_N_ideal(ring).tolist(),
+                                        orbit_classes(ring).tolist(),
+                                        element_column(ring, "morphic_witness").tolist()))
 
 
 class StructureProfile(NamedTuple):

@@ -20,8 +20,8 @@ The N-ideal layer works over generating sets, with exact reductions:
   l that satisfy the N-ideal condition for one r are closed under +:
   r((l1+l2)+m) - rm = [r(l1+(l2+m)) - r(l2+m)] + [r(l2+m) - rm].
   So the first failing row is the exhaustive scan's; its first witness is
-  read over all of L.  ``orbit_is_N_ideal`` runs them once on each
-  distinct orbit that its batch rules do not accept.
+  read over all of L.  ``_orbit_verdict`` memoises them on each orbit
+  that the batch rules of ``orbit_is_N_ideal`` do not accept.
 - ``_ideal_closure`` closes a seed set to the smallest N-ideal containing
   it.  It keeps its set closed under + semi-naively and sends only the
   generators it adds through the conjugate and r(l+m) - rm rules, which
@@ -204,9 +204,6 @@ def orbit(ring: NearRing, side: str, a: int) -> frozenset[int]:
     return _members(orbit_masks(ring, side)[_index(ring.order, a)])
 
 
-_ORBIT_VERDICTS = ("orbit_is_N_ideal", "verdicts")  # in a ring's ``derived`` cache
-
-
 @memoized
 def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
     """Bool vector whose entry a says whether Na is an N-ideal of the regular
@@ -218,8 +215,7 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
        stands for every a with Na = Na': under the laws x -> x*a' is
        additive, so {s*a' : s in S} generates Na' = Na.  On a table that
        breaks the laws they accept nothing.
-    2. Reject.  Each representative not accepted goes through
-       ``_stage_scans`` once; ``_orbit_verdicts`` reads the stored verdicts.
+    2. Reject.  Each representative not accepted gets its ``_orbit_verdict``.
        Under the laws the rules are exact, so scans that find no witness
        raise ``InvariantError``; on other tables they accept the orbit.
     3. Spread.  The class labels carry the verdicts back to the elements.
@@ -243,28 +239,19 @@ def orbit_is_N_ideal(ring: NearRing) -> np.ndarray:
                 rm = mul[r].astype(np.intp)
                 diff = add[rm[shifted], neg[rm]]                # r(l+m) - rm
                 ok &= orbits[firsts[:, None], diff].all(axis=1)
-    rep, verdicts = regular_representation(ring), {}
     for i in np.flatnonzero(~ok).tolist():
         first = int(firsts[i])
-        verdict = _stage_scans(rep, orbits[first])
-        if verdict is None and laws:
+        ok[i] = _orbit_verdict(ring, first) is None
+        if ok[i] and laws:
             raise InvariantError(f"batch N-ideal test disagrees at element {first}")
-        ok[i], verdicts[first] = verdict is None, verdict
-    ring.derived[_ORBIT_VERDICTS] = verdicts
     return _seal(ok[np.searchsorted(firsts, classes)])
 
 
-def _orbit_verdicts(ring: NearRing) -> dict[int, Optional[IdealVerdict]]:
-    """The stage scans' verdicts that ``orbit_is_N_ideal`` stored, keyed by
-    the representative (``orbit_classes``) of each orbit that its batch
-    rules did not accept: None where the scans accept the orbit."""
-    orbit_is_N_ideal(ring)
-    return ring.derived[_ORBIT_VERDICTS]
-
-
+@memoized
 def _orbit_verdict(ring: NearRing, a: int) -> Optional[IdealVerdict]:
-    """The stage scans' verdict on Na, or None where Na is an N-ideal."""
-    return _orbit_verdicts(ring).get(int(orbit_classes(ring)[a]))
+    """The stage scans' verdict on Na, or None where Na is an N-ideal.  Its
+    callers pass class representatives (``orbit_classes``): one scan per orbit."""
+    return _stage_scans(regular_representation(ring), orbit_masks(ring, "left")[a])
 
 
 def _subgroup_generators(add: np.ndarray, members: np.ndarray) -> np.ndarray:

@@ -1394,9 +1394,9 @@ def test_stage_scans_match_is_N_ideal(name, seed, data):
             assert (verdict.kind, verdict.witness) == expected
             assert nmodules._stage_scans(module, in_l) == (None if verdict else verdict)
     if kind == "left orbit" and not orbit_is_N_ideal(ring)[a]:
-        # The morphic path reads the verdict that the orbit pass stored for
-        # the class of a; on a law-keeping copy, the pass refuses a rejected
-        # orbit on which the scans find nothing.
+        # The morphic path reads the memoised verdict of the orbit Na; on a
+        # law-keeping copy, the pass refuses a rejected orbit on which the
+        # scans find nothing.
         assert nmodules._orbit_verdict(ring, a) == is_N_ideal(rep, orbit(ring, "left", a))
         if core.laws_hold(ring):
             fresh = dataclasses.replace(ring)

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import inspect
 import io
 import itertools
 import weakref
@@ -18,6 +19,7 @@ import nearrings.core as core
 import nearrings.nmodules as nmodules
 from nearrings import (
     NonUnitalError,
+    all_element_profiles,
     build_product,
     builtin,
     check,
@@ -135,6 +137,38 @@ def test_stale_flags_do_not_reach_the_orbit_test():
     expected = orbit_is_N_ideal(m0)
     assert not expected.all()
     assert np.array_equal(orbit_is_N_ideal(copy), expected)
+
+
+def law_broken_m0_z4():
+    ring = build_M0(_zn_group(4))
+    mul = ring.mul.copy()
+    mul[5, 7] = 3
+    return dataclasses.replace(ring, mul=mul)
+
+
+CACHED_RINGS = {
+    "m0_z3": lambda: builtin("m0_z3"),
+    "mat2_f2": lambda: builtin("mat2_f2"),
+    "m0_z4": lambda: build_M0(_zn_group(4)),
+    "m0_z4_law_broken": law_broken_m0_z4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_RINGS))
+def test_derived_cache_holds_only_memoised_values(name):
+    # Each entry (name, *args) is what the memoised function of that name
+    # returns for those arguments.  The wrapper returns a stored entry for
+    # any arguments, so they are first bound to the wrapped signature.
+    ring = CACHED_RINGS[name]()
+    all_element_profiles(ring)
+    structure_profile(ring)
+    run_suite([(name, ring)])
+    for obj in (ring, ring.group):
+        assert obj.derived
+        for (fn_name, *args), value in list(obj.derived.items()):
+            fn, = {getattr(m, fn_name) for m in (core, nmodules, classify) if hasattr(m, fn_name)}
+            inspect.signature(fn.__wrapped__).bind(obj, *args)
+            assert fn(obj, *args) is value
 
 
 # ---------------------------------------------------------------------------
